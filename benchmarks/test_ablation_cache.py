@@ -1,24 +1,22 @@
-"""ABL-3: decision caching on top of the policy index (Section V-C).
+"""ABL-3: compiled decision tables vs the interpreter (Section V-C).
 
 The second "optimizing enforcement" technique: service query streams
 are highly repetitive (the same service asks about the same users over
-and over), so an exact decision cache -- invalidated on any rule change
-and bypassed for time-sensitive rules -- should push the steady-state
-decision cost toward a dictionary lookup.
+and over), so compiling each exact, time-stable decision into a
+per-user table row -- invalidated on any rule change and bypassed for
+time-sensitive rules -- should push the steady-state decision cost
+toward a dictionary lookup.
 
-Expected shape: on a repetitive workload the cached engine clearly
-beats the plain indexed engine, with a high hit rate; on a
-never-repeating workload it degrades gracefully to roughly the indexed
-cost.
+Expected shape: on a repetitive workload the compiled engine clearly
+beats the indexed interpreter, with a high hit rate; on a
+never-repeating workload it degrades gracefully to roughly the
+interpreter's cost.
 """
 
 import random
 import time
 
-import pytest
-
 from benchmarks.conftest import report
-from repro.core.enforcement.cache import CachingEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.policy.conditions import EvaluationContext
 from repro.core.reasoner.index import PolicyIndex
@@ -31,16 +29,18 @@ USERS = 500
 
 def engines():
     spatial = build_simple_building("b", 2, 4)
-    plain_store, cached_store = PolicyIndex(), PolicyIndex()
-    build_rules(plain_store, USERS, random.Random(0))
-    build_rules(cached_store, USERS, random.Random(0))
-    plain = EnforcementEngine(
-        store=plain_store, context=EvaluationContext(spatial=spatial)
-    )
-    cached = CachingEnforcementEngine(
-        store=cached_store, context=EvaluationContext(spatial=spatial)
-    )
-    return plain, cached
+    built = []
+    for compiled in (False, True):
+        store = PolicyIndex()
+        build_rules(store, USERS, random.Random(0))
+        built.append(
+            EnforcementEngine(
+                store=store,
+                context=EvaluationContext(spatial=spatial),
+                compiled=compiled,
+            )
+        )
+    return built
 
 
 def measure(engine, requests) -> float:
@@ -51,7 +51,7 @@ def measure(engine, requests) -> float:
 
 
 def run_ablation():
-    plain, cached = engines()
+    interpreter, compiled = engines()
     rng = random.Random(4)
 
     # Repetitive workload: queries about 20 hot users, repeated.
@@ -62,32 +62,35 @@ def run_ablation():
 
     # Equivalence check on a mixed sample.
     for request in (repetitive[:50] + cold[:50]):
-        assert plain.decide(request).resolution == cached.decide(request).resolution
+        assert (
+            interpreter.decide(request).resolution
+            == compiled.decide(request).resolution
+        )
 
     results = {
-        "index, repetitive": measure(plain, repetitive),
-        "index+cache, repetitive": measure(cached, repetitive),
-        "index, cold": measure(plain, cold),
-        "index+cache, cold": measure(cached, cold),
+        "interpreter, repetitive": measure(interpreter, repetitive),
+        "compiled, repetitive": measure(compiled, repetitive),
+        "interpreter, cold": measure(interpreter, cold),
+        "compiled, cold": measure(compiled, cold),
     }
-    return results, cached.cache_stats()
+    return results, compiled.table_stats()
 
 
-def test_ablation_decision_cache(benchmark):
+def test_ablation_compiled_tables(benchmark):
     results, stats = benchmark.pedantic(run_ablation, iterations=1, rounds=1)
 
     rows = ["%-26s %10.2f us/op" % (name, micros) for name, micros in results.items()]
     rows.append(
-        "cache: %d hits, %d misses, hit rate %.0f%%"
+        "table: %d hits, %d misses, hit rate %.0f%%"
         % (stats["hits"], stats["misses"], stats["hit_rate"] * 100)
     )
-    report("ABL-3: decision cache at %d users" % USERS, rows)
+    report("ABL-3: compiled tables at %d users" % USERS, rows)
 
-    assert results["index+cache, repetitive"] < results["index, repetitive"] / 2.0, (
-        "cache must clearly win on repetitive traffic"
+    assert results["compiled, repetitive"] < results["interpreter, repetitive"] / 2.0, (
+        "compiled tables must clearly win on repetitive traffic"
     )
-    assert results["index+cache, cold"] < results["index, cold"] * 3.0, (
-        "cache must degrade gracefully on cold traffic"
+    assert results["compiled, cold"] < results["interpreter, cold"] * 3.0, (
+        "compiled tables must degrade gracefully on cold traffic"
     )
     assert stats["hit_rate"] > 0.5
     for name, micros in results.items():

@@ -22,7 +22,7 @@ inventory
 obs [--population N] [--ticks N] [--json PATH] [--traces N]
     Run the Figure-1 interaction against a fresh metrics registry and
     print the observability snapshot (counters, latency histograms with
-    p50/p95/p99, cache hit ratio, span trees).
+    p50/p95/p99, table hit ratio, span trees).
 chaos [--plan NAME] [--seed N] [--population N] [--ticks N] [--json] [--trace]
     Run the compact pipeline under a named fault plan (deterministic
     fault injection) and report delivered/dropped/degraded counts, the
@@ -284,7 +284,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         run_figure1_scenario(
             population=args.population,
             capture_ticks=args.ticks,
-            cache_decisions=True,
         )
     finally:
         obs.set_registry(previous_registry)
@@ -295,11 +294,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     for line in registry.render():
         print(line)
 
-    hits = registry.total("enforcement_cache_total", {"result": "hit"})
-    lookups = registry.total("enforcement_cache_total")
+    hits = registry.total("enforcement_table_total", {"result": "hit"})
+    lookups = registry.total("enforcement_table_total")
     ratio = hits / lookups if lookups else 0.0
     print()
-    print("enforcement cache hit ratio: %.3f (%d hits / %d lookups)"
+    print("enforcement table hit ratio: %.3f (%d hits / %d lookups)"
           % (ratio, hits, lookups))
 
     if args.traces:

@@ -124,7 +124,6 @@ DEFAULT_MODEL = FlowModel(
     sanitizer_specs=(
         r"^repro\.core\.enforcement\.engine\.EnforcementEngine\."
         r"(decide|enforce_observation|audit_degraded_denial)$",
-        r"^repro\.core\.enforcement\.cache\.CachingEnforcementEngine\.decide$",
         # Audited fail-closed denial (internal, but a legitimate block).
         r"^repro\.core\.enforcement\.engine\.EnforcementEngine\._fail_closed$",
         # Brownout coarsening degrades before release.

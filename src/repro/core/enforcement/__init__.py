@@ -14,14 +14,14 @@ user data".
 - :mod:`repro.core.enforcement.audit` -- an append-only audit log of
   every decision, which the IoTA and building admin can inspect.
 - :mod:`repro.core.enforcement.compiled` -- the Section V-C
-  optimization: decisions compiled into per-user tables, proven
-  equivalent to the reference engine by ``tests/differential``.
+  optimization and the engine TIPPERS runs: decisions compiled into
+  per-user tables, proven equivalent to the reference engine by
+  ``tests/differential``.
 - :mod:`repro.core.enforcement.tables` -- (de)serialization of compiled
   tables, so they round-trip through the WAL as advisory records.
 """
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
-from repro.core.enforcement.cache import CachingEnforcementEngine, time_stable
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.enforcement.mechanisms import (
@@ -35,10 +35,8 @@ from repro.core.enforcement.tables import export_table, import_table
 
 __all__ = [
     "EnforcementEngine",
-    "CachingEnforcementEngine",
     "CompiledEnforcementEngine",
     "Decision",
-    "time_stable",
     "export_table",
     "import_table",
     "AuditLog",

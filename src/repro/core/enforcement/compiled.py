@@ -54,27 +54,31 @@ Equivalence
 -----------
 
 A row is compiled only when no candidate rule for the request is
-time-sensitive -- the same exactness proof as the decision cache
-(:func:`~repro.core.enforcement.cache.time_stable`) -- so a served row
-is bit-for-bit what the reference interpreter would have produced:
-same effect, granularity, reasons ordering, notify flag, and audit
-record.  Brownout-noted decisions bypass the table in both directions,
-and fail-closed denials are never compiled.  ``tests/differential``
-holds the harness that proves this against the reference engine as
-oracle.
+time-sensitive (:func:`time_stable`, judged on the same candidate
+fetch the match used) -- so a served row is bit-for-bit what the
+reference interpreter would have produced: same effect, granularity,
+reasons ordering, notify flag, and audit record.  Brownout-noted
+decisions bypass the table in both directions, and fail-closed denials
+are never compiled.  ``tests/differential`` holds the harness that
+proves this against the reference engine as oracle.
+
+This is the engine :class:`~repro.tippers.bms.TIPPERS` builds by
+default; ``TIPPERS(compile_decisions=False)`` selects the interpreter.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
-from repro.core.enforcement.cache import time_stable
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest
+from repro.core.policy.building import BuildingPolicy
+from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.resolution import resolve
 from repro.errors import ReproError
 
@@ -107,6 +111,23 @@ _flat_key = attrgetter(
 )
 
 
+def time_stable(
+    policies: Iterable[BuildingPolicy], preferences: Iterable[UserPreference]
+) -> bool:
+    """True when no candidate rule's outcome depends on the timestamp.
+
+    The exactness condition for compiling a row: a memoized resolution
+    may only be reused when every candidate rule for the request (the
+    store's candidates, not just the rules that matched at this
+    timestamp) is time-insensitive, so the timestamp provably cannot
+    change the outcome.
+    """
+    for rule in chain(policies, preferences):
+        if rule.condition.time_sensitive:
+            return False
+    return True
+
+
 class TableShard:
     """The compiled rows for one subject (or the subject-less shard)."""
 
@@ -123,8 +144,8 @@ class TableShard:
 class CompiledEnforcementEngine(EnforcementEngine):
     """An enforcement engine serving repeat requests from compiled rows.
 
-    Constructed via ``EnforcementEngine(compiled=True, ...)`` (the
-    TIPPERS spelling) or directly.  ``shard_capacity`` bounds rows per
+    Constructed via ``EnforcementEngine(compiled=True, ...)`` (what
+    TIPPERS does by default) or directly.  ``shard_capacity`` bounds rows per
     shard (a full shard is recompiled from scratch); ``max_shards``
     bounds distinct subjects (FIFO eviction).
     """
@@ -203,9 +224,9 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self, request: DataRequest, notes: Tuple[str, ...] = ()
     ) -> Decision:
         # Noted decisions (brownout-degraded responses) bypass the table
-        # in both directions, exactly like the decision cache: a row
-        # must not shed its degradation marker, and a marked resolution
-        # must not be served later to an un-degraded request.
+        # in both directions: a row must not shed its degradation
+        # marker, and a marked resolution must not be served later to
+        # an un-degraded request.
         if notes:
             return super().decide(request, notes)
         start = _perf_counter()
@@ -259,15 +280,19 @@ class CompiledEnforcementEngine(EnforcementEngine):
             return _tuple_new(Decision, (request, row[0]))
 
         # Miss: run the reference interpreter, then compile the outcome.
+        # One store fetch serves both the match and the time-stability
+        # proof, so every faulted fetch fails closed.
+        matcher = self._matcher
         try:
-            match = self._matcher.match(request)
+            candidates = matcher.candidates(request)
+            match = matcher.match(request, candidates)
         except ReproError as exc:
             # Fail-closed denials are transient by construction; they
             # are never compiled into the table.
             return self._fail_closed(request, exc, start)
         resolution = resolve(match, self.strategy)
         self._record(request, resolution)
-        if time_stable(store, request):
+        if time_stable(*candidates):
             self.misses += 1
             self._m_misses.inc()
             subject = request.subject_id

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.policy.base import DataRequest, Effect
 from repro.core.policy.building import BuildingPolicy
@@ -66,21 +66,42 @@ class PolicyMatcher:
         self.store = store if store is not None else LinearRuleStore()
         self.context = context if context is not None else EvaluationContext()
 
-    def match(self, request: DataRequest) -> MatchResult:
+    def candidates(
+        self, request: DataRequest
+    ) -> Tuple[List[BuildingPolicy], List[UserPreference]]:
+        """The store's candidate policies and preferences for ``request``:
+        the one policy-store fetch a decision makes."""
+        return (
+            self.store.candidate_policies(request),
+            self.store.candidate_preferences(request),
+        )
+
+    def match(
+        self,
+        request: DataRequest,
+        candidates: Optional[
+            Tuple[List[BuildingPolicy], List[UserPreference]]
+        ] = None,
+    ) -> MatchResult:
         """All policies and preferences governing ``request``.
 
-        Results are ordered deterministically: policies by descending
-        priority then id; preferences by id.
+        ``candidates`` reuses an earlier :meth:`candidates` fetch instead
+        of consulting the store again.  Results are ordered
+        deterministically: policies by descending priority then id;
+        preferences by id.
         """
+        if candidates is None:
+            candidates = self.candidates(request)
+        candidate_policies, candidate_preferences = candidates
         policies = [
             p
-            for p in self.store.candidate_policies(request)
+            for p in candidate_policies
             if p.applies_to(request, self.context)
         ]
         policies.sort(key=lambda p: (-p.priority, p.policy_id))
         preferences = [
             p
-            for p in self.store.candidate_preferences(request)
+            for p in candidate_preferences
             if p.applies_to(request, self.context)
         ]
         preferences.sort(key=lambda p: p.preference_id)

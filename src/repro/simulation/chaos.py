@@ -139,8 +139,8 @@ def run_chaos_scenario(
 ) -> ChaosReport:
     """Run the compact pipeline under ``plan_name`` and report.
 
-    The enforcement engine is deliberately non-caching so every decision
-    exercises the (faultable) policy-fetch path.
+    The enforcement engine is the reference interpreter, so every
+    decision exercises the (faultable) policy-fetch path.
     """
     report = ChaosReport(
         plan=plan_name, seed=seed, population=population, ticks=ticks
@@ -154,7 +154,8 @@ def run_chaos_scenario(
         strategy=strategy,
         owner_name="Chaos Labs",
         enforce_capture=True,
-        cache_decisions=False,
+        # Interpreter: fault steps count policy-store consults.
+        compile_decisions=False,
         metrics=metrics,
     )
     rooms = sorted(

@@ -120,7 +120,7 @@ def make_dbh_tippers(
     strategy: ResolutionStrategy = ResolutionStrategy.NEGOTIATE,
     enforce_capture: bool = True,
     deploy_sensors: bool = True,
-    cache_decisions: bool = False,
+    compile_decisions: bool = True,
     storage: Optional["StorageEngine"] = None,
 ) -> TIPPERS:
     """A ready DBH TIPPERS instance (no policies defined yet)."""
@@ -132,7 +132,7 @@ def make_dbh_tippers(
         owner_name="UCI",
         owner_more_info="https://www.ics.uci.edu/about/bren_hall",
         enforce_capture=enforce_capture,
-        cache_decisions=cache_decisions,
+        compile_decisions=compile_decisions,
         storage=storage,
     )
     if deploy_sensors:

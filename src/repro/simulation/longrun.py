@@ -74,7 +74,7 @@ def run_week(
     ticks_per_day: int = 24,
     seed: int = 9,
     strategy: ResolutionStrategy = ResolutionStrategy.NEGOTIATE,
-    cache_decisions: bool = True,
+    compile_decisions: bool = True,
 ) -> WeekReport:
     """Run ``days`` simulated days and return the metric report.
 
@@ -83,7 +83,9 @@ def run_week(
     and a retention sweep at midnight.  On day 0 every inhabitant's
     IoTA trains on persona decisions and configures building settings.
     """
-    tippers = make_dbh_tippers(strategy=strategy, cache_decisions=cache_decisions)
+    tippers = make_dbh_tippers(
+        strategy=strategy, compile_decisions=compile_decisions
+    )
     rooms = [s.space_id for s in tippers.spatial.spaces_of_type(SpaceType.ROOM)]
     tippers.define_policy(catalog.policy_1_comfort(rooms))
     tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
@@ -325,7 +327,6 @@ def _run_soak_step(
                 _SOAK_BUILDING_ID,
                 owner_name="Capacity Labs",
                 enforce_capture=True,
-                cache_decisions=False,
                 metrics=registry,
                 storage=engine,
             )

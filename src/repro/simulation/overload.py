@@ -284,7 +284,6 @@ def run_overload_scenario(
         BUILDING_ID,
         owner_name="Overload Labs",
         enforce_capture=True,
-        cache_decisions=False,
         metrics=metrics,
         health_supervisor=supervisor,
     )

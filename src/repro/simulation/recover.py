@@ -149,7 +149,8 @@ def _build_tippers(
         BUILDING_ID,
         owner_name="Durable Labs",
         enforce_capture=True,
-        cache_decisions=False,
+        # Interpreter: fault steps count policy-store consults.
+        compile_decisions=False,
         metrics=metrics,
         storage=storage,
     )

@@ -68,7 +68,6 @@ def run_figure1_scenario(
     seed: int = 7,
     capture_ticks: int = 10,
     strategy: ResolutionStrategy = ResolutionStrategy.NEGOTIATE,
-    cache_decisions: bool = False,
 ) -> Figure1Report:
     """Run the ten steps of Figure 1 and report per-step outcomes.
 
@@ -91,7 +90,7 @@ def run_figure1_scenario(
         )
         return value
 
-    tippers = make_dbh_tippers(strategy=strategy, cache_decisions=cache_decisions)
+    tippers = make_dbh_tippers(strategy=strategy)
     inhabitants = generate_inhabitants(tippers.spatial, population, seed=seed)
     # Make the first inhabitant our "Mary" with the requested persona.
     mary = inhabitants[0]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.enforcement.audit import AuditLog
-from repro.core.enforcement.cache import CachingEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import RequesterKind
@@ -66,8 +65,7 @@ class TIPPERS(Endpoint):
         owner_more_info: str = "",
         settings_space: Optional[SettingsSpace] = None,
         enforce_capture: bool = True,
-        cache_decisions: bool = False,
-        compile_decisions: bool = False,
+        compile_decisions: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         storage: Optional["StorageEngine"] = None,
         health_supervisor: Optional[SensorHealthSupervisor] = None,
@@ -94,12 +92,8 @@ class TIPPERS(Endpoint):
             self.datastore: Datastore = DurableDatastore(storage)
         else:
             self.datastore = Datastore()
-        if cache_decisions and compile_decisions:
-            raise PolicyError(
-                "cache_decisions and compile_decisions are exclusive"
-            )
-        engine_cls = CachingEnforcementEngine if cache_decisions else EnforcementEngine
-        self.engine = engine_cls(
+        # compile_decisions=False selects the reference interpreter.
+        self.engine = EnforcementEngine(
             store=self.store,
             context=self.context,
             strategy=strategy,
@@ -174,8 +168,8 @@ class TIPPERS(Endpoint):
 
     def add_user(self, profile: UserProfile) -> UserProfile:
         result = self.directory.add(profile)
-        # Conditions consult the context's profile map; refresh it.
-        self.context.user_profiles = self.directory.group_map()
+        # Conditions consult the context's profile map; add this user.
+        self.context.user_profiles[result.user_id] = result.groups
         # Profile groups feed ProfileCondition, which is declared
         # time-insensitive and hence compiled into table rows; rows
         # predating this profile change must not survive it.
@@ -224,7 +218,7 @@ class TIPPERS(Endpoint):
         removed = self.directory.remove(user_id) is not None
         self._roaming.pop(user_id, None)
         if removed:
-            self.context.user_profiles = self.directory.group_map()
+            del self.context.user_profiles[user_id]
             invalidate = getattr(self.engine, "invalidate_all", None)
             if invalidate is not None:
                 invalidate()

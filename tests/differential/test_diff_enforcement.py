@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.core.policy.base import Effect
+from repro.core.language.vocabulary import DataCategory, Purpose
+from repro.core.policy import catalog
+from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from tests.differential.harness import EnginePair
 from tests.differential.strategies import (
@@ -52,6 +54,47 @@ def test_mutation_interleavings(policy_list, preference_list, run):
     pair = EnginePair(policies=policy_list, preferences=preference_list)
     for step in run:
         pair.apply(step)
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()
+
+
+@given(
+    policy_list=st.lists(policies, max_size=5),
+    preference_list=st.lists(preferences, max_size=5),
+    request_list=st.lists(requests, min_size=1, max_size=10),
+    timestamps=st.lists(
+        st.floats(0, 1e6, allow_nan=False), min_size=3, max_size=3
+    ),
+)
+@example(
+    # Mary's office occupancy is hidden after hours: noon allows, the
+    # evening denies, and the next noon allows again.
+    policy_list=[catalog.policy_service_sharing("b")],
+    preference_list=[catalog.preference_1_office_after_hours("mary", "b-1001")],
+    request_list=[
+        DataRequest(
+            requester_id="svc-a",
+            requester_kind=RequesterKind.BUILDING_SERVICE,
+            phase=DecisionPhase.SHARING,
+            category=DataCategory.OCCUPANCY,
+            subject_id="mary",
+            space_id="b-1001",
+            timestamp=0.0,
+            purpose=Purpose.PROVIDING_SERVICE,
+        )
+    ],
+    timestamps=[12 * 3600.0, 20 * 3600.0, 36 * 3600.0],
+)
+def test_repeats_across_timestamps(
+    policy_list, preference_list, request_list, timestamps
+):
+    """The same key at different times of day: a row may serve a repeat
+    only when no candidate rule is time-sensitive, so temporal rules
+    must be re-evaluated on every decide."""
+    pair = EnginePair(policies=policy_list, preferences=preference_list)
+    for request in request_list:
+        for timestamp in timestamps:
+            pair.decide(dataclasses.replace(request, timestamp=timestamp))
     pair.assert_trails_equal()
     pair.assert_counters_equal()
 
@@ -114,12 +157,11 @@ def test_fail_closed_fault_injection(
     identically, and the fail-closed denials are never compiled.
 
     Each engine gets its own injector (their step counters advance at
-    different rates: the compiled miss path fetches candidates again in
-    its cacheability check), so the outage is delimited by install /
-    uninstall rather than step windows, and the step number embedded in
-    the fail-closed reason is masked by the harness.  Requests use a
-    fresh requester id per step: a warm compiled row would otherwise
-    (by design, like the decision cache) keep serving during the
+    different rates: a compiled hit fetches nothing), so the outage is
+    delimited by install / uninstall rather than step windows, and the
+    step number embedded in the fail-closed reason is masked by the
+    harness.  Requests use a fresh requester id per step: a warm
+    compiled row would otherwise (by design) keep serving during the
     outage, which is an availability difference, not an equivalence
     bug -- see test_warm_rows_serve_through_outage.
     """
@@ -166,13 +208,9 @@ def test_fail_closed_fault_injection(
 def test_warm_rows_serve_through_outage():
     """Documented availability asymmetry: a warm compiled row keeps
     serving during a policy-fetch outage (the row needs no fetch), while
-    the interpreter fails closed -- the same trade the decision cache
-    makes.  This is the one deliberate non-equivalence, pinned here so a
-    future change to either behavior is a conscious one."""
-    from repro.core.language.vocabulary import DataCategory, Purpose
-    from repro.core.policy import catalog
-    from repro.core.policy.base import DataRequest, DecisionPhase, RequesterKind
-
+    the interpreter fails closed.  This is the one deliberate
+    non-equivalence, pinned here so a future change to either behavior
+    is a conscious one."""
     pair = EnginePair(policies=[catalog.policy_service_sharing("b")])
 
     request = DataRequest(
@@ -205,3 +243,37 @@ def test_warm_rows_serve_through_outage():
         assert "fail-closed deny" in denied.resolution.reasons
     finally:
         injector.uninstall()
+
+
+def test_capture_path_equivalence():
+    """Capture ticks through a sensor manager store the same
+    observations, and audit the same decisions, on both engines."""
+    from repro.tippers.datastore import Datastore
+    from repro.tippers.sensor_manager import SensorManager
+    from repro.users.profile import UserDirectory, UserProfile
+    from tests.conftest import StaticWorld
+
+    pair = EnginePair(policies=[catalog.policy_2_emergency_location("b")])
+    world = StaticWorld()
+    world.put("mary", "aa:bb", "b-1001")
+    managers, datastores = [], []
+    for engine in (pair.reference, pair.compiled):
+        directory = UserDirectory()
+        directory.add(UserProfile(user_id="mary", name="M", device_macs=("aa:bb",)))
+        datastores.append(Datastore())
+        manager = SensorManager(engine, datastores[-1], directory=directory)
+        manager.deploy("wifi_access_point", "ap-1", "b-1001", {"log_interval_s": 1.0})
+        manager.deploy("camera", "cam-1", "b-f1-corridor")
+        managers.append(manager)
+    for tick in range(5):
+        for manager in managers:
+            manager.tick(float(tick * 2), world)
+    assert pair.compiled.hits > 0, "repeated capture must hit the table"
+    assert managers[0].stats == managers[1].stats
+    stored = [
+        [dataclasses.replace(o, observation_id=0) for o in datastore.query()]
+        for datastore in datastores
+    ]
+    assert stored[0] and stored[0] == stored[1]
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.enforcement import CompiledEnforcementEngine, EnforcementEngine
 from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
 from repro.errors import NetworkError, PolicyError
@@ -30,6 +31,19 @@ class TestConstruction:
             )
         )
         assert "staff" in tippers.context.groups_of("carol")
+
+    def test_remove_user_drops_context_groups(self, tippers):
+        assert tippers.context.groups_of("mary")
+        assert tippers.remove_user("mary")
+        assert tippers.context.groups_of("mary") == frozenset()
+        assert tippers.context.user_profiles == tippers.directory.group_map()
+
+    def test_decisions_are_compiled_by_default(self, small_building):
+        assert isinstance(
+            TIPPERS(small_building, "b").engine, CompiledEnforcementEngine
+        )
+        interpreter = TIPPERS(small_building, "b", compile_decisions=False)
+        assert type(interpreter.engine) is EnforcementEngine
 
 
 class TestOperation:

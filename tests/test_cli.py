@@ -103,8 +103,9 @@ class TestObsCommand:
         # Enforcement decisions by effect.
         assert "enforcement_decisions_total{effect=allow}" in out
         assert "enforcement_decisions_total{effect=deny}" in out
-        # Cache hit ratio.
-        assert "enforcement cache hit ratio:" in out
+        # Compiled-table hit ratio.
+        assert "enforcement table hit ratio:" in out
+        assert "enforcement_table_total{result=hit}" in out
         # At least one latency histogram with percentiles.
         assert "enforcement_decide_seconds" in out
         assert "p50=" in out and "p95=" in out and "p99=" in out

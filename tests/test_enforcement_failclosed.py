@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.enforcement.cache import CachingEnforcementEngine
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
@@ -108,44 +108,59 @@ class TestEngineFailClosed:
 
 
 class TestCachingEngineFailClosed:
+    """The memoizing engine TIPPERS runs: compiled decision tables."""
+
     def test_fail_closed_is_never_cached(self):
-        engine = make_engine(CachingEnforcementEngine)
+        engine = make_engine(CompiledEnforcementEngine)
         injector = outage_injector(engine.store)
         for _ in range(3):
             assert not engine.decide(sharing_request()).allowed
         assert engine.hits == 0
         assert engine.misses == 0
-        assert engine.cache_size == 0
+        assert engine.table_rows == 0
         injector.uninstall()
-        # The outage left no poisoned entries behind.
+        # The outage left no poisoned rows behind.
         assert engine.decide(sharing_request()).allowed
         assert engine.misses == 1
 
     def test_faulted_cacheability_probe_means_uncacheable(self):
-        engine = make_engine(CachingEnforcementEngine)
+        engine = make_engine(CompiledEnforcementEngine)
         injector = outage_injector(
             engine.store, FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, every=2)
         )
-        # Step 0 (match) faults: fail-closed.
+        # Step 0 faults: fail-closed, nothing compiled.
         assert not engine.decide(sharing_request()).allowed
-        # Step 1 (match) is clean, step 2 (the cacheability re-fetch)
-        # faults: the decision stands but is not cached.
-        decision = engine.decide(sharing_request())
-        assert decision.allowed
-        assert engine.uncacheable == 1
-        assert engine.cache_size == 0
-        assert injector.trace.counts()["policy_fetch_fail"] == 2
+        assert engine.table_rows == 0
+        # Step 1 is clean, and the miss's one fetch also proves the row
+        # time-stable: there is no second probe to fault.
+        assert engine.decide(sharing_request()).allowed
+        assert engine.misses == 1 and engine.uncacheable == 0
+        assert engine.table_rows == 1
+        assert injector.trace.counts()["policy_fetch_fail"] == 1
+
+    @pytest.mark.parametrize("every", [2, 3, 5])
+    def test_every_faulted_fetch_fails_closed(self, every):
+        engine = make_engine(CompiledEnforcementEngine)
+        injector = outage_injector(
+            engine.store, FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, every=every)
+        )
+        for index in range(24):
+            # Repeats (hits fetch nothing) mixed with fresh keys (misses).
+            engine.decide(sharing_request(requester_id="svc-%d" % (index % 9)))
+        faults = injector.trace.counts()["policy_fetch_fail"]
+        assert faults > 0 and engine.hits > 0
+        assert engine.metrics.total("enforcement_failclosed_total") == faults
 
     def test_prior_cache_entries_survive_an_outage(self):
-        engine = make_engine(CachingEnforcementEngine)
-        assert engine.decide(sharing_request()).allowed  # primes the cache
-        assert engine.cache_size == 1
+        engine = make_engine(CompiledEnforcementEngine)
+        assert engine.decide(sharing_request()).allowed  # compiles the row
+        assert engine.table_rows == 1
         outage_injector(engine.store)
-        # An exact repeat is served from the cache without fetching, so
+        # An exact repeat is served from the table without fetching, so
         # the outage does not regress already-proven decisions...
         assert engine.decide(sharing_request(timestamp=200.0)).allowed
         assert engine.hits == 1
-        # ...but an uncached request still fails closed.
+        # ...but an uncompiled request still fails closed.
         assert not engine.decide(sharing_request(subject_id="bob")).allowed
 
 

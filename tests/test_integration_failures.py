@@ -373,10 +373,8 @@ class TestCachedTippersEquivalence:
     def test_cached_bms_matches_uncached(self, small_building, mary, bob):
         from repro.core.policy.base import RequesterKind
 
-        def build(cache):
-            bms = TIPPERS(
-                build_spatial(), "b", cache_decisions=cache
-            )
+        def build(compiled):
+            bms = TIPPERS(build_spatial(), "b", compile_decisions=compiled)
             bms.define_policy(catalog.policy_2_emergency_location("b"))
             bms.define_policy(catalog.policy_service_sharing("b"))
             bms.add_user(mary)

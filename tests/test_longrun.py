@@ -48,9 +48,23 @@ class TestRunWeek:
         )
         assert result.queries_denied == 0
 
-    def test_cache_does_not_change_outcomes(self):
-        cached = run_week(days=1, population=8, ticks_per_day=6, seed=5, cache_decisions=True)
-        plain = run_week(days=1, population=8, ticks_per_day=6, seed=5, cache_decisions=False)
-        assert cached.observations_stored == plain.observations_stored
-        assert cached.queries_denied == plain.queries_denied
-        assert cached.selections == plain.selections
+    def test_cache_does_not_change_outcomes(self, monkeypatch):
+        """Compiled decision tables (the default) against the interpreter:
+        same report and the same audit trail, record for record."""
+        from repro.simulation import longrun
+
+        built = []
+
+        def make_dbh_tippers(**kwargs):
+            built.append(real(**kwargs))
+            return built[-1]
+
+        real = longrun.make_dbh_tippers
+        monkeypatch.setattr(longrun, "make_dbh_tippers", make_dbh_tippers)
+        compiled = run_week(days=1, population=8, ticks_per_day=6, seed=5)
+        plain = run_week(
+            days=1, population=8, ticks_per_day=6, seed=5, compile_decisions=False
+        )
+        assert built[0].engine.hits > 0, "the compiled run served no rows"
+        assert compiled == plain
+        assert built[0].audit.records() == built[1].audit.records()
