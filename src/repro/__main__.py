@@ -23,45 +23,17 @@ obs [--population N] [--ticks N] [--json PATH] [--traces N]
     Run the Figure-1 interaction against a fresh metrics registry and
     print the observability snapshot (counters, latency histograms with
     p50/p95/p99, table hit ratio, span trees).
-chaos [--plan NAME] [--seed N] [--population N] [--ticks N] [--json] [--trace]
-    Run the compact pipeline under a named fault plan (deterministic
-    fault injection) and report delivered/dropped/degraded counts, the
-    faults fired, and optionally the full fault trace.  ``--list`` (or
-    ``--plan list``) prints the shipped plans with one-line summaries.
-    With ``--recover``, run the storage crash-recovery scenario
-    instead: crash a storage-backed run via the plan's WAL faults,
-    recover, and check the recovery invariants (exit 1 if any is
-    violated); ``--report-out PATH`` writes the deterministic report
-    text for byte-diffing two same-seed runs.
-overload [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the overload scenario: admission control, priority load
-    shedding, and privacy-preserving brownout under a burst fault plan
-    (default ``rush-hour``).  Checks the overload invariants -- zero
-    CRITICAL sheds, DEFERRABLE shed rate above zero, every degraded
-    response marked in the audit record -- and exits 1 if any is
-    violated.  ``--no-admission`` runs the same workload with the
-    controller disabled (the ablation baseline); ``--report-out PATH``
-    writes the deterministic report text for byte-diffing.
-federate [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the multi-building federation scenario: a campus of
-    independently-WAL'd TIPPERS shards behind a consistent-hash router,
-    IoTA roaming handoffs with ``roaming:<home>`` audit markers, a shard
-    crash + WAL recovery mid-run, and a campus-wide DSAR fan-out with
-    per-shard compaction (default plan ``campus-storm``).  The report is
-    seeded and byte-reproducible; exits 1 if any federation invariant is
-    violated.  ``--report-out PATH`` writes the report text for
-    byte-diffing; ``--dir PATH`` keeps each shard's WAL directory.
-rebalance [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the elastic-membership scenario: a building joins the campus
-    hash ring and another drains out, with every displaced user moved
-    by the two-phase WAL-journaled migration protocol -- under the
-    ``ring-change`` plan, which partitions one finalize acknowledgement
-    and crashes a destination shard mid-import.  Checks the rebalancing
-    invariants (journal-guided convergence, marked forwarded decisions,
-    fail-closed dark windows, no post-DSAR resurrection, breaker
-    eviction on decommission) and exits 1 if any is violated.  The
-    report is byte-reproducible; ``--report-out PATH`` writes it for
-    diffing and ``--dir PATH`` keeps each shard's WAL directory.
+chaos|overload|federate|rebalance [--plan NAME|list] [--seed N] [--population N]
+        [--ticks N] [--json] [--trace] [--report-out PATH] [--list]
+    The fault scenarios, one handler driven by ``SCENARIOS``: run a
+    seeded workload under a named fault plan, print the report (and the
+    fault trace with ``--trace``), and exit 0 when every invariant
+    holds, 1 on a violation, 2 on an unknown plan or bad campus.
+    ``chaos`` is the compact pipeline and ``chaos --recover`` its
+    crash-recovery twin; ``overload`` is admission control and
+    brownout (``--no-admission``: the ablation); ``federate`` (roaming,
+    shard crash, campus DSAR) and ``rebalance`` (ring join + drain under
+    faults) take ``--buildings CSV`` and ``--dir PATH``.
 recover --dir PATH [--json]
     Replay an existing storage directory (snapshot + WAL) and print the
     recovery report without mutating it.
@@ -83,7 +55,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
@@ -325,87 +297,119 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+class _Scenario(NamedTuple):
+    """One fault scenario behind :func:`_cmd_scenario`."""
+
+    #: ``module:function`` of the runner, imported when the scenario runs.
+    runner: str
+    plan: str
+    seed: int
+    population: int
+    ticks: int
+    #: The subcommand's help; None when another command's flag selects
+    #: the scenario instead (``chaos --recover``).
+    help: Optional[str]
+    #: Extra ``add_argument`` specs beyond the shared scenario flags.
+    flags: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
+    #: Runner keyword arguments taken from the extra flags.
+    options: Callable[[argparse.Namespace], Dict[str, Any]] = (
+        lambda args: {}
+    )
+
+
+_CAMPUS_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("--buildings", dict(
+        default=None, metavar="CSV",
+        help="comma-separated initial building ids "
+             "(default: the scenario's campus)",
+    )),
+    ("--dir", dict(
+        default=None, metavar="PATH",
+        help="keep each shard's WAL under this storage root",
+    )),
+)
+
+
+def _campus_options(args: argparse.Namespace) -> Dict[str, Any]:
+    options: Dict[str, Any] = {"directory": args.dir}
+    if args.buildings:
+        options["buildings"] = [
+            b.strip() for b in args.buildings.split(",") if b.strip()
+        ]
+    return options
+
+
+SCENARIOS: Dict[str, _Scenario] = {
+    "chaos": _Scenario(
+        "repro.simulation.chaos:run_chaos_scenario",
+        "monkey", 11, 8, 6,
+        help="run the pipeline under a named fault plan",
+        flags=(("--recover", dict(
+            action="store_const", dest="scenario", const="recover",
+            help="run the crash-recovery scenario instead "
+                 "(default plan: torn-storage)",
+        )),),
+    ),
+    "recover": _Scenario(
+        "repro.simulation.recover:run_recovery_scenario",
+        "torn-storage", 11, 8, 6,
+        help=None,
+    ),
+    "overload": _Scenario(
+        "repro.simulation.overload:run_overload_scenario",
+        "rush-hour", 11, 8, 12,
+        help="run the admission-control overload scenario",
+        flags=(("--no-admission", dict(
+            action="store_true",
+            help="disable the admission controller (ablation baseline)",
+        )),),
+        options=lambda args: {"admission": not args.no_admission},
+    ),
+    "federate": _Scenario(
+        "repro.simulation.federate:run_federate_scenario",
+        "campus-storm", 17, 12, 16,
+        help="run the multi-building federation scenario",
+        flags=_CAMPUS_FLAGS,
+        options=_campus_options,
+    ),
+    "rebalance": _Scenario(
+        "repro.simulation.rebalance:run_rebalance_scenario",
+        "ring-change", 23, 24, 12,
+        help="run the elastic-membership rebalancing scenario",
+        flags=_CAMPUS_FLAGS,
+        options=_campus_options,
+    ),
+}
+
+
+def _given(value: Any, default: Any) -> Any:
+    return default if value is None else value
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    """Run one fault scenario, print its report, exit by its invariants."""
+    import importlib
     import json
 
-    from repro.errors import FaultError
+    from repro.errors import FaultError, FederationError
     from repro.faults import describe_plans
-    from repro.simulation.chaos import run_chaos_scenario
 
     if args.list or args.plan == "list":
         for line in describe_plans():
             print(line)
         return 0
-    if args.recover:
-        return _chaos_recover(args)
+    scenario = SCENARIOS[args.scenario]
+    module, _, function = scenario.runner.partition(":")
+    runner = getattr(importlib.import_module(module), function)
     try:
-        report = run_chaos_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
+        report = runner(
+            plan_name=_given(args.plan, scenario.plan),
+            seed=_given(args.seed, scenario.seed),
+            population=_given(args.population, scenario.population),
+            ticks=_given(args.ticks, scenario.ticks),
+            **scenario.options(args)
         )
-    except FaultError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for line in report.summary_lines():
-            print(line)
-    if args.trace:
-        print()
-        print("== fault trace ==")
-        sys.stdout.write(report.trace_text)
-    return 0
-
-
-def _chaos_recover(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError
-    from repro.simulation.recover import run_recovery_scenario
-
-    try:
-        report = run_recovery_scenario(
-            plan_name=args.plan if args.plan != "monkey" else "torn-storage",
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-        )
-    except FaultError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError
-    from repro.simulation.overload import run_overload_scenario
-
-    try:
-        report = run_overload_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            admission=not args.no_admission,
-        )
-    except FaultError as error:
+    except (FaultError, FederationError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
     if args.json:
@@ -416,93 +420,51 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         print()
         print("== fault trace ==")
         sys.stdout.write(report.trace_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
-
-
-def _cmd_federate(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError, FederationError
-    from repro.simulation.federate import run_federate_scenario
-
-    buildings = None
-    if args.buildings:
-        buildings = [b.strip() for b in args.buildings.split(",") if b.strip()]
-    try:
-        kwargs = {}
-        if buildings is not None:
-            kwargs["buildings"] = buildings
-        report = run_federate_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            directory=args.dir,
-            **kwargs
-        )
-    except (FaultError, FederationError) as error:
-        print("error: %s" % error, file=sys.stderr)
+    if args.report_out and not _write_report(args.report_out,
+                                             report.report_text):
         return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
     return 0 if report.ok else 1
 
 
-def _cmd_rebalance(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError, FederationError
-    from repro.simulation.rebalance import run_rebalance_scenario
-
-    buildings = None
-    if args.buildings:
-        buildings = [b.strip() for b in args.buildings.split(",") if b.strip()]
+def _write_report(path: str, text: str) -> bool:
+    """``--report-out``: write the report text; False (after an error
+    message) when the file cannot be written."""
     try:
-        kwargs = {}
-        if buildings is not None:
-            kwargs["buildings"] = buildings
-        report = run_rebalance_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            directory=args.dir,
-            **kwargs
-        )
-    except (FaultError, FederationError) as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        print("error: cannot write %s: %s" % (path, error), file=sys.stderr)
+        return False
+    return True
+
+
+def _add_scenario_command(
+    subparsers: Any, name: str, scenario: _Scenario
+) -> None:
+    """One scenario subcommand: the shared flags plus the row's own."""
+    command = subparsers.add_parser(name, help=scenario.help)
+    command.add_argument(
+        "--plan", default=None,
+        help="fault plan name, or 'list' to enumerate (default: %s)"
+        % scenario.plan,
+    )
+    # Unset settings stay None: the handler takes them from the row of
+    # the scenario that actually runs (``chaos --recover`` switches row).
+    for setting, kind in (("seed", int), ("population", _positive_int),
+                          ("ticks", _positive_int)):
+        command.add_argument("--" + setting, type=kind, default=None,
+                             help="(default: %d)" % getattr(scenario, setting))
+    for flag, text in (("--json", "print the report as JSON"),
+                       ("--trace", "also print the full fault trace"),
+                       ("--list", "enumerate the shipped fault plans and exit")):
+        command.add_argument(flag, action="store_true", help=text)
+    command.add_argument(
+        "--report-out", default=None, metavar="PATH",
+        help="also write the deterministic report text here",
+    )
+    for flag, spec in scenario.flags:
+        command.add_argument(flag, **spec)
+    command.set_defaults(func=_cmd_scenario, scenario=name)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -663,14 +625,9 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         sys.stdout.write(report.report_text())
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text())
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
+    if args.report_out and not _write_report(args.report_out,
+                                             report.report_text()):
+        return 2
     return 0 if report.max_sustainable_population > 0 else 1
 
 
@@ -747,112 +704,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="number of slowest span trees to print (0 disables)")
     obs.set_defaults(func=_cmd_obs)
 
-    chaos = subparsers.add_parser(
-        "chaos", help="run the pipeline under a named fault plan"
-    )
-    chaos.add_argument(
-        "--plan", default="monkey",
-        help="fault plan name, or 'list' to enumerate (default: monkey)",
-    )
-    chaos.add_argument("--seed", type=int, default=11)
-    chaos.add_argument("--population", type=_positive_int, default=8)
-    chaos.add_argument("--ticks", type=_positive_int, default=6)
-    chaos.add_argument("--json", action="store_true",
-                       help="print the report as JSON")
-    chaos.add_argument("--trace", action="store_true",
-                       help="also print the full fault trace")
-    chaos.add_argument(
-        "--recover", action="store_true",
-        help="run the crash-recovery scenario (default plan: torn-storage)",
-    )
-    chaos.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="with --recover: also write the deterministic report text here",
-    )
-    chaos.add_argument(
-        "--list", action="store_true",
-        help="enumerate the shipped fault plans and exit",
-    )
-    chaos.set_defaults(func=_cmd_chaos)
-
-    overload = subparsers.add_parser(
-        "overload",
-        help="run the admission-control overload scenario",
-    )
-    overload.add_argument(
-        "--plan", default="rush-hour",
-        help="fault plan name (default: rush-hour)",
-    )
-    overload.add_argument("--seed", type=int, default=11)
-    overload.add_argument("--population", type=_positive_int, default=8)
-    overload.add_argument("--ticks", type=_positive_int, default=12)
-    overload.add_argument("--json", action="store_true",
-                          help="print the report as JSON")
-    overload.add_argument("--trace", action="store_true",
-                          help="also print the full fault trace")
-    overload.add_argument(
-        "--no-admission", action="store_true",
-        help="disable the admission controller (ablation baseline)",
-    )
-    overload.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    overload.set_defaults(func=_cmd_overload)
-
-    federate = subparsers.add_parser(
-        "federate",
-        help="run the multi-building federation scenario",
-    )
-    federate.add_argument(
-        "--plan", default="campus-storm",
-        help="fault plan name (default: campus-storm)",
-    )
-    federate.add_argument("--seed", type=int, default=17)
-    federate.add_argument("--population", type=_positive_int, default=12)
-    federate.add_argument("--ticks", type=_positive_int, default=16)
-    federate.add_argument(
-        "--buildings", default=None, metavar="CSV",
-        help="comma-separated building ids (default: bldg-a..bldg-d)",
-    )
-    federate.add_argument(
-        "--dir", default=None, metavar="PATH",
-        help="keep each shard's WAL under this storage root",
-    )
-    federate.add_argument("--json", action="store_true",
-                          help="print the report as JSON")
-    federate.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    federate.set_defaults(func=_cmd_federate)
-
-    rebalance = subparsers.add_parser(
-        "rebalance",
-        help="run the elastic-membership rebalancing scenario",
-    )
-    rebalance.add_argument(
-        "--plan", default="ring-change",
-        help="fault plan name (default: ring-change)",
-    )
-    rebalance.add_argument("--seed", type=int, default=23)
-    rebalance.add_argument("--population", type=_positive_int, default=24)
-    rebalance.add_argument("--ticks", type=_positive_int, default=12)
-    rebalance.add_argument(
-        "--buildings", default=None, metavar="CSV",
-        help="comma-separated initial building ids (default: bldg-a..bldg-c)",
-    )
-    rebalance.add_argument(
-        "--dir", default=None, metavar="PATH",
-        help="keep each shard's WAL under this storage root",
-    )
-    rebalance.add_argument("--json", action="store_true",
-                           help="print the report as JSON")
-    rebalance.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    rebalance.set_defaults(func=_cmd_rebalance)
+    for name, scenario in SCENARIOS.items():
+        if scenario.help is not None:
+            _add_scenario_command(subparsers, name, scenario)
 
     recover = subparsers.add_parser(
         "recover", help="replay a storage directory and print the recovery report"

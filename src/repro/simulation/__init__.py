@@ -13,6 +13,12 @@ interaction loop.
 - :mod:`repro.simulation.mobility` -- the simulated world state
   (implements :class:`~repro.sensors.environment.EnvironmentView`).
 - :mod:`repro.simulation.scenario` -- the end-to-end Figure-1 runner.
+- :mod:`repro.simulation.harness` -- what the five fault scenarios
+  (:mod:`~repro.simulation.chaos`, :mod:`~repro.simulation.recover`,
+  :mod:`~repro.simulation.overload`, :mod:`~repro.simulation.federate`,
+  :mod:`~repro.simulation.rebalance`) share: the report base, the
+  accounted bus call, the named invariant checks, and the building and
+  campus builders.
 """
 
 from repro.simulation.dbh import build_dbh_spatial, deploy_dbh_sensors, make_dbh_tippers

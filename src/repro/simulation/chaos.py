@@ -7,7 +7,9 @@ fault plan at the bus, datastore, sensors, and policy store.  The run
 reports delivered/undelivered/degraded counts, the full fault trace,
 and a stable rendering of every enforcement decision -- two runs with
 the same seed and plan are byte-identical, which the chaos regression
-tests pin.
+tests and the golden reports pin.  :attr:`ChaosReport.violations`
+machine-checks the bus accounting identity and that every faulted
+policy fetch failed closed.
 
 Everything is locally scoped (own metrics registry, own tracer, own
 bus) so chaos runs never leak state into the process-global registry.
@@ -18,34 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.core.policy import catalog
 from repro.core.reasoner.resolution import ResolutionStrategy
 from repro.errors import NetworkError
-from repro.faults import FaultInjector, build_plan
 from repro.iota.assistant import IoTAssistant
-from repro.irr.registry import IoTResourceRegistry
-from repro.net.bus import MessageBus
-from repro.net.resilience import BreakerBoard, Deadline, RetryPolicy
+from repro.net.resilience import Deadline, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
-from repro.simulation.inhabitants import generate_inhabitants
-from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
-from repro.tippers.bms import TIPPERS
+from repro.simulation.harness import (
+    REGISTRY_ENDPOINT,
+    TIPPERS_ENDPOINT,
+    ScenarioReport,
+    check_bus_accounting,
+    locate_payload,
+    open_compact_building,
+)
 
 BUILDING_ID = "chaos"
-REGISTRY_ENDPOINT = "irr-1"
-TIPPERS_ENDPOINT = "tippers"
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(ScenarioReport):
     """Everything one chaos run produced."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
     delivered: int = 0
     undelivered: int = 0
     degraded: int = 0
@@ -55,23 +50,14 @@ class ChaosReport:
     stalled: int = 0
     decisions: List[str] = field(default_factory=list)
     audit_effects: List[str] = field(default_factory=list)
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    trace_text: str = ""
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
     bus_dropped: int = 0
     bus_faulted: int = 0
     bus_corrupted: int = 0
     bus_rejected: int = 0
     breaker_states: Dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
+    def body_dict(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "delivered": self.delivered,
             "undelivered": self.undelivered,
             "degraded": self.degraded,
@@ -79,7 +65,6 @@ class ChaosReport:
             "stored": self.stored,
             "write_failures": self.write_failures,
             "stalled": self.stalled,
-            "fault_counts": dict(self.fault_counts),
             "faults_fired": sum(self.fault_counts.values()),
             "decisions": list(self.decisions),
             "bus": {
@@ -94,10 +79,9 @@ class ChaosReport:
             "breaker_states": dict(self.breaker_states),
         }
 
-    def summary_lines(self) -> List[str]:
+    def body_lines(self) -> List[str]:
         lines = [
-            "chaos run: plan=%s seed=%d population=%d ticks=%d"
-            % (self.plan, self.seed, self.population, self.ticks),
+            self.head_line("chaos run"),
             "queries: delivered=%d undelivered=%d degraded=%d fail-closed=%d"
             % (self.delivered, self.undelivered, self.degraded, self.failclosed),
             "capture: stored=%d write_failures=%d stalled_samples=%d"
@@ -114,11 +98,6 @@ class ChaosReport:
                 self.bus_rejected,
             ),
         ]
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
         if self.breaker_states:
             lines.append(
                 "breakers: "
@@ -146,49 +125,12 @@ def run_chaos_scenario(
         plan=plan_name, seed=seed, population=population, ticks=ticks
     )
     metrics = MetricsRegistry()
-    tracer = Tracer()
-    spatial = build_simple_building(BUILDING_ID, floors=2, rooms_per_floor=6)
-    tippers = TIPPERS(
-        spatial,
-        BUILDING_ID,
+    tippers, inhabitants, world, bus, injector = open_compact_building(
+        report, BUILDING_ID, "Chaos Labs", metrics,
         strategy=strategy,
-        owner_name="Chaos Labs",
-        enforce_capture=True,
         # Interpreter: fault steps count policy-store consults.
         compile_decisions=False,
-        metrics=metrics,
     )
-    rooms = sorted(
-        s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM)
-    )
-    for index, room in enumerate(rooms):
-        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
-        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
-    tippers.define_policy(catalog.policy_service_sharing(BUILDING_ID))
-    tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
-
-    inhabitants = generate_inhabitants(spatial, population, seed=seed)
-    for inhabitant in inhabitants:
-        tippers.add_user(inhabitant.profile)
-    world = BuildingWorld(spatial, inhabitants, seed=seed)
-
-    bus = MessageBus(metrics=metrics, tracer=tracer, breakers=BreakerBoard())
-    bus.register(TIPPERS_ENDPOINT, tippers)
-    registry = IoTResourceRegistry(REGISTRY_ENDPOINT, spatial)
-    bus.register(REGISTRY_ENDPOINT, registry)
-    registry.publish_resource(
-        "chaos-building-policies",
-        BUILDING_ID,
-        tippers.policy_manager.compile_policy_document(),
-        settings=tippers.policy_manager.settings_space.to_document(),
-    )
-
-    plan = build_plan(plan_name, seed)
-    injector = FaultInjector(plan)
-    injector.install_bus(bus)
-    injector.install_datastore(tippers.datastore)
-    injector.install_sensor_manager(tippers.sensor_manager)
     injector.install_policy_store(tippers.store)
 
     retry_policy = RetryPolicy(seed=seed)
@@ -218,12 +160,7 @@ def run_chaos_scenario(
                 response = bus.call(
                     TIPPERS_ENDPOINT,
                     "locate_user",
-                    {
-                        "requester_id": "svc-chaos",
-                        "requester_kind": "building_service",
-                        "subject_id": inhabitant.user_id,
-                        "now": now,
-                    },
+                    locate_payload(inhabitant.user_id, now, "svc-chaos"),
                     retry_policy=retry_policy,
                     deadline=Deadline(10.0),
                 )
@@ -254,16 +191,27 @@ def run_chaos_scenario(
         for subsystem in tippers.sensor_manager.subsystems()
     )
     report.audit_effects = [record.effect.value for record in tippers.audit]
-    report.fault_counts = injector.trace.counts()
-    report.trace_text = injector.trace.to_text()
+    report.harvest_faults(injector)
+    report.harvest_bus(bus)
     stats = bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
     report.bus_dropped = stats.dropped
     report.bus_faulted = stats.faulted
     report.bus_corrupted = stats.corrupted
     report.bus_rejected = stats.rejected
     if bus.breakers is not None:
         report.breaker_states = bus.breakers.states()
+    _check_invariants(report)
     return report
+
+
+def _check_invariants(report: ChaosReport) -> None:
+    """The acceptance invariants, machine-checked into ``violations``."""
+    check_bus_accounting(report)
+    # Each decision makes one policy fetch, so every faulted fetch
+    # must surface as exactly one audited fail-closed deny.
+    fetch_faults = report.fault_counts.get("policy_fetch_fail", 0)
+    if report.failclosed != fetch_faults:
+        report.violations.append(
+            "fail-closed: %d audited fail-closed denies for %d faulted "
+            "policy fetches" % (report.failclosed, fetch_faults)
+        )

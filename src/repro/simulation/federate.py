@@ -27,35 +27,45 @@ point, and a mid-append crash that takes one shard down hard:
   may exist anywhere on the campus.
 
 The report carries only counts and booleans, so two runs with the same
-seed render byte-identical text (the ``federate`` CLI and CI diff
-them), and :attr:`FederateReport.violations` machine-checks the
-acceptance invariants.
+seed render byte-identical text (pinned by golden reports), and
+:attr:`FederateReport.violations` machine-checks the acceptance
+invariants.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.policy import catalog
-from repro.errors import (
-    AdmissionShedError,
-    NetworkError,
-    SimulatedCrash,
-)
+from repro.errors import NetworkError, SimulatedCrash
 from repro.faults import FaultInjector, build_plan
-from repro.federation import Campus, campus_access_report, campus_erase_subject
-from repro.net.admission import AdmissionController, Priority
+from repro.federation import Campus
 from repro.net.bus import RpcError
-from repro.net.resilience import Deadline, RetryPolicy
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import Inhabitant, generate_inhabitants
-from repro.simulation.mobility import BuildingWorld, CampusWorld
-from repro.simulation.overload import ClassOutcome
-from repro.storage.recovery import RecoveryReport, recover
+from repro.simulation.harness import (
+    CampusReport,
+    ClassOutcome,
+    accounted_call,
+    build_campus,
+    check_bus_accounting,
+    check_critical_never_shed,
+    check_deferrable_shed,
+    check_dsar_erased,
+    check_marked_audit,
+    check_nothing_resurrected,
+    harvest_shards,
+    has_marker,
+    home_assistants,
+    locate_payload,
+    render_counts,
+    run_campus_dsar,
+    storage_directory,
+    sweep_erased_subject,
+)
+from repro.simulation.inhabitants import Inhabitant
+from repro.simulation.mobility import CampusWorld
 from repro.users.profile import profile_to_dict
 
 DEFAULT_BUILDINGS = ("bldg-a", "bldg-b", "bldg-c", "bldg-d")
@@ -66,15 +76,9 @@ ROAMING_MARKER_PREFIX = "roaming:"
 
 
 @dataclass
-class FederateReport:
+class FederateReport(CampusReport):
     """Everything one campus run produced, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
-    buildings: List[str] = field(default_factory=list)
-    residents_by_building: Dict[str, int] = field(default_factory=dict)
     roamers: int = 0
     # Roaming handoffs
     handoffs: int = 0
@@ -83,61 +87,19 @@ class FederateReport:
     handoff_failures: int = 0
     preferences_repushed: int = 0
     preferences_pending: int = 0
-    # Workload classes (shared admission layer)
-    critical: ClassOutcome = field(default_factory=ClassOutcome)
-    normal: ClassOutcome = field(default_factory=ClassOutcome)
-    deferrable: ClassOutcome = field(default_factory=ClassOutcome)
     critical_dark: int = 0
     # Roaming markers
     visited_shard_responses: int = 0
     roaming_marked_responses: int = 0
     roaming_marked_audit: int = 0
     # Crash + recovery
-    crashed: bool = False
-    crash_building: str = ""
-    crash_step: int = -1
     crash_tick: int = -1
-    recovered: bool = False
-    recovery: Optional[RecoveryReport] = None
     rehandoffs: int = 0
-    # Campus DSAR
-    dsar_subject: str = ""
-    dsar_buildings: List[str] = field(default_factory=list)
-    dsar_observations: int = 0
-    dsar_decisions: int = 0
-    dsar_erased: int = 0
-    dsar_withdrawn: int = 0
-    dsar_compacted: List[str] = field(default_factory=list)
-    dsar_unreachable: List[str] = field(default_factory=list)
-    # End-of-run physical sweep (standalone recovery reader)
-    swept_shards: int = 0
-    resurrected: int = 0
-    # Shared-plane accounting
-    ledger_checked: int = 0
-    ledger_admitted: int = 0
-    ledger_shed: int = 0
-    ledger_shed_by_class: Dict[str, int] = field(default_factory=dict)
-    ledger_brownouts: int = 0
-    quarantine_events: int = 0
-    quarantine_readmissions: int = 0
-    stored_by_building: Dict[str, int] = field(default_factory=dict)
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
-    bus_shed: int = 0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    LEDGER_KEYS = ("checked", "admitted", "shed", "shed_by_class", "brownouts")
 
-    def to_dict(self) -> Dict[str, Any]:
+    def body_dict(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "buildings": list(self.buildings),
             "residents_by_building": dict(self.residents_by_building),
             "roamers": self.roamers,
@@ -152,70 +114,24 @@ class FederateReport:
                 "marked_responses": self.roaming_marked_responses,
                 "marked_audit_records": self.roaming_marked_audit,
             },
-            "classes": {
-                "critical": self.critical.to_dict(),
-                "normal": self.normal.to_dict(),
-                "deferrable": self.deferrable.to_dict(),
-            },
+            "classes": self.classes_dict(),
             "critical_dark": self.critical_dark,
-            "crash": {
-                "crashed": self.crashed,
-                "building": self.crash_building,
-                "step": self.crash_step,
-                "tick": self.crash_tick,
-                "recovered": self.recovered,
-                "recovery": None
-                if self.recovery is None
-                else self.recovery.to_dict(),
-                "rehandoffs": self.rehandoffs,
-            },
-            "dsar": {
-                "subject": self.dsar_subject,
-                "buildings": list(self.dsar_buildings),
-                "observations": self.dsar_observations,
-                "decisions": self.dsar_decisions,
-                "erased": self.dsar_erased,
-                "withdrawn": self.dsar_withdrawn,
-                "compacted": list(self.dsar_compacted),
-                "unreachable": list(self.dsar_unreachable),
-            },
-            "sweep": {
-                "shards": self.swept_shards,
-                "resurrected": self.resurrected,
-            },
-            "ledger": {
-                "checked": self.ledger_checked,
-                "admitted": self.ledger_admitted,
-                "shed": self.ledger_shed,
-                "shed_by_class": dict(self.ledger_shed_by_class),
-                "brownouts": self.ledger_brownouts,
-            },
-            "quarantine": {
-                "events": self.quarantine_events,
-                "readmissions": self.quarantine_readmissions,
-            },
+            "crash": self.crash_dict(
+                tick=self.crash_tick, rehandoffs=self.rehandoffs
+            ),
+            "dsar": self.dsar_dict(),
+            "sweep": self.sweep_dict(),
+            "ledger": self.ledger_dict(),
+            "quarantine": self.quarantine_dict(),
             "stored_by_building": dict(self.stored_by_building),
-            "bus": {
-                "attempts": self.bus_attempts,
-                "logical_calls": self.bus_logical_calls,
-                "retries": self.bus_retries,
-                "shed": self.bus_shed,
-            },
-            "fault_counts": dict(self.fault_counts),
-            "violations": list(self.violations),
-            "ok": self.ok,
+            "bus": self.bus_dict(),
         }
 
-    def summary_lines(self) -> List[str]:
+    def body_lines(self) -> List[str]:
         lines = [
-            "federate run: plan=%s seed=%d population=%d ticks=%d buildings=%d"
-            % (self.plan, self.seed, self.population, self.ticks,
-               len(self.buildings)),
-            "residents: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.residents_by_building.items())
-            ),
+            self.head_line("federate run")
+            + " buildings=%d" % len(self.buildings),
+            "residents: " + render_counts(self.residents_by_building),
             "roaming: roamers=%d handoffs=%d returns=%d reentries=%d "
             "failures=%d" % (self.roamers, self.handoffs, self.returns,
                              self.reentries, self.handoff_failures),
@@ -224,17 +140,7 @@ class FederateReport:
             "markers: visited_responses=%d marked_responses=%d marked_audit=%d"
             % (self.visited_shard_responses, self.roaming_marked_responses,
                self.roaming_marked_audit),
-            "critical:   attempted=%d completed=%d shed=%d failed=%d dark=%d"
-            % (self.critical.attempted, self.critical.completed,
-               self.critical.shed, self.critical.failed, self.critical_dark),
-            "normal:     attempted=%d completed=%d shed=%d failed=%d"
-            % (self.normal.attempted, self.normal.completed,
-               self.normal.shed, self.normal.failed),
-            "deferrable: attempted=%d completed=%d shed=%d failed=%d "
-            "(shed_rate=%.3f)"
-            % (self.deferrable.attempted, self.deferrable.completed,
-               self.deferrable.shed, self.deferrable.failed,
-               self.deferrable.shed_rate),
+            *self.class_lines(critical_note=" dark=%d" % self.critical_dark),
             "crash: crashed=%s building=%s tick=%d recovered=%s rehandoffs=%d"
             % (self.crashed, self.crash_building or "none", self.crash_tick,
                self.recovered, self.rehandoffs),
@@ -242,56 +148,30 @@ class FederateReport:
         if self.recovery is not None:
             lines.extend(self.recovery.lines())
         lines.extend([
-            "dsar: subject=%s buildings=[%s] observations=%d decisions=%d"
-            % (self.dsar_subject or "none", ", ".join(self.dsar_buildings),
-               self.dsar_observations, self.dsar_decisions),
-            "dsar erase: erased=%d withdrawn=%d compacted=[%s] unreachable=[%s]"
-            % (self.dsar_erased, self.dsar_withdrawn,
-               ", ".join(self.dsar_compacted),
-               ", ".join(self.dsar_unreachable)),
+            self.dsar_line(),
+            self.dsar_erase_line(),
             "sweep: shards=%d resurrected=%d"
             % (self.swept_shards, self.resurrected),
-            "admission ledger: checked=%d admitted=%d shed=%d brownouts=%d"
-            % (self.ledger_checked, self.ledger_admitted, self.ledger_shed,
-               self.ledger_brownouts),
-            "quarantine: events=%d readmissions=%d"
-            % (self.quarantine_events, self.quarantine_readmissions),
-            "stored: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.stored_by_building.items())
-            ),
-            "bus: attempts=%d logical=%d retries=%d shed=%d"
-            % (self.bus_attempts, self.bus_logical_calls, self.bus_retries,
-               self.bus_shed),
+            self.ledger_line(),
+            self.quarantine_line(),
+            "stored: " + render_counts(self.stored_by_building),
+            self.bus_line(),
         ])
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
         return lines
 
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
 
-
+@dataclass
 class _Run:
     """Mutable state one federate run threads through its helpers."""
 
-    def __init__(self, campus: Campus, report: FederateReport,
-                 retry_policy: RetryPolicy, injector: FaultInjector) -> None:
-        self.campus = campus
-        self.report = report
-        self.retry_policy = retry_policy
-        self.injector = injector
-        self.current_tick = -1
-        self.erase_now = -1.0
-        self.pref_submitters: Set[str] = set()
+    campus: Campus
+    report: FederateReport
+    retry_policy: RetryPolicy
+    injector: FaultInjector
+    #: The roamers who submit a preference before they roam.
+    pref_submitters: Set[str]
+    current_tick: int = -1
+    erase_now: float = -1.0
 
     def call(
         self,
@@ -311,32 +191,20 @@ class _Run:
         shard = self.campus.shard(building_id)
         target = shard.registry_endpoint if registry else shard.endpoint
         dark = shard.down
-        outcome.attempted += 1
+        failed = outcome.failed
+        response = None
         try:
-            response = self.campus.bus.call(
-                target,
-                method,
-                payload,
-                retry_policy=self.retry_policy,
-                deadline=Deadline(10.0),
-                principal=principal,
+            response = accounted_call(
+                self.campus.bus, outcome, target, method, payload,
+                principal, self.retry_policy,
             )
-        except AdmissionShedError:
-            outcome.shed += 1
-            return None
-        except NetworkError:
-            outcome.failed += 1
-            if dark and outcome is self.report.critical:
-                self.report.critical_dark += 1
-            return None
         except SimulatedCrash:
             self._record_crash(building_id)
             outcome.failed += 1
-            if outcome is self.report.critical:
-                # The crash call itself opens the dark window.
-                self.report.critical_dark += 1
-            return None
-        outcome.completed += 1
+            # The crash call itself opens the dark window.
+            dark = True
+        if dark and outcome.failed > failed and outcome is self.report.critical:
+            self.report.critical_dark += 1
         return response
 
     def _record_crash(self, building_id: str) -> None:
@@ -346,30 +214,6 @@ class _Run:
             self.report.crash_tick = self.current_tick
             self.report.crash_step = self.injector.step - 1
         self.campus.mark_down(building_id)
-
-
-def _partition_population(
-    campus: Campus, population: int, seed: int
-) -> Dict[str, List[Inhabitant]]:
-    """Ring-partition a campus-global population into shard residents."""
-    user_ids = ["campus-user-%04d" % index for index in range(1, population + 1)]
-    by_building: Dict[str, List[str]] = {b: [] for b in campus.building_ids()}
-    for user_id in user_ids:
-        by_building[campus.router.home_building(user_id)].append(user_id)
-    residents: Dict[str, List[Inhabitant]] = {}
-    for building_id in sorted(by_building):
-        ids = by_building[building_id]
-        shard = campus.shard(building_id)
-        residents[building_id] = generate_inhabitants(
-            shard.spatial,
-            len(ids),
-            seed=seed,
-            building_id=building_id,
-            user_ids=ids,
-        )
-        for inhabitant in residents[building_id]:
-            campus.add_resident(building_id, inhabitant.profile)
-    return residents
 
 
 def run_federate_scenario(
@@ -397,73 +241,30 @@ def run_federate_scenario(
         ticks=ticks,
         buildings=sorted(buildings),
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-federate-")
-    try:
-        _run(report, plan_name, seed, population, ticks, sorted(buildings),
-             directory, segment_bytes, metrics)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+    with storage_directory(directory, "repro-federate-") as root:
+        _run(report, root, segment_bytes,
+             metrics if metrics is not None else MetricsRegistry())
     return report
 
 
 def _run(
     report: FederateReport,
-    plan_name: str,
-    seed: int,
-    population: int,
-    ticks: int,
-    buildings: List[str],
     directory: str,
     segment_bytes: int,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> None:
-    from repro.iota.assistant import IoTAssistant
-
-    if metrics is None:
-        metrics = MetricsRegistry()
-    # The campus spreads traffic across 2 endpoints per building, and
-    # every queue drains one quantum per *global* admission check -- so
-    # per-queue drain must be far below the single-building template's
-    # 1.0 or no queue ever accumulates backlog.
-    controller = AdmissionController(
-        seed=seed,
-        queue_capacity=8,
-        high_watermark=0.5,
-        shed_watermark=0.8,
-        drain_per_step=0.25,
-        principal_capacity=16.0,
-        principal_refill_per_step=1.0,
-        metrics=metrics,
+    seed, ticks, buildings = report.seed, report.ticks, report.buildings
+    campus, controller, residents, worlds = build_campus(
+        report, directory, segment_bytes, metrics
     )
-    campus = Campus(
-        buildings,
-        seed=seed,
-        storage_root=directory,
-        segment_bytes=segment_bytes,
-        metrics=metrics,
-        admission=controller,
-    )
-    residents = _partition_population(campus, population, seed)
-    report.residents_by_building = {
-        b: len(people) for b, people in residents.items()
-    }
     inhabitants: Dict[str, Inhabitant] = {
         person.user_id: person
         for people in residents.values()
         for person in people
     }
-    worlds: Dict[str, BuildingWorld] = {
-        b: BuildingWorld(campus.shard(b).spatial, residents[b], seed=seed)
-        for b in buildings
-    }
-    roamer_ids = sorted(
-        user_id
-        for user_id, person in inhabitants.items()
-        if person.profile.has_iota
-    )
+    retry_policy = RetryPolicy(seed=seed)
+    assistants = home_assistants(campus, metrics, retry_policy)
+    roamer_ids = sorted(assistants)
     report.roamers = len(roamer_ids)
     world = CampusWorld(
         worlds,
@@ -473,23 +274,9 @@ def _run(
         seed=seed,
     )
 
-    retry_policy = RetryPolicy(seed=seed)
-    assistants: Dict[str, IoTAssistant] = {}
-    for user_id in roamer_ids:
-        home = campus.home_of[user_id]
-        shard = campus.shard(home)
-        assistants[user_id] = IoTAssistant(
-            user_id,
-            campus.bus,
-            tippers_endpoint=shard.endpoint,
-            registry_endpoints=[shard.registry_endpoint],
-            metrics=metrics,
-            retry_policy=retry_policy,
-        )
-
     crash_building = buildings[0]
     stall_building = buildings[1 % len(buildings)]
-    plan = build_plan(plan_name, seed)
+    plan = build_plan(report.plan, seed)
     injector = FaultInjector(plan)
     injector.install_bus(campus.bus)
     injector.install_admission(controller)
@@ -497,62 +284,26 @@ def _run(
     injector.install_sensor_manager(
         campus.shard(stall_building).tippers.sensor_manager
     )
-    run = _Run(campus, report, retry_policy, injector)
-    run.pref_submitters = set(roamer_ids[:3])
+    run = _Run(campus, report, retry_policy, injector, set(roamer_ids[:3]))
 
     noon = 12 * 3600.0
     try:
         _run_ticks(run, world, assistants, noon, ticks)
     finally:
         injector.uninstall()
-        report.fault_counts = injector.trace.counts()
+        report.harvest_faults(injector)
         campus.close()
     end_now = noon + ticks * 60.0
 
     # ------------------------------------------------------------------
     # Harvest
     # ------------------------------------------------------------------
-    for building_id in buildings:
-        shard = campus.shard(building_id)
-        report.stored_by_building[building_id] = shard.tippers.datastore.count()
-        report.roaming_marked_audit += sum(
-            1
-            for record in shard.tippers.audit
-            if any(
-                reason.startswith(ROAMING_MARKER_PREFIX)
-                for reason in record.reasons
-            )
-        )
-    report.quarantine_events = int(metrics.total("quarantine_events_total"))
-    report.quarantine_readmissions = int(
-        metrics.total("quarantine_readmissions_total")
+    report.roaming_marked_audit = harvest_shards(
+        report, campus, ROAMING_MARKER_PREFIX
     )
-    stats = campus.bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
-    report.bus_shed = stats.shed
-    ledger = controller.ledger
-    report.ledger_checked = ledger.checked
-    report.ledger_admitted = ledger.admitted
-    report.ledger_shed = ledger.shed
-    report.ledger_shed_by_class = dict(sorted(ledger.shed_by_class.items()))
-    report.ledger_brownouts = ledger.brownouts
-
-    # ------------------------------------------------------------------
-    # Physical-absence sweep: open every shard's directory with the
-    # standalone recovery reader and look for the erased subject.
-    # ------------------------------------------------------------------
-    if report.dsar_subject and run.erase_now >= 0:
-        for building_id in buildings:
-            shard_dir = os.path.join(directory, building_id)
-            state = recover(shard_dir, now=end_now)
-            report.swept_shards += 1
-            report.resurrected += sum(
-                1
-                for obs in state.datastore.query(subject_id=report.dsar_subject)
-                if obs.timestamp <= run.erase_now
-            )
+    report.harvest_quarantine(metrics)
+    report.harvest_bus(campus.bus, controller)
+    sweep_erased_subject(report, directory, run.erase_now, end_now)
 
     _check_invariants(report)
 
@@ -661,22 +412,13 @@ def _run_ticks(
             dark = campus.shard(building_id).down
             response = run.call(
                 report.normal, building_id, "locate_user",
-                {
-                    "requester_id": "svc-occupancy",
-                    "requester_kind": "building_service",
-                    "subject_id": user_id,
-                    "now": now,
-                },
-                "svc-occupancy",
+                locate_payload(user_id, now), "svc-occupancy",
             )
             if response is None or dark:
                 continue
             if visited:
                 report.visited_shard_responses += 1
-                if any(
-                    reason.startswith(ROAMING_MARKER_PREFIX)
-                    for reason in response["reasons"]
-                ):
+                if has_marker(response["reasons"], ROAMING_MARKER_PREFIX):
                     report.roaming_marked_responses += 1
 
         # The campus DSAR: report, then erase with per-shard compaction.
@@ -726,39 +468,13 @@ def _run_dsar(run: "_Run", now: float) -> None:
             break
     if not subject:
         subject = candidates[0]
-    report.dsar_subject = subject
-    run.erase_now = now + 0.5
-    access = campus_access_report(campus, subject, now)
-    report.dsar_buildings = list(access.buildings)
-    report.dsar_observations = access.observations_total
-    report.dsar_decisions = access.decisions_total
-    report.dsar_unreachable = list(access.unreachable)
-    receipt = campus_erase_subject(
-        campus, subject, now + 0.5,
-        withdraw_preferences=True, compact_storage=True,
-    )
-    report.dsar_erased = receipt.erased_observations
-    report.dsar_withdrawn = receipt.withdrawn_preferences
-    report.dsar_compacted = list(receipt.compacted_buildings)
-    for building in receipt.unreachable:
-        if building not in report.dsar_unreachable:
-            report.dsar_unreachable.append(building)
+    run.erase_now = run_campus_dsar(campus, report, subject, now)
 
 
 def _check_invariants(report: FederateReport) -> None:
     """The acceptance invariants, machine-checked into ``violations``."""
-    if report.bus_attempts != report.bus_logical_calls + report.bus_retries:
-        report.violations.append(
-            "bus accounting: attempts (%d) != logical (%d) + retries (%d)"
-            % (report.bus_attempts, report.bus_logical_calls,
-               report.bus_retries)
-        )
-    critical_shed = report.ledger_shed_by_class.get(Priority.CRITICAL.value, 0)
-    if critical_shed or report.critical.shed:
-        report.violations.append(
-            "CRITICAL calls were shed (ledger=%d observed=%d)"
-            % (critical_shed, report.critical.shed)
-        )
+    check_bus_accounting(report)
+    check_critical_never_shed(report)
     if report.critical.completed != (
         report.critical.attempted - report.critical_dark
     ):
@@ -768,8 +484,7 @@ def _check_invariants(report: FederateReport) -> None:
             % (report.critical.completed, report.critical.attempted,
                report.critical_dark)
         )
-    if report.deferrable.shed == 0:
-        report.violations.append("DEFERRABLE shed rate is 0 under overload")
+    check_deferrable_shed(report)
     if report.handoffs == 0:
         report.violations.append("no roaming handoffs occurred")
     if report.visited_shard_responses == 0:
@@ -779,11 +494,9 @@ def _check_invariants(report: FederateReport) -> None:
             "roaming markers: %d of %d visited-shard responses marked"
             % (report.roaming_marked_responses, report.visited_shard_responses)
         )
-    if report.roaming_marked_audit < report.roaming_marked_responses:
-        report.violations.append(
-            "audit trail: %d marked records for %d marked responses"
-            % (report.roaming_marked_audit, report.roaming_marked_responses)
-        )
+    check_marked_audit(
+        report, report.roaming_marked_audit, report.roaming_marked_responses
+    )
     if not report.crashed:
         report.violations.append("the storm never crashed a shard")
     if report.crashed and not report.recovered:
@@ -795,16 +508,15 @@ def _check_invariants(report: FederateReport) -> None:
             "DSAR fan-out reached %d building(s); expected >= 2"
             % len(report.dsar_buildings)
         )
-    if report.dsar_erased == 0:
-        report.violations.append("DSAR erasure removed no observations")
+    check_dsar_erased(report)
     if report.dsar_compacted != report.dsar_buildings:
         report.violations.append(
             "DSAR compaction: compacted=[%s] but fan-out=[%s]"
             % (", ".join(report.dsar_compacted),
                ", ".join(report.dsar_buildings))
         )
-    if report.resurrected:
-        report.violations.append(
-            "physical sweep found %d observation(s) of the erased subject"
-            % report.resurrected
-        )
+    check_nothing_resurrected(
+        report, report.resurrected,
+        "physical sweep found %d observation(s) of the erased subject"
+        % report.resurrected,
+    )

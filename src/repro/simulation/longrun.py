@@ -42,8 +42,7 @@ from repro.simulation.costmodel import DEFAULT_COST_TABLE, CostTable
 from repro.simulation.dbh import BUILDING_ID, make_dbh_tippers
 from repro.simulation.inhabitants import generate_inhabitants
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
-from repro.tippers.bms import TIPPERS
+from repro.spatial.model import SpaceType
 
 
 @dataclass
@@ -316,42 +315,18 @@ def _run_soak_step(
     ) as wal_dir:
         engine = None
         try:
+            from repro.simulation.harness import (
+                build_compact_building,
+                locate_payload,
+            )
             from repro.storage.durable import StorageEngine
 
             engine = StorageEngine(wal_dir, metrics=registry)
-            spatial = build_simple_building(
-                _SOAK_BUILDING_ID, floors=2, rooms_per_floor=4
+            tippers, inhabitants = build_compact_building(
+                _SOAK_BUILDING_ID, "Capacity Labs", active, seed,
+                rooms_per_floor=4, metrics=registry, storage=engine,
             )
-            tippers = TIPPERS(
-                spatial,
-                _SOAK_BUILDING_ID,
-                owner_name="Capacity Labs",
-                enforce_capture=True,
-                metrics=registry,
-                storage=engine,
-            )
-            rooms = sorted(
-                s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM)
-            )
-            for index, room in enumerate(rooms):
-                tippers.deploy_sensor(
-                    "wifi_access_point", "ap-%02d" % (index + 1), room
-                )
-                tippers.deploy_sensor(
-                    "motion_sensor", "motion-%02d" % (index + 1), room
-                )
-            tippers.define_policy(
-                catalog.policy_service_sharing(_SOAK_BUILDING_ID)
-            )
-            tippers.define_policy(
-                catalog.policy_2_emergency_location(_SOAK_BUILDING_ID)
-            )
-            tippers.define_policy(catalog.policy_1_comfort(rooms))
-
-            inhabitants = generate_inhabitants(spatial, active, seed=seed)
-            for person in inhabitants:
-                tippers.add_user(person.profile)
-            world = BuildingWorld(spatial, inhabitants, seed=seed)
+            world = BuildingWorld(tippers.spatial, inhabitants, seed=seed)
 
             controller = AdmissionController(
                 seed=seed,
@@ -378,7 +353,7 @@ def _run_soak_step(
                 metrics=registry, tracer=NullTracer(), admission=controller
             )
             bus.register(_SOAK_TIPPERS, tippers)
-            irr = IoTResourceRegistry(_SOAK_REGISTRY, spatial)
+            irr = IoTResourceRegistry(_SOAK_REGISTRY, tippers.spatial)
             bus.register(_SOAK_REGISTRY, irr)
             irr.publish_resource(
                 "soak-building-policies",
@@ -405,13 +380,7 @@ def _run_soak_step(
                     # NORMAL: one occupancy query per principal.
                     _soak_call(
                         bus, normal, _SOAK_TIPPERS, "locate_user",
-                        {
-                            "requester_id": "svc-occupancy",
-                            "requester_kind": "building_service",
-                            "subject_id": person.user_id,
-                            "now": now,
-                        },
-                        "svc-occupancy",
+                        locate_payload(person.user_id, now), "svc-occupancy",
                     )
                     depth_hist.observe(
                         controller.queue(_SOAK_TIPPERS).depth

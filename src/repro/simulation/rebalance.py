@@ -27,18 +27,15 @@ fail rather than answer (fail-closed), and a campus DSAR lands on a
 compacted segment may ever resurrect their observations.
 
 The report carries only counts and booleans, so two same-seed runs
-render byte-identical text (the ``rebalance`` CLI and CI diff them),
-and :attr:`RebalanceReport.violations` machine-checks the acceptance
+render byte-identical text (pinned by golden reports), and
+:attr:`RebalanceReport.violations` machine-checks the acceptance
 invariants.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.policy import catalog
 from repro.errors import (
@@ -48,20 +45,28 @@ from repro.errors import (
     SimulatedCrash,
 )
 from repro.faults import FaultInjector, build_plan
-from repro.federation import (
-    Campus,
-    RebalanceCoordinator,
-    campus_access_report,
-    campus_erase_subject,
-)
-from repro.net.admission import AdmissionController
+from repro.federation import Campus, RebalanceCoordinator
 from repro.net.bus import RpcError
-from repro.net.resilience import Deadline, RetryPolicy
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import Inhabitant, generate_inhabitants
+from repro.simulation.harness import (
+    CampusReport,
+    accounted,
+    accounted_call,
+    build_campus,
+    check_bus_accounting,
+    check_dsar_erased,
+    check_nothing_resurrected,
+    harvest_shards,
+    has_marker,
+    home_assistants,
+    locate_payload,
+    render_counts,
+    run_campus_dsar,
+    storage_directory,
+    sweep_erased_subject,
+)
 from repro.simulation.mobility import BuildingWorld
-from repro.simulation.overload import ClassOutcome
-from repro.storage.recovery import RecoveryReport, recover
 
 DEFAULT_BUILDINGS = ("bldg-a", "bldg-b", "bldg-c")
 DEFAULT_NEW_BUILDING = "bldg-d"
@@ -71,17 +76,11 @@ MIGRATING_MARKER_PREFIX = "migrating:"
 
 
 @dataclass
-class RebalanceReport:
+class RebalanceReport(CampusReport):
     """Everything one rebalance run produced, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
-    buildings: List[str] = field(default_factory=list)
     new_building: str = ""
     drained_building: str = ""
-    residents_by_building: Dict[str, int] = field(default_factory=dict)
     final_residents_by_building: Dict[str, int] = field(default_factory=dict)
     ring_version: int = 1
     # Migration waves
@@ -91,12 +90,7 @@ class RebalanceReport:
     pending_remaining: int = 0
     observations_moved: int = 0
     preferences_moved: int = 0
-    # Crash + journal-guided resumption
-    crashed: bool = False
-    crash_building: str = ""
-    crash_step: int = -1
-    recovered: bool = False
-    recovery: Optional[RecoveryReport] = None
+    # Journal-guided resumption after the crash
     journal_entries: int = 0
     # Mid-migration forwarding
     forwarded_responses: int = 0
@@ -108,15 +102,7 @@ class RebalanceReport:
     failclosed_denied: int = 0
     failclosed_allows: int = 0
     # Mid-migration DSAR
-    dsar_subject: str = ""
     dsar_mid_flight: bool = False
-    dsar_buildings: List[str] = field(default_factory=list)
-    dsar_observations: int = 0
-    dsar_decisions: int = 0
-    dsar_erased: int = 0
-    dsar_withdrawn: int = 0
-    dsar_compacted: List[str] = field(default_factory=list)
-    dsar_unreachable: List[str] = field(default_factory=list)
     # Decommissioning
     decommissioned: List[str] = field(default_factory=list)
     unknown_probes: int = 0
@@ -126,36 +112,11 @@ class RebalanceReport:
     rehomed_assistants: int = 0
     rehome_pushed: int = 0
     rehome_pending: int = 0
-    # Workload classes
-    critical: ClassOutcome = field(default_factory=ClassOutcome)
-    normal: ClassOutcome = field(default_factory=ClassOutcome)
-    deferrable: ClassOutcome = field(default_factory=ClassOutcome)
-    # Shared-plane accounting
-    ledger_checked: int = 0
-    ledger_admitted: int = 0
-    ledger_shed: int = 0
-    stored_by_building: Dict[str, int] = field(default_factory=dict)
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
-    bus_shed: int = 0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    # End-of-run physical sweep (standalone recovery reader)
-    swept_shards: int = 0
-    resurrected: int = 0
+    # Journaled migration snapshots the physical sweep found
     journal_snapshots_with_subject: int = 0
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, Any]:
+    def body_dict(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "buildings": list(self.buildings),
             "new_building": self.new_building,
             "drained_building": self.drained_building,
@@ -172,16 +133,7 @@ class RebalanceReport:
                 "observations_moved": self.observations_moved,
                 "preferences_moved": self.preferences_moved,
             },
-            "crash": {
-                "crashed": self.crashed,
-                "building": self.crash_building,
-                "step": self.crash_step,
-                "recovered": self.recovered,
-                "recovery": None
-                if self.recovery is None
-                else self.recovery.to_dict(),
-                "journal_entries": self.journal_entries,
-            },
+            "crash": self.crash_dict(journal_entries=self.journal_entries),
             "forwarding": {
                 "responses": self.forwarded_responses,
                 "marked": self.marked_responses,
@@ -193,17 +145,7 @@ class RebalanceReport:
                 "denied": self.failclosed_denied,
                 "allows": self.failclosed_allows,
             },
-            "dsar": {
-                "subject": self.dsar_subject,
-                "mid_flight": self.dsar_mid_flight,
-                "buildings": list(self.dsar_buildings),
-                "observations": self.dsar_observations,
-                "decisions": self.dsar_decisions,
-                "erased": self.dsar_erased,
-                "withdrawn": self.dsar_withdrawn,
-                "compacted": list(self.dsar_compacted),
-                "unreachable": list(self.dsar_unreachable),
-            },
+            "dsar": self.dsar_dict(mid_flight=self.dsar_mid_flight),
             "decommission": {
                 "decommissioned": list(self.decommissioned),
                 "unknown_probes": self.unknown_probes,
@@ -215,59 +157,30 @@ class RebalanceReport:
                 "pushed": self.rehome_pushed,
                 "pending": self.rehome_pending,
             },
-            "classes": {
-                "critical": self.critical.to_dict(),
-                "normal": self.normal.to_dict(),
-                "deferrable": self.deferrable.to_dict(),
-            },
-            "ledger": {
-                "checked": self.ledger_checked,
-                "admitted": self.ledger_admitted,
-                "shed": self.ledger_shed,
-            },
+            "classes": self.classes_dict(),
+            "ledger": self.ledger_dict(),
             "stored_by_building": dict(self.stored_by_building),
-            "bus": {
-                "attempts": self.bus_attempts,
-                "logical_calls": self.bus_logical_calls,
-                "retries": self.bus_retries,
-                "shed": self.bus_shed,
-            },
-            "fault_counts": dict(self.fault_counts),
-            "sweep": {
-                "shards": self.swept_shards,
-                "resurrected": self.resurrected,
-                "journal_snapshots_with_subject":
-                    self.journal_snapshots_with_subject,
-            },
-            "violations": list(self.violations),
-            "ok": self.ok,
+            "bus": self.bus_dict(),
+            "sweep": self.sweep_dict(
+                journal_snapshots_with_subject=(
+                    self.journal_snapshots_with_subject
+                )
+            ),
         }
 
-    def summary_lines(self) -> List[str]:
-        stats = self.migration_stats
+    def body_lines(self) -> List[str]:
         lines = [
-            "rebalance run: plan=%s seed=%d population=%d ticks=%d "
-            "buildings=%d" % (self.plan, self.seed, self.population,
-                              self.ticks, len(self.buildings)),
+            self.head_line("rebalance run")
+            + " buildings=%d" % len(self.buildings),
             "topology: joined=%s drained=%s ring_version=%d"
             % (self.new_building, self.drained_building, self.ring_version),
-            "residents before: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.residents_by_building.items())
-            ),
+            "residents before: " + render_counts(self.residents_by_building),
             "residents after:  "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.final_residents_by_building.items())
-            ),
+            + render_counts(self.final_residents_by_building),
             "waves: wave1=%d wave2=%d pending_left=%d"
             % (self.wave1_planned, self.wave2_planned,
                self.pending_remaining),
-            "migrations: "
-            + ", ".join(
-                "%s=%d" % (key, stats[key]) for key in sorted(stats)
-            ),
+            "migrations: " + render_counts(self.migration_stats),
             "moved: observations=%d preferences=%d"
             % (self.observations_moved, self.preferences_moved),
             "crash: crashed=%s building=%s step=%d recovered=%s "
@@ -284,16 +197,8 @@ class RebalanceReport:
             "fail-closed: probes=%d denied=%d allows=%d"
             % (self.failclosed_probes, self.failclosed_denied,
                self.failclosed_allows),
-            "dsar: subject=%s mid_flight=%s buildings=[%s] observations=%d "
-            "decisions=%d"
-            % (self.dsar_subject or "none", self.dsar_mid_flight,
-               ", ".join(self.dsar_buildings), self.dsar_observations,
-               self.dsar_decisions),
-            "dsar erase: erased=%d withdrawn=%d compacted=[%s] "
-            "unreachable=[%s]"
-            % (self.dsar_erased, self.dsar_withdrawn,
-               ", ".join(self.dsar_compacted),
-               ", ".join(self.dsar_unreachable)),
+            self.dsar_line(" mid_flight=%s" % self.dsar_mid_flight),
+            self.dsar_erase_line(),
             "decommission: gone=[%s] unknown_probes=%d rejections=%d "
             "breaker_entries_left=%d"
             % (", ".join(self.decommissioned), self.unknown_probes,
@@ -301,99 +206,40 @@ class RebalanceReport:
             "rehome: assistants=%d pushed=%d pending=%d"
             % (self.rehomed_assistants, self.rehome_pushed,
                self.rehome_pending),
-            "critical:   attempted=%d completed=%d shed=%d failed=%d"
-            % (self.critical.attempted, self.critical.completed,
-               self.critical.shed, self.critical.failed),
-            "normal:     attempted=%d completed=%d shed=%d failed=%d"
-            % (self.normal.attempted, self.normal.completed,
-               self.normal.shed, self.normal.failed),
-            "deferrable: attempted=%d completed=%d shed=%d failed=%d"
-            % (self.deferrable.attempted, self.deferrable.completed,
-               self.deferrable.shed, self.deferrable.failed),
-            "admission ledger: checked=%d admitted=%d shed=%d"
-            % (self.ledger_checked, self.ledger_admitted, self.ledger_shed),
-            "stored: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.stored_by_building.items())
-            ),
-            "bus: attempts=%d logical=%d retries=%d shed=%d"
-            % (self.bus_attempts, self.bus_logical_calls, self.bus_retries,
-               self.bus_shed),
+            *self.class_lines(shed_rate=False),
+            self.ledger_line(),
+            "stored: " + render_counts(self.stored_by_building),
+            self.bus_line(),
             "sweep: shards=%d resurrected=%d journal_snapshots=%d"
             % (self.swept_shards, self.resurrected,
                self.journal_snapshots_with_subject),
         ])
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
         return lines
 
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
 
-
+@dataclass
 class _Run:
     """Mutable state one rebalance run threads through its helpers."""
 
-    def __init__(
-        self,
-        campus: Campus,
-        report: RebalanceReport,
-        coordinator: RebalanceCoordinator,
-        retry_policy: RetryPolicy,
-        injector: FaultInjector,
-        worlds: Dict[str, BuildingWorld],
-        building_of: Dict[str, str],
-        now: float,
-    ) -> None:
-        self.campus = campus
-        self.report = report
-        self.coordinator = coordinator
-        self.retry_policy = retry_policy
-        self.injector = injector
-        self.worlds = worlds
-        #: user -> the building they are *physically* in (people do not
-        #: move in this scenario; their data does).
-        self.building_of = building_of
-        self.now = now
-        self.erase_now = -1.0
-        #: user -> IoTAssistant; populated by ``_run`` before tick 0.
-        self.assistants: Dict[str, Any] = {}
+    campus: Campus
+    report: RebalanceReport
+    coordinator: RebalanceCoordinator
+    retry_policy: RetryPolicy
+    injector: FaultInjector
+    worlds: Dict[str, BuildingWorld]
+    #: user -> the building they are *physically* in (people do not
+    #: move in this scenario; their data does).
+    building_of: Dict[str, str]
+    #: user -> IoTAssistant
+    assistants: Dict[str, Any]
+    now: float
+    erase_now: float = -1.0
 
-    def call(
-        self,
-        outcome: ClassOutcome,
-        target: str,
-        method: str,
-        payload: Dict[str, Any],
-        principal: str,
-    ) -> Optional[Dict[str, Any]]:
-        """One accounted workload call to a bus endpoint."""
-        outcome.attempted += 1
-        try:
-            response = self.campus.bus.call(
-                target,
-                method,
-                payload,
-                retry_policy=self.retry_policy,
-                deadline=Deadline(10.0),
-                principal=principal,
-            )
-        except AdmissionShedError:
-            outcome.shed += 1
-            return None
-        except (RpcError, NetworkError):
-            outcome.failed += 1
-            return None
-        outcome.completed += 1
-        return response
+    def _locate_home(self, user_id: str) -> Dict[str, Any]:
+        return self.campus.router.call_home(
+            user_id, "locate_user", locate_payload(user_id, self.now),
+            principal="svc-occupancy",
+        )
 
     def locate(self, user_id: str) -> Optional[Dict[str, Any]]:
         """One NORMAL locate routed through the federation router.
@@ -404,32 +250,13 @@ class _Run:
         """
         report = self.report
         migration = self.campus.router.migration_of(user_id)
-        report.normal.attempted += 1
-        try:
-            response = self.campus.router.call_home(
-                user_id,
-                "locate_user",
-                {
-                    "requester_id": "svc-occupancy",
-                    "requester_kind": "building_service",
-                    "subject_id": user_id,
-                    "now": self.now,
-                },
-                principal="svc-occupancy",
-            )
-        except AdmissionShedError:
-            report.normal.shed += 1
-            return None
-        except (RpcError, NetworkError, FederationError):
-            report.normal.failed += 1
-            return None
-        report.normal.completed += 1
-        if migration is not None:
+        response = accounted(
+            report.normal, lambda: self._locate_home(user_id),
+            (NetworkError, FederationError),
+        )
+        if response is not None and migration is not None:
             report.forwarded_responses += 1
-            if any(
-                reason.startswith(MIGRATING_MARKER_PREFIX)
-                for reason in response["reasons"]
-            ):
+            if has_marker(response["reasons"], MIGRATING_MARKER_PREFIX):
                 report.marked_responses += 1
             else:
                 report.unmarked_responses += 1
@@ -458,12 +285,10 @@ class _Run:
         for building_id in sorted(live):
             if live[building_id].down:
                 continue
-            self.call(
-                report.critical,
-                live[building_id].endpoint,
-                "get_policy_document",
-                {},
-                "svc-policy-sync",
+            accounted_call(
+                campus.bus, report.critical, live[building_id].endpoint,
+                "get_policy_document", {}, "svc-policy-sync",
+                self.retry_policy,
             )
         for user_id in sorted(campus.home_of):
             self.locate(user_id)
@@ -472,12 +297,10 @@ class _Run:
             shard = live.get(home)
             if shard is None:
                 continue
-            self.call(
-                report.deferrable,
-                shard.registry_endpoint,
-                "discover",
-                {"space_id": home},
-                "iota-%s" % user_id,
+            accounted_call(
+                campus.bus, report.deferrable, shard.registry_endpoint,
+                "discover", {"space_id": home}, "iota-%s" % user_id,
+                self.retry_policy,
             )
         self.now += 60.0
 
@@ -488,17 +311,7 @@ class _Run:
         for user_id in self.campus.router.migrating_principals():
             report.failclosed_probes += 1
             try:
-                self.campus.router.call_home(
-                    user_id,
-                    "locate_user",
-                    {
-                        "requester_id": "svc-occupancy",
-                        "requester_kind": "building_service",
-                        "subject_id": user_id,
-                        "now": self.now,
-                    },
-                    principal="svc-occupancy",
-                )
+                self._locate_home(user_id)
             except (RpcError, NetworkError, AdmissionShedError):
                 report.failclosed_denied += 1
                 continue
@@ -534,124 +347,44 @@ def run_rebalance_scenario(
         new_building=new_building,
         drained_building=buildings[0],
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-rebalance-")
-    try:
-        _run(report, plan_name, seed, population, ticks, list(buildings),
-             new_building, directory, segment_bytes, metrics)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+    with storage_directory(directory, "repro-rebalance-") as root:
+        _run(report, root, segment_bytes,
+             metrics if metrics is not None else MetricsRegistry())
     return report
-
-
-def _partition_population(
-    campus: Campus, population: int, seed: int
-) -> Dict[str, List[Inhabitant]]:
-    """Ring-partition a campus-global population into shard residents."""
-    user_ids = ["campus-user-%04d" % index for index in range(1, population + 1)]
-    by_building: Dict[str, List[str]] = {b: [] for b in campus.building_ids()}
-    for user_id in user_ids:
-        by_building[campus.router.home_building(user_id)].append(user_id)
-    residents: Dict[str, List[Inhabitant]] = {}
-    for building_id in sorted(by_building):
-        ids = by_building[building_id]
-        shard = campus.shard(building_id)
-        residents[building_id] = generate_inhabitants(
-            shard.spatial,
-            len(ids),
-            seed=seed,
-            building_id=building_id,
-            user_ids=ids,
-        )
-        for inhabitant in residents[building_id]:
-            campus.add_resident(building_id, inhabitant.profile)
-    return residents
 
 
 def _run(
     report: RebalanceReport,
-    plan_name: str,
-    seed: int,
-    population: int,
-    ticks: int,
-    buildings: List[str],
-    new_building: str,
     directory: str,
     segment_bytes: int,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> None:
-    from repro.iota.assistant import IoTAssistant
-
-    if metrics is None:
-        metrics = MetricsRegistry()
-    controller = AdmissionController(
-        seed=seed,
-        queue_capacity=8,
-        high_watermark=0.5,
-        shed_watermark=0.8,
-        drain_per_step=0.25,
-        principal_capacity=16.0,
-        principal_refill_per_step=1.0,
-        metrics=metrics,
+    campus, controller, residents, worlds = build_campus(
+        report, directory, segment_bytes, metrics
     )
-    campus = Campus(
-        buildings,
-        seed=seed,
-        storage_root=directory,
-        segment_bytes=segment_bytes,
-        metrics=metrics,
-        admission=controller,
-    )
-    residents = _partition_population(campus, population, seed)
-    report.residents_by_building = {
-        b: len(people) for b, people in residents.items()
-    }
-    worlds = {
-        b: BuildingWorld(campus.shard(b).spatial, residents[b], seed=seed)
-        for b in buildings
-    }
     building_of = {
         person.user_id: b
         for b, people in residents.items()
         for person in people
     }
-
-    retry_policy = RetryPolicy(seed=seed)
-    assistants: Dict[str, IoTAssistant] = {}
-    for user_id in sorted(building_of):
-        profile = campus.profile_of(user_id)
-        if not profile.has_iota:
-            continue
-        shard = campus.shard(campus.home_of[user_id])
-        assistants[user_id] = IoTAssistant(
-            user_id,
-            campus.bus,
-            tippers_endpoint=shard.endpoint,
-            registry_endpoints=[shard.registry_endpoint],
-            metrics=metrics,
-            retry_policy=retry_policy,
-        )
-
+    retry_policy = RetryPolicy(seed=report.seed)
+    assistants = home_assistants(campus, metrics, retry_policy)
     coordinator = RebalanceCoordinator(campus, retry_policy=retry_policy)
-    plan = build_plan(plan_name, seed)
+    plan = build_plan(report.plan, report.seed)
     # Only the migration plane is installed, so the injector's logical
     # steps count migration-step consults exactly -- that is what makes
     # the ring-change plan's windows scale-independent.
     injector = FaultInjector(plan)
     injector.install_rebalancer(coordinator)
 
-    noon = 12 * 3600.0
     run = _Run(campus, report, coordinator, retry_policy, injector,
-               worlds, building_of, noon)
-    run.assistants = assistants
+               worlds, building_of, assistants, now=12 * 3600.0)
 
     try:
-        _phases(run, ticks, new_building)
+        _phases(run, report.ticks, report.new_building)
     finally:
         injector.uninstall()
-        report.fault_counts = injector.trace.counts()
+        report.harvest_faults(injector)
         campus.close()
 
     # ------------------------------------------------------------------
@@ -664,18 +397,9 @@ def _run(
         shard.building_id: len(shard.residents)
         for shard in campus.shards()
     }
-    for shard in campus.shards():
-        report.stored_by_building[shard.building_id] = (
-            shard.tippers.datastore.count()
-        )
-        report.marked_audit += sum(
-            1
-            for record in shard.tippers.audit
-            if any(
-                reason.startswith(MIGRATING_MARKER_PREFIX)
-                for reason in record.reasons
-            )
-        )
+    report.marked_audit = harvest_shards(
+        report, campus, MIGRATING_MARKER_PREFIX
+    )
     if campus.bus.breakers is not None:
         states = campus.bus.breakers.states()
         report.breaker_entries_left = sum(
@@ -688,43 +412,20 @@ def _run(
     report.unknown_rejections = int(
         metrics.total("federation_unknown_building_total")
     )
-    stats = campus.bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
-    report.bus_shed = stats.shed
-    ledger = controller.ledger
-    report.ledger_checked = ledger.checked
-    report.ledger_admitted = ledger.admitted
-    report.ledger_shed = ledger.shed
+    report.harvest_bus(campus.bus, controller)
 
-    # ------------------------------------------------------------------
-    # Physical-absence sweep: every storage directory on disk (the
-    # decommissioned building's included) is re-opened with the
-    # standalone recovery reader; neither the datastore nor any
-    # journaled migration snapshot may still hold the erased subject.
-    # ------------------------------------------------------------------
-    if report.dsar_subject and run.erase_now >= 0:
-        end_now = run.now
-        for name in sorted(os.listdir(directory)):
-            shard_dir = os.path.join(directory, name)
-            if not os.path.isdir(shard_dir):
-                continue
-            state = recover(shard_dir, now=end_now)
-            report.swept_shards += 1
-            report.resurrected += sum(
-                1
-                for obs in state.datastore.query(subject_id=report.dsar_subject)
-                if obs.timestamp <= run.erase_now
-            )
-            for entry in state.migrations.values():
-                snapshot = entry.get("snapshot")
-                if (
-                    entry.get("user_id") == report.dsar_subject
-                    and isinstance(snapshot, dict)
-                    and snapshot.get("observations")
-                ):
-                    report.journal_snapshots_with_subject += 1
+    # No journaled migration snapshot may still hold the erased subject.
+    for state in sweep_erased_subject(
+        report, directory, run.erase_now, run.now
+    ):
+        for entry in state.migrations.values():
+            snapshot = entry.get("snapshot")
+            if (
+                entry.get("user_id") == report.dsar_subject
+                and isinstance(snapshot, dict)
+                and snapshot.get("observations")
+            ):
+                report.journal_snapshots_with_subject += 1
 
     _check_invariants(report)
 
@@ -871,24 +572,8 @@ def _run_dsar(run: _Run) -> None:
     else:
         migrating = campus.router.migrating_principals()
         subject = migrating[0] if migrating else sorted(campus.home_of)[0]
-    report.dsar_subject = subject
     report.dsar_mid_flight = campus.router.migration_of(subject) is not None
-    run.erase_now = run.now + 0.5
-    access = campus_access_report(campus, subject, run.now)
-    report.dsar_buildings = list(access.buildings)
-    report.dsar_observations = access.observations_total
-    report.dsar_decisions = access.decisions_total
-    report.dsar_unreachable = list(access.unreachable)
-    receipt = campus_erase_subject(
-        campus, subject, run.erase_now,
-        withdraw_preferences=True, compact_storage=True,
-    )
-    report.dsar_erased = receipt.erased_observations
-    report.dsar_withdrawn = receipt.withdrawn_preferences
-    report.dsar_compacted = list(receipt.compacted_buildings)
-    for building in receipt.unreachable:
-        if building not in report.dsar_unreachable:
-            report.dsar_unreachable.append(building)
+    run.erase_now = run_campus_dsar(campus, report, subject, run.now)
 
 
 def _absorb(report: RebalanceReport, outcome: Any) -> None:
@@ -901,12 +586,7 @@ def _absorb(report: RebalanceReport, outcome: Any) -> None:
 def _check_invariants(report: RebalanceReport) -> None:
     """The acceptance invariants, machine-checked into ``violations``."""
     stats = report.migration_stats
-    if report.bus_attempts != report.bus_logical_calls + report.bus_retries:
-        report.violations.append(
-            "bus accounting: attempts (%d) != logical (%d) + retries (%d)"
-            % (report.bus_attempts, report.bus_logical_calls,
-               report.bus_retries)
-        )
+    check_bus_accounting(report)
     if report.critical.shed or report.critical.failed:
         report.violations.append(
             "CRITICAL calls shed or failed (shed=%d failed=%d)"
@@ -973,19 +653,18 @@ def _check_invariants(report: RebalanceReport) -> None:
         )
     if not report.dsar_mid_flight:
         report.violations.append("the DSAR subject was not mid-migration")
-    if report.dsar_erased == 0:
-        report.violations.append("DSAR erasure removed no observations")
+    check_dsar_erased(report)
     if len(report.dsar_buildings) < 2:
         report.violations.append(
             "DSAR fan-out reached %d building(s); a mid-migration subject "
             "spans at least 2" % len(report.dsar_buildings)
         )
-    if report.resurrected or report.journal_snapshots_with_subject:
-        report.violations.append(
-            "post-DSAR resurrection: %d observation(s), %d journal "
-            "snapshot(s) still hold the subject"
-            % (report.resurrected, report.journal_snapshots_with_subject)
-        )
+    check_nothing_resurrected(
+        report, report.resurrected + report.journal_snapshots_with_subject,
+        "post-DSAR resurrection: %d observation(s), %d journal "
+        "snapshot(s) still hold the subject"
+        % (report.resurrected, report.journal_snapshots_with_subject),
+    )
     if report.decommissioned != [report.drained_building]:
         report.violations.append(
             "decommissioned=[%s]; expected [%s]"

@@ -19,25 +19,28 @@ the recovery invariants:
 The scenario's :attr:`RecoveryScenarioReport.report_text` contains only
 counts, LSNs, and segment names -- no paths, byte offsets, or
 observation ids -- so two runs with the same seed render byte-identical
-text (the ``chaos --recover`` CLI and CI diff them).
+text (pinned by golden reports of ``chaos --recover``).
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.policy import catalog
 from repro.core.policy.base import RequesterKind
 from repro.errors import NetworkError, PolicyError, ServiceError, SimulatedCrash
 from repro.faults import FaultInjector, build_plan
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import generate_inhabitants
+from repro.simulation.harness import (
+    ScenarioReport,
+    build_compact_building,
+    check_nothing_resurrected,
+    storage_directory,
+)
+from repro.simulation.inhabitants import Inhabitant
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
 from repro.storage.durable import StorageEngine
 from repro.storage.recovery import RecoveryReport
 from repro.tippers.bms import TIPPERS
@@ -55,13 +58,9 @@ def _canonical(data: Dict[str, Any]) -> str:
 
 
 @dataclass
-class RecoveryScenarioReport:
+class RecoveryScenarioReport(ScenarioReport):
     """One crash+recover cycle, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
     crashed: bool = False
     crash_step: int = -1
     crash_detail: str = ""
@@ -75,19 +74,9 @@ class RecoveryScenarioReport:
     audit_prefix_ok: bool = False
     erasure_ok: bool = False
     retention_ok: bool = False
-    violations: List[str] = field(default_factory=list)
-    fault_counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, Any]:
+    def body_dict(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "crashed": self.crashed,
             "crash_step": self.crash_step,
             "crash_detail": self.crash_detail,
@@ -103,15 +92,11 @@ class RecoveryScenarioReport:
                 "erasure": self.erasure_ok,
                 "retention": self.retention_ok,
             },
-            "violations": list(self.violations),
-            "fault_counts": dict(self.fault_counts),
-            "ok": self.ok,
         }
 
-    def summary_lines(self) -> List[str]:
+    def body_lines(self) -> List[str]:
         lines = [
-            "recovery scenario: plan=%s seed=%d population=%d ticks=%d"
-            % (self.plan, self.seed, self.population, self.ticks),
+            self.head_line("recovery scenario"),
             "crash: crashed=%s step=%d detail=%s ticks_completed=%d"
             % (self.crashed, self.crash_step, self.crash_detail or "none",
                self.ticks_completed),
@@ -125,46 +110,20 @@ class RecoveryScenarioReport:
             "invariants: audit_prefix=%s erasure=%s retention=%s"
             % (self.audit_prefix_ok, self.erasure_ok, self.retention_ok)
         )
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
         return lines
-
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
 
 
 def _build_tippers(
-    storage: StorageEngine, metrics: MetricsRegistry, population: int, seed: int
-):
-    spatial = build_simple_building(BUILDING_ID, floors=2, rooms_per_floor=6)
-    tippers = TIPPERS(
-        spatial,
-        BUILDING_ID,
-        owner_name="Durable Labs",
-        enforce_capture=True,
+    report: RecoveryScenarioReport, storage: StorageEngine,
+    metrics: MetricsRegistry,
+) -> Tuple[TIPPERS, List[Inhabitant]]:
+    return build_compact_building(
+        BUILDING_ID, "Durable Labs", report.population, report.seed,
         # Interpreter: fault steps count policy-store consults.
         compile_decisions=False,
         metrics=metrics,
         storage=storage,
     )
-    rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-    for index, room in enumerate(rooms):
-        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
-        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
-    tippers.define_policy(catalog.policy_service_sharing(BUILDING_ID))
-    tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
-    inhabitants = generate_inhabitants(spatial, population, seed=seed)
-    for inhabitant in inhabitants:
-        tippers.add_user(inhabitant.profile)
-    return tippers, inhabitants
 
 
 def run_recovery_scenario(
@@ -185,34 +144,24 @@ def run_recovery_scenario(
     report = RecoveryScenarioReport(
         plan=plan_name, seed=seed, population=population, ticks=ticks
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-recover-")
-    try:
-        _run_phases(report, plan_name, seed, population, ticks,
-                    directory, segment_bytes, downtime_s)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+    with storage_directory(directory, "repro-recover-") as root:
+        _run_phases(report, root, segment_bytes, downtime_s)
     return report
 
 
 def _run_phases(
     report: RecoveryScenarioReport,
-    plan_name: str,
-    seed: int,
-    population: int,
-    ticks: int,
     directory: str,
     segment_bytes: int,
     downtime_s: float,
 ) -> None:
+    seed = report.seed
     # ------------------------------------------------------------------
     # Phase 1: run until the injected crash
     # ------------------------------------------------------------------
     metrics = MetricsRegistry()
     storage = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics)
-    tippers, inhabitants = _build_tippers(storage, metrics, population, seed)
+    tippers, inhabitants = _build_tippers(report, storage, metrics)
     world = BuildingWorld(tippers.spatial, inhabitants, seed=seed)
 
     submitted_audit: List[str] = []
@@ -223,7 +172,7 @@ def _run_phases(
 
     storage.taps.append(audit_tap)
 
-    plan = build_plan(plan_name, seed)
+    plan = build_plan(report.plan, seed)
     injector = FaultInjector(plan)
     injector.install_datastore(tippers.datastore)
     injector.install_sensor_manager(tippers.sensor_manager)
@@ -236,7 +185,7 @@ def _run_phases(
     now = noon
     erase_now = -1.0
     try:
-        for tick in range(ticks):
+        for tick in range(report.ticks):
             now = noon + tick * 60.0
             world.step(now)
             tippers.tick(now, world)
@@ -275,7 +224,7 @@ def _run_phases(
         storage.close()
     report.submitted_audit = len(submitted_audit)
     report.pre_crash_stored = tippers.datastore.count()
-    report.fault_counts = injector.trace.counts()
+    report.harvest_faults(injector)
 
     # ------------------------------------------------------------------
     # Phase 2: a fresh process over the same directory
@@ -284,7 +233,7 @@ def _run_phases(
 
     metrics2 = MetricsRegistry()
     storage2 = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics2)
-    recovered, _ = _build_tippers(storage2, metrics2, population, seed)
+    recovered, _ = _build_tippers(report, storage2, metrics2)
     recover_now = now + downtime_s
     recovery = recovered.recover(recover_now)
     report.recovery = recovery
@@ -315,11 +264,11 @@ def _run_phases(
             if obs.timestamp <= erase_now
         )
     report.erasure_ok = resurrected == 0
-    if not report.erasure_ok:
-        report.violations.append(
-            "recovery resurrected %d erased observation(s) of the DSAR subject"
-            % resurrected
-        )
+    check_nothing_resurrected(
+        report, resurrected,
+        "recovery resurrected %d erased observation(s) of the DSAR subject"
+        % resurrected,
+    )
 
     # Invariant 3: nothing older than its stream's retention survived
     # the downtime.

@@ -4,8 +4,8 @@ The scenario's own machine-checked invariants are the primary gate
 (``report.ok``); the tests here additionally pin the *shape* of the run
 -- both fault windows fired exactly once, the journal-guided resumption
 actually took the committed path, every forwarded decision is marked
-and matched one-for-one by its audit record, and the byte-for-byte
-determinism the ``make rebalance`` diff relies on.
+and matched one-for-one by its audit record.  The report's bytes at the
+pinned seed are held by ``tests/golden`` (see test_golden_reports.py).
 """
 
 import json
@@ -110,13 +110,6 @@ class TestInvariants:
 
 
 class TestDeterminism:
-    def test_same_seed_reports_are_byte_identical(self, report):
-        again = run_rebalance_scenario(plan_name=PLAN, seed=SEED)
-        assert report.report_text == again.report_text
-        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
-            again.to_dict(), sort_keys=True
-        )
-
     def test_another_seed_also_satisfies_the_invariants(self):
         other = run_rebalance_scenario(plan_name=PLAN, seed=5)
         assert other.ok, other.report_text
@@ -143,13 +136,6 @@ class TestCli:
         assert payload["ok"] is True
         assert payload["plan"] == PLAN
         assert payload["crash"]["recovered"] is True
-
-    def test_rebalance_report_out(self, tmp_path, capsys):
-        out_path = tmp_path / "rebalance.txt"
-        assert main(
-            ["rebalance", "--seed", str(SEED), "--report-out", str(out_path)]
-        ) == 0
-        assert out_path.read_text() == capsys.readouterr().out
 
     def test_rebalance_rejects_unknown_plan(self, capsys):
         assert main(["rebalance", "--plan", "no-such-plan"]) == 2
