@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast diff-test bench-smoke bench soak lint lint-flow obs chaos recover overload federate rebalance
+.PHONY: test test-fast diff-test bench-smoke bench soak lint lint-flow obs scenarios
 
 # Full tier-1 suite: unit + integration + property tests.
 test:
@@ -60,56 +60,13 @@ lint-flow:
 obs:
 	PYTHONPATH=src $(PYTHON) -m repro obs
 
-# Chaos sweep: the fault-injection/resilience test suite, then one
-# pinned chaos run (fixed plan + seed) so regressions show in CI logs.
-chaos:
-	$(PYTEST) -x -q tests/test_faults_plan.py tests/test_faults_injector.py \
-	          tests/test_resilience_retry.py tests/test_resilience_breaker.py \
-	          tests/test_enforcement_failclosed.py tests/test_chaos_scenario.py \
-	          tests/test_integration_failures.py tests/property/test_prop_retry.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --plan monkey --seed 11 --trace
-
-# Durability sweep: the storage test suite, then two same-seed
-# crash+recover runs whose deterministic reports must be byte-identical.
-recover:
-	$(PYTEST) -x -q tests/test_storage_wal.py tests/test_storage_snapshot.py \
-	          tests/test_storage_recovery.py tests/test_storage_durable.py \
-	          tests/property/test_prop_wal.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan torn-storage \
-	          --seed 11 --report-out /tmp/repro-recover-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan torn-storage \
-	          --seed 11 --report-out /tmp/repro-recover-b.txt
-	diff /tmp/repro-recover-a.txt /tmp/repro-recover-b.txt
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan crashy-storage --seed 11
-
-# Overload sweep: the admission/brownout test suite, then two
-# same-seed rush-hour runs whose deterministic reports must be
-# byte-identical, plus the no-admission ablation baseline.
-overload:
-	$(PYTEST) -x -q tests/test_admission.py tests/test_sensor_supervisor.py \
-	          tests/test_resilience_edges.py tests/test_overload_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro overload --plan rush-hour \
-	          --seed 11 --report-out /tmp/repro-overload-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro overload --plan rush-hour \
-	          --seed 11 --report-out /tmp/repro-overload-b.txt
-	diff /tmp/repro-overload-a.txt /tmp/repro-overload-b.txt
-	PYTHONPATH=src $(PYTHON) -m repro overload --no-admission --seed 11
-
-# Federation sweep: the sharded-campus test suite, then two same-seed
-# campus-storm runs whose deterministic reports must be byte-identical.
-federate:
-	$(PYTEST) -x -q tests/test_federation.py tests/test_federate_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro federate --plan campus-storm \
-	          --seed 17 --report-out /tmp/repro-federate-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro federate --plan campus-storm \
-	          --seed 17 --report-out /tmp/repro-federate-b.txt
-	diff /tmp/repro-federate-a.txt /tmp/repro-federate-b.txt
-
-rebalance:
-	$(PYTEST) -x -q tests/test_ring_changes.py tests/test_rebalance.py \
+# The five fault scenarios (chaos, recover, overload, federate,
+# rebalance): their golden reports -- every pinned invocation's exact
+# stdout under tests/golden -- and their test files.  After a deliberate
+# report change, regenerate a golden by redirecting its command (listed
+# in tests/test_golden_reports.py) into the file.
+scenarios:
+	$(PYTEST) -x -q tests/test_golden_reports.py tests/test_scenario_cli.py \
+	          tests/test_chaos_scenario.py tests/test_storage_recovery.py \
+	          tests/test_overload_scenario.py tests/test_federate_scenario.py \
 	          tests/test_rebalance_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro rebalance --plan ring-change \
-	          --seed 23 --report-out /tmp/repro-rebalance-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro rebalance --plan ring-change \
-	          --seed 23 --report-out /tmp/repro-rebalance-b.txt
-	diff /tmp/repro-rebalance-a.txt /tmp/repro-rebalance-b.txt

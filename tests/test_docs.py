@@ -366,7 +366,8 @@ class TestFederationDoc:
     def test_cli_and_makefile_are_wired(self, federation_text):
         assert "python -m repro federate" in federation_text
         makefile = (DOCS.parent.parent / "Makefile").read_text()
-        assert "federate:" in makefile
+        assert "scenarios:" in makefile
+        assert "tests/test_federate_scenario.py" in makefile
         readme = (DOCS.parent.parent / "README.md").read_text()
         assert "docs/FEDERATION.md" in readme
         assert "python -m repro federate" in readme
@@ -384,6 +385,6 @@ class TestFederationDoc:
         assert "python -m repro rebalance" in federation_text
         assert "migrating:<from>:<to>" in federation_text
         makefile = (DOCS.parent.parent / "Makefile").read_text()
-        assert "rebalance:" in makefile
+        assert "tests/test_rebalance_scenario.py" in makefile
         readme = (DOCS.parent.parent / "README.md").read_text()
         assert "python -m repro rebalance" in readme
