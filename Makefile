@@ -1,5 +1,6 @@
-# Common developer entry points.  Everything runs on the stdlib-only
-# package in src/; no install step is needed.
+# Common developer entry points.  Everything runs on the package in
+# src/ with PYTHONPATH; its one runtime dependency, networkx, must be
+# importable (pip install -e ".[dev]" installs it with the test tools).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest

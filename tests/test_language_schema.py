@@ -13,7 +13,18 @@ from repro.core.language.schema import (
 from repro.errors import SchemaError
 
 
+def _compiled(instance, schema):
+    """Validate through the function a :class:`Schema` compiles."""
+    Schema(schema).validate(instance)
+
+
+# Each case class below runs against the reference interpreter; its
+# ``Compiled`` subclass runs the same cases through ``Schema.validate``.
+
+
 class TestTypeChecks:
+    check = staticmethod(validate)
+
     @pytest.mark.parametrize(
         "value,type_name",
         [
@@ -27,55 +38,59 @@ class TestTypeChecks:
         ],
     )
     def test_accepting(self, value, type_name):
-        validate(value, {"type": type_name})
+        self.check(value, {"type": type_name})
 
     def test_bool_is_not_number(self):
         with pytest.raises(ValidationError):
-            validate(True, {"type": "number"})
+            self.check(True, {"type": "number"})
 
     def test_int_is_number(self):
-        validate(3, {"type": "number"})
+        self.check(3, {"type": "number"})
 
     def test_type_union(self):
-        validate(None, {"type": ["string", "null"]})
+        self.check(None, {"type": ["string", "null"]})
         with pytest.raises(ValidationError):
-            validate(3, {"type": ["string", "null"]})
+            self.check(3, {"type": ["string", "null"]})
 
     def test_unknown_type_is_schema_bug(self):
         with pytest.raises(SchemaError):
-            validate(1, {"type": "quaternion"})
+            self.check(1, {"type": "quaternion"})
 
 
 class TestConstraints:
+    check = staticmethod(validate)
+
     def test_enum(self):
-        validate("a", {"enum": ["a", "b"]})
+        self.check("a", {"enum": ["a", "b"]})
         with pytest.raises(ValidationError):
-            validate("c", {"enum": ["a", "b"]})
+            self.check("c", {"enum": ["a", "b"]})
 
     def test_pattern(self):
-        validate("P6M", {"type": "string", "pattern": r"^P\d+M$"})
+        self.check("P6M", {"type": "string", "pattern": r"^P\d+M$"})
         with pytest.raises(ValidationError):
-            validate("6M", {"type": "string", "pattern": r"^P\d+M$"})
+            self.check("6M", {"type": "string", "pattern": r"^P\d+M$"})
 
     def test_string_lengths(self):
         schema = {"type": "string", "minLength": 2, "maxLength": 3}
-        validate("ab", schema)
+        self.check("ab", schema)
         with pytest.raises(ValidationError):
-            validate("a", schema)
+            self.check("a", schema)
         with pytest.raises(ValidationError):
-            validate("abcd", schema)
+            self.check("abcd", schema)
 
     def test_numeric_bounds(self):
         schema = {"type": "number", "minimum": 0, "maximum": 10}
-        validate(0, schema)
-        validate(10, schema)
+        self.check(0, schema)
+        self.check(10, schema)
         with pytest.raises(ValidationError):
-            validate(-1, schema)
+            self.check(-1, schema)
         with pytest.raises(ValidationError):
-            validate(11, schema)
+            self.check(11, schema)
 
 
 class TestObjects:
+    check = staticmethod(validate)
+
     SCHEMA = {
         "type": "object",
         "required": ["name"],
@@ -85,18 +100,18 @@ class TestObjects:
 
     def test_required_missing(self):
         with pytest.raises(ValidationError) as excinfo:
-            validate({}, self.SCHEMA)
+            self.check({}, self.SCHEMA)
         assert "name" in str(excinfo.value)
 
     def test_additional_properties_false(self):
         with pytest.raises(ValidationError):
-            validate({"name": "x", "extra": 1}, self.SCHEMA)
+            self.check({"name": "x", "extra": 1}, self.SCHEMA)
 
     def test_additional_properties_schema(self):
         schema = {"type": "object", "additionalProperties": {"type": "integer"}}
-        validate({"a": 1, "b": 2}, schema)
+        self.check({"a": 1, "b": 2}, schema)
         with pytest.raises(ValidationError):
-            validate({"a": "nope"}, schema)
+            self.check({"a": "nope"}, schema)
 
     def test_nested_error_path(self):
         schema = {
@@ -104,42 +119,66 @@ class TestObjects:
             "properties": {"inner": {"type": "object", "required": ["x"]}},
         }
         with pytest.raises(ValidationError) as excinfo:
-            validate({"inner": {}}, schema)
+            self.check({"inner": {}}, schema)
         assert excinfo.value.path == "/inner"
 
 
 class TestArrays:
+    check = staticmethod(validate)
+
     def test_items_validated_with_index_path(self):
         schema = {"type": "array", "items": {"type": "integer"}}
-        validate([1, 2, 3], schema)
+        self.check([1, 2, 3], schema)
         with pytest.raises(ValidationError) as excinfo:
-            validate([1, "x"], schema)
+            self.check([1, "x"], schema)
         assert excinfo.value.path == "/1"
 
     def test_min_max_items(self):
         schema = {"type": "array", "minItems": 1, "maxItems": 2}
-        validate([1], schema)
+        self.check([1], schema)
         with pytest.raises(ValidationError):
-            validate([], schema)
+            self.check([], schema)
         with pytest.raises(ValidationError):
-            validate([1, 2, 3], schema)
+            self.check([1, 2, 3], schema)
 
 
 class TestOneOf:
+    check = staticmethod(validate)
+
     SCHEMA = {"oneOf": [{"type": "string"}, {"type": "object"}]}
 
     def test_single_match(self):
-        validate("x", self.SCHEMA)
-        validate({}, self.SCHEMA)
+        self.check("x", self.SCHEMA)
+        self.check({}, self.SCHEMA)
 
     def test_no_match(self):
         with pytest.raises(ValidationError):
-            validate(3, self.SCHEMA)
+            self.check(3, self.SCHEMA)
 
     def test_double_match_rejected(self):
         schema = {"oneOf": [{"type": "number"}, {"minimum": 0}]}
         with pytest.raises(ValidationError):
-            validate(3, schema)
+            self.check(3, schema)
+
+
+class TestTypeChecksCompiled(TestTypeChecks):
+    check = staticmethod(_compiled)
+
+
+class TestConstraintsCompiled(TestConstraints):
+    check = staticmethod(_compiled)
+
+
+class TestObjectsCompiled(TestObjects):
+    check = staticmethod(_compiled)
+
+
+class TestArraysCompiled(TestArrays):
+    check = staticmethod(_compiled)
+
+
+class TestOneOfCompiled(TestOneOf):
+    check = staticmethod(_compiled)
 
 
 class TestSchemaWrapper:
@@ -156,6 +195,46 @@ class TestSchemaWrapper:
     def test_non_dict_definition_rejected(self):
         with pytest.raises(SchemaError):
             Schema("not a schema")
+
+    def test_unknown_type_is_rejected_at_construction(self):
+        with pytest.raises(SchemaError):
+            Schema({"type": "quaternion"})
+        # The interpreter meets the bad name only when it checks it.
+        definition = {"type": ["string", "quaternion"]}
+        validate("x", definition)
+        with pytest.raises(SchemaError):
+            validate(1, definition)
+        with pytest.raises(SchemaError):
+            Schema(definition)
+
+
+class TestCompiledNesting:
+    """Deep definitions split into helper functions without changing
+    a failure's message or path."""
+
+    @staticmethod
+    def _nested(levels, with_one_of):
+        definition, instance = {"type": "string", "minLength": 2}, "x"
+        for level in range(levels):
+            if level % 3 == 0:
+                definition, instance = {"type": "array", "items": definition}, [instance]
+            elif level % 3 == 1:
+                key = "k%d" % level
+                definition = {"type": "object", "properties": {key: definition}}
+                instance = {key: instance}
+            elif with_one_of:
+                definition = {"oneOf": [definition, {"type": "null"}]}
+        return definition, instance
+
+    @pytest.mark.parametrize("with_one_of", [False, True])
+    def test_deep_definition_matches_interpreter(self, with_one_of):
+        definition, instance = self._nested(45, with_one_of)
+        with pytest.raises(ValidationError) as expected:
+            validate(instance, definition)
+        with pytest.raises(ValidationError) as compiled:
+            Schema(definition).validate(instance)
+        assert str(compiled.value) == str(expected.value)
+        assert compiled.value.path == expected.value.path
 
 
 class TestLanguageSchemas:
