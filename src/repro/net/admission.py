@@ -121,6 +121,8 @@ class TokenBucket:
     capacity: float
     refill_per_step: float
     tokens: float = field(init=False)
+    synced_step: int = field(default=0, init=False, repr=False, compare=False)
+    """The controller step this bucket was last brought up to."""
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -156,6 +158,8 @@ class TopicQueue:
     shed_watermark: float = 0.8
     drain_per_step: float = 1.0
     depth: float = 0.0
+    synced_step: int = field(default=0, init=False, repr=False, compare=False)
+    """The controller step this queue was last brought up to."""
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -289,6 +293,16 @@ class AdmissionController:
     computed purely from (seed, call sequence) -- two same-seed runs
     shed the same calls at the same steps.
 
+    The per-step drain and refill are applied lazily, so a check costs
+    the same whatever the number of principals: :meth:`admit` only
+    advances a step counter, and :meth:`queue` / :meth:`bucket` replay
+    the missed one-step updates when they read an object.  The replay
+    stops at the first step that leaves the value unchanged (an empty
+    queue, a full bucket), which every later step would leave unchanged
+    too, so the result is bit-identical to stepping every object on
+    every check.  A queue or bucket reference held across checks is
+    stale until it is read through the controller again.
+
     Shedding order under load:
 
     1. DEFERRABLE calls shed probabilistically once the target's load
@@ -337,6 +351,7 @@ class AdmissionController:
             shed_watermark=shed_watermark,
             drain_per_step=drain_per_step,
         )
+        self._step = 0
         self._queues: Dict[str, TopicQueue] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._planes: List[OverloadPlane] = []
@@ -358,7 +373,7 @@ class AdmissionController:
             self._planes.remove(plane)
 
     # ------------------------------------------------------------------
-    # Lazily-created components
+    # Lazily-created components, brought up to the current step on read
     # ------------------------------------------------------------------
     def queue(self, target: str) -> TopicQueue:
         queue = self._queues.get(target)
@@ -369,7 +384,16 @@ class AdmissionController:
                 shed_watermark=self.shed_watermark,
                 drain_per_step=self.drain_per_step,
             )
+            queue.synced_step = self._step
             self._queues[target] = queue
+        elif queue.synced_step != self._step:
+            missed = self._step - queue.synced_step
+            queue.synced_step = self._step
+            for _ in range(missed):
+                before = queue.depth
+                queue.drain()
+                if queue.depth == before:
+                    break
         return queue
 
     def bucket(self, principal: str) -> TokenBucket:
@@ -379,7 +403,16 @@ class AdmissionController:
                 capacity=self.principal_capacity,
                 refill_per_step=self.principal_refill_per_step,
             )
+            bucket.synced_step = self._step
             self._buckets[principal] = bucket
+        elif bucket.synced_step != self._step:
+            missed = self._step - bucket.synced_step
+            bucket.synced_step = self._step
+            for _ in range(missed):
+                before = bucket.tokens
+                bucket.step()
+                if bucket.tokens == before:
+                    break
         return bucket
 
     def classify(self, target: str, method: str) -> Priority:
@@ -391,16 +424,21 @@ class AdmissionController:
     def admit(
         self, target: str, method: str, principal: Optional[str] = None
     ) -> AdmissionTicket:
-        """One admission check; advances the controller one logical step."""
+        """One admission check; advances the controller one logical step.
+
+        The overload planes are consulted first, so a plane that returns
+        a negative burst raises :class:`AdmissionError` before the check
+        is counted or the step advances.
+        """
+        bursts = [plane(target, method) for plane in self._planes]
+        for burst in bursts:
+            if burst and burst < 0:
+                raise AdmissionError("arrivals cannot be negative")
         self.ledger.checked += 1
         self._m_checked.inc()
-        for queue in self._queues.values():
-            queue.drain()
-        for bucket in self._buckets.values():
-            bucket.step()
+        self._step += 1
         queue = self.queue(target)
-        for plane in self._planes:
-            burst = plane(target, method)
+        for burst in bursts:
             if burst:
                 queue.arrive(burst)
                 self.ledger.injected_arrivals += burst
@@ -482,7 +520,7 @@ class AdmissionController:
             self.metrics.counter("admission_shed_total", labels).inc()
         self.metrics.gauge(
             "admission_queue_load", {"target": target}
-        ).set(round(self.queue(target).load, 6))
+        ).set(round(ticket.load, 6))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -490,12 +528,12 @@ class AdmissionController:
     def loads(self) -> Dict[str, float]:
         """Current per-topic load fractions, stable order."""
         return {
-            target: round(queue.load, 6)
-            for target, queue in sorted(self._queues.items())
+            target: round(self.queue(target).load, 6)
+            for target in sorted(self._queues)
         }
 
     def levels(self) -> Dict[str, str]:
         return {
-            target: queue.level().value
-            for target, queue in sorted(self._queues.items())
+            target: self.queue(target).level().value
+            for target in sorted(self._queues)
         }

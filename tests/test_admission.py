@@ -1,5 +1,7 @@
 """Unit tests for the admission controller and its building blocks."""
 
+import math
+
 import pytest
 
 from repro.errors import AdmissionError, AdmissionShedError
@@ -235,6 +237,72 @@ class TestAdmitVerdicts:
         assert set(controller.levels().values()) <= {
             "nominal", "brownout", "overload"
         }
+
+
+class TestLazySteps:
+    """Each check's work is bounded by counts, not by the principal count."""
+
+    def count_updates(self, monkeypatch):
+        calls = {"step": 0, "drain": 0}
+        step, drain = TokenBucket.step, TopicQueue.drain
+
+        def counting_step(bucket):
+            calls["step"] += 1
+            step(bucket)
+
+        def counting_drain(queue):
+            calls["drain"] += 1
+            drain(queue)
+
+        monkeypatch.setattr(TokenBucket, "step", counting_step)
+        monkeypatch.setattr(TopicQueue, "drain", counting_drain)
+        return calls
+
+    def test_one_check_does_not_step_every_principal(self, monkeypatch):
+        controller = AdmissionController(metrics=MetricsRegistry())
+        targets = ("tippers", "irr-1")
+        for target in targets:
+            controller.queue(target).arrive(30.0)
+        for index in range(1000):
+            controller.bucket("p%d" % index).try_take(5.0)
+        calls = self.count_updates(monkeypatch)
+        controller.admit("tippers", "locate_user", "p0")
+        bound = math.ceil(
+            controller.principal_capacity / controller.principal_refill_per_step
+        ) + len(targets)
+        assert calls["step"] + calls["drain"] <= bound
+        assert calls == {"step": 1, "drain": 1}
+
+    def test_a_rarely_seen_principal_catches_up_in_bounded_steps(
+        self, monkeypatch
+    ):
+        controller = AdmissionController(metrics=MetricsRegistry())
+        controller.bucket("rare").try_take(8.0)
+        for index in range(1000):
+            controller.admit("tippers", "dsar_report", "p%d" % index)
+        calls = self.count_updates(monkeypatch)
+        assert controller.bucket("rare").tokens == 8.0
+        # 16 half-token refills to full, then one step that changes nothing.
+        assert calls["step"] == math.ceil(8.0 / 0.5) + 1
+
+    def test_negative_plane_burst_is_rejected_before_the_check_counts(self):
+        metrics = MetricsRegistry()
+        controller = AdmissionController(metrics=metrics, queue_capacity=10)
+        controller.queue("tippers").arrive(5.0)
+
+        def plane(target, method):
+            return -3
+
+        controller.install_fault_plane(plane)
+        with pytest.raises(AdmissionError):
+            controller.admit("tippers", "locate_user")
+        ledger = controller.ledger
+        assert (ledger.checked, ledger.admitted, ledger.shed) == (0, 0, 0)
+        assert metrics.total("admission_checked_total") == 0
+        assert controller.queue("tippers").depth == 5.0  # no step taken
+        controller.remove_fault_plane(plane)
+        assert controller.admit("tippers", "locate_user").admitted
+        assert ledger.checked == ledger.admitted + ledger.shed == 1
 
 
 class TestBusIntegration:

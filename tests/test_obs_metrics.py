@@ -66,6 +66,47 @@ class TestGauge:
         assert registry.gauge("g", {"zone": "a"}).value == 1
 
 
+class TestHandleMemo:
+    def test_label_insertion_order_returns_the_same_handle(self):
+        registry = MetricsRegistry()
+        for lookup in (registry.counter, registry.gauge, registry.histogram):
+            a = lookup("m", {"target": "tippers", "class": "normal"})
+            b = lookup("m", {"class": "normal", "target": "tippers"})
+            assert a is b
+            assert lookup("m", {"class": "normal", "target": "tippers"}) is b
+
+    def test_int_and_str_label_values_resolve_to_one_metric(self):
+        registry = MetricsRegistry()
+        registry.counter("c", {"shard": 1}).inc()
+        registry.counter("c", {"shard": "1"}).inc()
+        registry.counter("c", {"shard": 1}).inc()
+        assert registry.counter("c", {"shard": "1"}).value == 3
+        assert len(registry) == 1
+
+    def test_equal_values_that_render_differently_stay_apart(self):
+        registry = MetricsRegistry()
+        registry.counter("c", {"ok": 1}).inc()
+        registry.counter("c", {"ok": True}).inc(2)
+        assert registry.counter("c", {"ok": "1"}).value == 1
+        assert registry.counter("c", {"ok": "True"}).value == 2
+
+    def test_reset_clears_the_memo(self):
+        registry = MetricsRegistry()
+        stale = registry.counter("c", {"k": "v"})
+        stale.inc(5)
+        registry.reset()
+        fresh = registry.counter("c", {"k": "v"})
+        assert fresh is not stale
+        assert fresh.value == 0
+
+    def test_histogram_boundaries_from_the_first_creation_win(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("h", {"k": "v"}, boundaries=(1.0, 2.0))
+        again = registry.histogram("h", {"k": "v"}, boundaries=(5.0,))
+        assert again is first
+        assert again.boundaries == (1.0, 2.0)
+
+
 class TestHistogram:
     def test_percentiles_exact_at_bucket_boundaries(self):
         # Samples placed exactly on the bucket bounds must come back
