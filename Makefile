@@ -15,9 +15,11 @@ test:
 test-fast:
 	$(PYTEST) -x -q -m "not slow"
 
-# Differential proof of the compiled enforcement tables: the ci
-# Hypothesis profile generates 250 examples per property (>= 1000
-# decisions checked against the reference interpreter per run).
+# Differential proofs against reference implementations: compiled
+# enforcement tables, compiled schema validators, lazy admission steps
+# and the WAL record field templates.  The ci Hypothesis profile
+# generates 250 examples per property (>= 1000 decisions checked
+# against the reference interpreter per run).
 diff-test:
 	REPRO_DIFF_PROFILE=diff-ci $(PYTEST) tests/differential -q
 

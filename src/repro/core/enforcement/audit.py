@@ -23,7 +23,9 @@ class AuditRecord(NamedTuple):
     order of magnitude cheaper than frozen-dataclass ``__init__``.  The
     field order is part of the compiled-table layout (see
     ``enforcement/compiled.py``): a cached row stores the tail of this
-    tuple (everything after ``timestamp``) precomputed.
+    tuple (everything after ``timestamp``) precomputed.  It also fixes
+    the WAL field template (``repro.storage.records``), which unpacks
+    the tuple in this order; a new field must be added there too.
     """
 
     timestamp: float

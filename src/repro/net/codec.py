@@ -13,10 +13,15 @@ from typing import Any, Dict
 from repro.errors import NetworkError
 
 
+#: Built once: ``json.dumps`` with these options would construct a new
+#: encoder on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode_message(message: Dict[str, Any]) -> str:
     """Serialize a message dict to compact JSON text."""
     try:
-        return json.dumps(message, separators=(",", ":"), allow_nan=False)
+        return _COMPACT.encode(message)
     except (TypeError, ValueError) as exc:
         raise NetworkError("payload is not JSON-serializable: %s" % exc) from None
 

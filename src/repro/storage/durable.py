@@ -40,9 +40,10 @@ from repro.tippers.datastore import Datastore
 from repro.tippers.persistence import audit_record_to_dict
 
 #: Observed by the chaos harness: called with ``(record_type, data)``
-#: for every record submitted for logging, *before* the WAL write (so a
-#: crashed append is still observed -- the submitted sequence is the
-#: reference the audit-prefix invariant is checked against).
+#: for every record submitted for logging, once it is encoded and
+#: *before* the WAL write (so a crashed append is still observed -- the
+#: submitted sequence is the reference the audit-prefix invariant is
+#: checked against).
 LogTap = Callable[[str, Dict[str, Any]], None]
 
 
@@ -80,13 +81,28 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Logging
     # ------------------------------------------------------------------
-    def log(self, record_type: str, data: Dict[str, Any]) -> Optional[int]:
-        """Append one logical record; returns its LSN (None if replaying)."""
+    def log(
+        self,
+        record_type: str,
+        data: Optional[Dict[str, Any]],
+        payload: Optional[bytes] = None,
+    ) -> Optional[int]:
+        """Append one logical record; returns its LSN (None if replaying).
+
+        ``payload`` is the record's encoding when the caller has already
+        made it: ``log_audit``/``log_observation`` write theirs through
+        the field templates in :mod:`repro.storage.records`.  ``data``,
+        the record dict, is then needed only by taps, and is None when
+        no tap is installed.  The record is encoded before any tap sees
+        it, so one that cannot be encoded (a :class:`StorageError`) is
+        seen by no tap and reaches no WAL.
+        """
         if self.replaying:
             return None
+        if payload is None:
+            payload = records.encode_record(record_type, data)
         for tap in self.taps:
             tap(record_type, data)
-        payload = records.encode_record(record_type, data)
         sealed_before = self.wal.segments_sealed
         lsn = self.wal.append(payload, record_type=record_type)
         self._m_appends[record_type].inc()
@@ -96,13 +112,21 @@ class StorageEngine:
         return lsn
 
     def log_observation(self, observation: Observation) -> Optional[int]:
-        return self.log(records.OBS, observation.to_dict())
+        if self.replaying:
+            return None
+        payload = records.encode_observation(observation)
+        data = observation.to_dict() if self.taps else None
+        return self.log(records.OBS, data, payload)
 
     def log_forget(self, subject_id: str) -> Optional[int]:
         return self.log(records.ERASE, {"subject_id": subject_id})
 
     def log_audit(self, record: AuditRecord) -> Optional[int]:
-        return self.log(records.AUDIT, audit_record_to_dict(record))
+        if self.replaying:
+            return None
+        payload = records.encode_audit(record)
+        data = audit_record_to_dict(record) if self.taps else None
+        return self.log(records.AUDIT, data, payload)
 
     def log_preference(self, preference: UserPreference) -> Optional[int]:
         return self.log(records.PREF, preference_to_dict(preference))

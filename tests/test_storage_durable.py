@@ -8,9 +8,10 @@ from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import SimulatedCrash, StorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.sensors.base import Observation
-from repro.storage import records
+from repro.storage import durable, records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.recovery import replay_directory
+from repro.tippers.persistence import audit_record_to_dict
 
 
 def obs(timestamp, subject=None):
@@ -57,6 +58,15 @@ class TestRecordCodec:
         with pytest.raises(StorageError):
             records.decode_record(b'["not", "an", "object"]')
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"x": float("nan")}, {1: 2, "a": 1}, {"x": object()}],
+        ids=["nan", "unsortable-keys", "object"],
+    )
+    def test_unencodable_data_raises_storage_error(self, data):
+        with pytest.raises(StorageError):
+            records.encode_record(records.PREF, data)
+
 
 class TestStorageEngine:
     def test_log_returns_lsns(self, tmp_path):
@@ -81,6 +91,34 @@ class TestStorageEngine:
         with pytest.raises(SimulatedCrash):
             engine.log_observation(obs(1.0))
         assert seen == [records.OBS]  # tapped even though the write tore
+        engine.close()
+
+    def test_no_tap_builds_no_record_dict(self, tmp_path, monkeypatch):
+        def forbidden(record):
+            raise AssertionError("record dict built with no tap installed")
+
+        monkeypatch.setattr(durable, "audit_record_to_dict", forbidden)
+        monkeypatch.setattr(records, "audit_record_to_dict", forbidden)
+        monkeypatch.setattr(Observation, "to_dict", forbidden)
+        engine = StorageEngine(str(tmp_path))
+        assert engine.log_audit(audit_record(1.0)) == 1
+        assert engine.log_observation(obs(2.0)) == 2
+        engine.close()
+
+    def test_tap_receives_the_record_dict_before_the_write(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        seen = []
+        engine.taps.append(
+            lambda rt, data: seen.append((rt, data, engine.wal.appends))
+        )
+        record = audit_record(1.0)
+        observation = obs(2.0, subject="mary")
+        engine.log_audit(record)
+        engine.log_observation(observation)
+        assert seen == [
+            (records.AUDIT, audit_record_to_dict(record), 0),
+            (records.OBS, observation.to_dict(), 1),
+        ]
         engine.close()
 
     def test_storage_metrics_emitted(self, tmp_path):
@@ -131,6 +169,28 @@ class TestDurableDatastore:
         engine.close()
         state = replay_directory(str(tmp_path))
         assert state.datastore.count() == 2
+
+    def test_unencodable_observation_reaches_nothing(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        datastore = DurableDatastore(engine)
+        seen = []
+        engine.taps.append(lambda rt, data: seen.append(rt))
+        datastore.insert(obs(1.0))
+        bad = Observation.create(
+            sensor_id="s1",
+            sensor_type="temperature",
+            timestamp=2.0,
+            space_id="r1",
+            payload={"v": float("nan")},
+        )
+        with pytest.raises(StorageError):
+            datastore.insert(bad)
+        assert seen == [records.OBS]  # no tap saw the bad record
+        assert engine.wal.next_lsn == 2  # no LSN was spent on it
+        assert datastore.count() == 1  # nor was it applied in memory
+        engine.close()
+        state = replay_directory(str(tmp_path))
+        assert state.datastore.count() == 1
 
     def test_forget_is_durable(self, tmp_path):
         engine = StorageEngine(str(tmp_path))
