@@ -23,13 +23,11 @@ test-fast:
 diff-test:
 	REPRO_DIFF_PROFILE=diff-ci $(PYTEST) tests/differential -q
 
-# Sanity-pass the benchmark harness without timing loops: runs each
-# figure/scale benchmark once and prints the metric baseline.
+# Sanity-pass the benchmark harness without timing loops: runs every
+# figure, scale and ablation benchmark once and prints the metric
+# baseline.
 bench-smoke:
-	$(PYTEST) benchmarks/test_fig1_interaction.py \
-	          benchmarks/test_scale_enforcement.py \
-	          benchmarks/test_ablation_cache.py \
-	          --benchmark-disable -q -s
+	$(PYTEST) benchmarks --benchmark-disable -q -s
 
 # Perf trajectory: the bench test suite, then a fresh ci-scale run
 # written to BENCH_PR.json (the CI artifact; never a baseline) and

@@ -14,44 +14,17 @@ interpreter's cost.
 """
 
 import random
-import time
 
 from benchmarks.conftest import report
-from repro.core.enforcement.engine import EnforcementEngine
-from repro.core.policy.conditions import EvaluationContext
+from repro.bench.workloads import build_engine, check_same_decisions, make_requests, mean_us
 from repro.core.reasoner.index import PolicyIndex
-from repro.spatial.model import build_simple_building
-
-from benchmarks.test_scale_enforcement import build_rules, make_requests
 
 USERS = 500
 
 
-def engines():
-    spatial = build_simple_building("b", 2, 4)
-    built = []
-    for compiled in (False, True):
-        store = PolicyIndex()
-        build_rules(store, USERS, random.Random(0))
-        built.append(
-            EnforcementEngine(
-                store=store,
-                context=EvaluationContext(spatial=spatial),
-                compiled=compiled,
-            )
-        )
-    return built
-
-
-def measure(engine, requests) -> float:
-    start = time.perf_counter()
-    for request in requests:
-        engine.decide(request)
-    return (time.perf_counter() - start) / len(requests) * 1e6
-
-
 def run_ablation():
-    interpreter, compiled = engines()
+    interpreter, _ = build_engine(PolicyIndex, USERS)
+    compiled, _ = build_engine(PolicyIndex, USERS, compiled=True)
     rng = random.Random(4)
 
     # Repetitive workload: queries about 20 hot users, repeated.
@@ -61,17 +34,15 @@ def run_ablation():
     cold = make_requests(USERS, 3000, rng)
 
     # Equivalence check on a mixed sample.
-    for request in (repetitive[:50] + cold[:50]):
-        assert (
-            interpreter.decide(request).resolution
-            == compiled.decide(request).resolution
-        )
+    check_same_decisions(
+        interpreter, {"compiled engine": compiled}, repetitive[:50] + cold[:50]
+    )
 
     results = {
-        "interpreter, repetitive": measure(interpreter, repetitive),
-        "compiled, repetitive": measure(compiled, repetitive),
-        "interpreter, cold": measure(interpreter, cold),
-        "compiled, cold": measure(compiled, cold),
+        "interpreter, repetitive": mean_us(interpreter, repetitive),
+        "compiled, repetitive": mean_us(compiled, repetitive),
+        "interpreter, cold": mean_us(interpreter, cold),
+        "compiled, cold": mean_us(compiled, cold),
     }
     return results, compiled.table_stats()
 

@@ -14,17 +14,10 @@ magnitude), and the full index beats both ablated variants.
 """
 
 import random
-import time
-
-import pytest
 
 from benchmarks.conftest import report
-from repro.core.enforcement.engine import EnforcementEngine
-from repro.core.policy.conditions import EvaluationContext
+from repro.bench.workloads import build_engine, check_same_decisions, make_requests, mean_us
 from repro.core.reasoner.index import LinearRuleStore, PolicyIndex
-from repro.spatial.model import build_simple_building
-
-from benchmarks.test_scale_enforcement import build_rules, make_requests
 
 USERS = 500
 REQUESTS = 300
@@ -39,35 +32,18 @@ class PolicyBucketsOnly(PolicyIndex):
         return self.preferences
 
 
-def engine_for(store_cls):
-    spatial = build_simple_building("b", 2, 4)
-    store = store_cls()
-    build_rules(store, USERS, random.Random(0))
-    return EnforcementEngine(store=store, context=EvaluationContext(spatial=spatial))
-
-
-def measure(engine, requests) -> float:
-    start = time.perf_counter()
-    for request in requests:
-        engine.decide(request)
-    return (time.perf_counter() - start) / len(requests) * 1e6
-
-
 def run_ablation():
     requests = make_requests(USERS, REQUESTS, random.Random(3))
     engines = {
-        "no index (linear)": engine_for(LinearRuleStore),
-        "policy buckets only": engine_for(PolicyBucketsOnly),
-        "full index": engine_for(PolicyIndex),
+        "no index (linear)": build_engine(LinearRuleStore, USERS)[0],
+        "policy buckets only": build_engine(PolicyBucketsOnly, USERS)[0],
+        "full index": build_engine(PolicyIndex, USERS)[0],
     }
-    # Equivalence first: every variant must decide identically.
-    reference = [engines["no index (linear)"].decide(r).resolution for r in requests[:50]]
-    for name, engine in engines.items():
-        if name == "no index (linear)":
-            continue
-        for request, expected in zip(requests[:50], reference):
-            assert engine.decide(request).resolution == expected, name
-    return {name: measure(engine, requests) for name, engine in engines.items()}
+    # Equivalence first: every variant must decide like the linear scan.
+    variants = dict(engines)
+    linear = variants.pop("no index (linear)")
+    check_same_decisions(linear, variants, requests[:50])
+    return {name: mean_us(engine, requests) for name, engine in engines.items()}
 
 
 def test_ablation_index_variants(benchmark):

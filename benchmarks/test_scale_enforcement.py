@@ -13,87 +13,16 @@ grows with scale.
 """
 
 import random
-import time
-
-import pytest
 
 from benchmarks.conftest import report
-from repro.core.enforcement.engine import EnforcementEngine
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy import catalog
-from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
-from repro.core.policy.conditions import EvaluationContext
-from repro.core.policy.preference import UserPreference
+from repro.bench.workloads import (
+    batched_p50_us,
+    build_engine,
+    check_compiled,
+    linear_vs_index,
+    make_requests,
+)
 from repro.core.reasoner.index import LinearRuleStore, PolicyIndex
-from repro.spatial.model import build_simple_building
-
-CATEGORIES = [
-    DataCategory.LOCATION,
-    DataCategory.PRESENCE,
-    DataCategory.OCCUPANCY,
-    DataCategory.ENERGY_USE,
-    DataCategory.MEETING_DETAILS,
-]
-
-
-def build_rules(store, users: int, rng: random.Random) -> int:
-    """Populate ``store`` with building policies and per-user preferences."""
-    store.add_policy(catalog.policy_2_emergency_location("b"))
-    store.add_policy(catalog.policy_service_sharing("b"))
-    store.add_policy(catalog.policy_1_comfort(["b-1001", "b-1002"]))
-    rules = 3
-    for index in range(users):
-        user_id = "user-%05d" % index
-        for pref_no in range(3):
-            category = rng.choice(CATEGORIES)
-            store.add_preference(
-                UserPreference(
-                    preference_id="%s-p%d" % (user_id, pref_no),
-                    user_id=user_id,
-                    description="generated",
-                    effect=rng.choice([Effect.ALLOW, Effect.DENY]),
-                    categories=(category,),
-                    phases=(DecisionPhase.SHARING,),
-                    granularity_cap=rng.choice(list(GranularityLevel)),
-                )
-            )
-            rules += 1
-    return rules
-
-
-def make_requests(users: int, count: int, rng: random.Random):
-    return [
-        DataRequest(
-            requester_id="svc",
-            requester_kind=RequesterKind.BUILDING_SERVICE,
-            phase=DecisionPhase.SHARING,
-            category=rng.choice(CATEGORIES),
-            subject_id="user-%05d" % rng.randrange(users),
-            space_id="b-1001",
-            timestamp=float(rng.randrange(86400)),
-            purpose=Purpose.PROVIDING_SERVICE,
-        )
-        for _ in range(count)
-    ]
-
-
-def engine_with(store_cls, users: int, seed: int = 0, compiled: bool = False):
-    spatial = build_simple_building("b", 2, 4)
-    store = store_cls()
-    rng = random.Random(seed)
-    rules = build_rules(store, users, rng)
-    engine = EnforcementEngine(
-        store=store, context=EvaluationContext(spatial=spatial), compiled=compiled
-    )
-    return engine, rules
-
-
-def measure(engine, requests) -> float:
-    """Mean microseconds per decision."""
-    start = time.perf_counter()
-    for request in requests:
-        engine.decide(request)
-    return (time.perf_counter() - start) / len(requests) * 1e6
 
 
 def test_scale_enforcement_crossover(benchmark):
@@ -108,17 +37,7 @@ def _run_crossover():
     speedups = {}
     for users in (10, 100, 1000):
         requests = make_requests(users, 300, rng)
-        linear_engine, rules = engine_with(LinearRuleStore, users)
-        index_engine, _ = engine_with(PolicyIndex, users)
-
-        # Decisions must be identical before timing means anything.
-        for request in requests[:50]:
-            a = linear_engine.decide(request).resolution
-            b = index_engine.decide(request).resolution
-            assert a == b, "index changed a decision"
-
-        linear_us = measure(linear_engine, requests)
-        index_us = measure(index_engine, requests)
+        linear_us, index_us, rules = linear_vs_index(users, requests)
         speedups[users] = linear_us / index_us
         rows.append(
             "%8d %8d %14.1f %14.1f %8.1fx"
@@ -131,34 +50,6 @@ def _run_crossover():
     assert speedups[1000] > speedups[10], "speedup should grow with scale"
 
 
-def batched_p50(engine, requests, batch: int = 25, passes: int = 7) -> float:
-    """Median per-decide microseconds, timed in batches.
-
-    Per-call ``perf_counter`` overhead is on the order of a compiled
-    table hit, so per-sample timing would distort the fast engine;
-    batching amortizes it, and the C-driven ``map`` keeps interpreter
-    loop overhead out of the measurement.  All of one engine's passes
-    run back-to-back (interleaving engines evicts the fast engine's
-    warm cache lines).  Noise is additive, so the minimum of the
-    per-pass medians is the best point estimate.
-    """
-    import statistics
-    from collections import deque
-
-    drain = deque(maxlen=0)
-    decide = engine.decide
-    best = float("inf")
-    for _ in range(passes):
-        samples = []
-        for index in range(0, len(requests), batch):
-            chunk = requests[index : index + batch]
-            start = time.perf_counter()
-            drain.extend(map(decide, chunk))
-            samples.append((time.perf_counter() - start) / len(chunk))
-        best = min(best, statistics.median(samples))
-    return best * 1e6
-
-
 def test_scale_enforcement_compiled_speedup(benchmark):
     """Compiled decision tables must beat the interpreter >= 10x on warm
     rows (the acceptance gate recorded as BENCH_0002)."""
@@ -168,20 +59,12 @@ def test_scale_enforcement_compiled_speedup(benchmark):
 def _run_compiled_speedup():
     users, count = 300, 2000
     requests = make_requests(users, count, random.Random(2))
-    reference, rules = engine_with(PolicyIndex, users)
-    compiled, _ = engine_with(PolicyIndex, users, compiled=True)
+    reference, rules = build_engine(PolicyIndex, users)
+    compiled, _ = build_engine(PolicyIndex, users, compiled=True)
+    check_compiled(reference, compiled, requests)
 
-    # Equivalence before timing: warm every row through both engines and
-    # insist on identical resolutions (the differential suite proves the
-    # general case; this keeps the perf number honest in-run).
-    for request in requests:
-        a = compiled.decide(request).resolution
-        b = reference.decide(request).resolution
-        assert a == b, "compiled engine changed a decision"
-    assert compiled.hits + compiled.misses + compiled.uncacheable == count
-
-    reference_us = batched_p50(reference, requests)
-    compiled_us = batched_p50(compiled, requests)
+    reference_us = batched_p50_us(reference, requests, passes=7)
+    compiled_us = batched_p50_us(compiled, requests, passes=7)
     speedup = reference_us / compiled_us
     stats = compiled.table_stats()
     report(
@@ -203,7 +86,7 @@ def _run_compiled_speedup():
 
 def test_scale_enforcement_indexed_benchmark(benchmark):
     """pytest-benchmark datapoint: indexed decision at 1000 users."""
-    engine, rules = engine_with(PolicyIndex, 1000)
+    engine, rules = build_engine(PolicyIndex, 1000)
     requests = make_requests(1000, 1000, random.Random(2))
     iterator = iter(requests * 1000)
 
@@ -216,7 +99,7 @@ def test_scale_enforcement_indexed_benchmark(benchmark):
 
 def test_scale_enforcement_linear_benchmark(benchmark):
     """pytest-benchmark datapoint: linear-scan decision at 1000 users."""
-    engine, rules = engine_with(LinearRuleStore, 1000)
+    engine, rules = build_engine(LinearRuleStore, 1000)
     requests = make_requests(1000, 200, random.Random(2))
     iterator = iter(requests * 10000)
 

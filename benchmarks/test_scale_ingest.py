@@ -14,51 +14,16 @@ observation rate a real building of this size produces (hundreds of
 observations per second).
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import report
-from repro.core.policy import catalog
-from repro.spatial.model import SpaceType
-from repro.simulation.dbh import BUILDING_ID, make_dbh_tippers
-from repro.simulation.inhabitants import generate_inhabitants
-from repro.simulation.mobility import BuildingWorld
+from repro.bench.workloads import SCALES, build_ingest, ingest_tick, run_ingest
+from repro.storage.durable import StorageEngine
 
-POPULATION = 40
-TICKS = 12
-TICK_SPACING_S = 120.0
-NOON = 12 * 3600.0
+FULL = SCALES["full"]
 
 
-def build_setup(enforce_capture: bool, storage=None):
-    tippers = make_dbh_tippers(enforce_capture=enforce_capture, storage=storage)
-    rooms = [s.space_id for s in tippers.spatial.spaces_of_type(SpaceType.ROOM)]
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
-    tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
-    tippers.define_policy(catalog.policy_service_sharing(BUILDING_ID))
-    inhabitants = generate_inhabitants(tippers.spatial, POPULATION, seed=5)
-    for person in inhabitants:
-        tippers.add_user(person.profile)
-    world = BuildingWorld(tippers.spatial, inhabitants, seed=5)
-    return tippers, world
-
-
-def run_ingest(tippers, world) -> dict:
-    start = time.perf_counter()
-    for tick in range(TICKS):
-        now = NOON + tick * TICK_SPACING_S
-        world.step(now)
-        tippers.tick(now, world)
-    elapsed = time.perf_counter() - start
-    stats = tippers.sensor_manager.stats
-    return {
-        "elapsed_s": elapsed,
-        "sampled": stats.sampled,
-        "stored": stats.stored,
-        "dropped": stats.dropped_capture + stats.dropped_storage,
-        "sampled_per_s": stats.sampled / elapsed,
-    }
+def _run(enforce_capture: bool, storage=None):
+    tippers, world = build_ingest(FULL.ingest_population, enforce_capture, storage)
+    return run_ingest(tippers, world, FULL.ingest_ticks)
 
 
 def test_scale_ingest_overhead(benchmark):
@@ -66,40 +31,38 @@ def test_scale_ingest_overhead(benchmark):
     enforced, raw = results
 
     overhead = (
-        (raw["sampled_per_s"] / enforced["sampled_per_s"])
-        if enforced["sampled_per_s"]
+        (raw.sampled_per_s / enforced.sampled_per_s)
+        if enforced.sampled_per_s
         else float("inf")
     )
     rows = [
         "%-24s %12s %12s" % ("", "enforced", "raw"),
-        "%-24s %12d %12d" % ("observations sampled", enforced["sampled"], raw["sampled"]),
-        "%-24s %12d %12d" % ("observations stored", enforced["stored"], raw["stored"]),
-        "%-24s %12d %12d" % ("observations dropped", enforced["dropped"], raw["dropped"]),
-        "%-24s %10.0f/s %10.0f/s" % ("ingest throughput", enforced["sampled_per_s"], raw["sampled_per_s"]),
+        "%-24s %12d %12d" % ("observations sampled", enforced.sampled, raw.sampled),
+        "%-24s %12d %12d" % ("observations stored", enforced.stored, raw.stored),
+        "%-24s %12d %12d" % ("observations dropped", enforced.dropped, raw.dropped),
+        "%-24s %10.0f/s %10.0f/s" % ("ingest throughput", enforced.sampled_per_s, raw.sampled_per_s),
         "privacy-compliance overhead: %.2fx" % overhead,
     ]
     report("SCALE-2: full-inventory ingest, enforcement on vs off", rows)
 
     # Shape assertions.
-    assert enforced["sampled"] == raw["sampled"], "same physical world"
-    assert enforced["stored"] < raw["stored"], "unauthorized streams dropped"
-    assert enforced["dropped"] > 0
-    assert raw["dropped"] == 0
+    assert enforced.sampled == raw.sampled, "same physical world"
+    assert enforced.stored < raw.stored, "unauthorized streams dropped"
+    assert enforced.dropped > 0
+    assert raw.dropped == 0
     assert overhead < 30.0, "compliance overhead must stay a bounded constant"
-    assert enforced["sampled_per_s"] > 2000, (
+    assert enforced.sampled_per_s > 2000, (
         "enforced ingest must comfortably exceed a real building's "
         "observation rate"
     )
 
     benchmark.extra_info["overhead_factor"] = round(overhead, 3)
-    benchmark.extra_info["stored_enforced"] = enforced["stored"]
-    benchmark.extra_info["stored_raw"] = raw["stored"]
+    benchmark.extra_info["stored_enforced"] = enforced.stored
+    benchmark.extra_info["stored_raw"] = raw.stored
 
 
 def _run_both():
-    enforced = run_ingest(*build_setup(enforce_capture=True))
-    raw = run_ingest(*build_setup(enforce_capture=False))
-    return enforced, raw
+    return _run(enforce_capture=True), _run(enforce_capture=False)
 
 
 def test_scale_ingest_wal_overhead(benchmark, tmp_path):
@@ -111,28 +74,24 @@ def test_scale_ingest_wal_overhead(benchmark, tmp_path):
     ``REPRO_METRICS_OUT`` set the WAL append/byte counts are exported
     alongside the throughput numbers for before/after diffing.
     """
-    from repro.storage.durable import StorageEngine
-
     engine = StorageEngine(str(tmp_path), segment_bytes=4 * 1024 * 1024)
 
     def _run_wal_pair():
-        durable = run_ingest(*build_setup(enforce_capture=True, storage=engine))
-        plain = run_ingest(*build_setup(enforce_capture=True))
-        return durable, plain
+        return _run(enforce_capture=True, storage=engine), _run(enforce_capture=True)
 
     durable, plain = benchmark.pedantic(_run_wal_pair, iterations=1, rounds=1)
     engine.close()
 
     overhead = (
-        (plain["sampled_per_s"] / durable["sampled_per_s"])
-        if durable["sampled_per_s"]
+        (plain.sampled_per_s / durable.sampled_per_s)
+        if durable.sampled_per_s
         else float("inf")
     )
     rows = [
         "%-24s %12s %12s" % ("", "wal on", "wal off"),
-        "%-24s %12d %12d" % ("observations stored", durable["stored"], plain["stored"]),
+        "%-24s %12d %12d" % ("observations stored", durable.stored, plain.stored),
         "%-24s %10.0f/s %10.0f/s"
-        % ("ingest throughput", durable["sampled_per_s"], plain["sampled_per_s"]),
+        % ("ingest throughput", durable.sampled_per_s, plain.sampled_per_s),
         "wal frames appended: %d in %d segment(s)"
         % (engine.wal.appends, len(engine.wal.segment_paths())),
         "durability overhead: %.2fx" % overhead,
@@ -140,8 +99,8 @@ def test_scale_ingest_wal_overhead(benchmark, tmp_path):
     report("SCALE-2b: enforced ingest, WAL on vs off", rows)
 
     # Shape assertions.
-    assert durable["stored"] == plain["stored"], "durability must not change policy"
-    assert engine.wal.appends >= durable["stored"], "every store was logged first"
+    assert durable.stored == plain.stored, "durability must not change policy"
+    assert engine.wal.appends >= durable.stored, "every store was logged first"
     assert overhead < 20.0, "the WAL must stay a bounded constant factor"
 
     benchmark.extra_info["wal_overhead_factor"] = round(overhead, 3)
@@ -150,14 +109,12 @@ def test_scale_ingest_wal_overhead(benchmark, tmp_path):
 
 def test_scale_ingest_enforced_tick_benchmark(benchmark):
     """pytest-benchmark datapoint: one enforced capture sweep."""
-    tippers, world = build_setup(enforce_capture=True)
+    tippers, world = build_ingest(FULL.ingest_population)
     state = {"tick": 0}
 
     def one_tick():
-        now = NOON + state["tick"] * TICK_SPACING_S
+        ingest_tick(tippers, world, state["tick"])
         state["tick"] += 1
-        world.step(now)
-        tippers.tick(now, world)
 
     benchmark(one_tick)
     benchmark.extra_info["sensors"] = tippers.sensor_manager.count()

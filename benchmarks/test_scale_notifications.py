@@ -12,64 +12,18 @@ practices as the unconcerned one; and the practices that survive high
 thresholds are the objectively sensitive ones (third-party/marketing).
 """
 
-import pytest
-
 from benchmarks.conftest import report
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.iota.notifications import NotificationManager
-from repro.iota.personas import PERSONAS, generate_decisions
-from repro.iota.preference_model import DataPractice, PreferenceModel
-
-THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-
-#: The practice mix a real DBH deployment advertises: building
-#: resources, first-party services, and a couple of third-party ones.
-ADVERTISED = [
-    DataPractice(DataCategory.LOCATION, Purpose.EMERGENCY_RESPONSE, retention_days=180),
-    DataPractice(DataCategory.LOCATION, Purpose.PROVIDING_SERVICE),
-    DataPractice(DataCategory.PRESENCE, Purpose.SECURITY, retention_days=30),
-    DataPractice(DataCategory.PRESENCE, Purpose.PROVIDING_SERVICE, granularity=GranularityLevel.COARSE),
-    DataPractice(DataCategory.OCCUPANCY, Purpose.COMFORT, retention_days=7),
-    DataPractice(DataCategory.OCCUPANCY, Purpose.ENERGY_MANAGEMENT, granularity=GranularityLevel.AGGREGATE),
-    DataPractice(DataCategory.ENERGY_USE, Purpose.ENERGY_MANAGEMENT, retention_days=365),
-    DataPractice(DataCategory.TEMPERATURE, Purpose.COMFORT, granularity=GranularityLevel.AGGREGATE),
-    DataPractice(DataCategory.IDENTITY, Purpose.ACCESS_CONTROL, retention_days=365),
-    DataPractice(DataCategory.MEETING_DETAILS, Purpose.PROVIDING_SERVICE),
-    DataPractice(DataCategory.LOCATION, Purpose.RESEARCH, retention_days=365),
-    DataPractice(DataCategory.LOCATION, Purpose.PROVIDING_SERVICE, third_party=True),
-    DataPractice(DataCategory.IDENTITY, Purpose.MARKETING, third_party=True),
-    DataPractice(DataCategory.ACTIVITY, Purpose.SECURITY),
-]
+from repro.bench.workloads import (
+    ADVERTISED,
+    NOTIFICATION_THRESHOLDS as THRESHOLDS,
+    notification_sweep,
+    persona_models,
+)
 
 
-@pytest.fixture(scope="module")
-def persona_models():
-    return {
-        name: PreferenceModel().fit(generate_decisions(persona, 200, seed=1, noise=0.0))
-        for name, persona in PERSONAS.items()
-    }
-
-
-def sweep(persona_models):
-    series = {}
-    for name, model in persona_models.items():
-        counts = []
-        for threshold in THRESHOLDS:
-            manager = NotificationManager(
-                model, relevance_threshold=threshold, daily_budget=100
-            )
-            sent = 0
-            for index, practice in enumerate(ADVERTISED):
-                if manager.offer(float(index), practice, "practice-%d" % index):
-                    sent += 1
-            counts.append(sent)
-        series[name] = counts
-    return series
-
-
-def test_scale_notifications_sweep(benchmark, persona_models):
+def test_scale_notifications_sweep(benchmark):
     series = benchmark.pedantic(
-        sweep, args=(persona_models,), iterations=1, rounds=1
+        notification_sweep, args=(persona_models(),), iterations=1, rounds=1
     )
 
     header = "%-16s" + " %5.2f" * len(THRESHOLDS)

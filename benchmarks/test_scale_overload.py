@@ -10,15 +10,14 @@ decisions, preference submissions, DSAR) still lands, and every
 degraded answer is marked in the audit record.
 """
 
-import pytest
-
 from benchmarks.conftest import report
+from repro.bench.workloads import SCALES
 from repro.simulation.overload import run_overload_scenario
 
 PLAN = "rush-hour"
 SEED = 11
-POPULATION = 12
-TICKS = 16
+POPULATION = SCALES["full"].overload_population
+TICKS = SCALES["full"].overload_ticks
 
 
 def _rows(label, result):

@@ -13,14 +13,13 @@ fundamentalist minority opts out); retention purges begin once the
 denied -- exactly the opted-out fraction.
 """
 
-import pytest
-
 from benchmarks.conftest import report
+from repro.bench.workloads import SCALES
 from repro.simulation.longrun import run_week
 
-DAYS = 8
-POPULATION = 24
-TICKS_PER_DAY = 16
+DAYS = SCALES["full"].week_days
+POPULATION = SCALES["full"].week_population
+TICKS_PER_DAY = SCALES["full"].week_ticks_per_day
 
 
 def test_scale_week_soak(benchmark):

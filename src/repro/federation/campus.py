@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.policy import catalog
 from repro.errors import FederationError
@@ -47,6 +47,26 @@ from repro.users.profile import UserProfile
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.storage.durable import StorageEngine
     from repro.storage.recovery import RecoveryReport
+
+
+def build_compact_tippers(
+    spatial: SpatialModel, building_id: str, owner_name: str, **tippers_options: Any
+) -> TIPPERS:
+    """A capture-enforcing TIPPERS over ``spatial`` provisioned as a
+    compact building: an access point and a motion sensor in every room,
+    then the service-sharing, emergency-location and comfort policies."""
+    tippers = TIPPERS(
+        spatial, building_id, owner_name=owner_name, enforce_capture=True,
+        **tippers_options
+    )
+    rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
+    for index, room in enumerate(rooms):
+        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
+        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
+    tippers.define_policy(catalog.policy_service_sharing(building_id))
+    tippers.define_policy(catalog.policy_2_emergency_location(building_id))
+    tippers.define_policy(catalog.policy_1_comfort(rooms))
+    return tippers
 
 
 @dataclass
@@ -147,26 +167,14 @@ class Campus:
             metrics=self.metrics,
         )
         storage = self._shard_storage(building_id)
-        tippers = TIPPERS(
+        tippers = build_compact_tippers(
             spatial,
             building_id,
-            owner_name=self._owner_name,
-            enforce_capture=True,
+            self._owner_name,
             metrics=self.metrics,
             storage=storage,
             health_supervisor=supervisor,
         )
-        rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-        for room_index, room in enumerate(rooms):
-            tippers.deploy_sensor(
-                "wifi_access_point", "ap-%02d" % (room_index + 1), room
-            )
-            tippers.deploy_sensor(
-                "motion_sensor", "motion-%02d" % (room_index + 1), room
-            )
-        tippers.define_policy(catalog.policy_service_sharing(building_id))
-        tippers.define_policy(catalog.policy_2_emergency_location(building_id))
-        tippers.define_policy(catalog.policy_1_comfort(rooms))
         registry = IoTResourceRegistry(
             REGISTRY_ENDPOINT_PREFIX + building_id, spatial
         )
@@ -370,27 +378,14 @@ class Campus:
             self.mark_down(building_id)
         storage = self._shard_storage(building_id)
         assert storage is not None
-        spatial = shard.spatial
-        tippers = TIPPERS(
-            spatial,
+        tippers = build_compact_tippers(
+            shard.spatial,
             building_id,
-            owner_name=self._owner_name,
-            enforce_capture=True,
+            self._owner_name,
             metrics=self.metrics,
             storage=storage,
             health_supervisor=shard.supervisor,
         )
-        rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-        for room_index, room in enumerate(rooms):
-            tippers.deploy_sensor(
-                "wifi_access_point", "ap-%02d" % (room_index + 1), room
-            )
-            tippers.deploy_sensor(
-                "motion_sensor", "motion-%02d" % (room_index + 1), room
-            )
-        tippers.define_policy(catalog.policy_service_sharing(building_id))
-        tippers.define_policy(catalog.policy_2_emergency_location(building_id))
-        tippers.define_policy(catalog.policy_1_comfort(rooms))
         for profile in shard.residents:
             tippers.add_user(profile)
         resident_ids = {profile.user_id for profile in shard.residents}

@@ -30,10 +30,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
-from repro.core.policy import catalog
 from repro.errors import AdmissionShedError, NetworkError
 from repro.faults import FaultInjector, build_plan
 from repro.federation import Campus, campus_access_report, campus_erase_subject
+from repro.federation.campus import build_compact_tippers
 from repro.iota.assistant import IoTAssistant
 from repro.irr.registry import IoTResourceRegistry
 from repro.net.admission import AdmissionController, Priority
@@ -43,7 +43,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.simulation.inhabitants import Inhabitant, generate_inhabitants
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
+from repro.spatial.model import build_simple_building
 from repro.storage.recovery import RecoveredState, RecoveryReport, recover
 from repro.tippers.bms import TIPPERS
 
@@ -447,17 +447,9 @@ def build_compact_building(
     spatial = build_simple_building(
         building_id, floors=2, rooms_per_floor=rooms_per_floor
     )
-    tippers = TIPPERS(
-        spatial, building_id, owner_name=owner_name, enforce_capture=True,
-        **tippers_options
+    tippers = build_compact_tippers(
+        spatial, building_id, owner_name, **tippers_options
     )
-    rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-    for index, room in enumerate(rooms):
-        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
-        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
-    tippers.define_policy(catalog.policy_service_sharing(building_id))
-    tippers.define_policy(catalog.policy_2_emergency_location(building_id))
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
     inhabitants = generate_inhabitants(spatial, population, seed=seed)
     for inhabitant in inhabitants:
         tippers.add_user(inhabitant.profile)
