@@ -112,14 +112,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return exit_code(findings)
 
     if not args.paths and not findings:
-        # Legacy reasoner checks still back the no-path audit; keep the
-        # "policy set is clean" phrasing the test suite (and humans)
-        # rely on.
-        legacy = _legacy_policy_findings()
-        if legacy:
-            for finding in legacy:
-                print(finding)
-            return 1
         print("policy set is clean")
         return 0
 
@@ -201,24 +193,6 @@ def _cmd_lint_flow(args: argparse.Namespace) -> int:
         print("stale baseline entry: %s %s %s" % entry.key(),
               file=sys.stderr)
     return exit_code(findings)
-
-
-def _legacy_policy_findings():
-    from repro.core.policy import catalog
-    from repro.core.reasoner.analysis import analyze_policies, errors_only
-    from repro.simulation.dbh import BUILDING_ID, make_dbh_tippers
-    from repro.spatial.model import SpaceType
-
-    tippers = make_dbh_tippers()
-    rooms = [s.space_id for s in tippers.spatial.spaces_of_type(SpaceType.ROOM)]
-    policies = [
-        catalog.policy_1_comfort(rooms),
-        catalog.policy_2_emergency_location(BUILDING_ID),
-        catalog.policy_3_meeting_room_access(rooms[:5]),
-        catalog.policy_service_sharing(BUILDING_ID),
-    ]
-    deployed = {s.sensor_type for s in tippers.sensor_manager.sensors()}
-    return errors_only(analyze_policies(policies, deployed_sensor_types=deployed))
 
 
 def _cmd_inventory(args: argparse.Namespace) -> int:

@@ -25,7 +25,6 @@ for.  The deterministic counterpart is the capacity soak harness in
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import statistics
 import tempfile
@@ -292,7 +291,8 @@ def check_compiled(reference, compiled, requests: Sequence[DataRequest]) -> None
     """Warm every row of ``compiled`` against ``reference`` and check
     its table counters account for each of those decisions."""
     check_same_decisions(reference, {"compiled engine": compiled}, requests)
-    counted = compiled.hits + compiled.misses + compiled.uncacheable
+    stats = compiled.stats
+    counted = stats.hits + stats.misses + stats.uncacheable
     if counted != len(requests):
         raise BenchError(
             "compiled engine counted %d of %d decisions" % (counted, len(requests))
@@ -663,7 +663,7 @@ def run_scale_rebalance(scale: ScalePreset) -> BenchmarkEntry:
             "recovered": 1.0 if report.recovered else 0.0,
         }
 
-    entry = _scenario_entry(
+    return _scenario_entry(
         "scale_rebalance",
         lambda metrics: run_rebalance_scenario(
             plan_name="ring-change",
@@ -674,9 +674,6 @@ def run_scale_rebalance(scale: ScalePreset) -> BenchmarkEntry:
         ),
         extra,
     )
-    # The trajectory has recorded this workload with no brownout rate
-    # since it joined (the ring-change plan does brown out); see ROADMAP.
-    return dataclasses.replace(entry, brownout_rate=0.0)
 
 
 #: Workload registry, in SCALE order; ``runner.run_suite`` walks this.

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Dict, Hashable, Iterable, Optional, Tuple
@@ -141,6 +142,23 @@ class TableShard:
         self.rows: Dict[Hashable, tuple] = {}
 
 
+@dataclass
+class TableStats:
+    """How the table served each decision it saw (noted ones bypass it)."""
+
+    hits: int = 0
+    misses: int = 0
+    uncacheable: int = 0
+
+
+#: The :class:`TableStats` fields the metrics registry reports.
+_TRACKED = {
+    "hits": ("enforcement_table_total", {"result": "hit"}),
+    "misses": ("enforcement_table_total", {"result": "miss"}),
+    "uncacheable": ("enforcement_table_total", {"result": "uncacheable"}),
+}
+
+
 class CompiledEnforcementEngine(EnforcementEngine):
     """An enforcement engine serving repeat requests from compiled rows.
 
@@ -178,18 +196,8 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._policy_version = self.store.policy_version
         self._store_version = self.store.version
         self._row_count = 0
-        self.hits = 0
-        self.misses = 0
-        self.uncacheable = 0
-        self._m_hits = self.metrics.counter(
-            "enforcement_table_total", {"result": "hit"}
-        )
-        self._m_misses = self.metrics.counter(
-            "enforcement_table_total", {"result": "miss"}
-        )
-        self._m_uncacheable = self.metrics.counter(
-            "enforcement_table_total", {"result": "uncacheable"}
-        )
+        self.stats = TableStats()
+        self.metrics.track(self.stats, _TRACKED)
         self._m_shards = self.metrics.gauge("enforcement_table_shards")
         self._m_rows = self.metrics.gauge("enforcement_table_rows")
         self._m_invalidations = self.metrics.counter(
@@ -239,10 +247,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
             self._reconcile()
         row = self._rows_get(_flat_key(request))
         if row is not None:
-            self.hits += 1
-            # Direct .value bumps (not .inc()) -- method-call
-            # overhead is measurable at this path's budget.
-            self._m_hits.value += 1
+            self.stats.hits += 1
             record = _tuple_new(
                 AuditRecord, (request.timestamp,) + row[1]
             )
@@ -252,7 +257,9 @@ class CompiledEnforcementEngine(EnforcementEngine):
                 and len(records) < self._audit_capacity
             ):
                 # Inlined AuditLog.append below-capacity branch
-                # (same bumps, no trim possible).
+                # (same bumps, no trim possible).  Direct .value
+                # bumps (not .inc()): method-call overhead is
+                # measurable at this path's budget.
                 records.append(record)
                 self._audit_m_appends.value += 1
                 self._audit_m_records.value += 1
@@ -293,8 +300,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
         resolution = resolve(match, self.strategy)
         self._record(request, resolution)
         if time_stable(*candidates):
-            self.misses += 1
-            self._m_misses.inc()
+            self.stats.misses += 1
             subject = request.subject_id
             shard = self._shards_get(subject)
             if shard is None:
@@ -327,8 +333,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
             self._row_count += 1
             self._m_rows.set(self._row_count)
         else:
-            self.uncacheable += 1
-            self._m_uncacheable.inc()
+            self.stats.uncacheable += 1
         self._note_decision(
             resolution,
             len(match.policies) + len(match.preferences),
@@ -432,12 +437,13 @@ class CompiledEnforcementEngine(EnforcementEngine):
         return len(self._shards)
 
     def table_stats(self) -> dict:
-        total = self.hits + self.misses + self.uncacheable
+        stats = self.stats
+        total = stats.hits + stats.misses + stats.uncacheable
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "uncacheable": self.uncacheable,
-            "hit_rate": self.hits / total if total else 0.0,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "uncacheable": stats.uncacheable,
+            "hit_rate": stats.hits / total if total else 0.0,
             "shards": len(self._shards),
             "rows": self._row_count,
         }

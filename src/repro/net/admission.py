@@ -259,7 +259,7 @@ class AdmissionTicket:
 
 @dataclass
 class AdmissionLedger:
-    """The controller's own accounting, mirrored onto the registry.
+    """The controller's own accounting, read by the metrics registry.
 
     Shed calls never become bus logical calls (the bus raises before
     its counters), so the ledger is the source of truth for shed rates:
@@ -281,6 +281,14 @@ class AdmissionLedger:
         admitted = self.admitted_by_class.get(priority.value, 0)
         total = shed + admitted
         return shed / total if total else 0.0
+
+
+#: The :class:`AdmissionLedger` fields the metrics registry reports.
+_TRACKED = {
+    "checked": ("admission_checked_total", {}),
+    "injected_arrivals": ("admission_injected_arrivals_total", {}),
+    "brownouts": ("brownout_responses_total", {}),
+}
 
 
 class AdmissionController:
@@ -357,9 +365,7 @@ class AdmissionController:
         self._planes: List[OverloadPlane] = []
         self.ledger = AdmissionLedger()
         self.metrics = metrics if metrics is not None else get_registry()
-        self._m_checked = self.metrics.counter("admission_checked_total")
-        self._m_injected = self.metrics.counter("admission_injected_arrivals_total")
-        self._m_brownouts = self.metrics.counter("brownout_responses_total")
+        self.metrics.track(self.ledger, _TRACKED)
 
     # ------------------------------------------------------------------
     # Fault planes (the injector's overload_burst hook)
@@ -435,14 +441,12 @@ class AdmissionController:
             if burst and burst < 0:
                 raise AdmissionError("arrivals cannot be negative")
         self.ledger.checked += 1
-        self._m_checked.inc()
         self._step += 1
         queue = self.queue(target)
         for burst in bursts:
             if burst:
                 queue.arrive(burst)
                 self.ledger.injected_arrivals += burst
-                self._m_injected.inc(burst)
         priority = self.classify(target, method)
         queue.arrive(1.0)
         load = queue.load
@@ -509,7 +513,6 @@ class AdmissionController:
             self.metrics.counter("admission_admitted_total", labels).inc()
             if ticket.brownout_level:
                 self.ledger.brownouts += 1
-                self._m_brownouts.inc()
                 self.metrics.counter(
                     "brownout_degraded_total", {"target": target}
                 ).inc()

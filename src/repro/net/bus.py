@@ -57,6 +57,10 @@ class BusFault:
     corrupt: bool = False
     latency_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.latency_s < 0:
+            raise ValueError("fault latency_s must be non-negative")
+
     def merge(self, other: "BusFault") -> "BusFault":
         return BusFault(
             drop=self.drop if self.drop is not None else other.drop,
@@ -120,6 +124,17 @@ class BusStats:
         return self.calls
 
 
+#: The :class:`BusStats` fields the metrics registry reports.
+_TRACKED = {
+    "calls": ("bus_attempts_total", {}),
+    "dropped": ("bus_dropped_total", {}),
+    "errors": ("bus_errors_total", {}),
+    "bytes_sent": ("bus_bytes_sent_total", {}),
+    "bytes_received": ("bus_bytes_received_total", {}),
+    "simulated_latency_s": ("bus_simulated_latency_seconds_total", {}),
+}
+
+
 class MessageBus:
     """Connects named endpoints through a JSON boundary.
 
@@ -153,12 +168,7 @@ class MessageBus:
         self._fault_planes: List[FaultPlane] = []
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._m_attempts = self.metrics.counter("bus_attempts_total")
-        self._m_dropped = self.metrics.counter("bus_dropped_total")
-        self._m_errors = self.metrics.counter("bus_errors_total")
-        self._m_bytes_sent = self.metrics.counter("bus_bytes_sent_total")
-        self._m_bytes_received = self.metrics.counter("bus_bytes_received_total")
-        self._m_sim_latency = self.metrics.counter("bus_simulated_latency_seconds_total")
+        self.metrics.track(self.stats, _TRACKED)
 
     # ------------------------------------------------------------------
     # Registration
@@ -302,7 +312,6 @@ class MessageBus:
                         ).inc()
                         if backoff:
                             self.stats.simulated_latency_s += backoff
-                            self._m_sim_latency.inc(backoff)
                             self.metrics.counter(
                                 "bus_backoff_seconds_total", {"target": target}
                             ).inc(backoff)
@@ -330,7 +339,6 @@ class MessageBus:
     def _drop_attempt(self, target: str, metric: str, reason: str) -> None:
         """Account one lost attempt and raise the transport error."""
         self.stats.dropped += 1
-        self._m_dropped.inc()
         self.metrics.counter("bus_dropped_by_target_total", {"target": target}).inc()
         if metric:
             self.stats.faulted += 1
@@ -341,13 +349,10 @@ class MessageBus:
         self, target: str, method: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
         self.stats.calls += 1
-        self._m_attempts.inc()
         self.stats.simulated_latency_s += self.latency_s
-        self._m_sim_latency.inc(self.latency_s)
         fault = self._consult_planes(target, method)
         if fault is not None and fault.latency_s:
             self.stats.simulated_latency_s += fault.latency_s
-            self._m_sim_latency.inc(fault.latency_s)
             self.metrics.counter(
                 "bus_fault_latency_seconds_total", {"target": target}
             ).inc(fault.latency_s)
@@ -355,7 +360,6 @@ class MessageBus:
             {"target": target, "method": method, "payload": payload}
         )
         self.stats.bytes_sent += len(wire_request)
-        self._m_bytes_sent.inc(len(wire_request))
         if fault is not None and fault.offline is not None:
             self._drop_attempt(
                 target,
@@ -387,18 +391,15 @@ class MessageBus:
         endpoint = self._endpoints.get(target)
         if endpoint is None:
             self.stats.errors += 1
-            self._m_errors.inc()
             raise NetworkError("no endpoint %r" % target)
         try:
             response = endpoint.handle(request["method"], request["payload"])
         except NetworkError as exc:
             self.stats.errors += 1
-            self._m_errors.inc()
             self.metrics.counter(
                 "bus_rpc_errors_total", {"target": target, "method": method}
             ).inc()
             raise RpcError(target, method, str(exc)) from None
         wire_response = encode_message({"payload": response if response is not None else {}})
         self.stats.bytes_received += len(wire_response)
-        self._m_bytes_received.inc(len(wire_response))
         return decode_message(wire_response)["payload"]

@@ -1,11 +1,12 @@
 """Dependency-free metrics: counters, gauges, and bounded histograms.
 
-Every subsystem on the Figure-1 path (bus, enforcement engine, decision
-cache, sensor manager, request manager, IoTA) registers its counters
-here instead of growing another ad-hoc stats struct.  The registry is
-deliberately tiny and allocation-light -- metric handles are resolved
-once and then updated with plain attribute arithmetic -- so it can sit
-on the per-decision hot path without moving the benchmarks.
+Every subsystem on the Figure-1 path (bus, enforcement engine and its
+compiled tables, sensor manager, request manager, admission, IoTA)
+reports here.  A count a component keeps in its own stats struct stays
+owned by that struct; :meth:`MetricsRegistry.track` reads it whenever
+the registry reports.  Other metrics are handles resolved once and
+updated with plain attribute arithmetic, so the registry can sit on the
+per-decision hot path without moving the benchmarks.
 
 Design constraints:
 
@@ -39,6 +40,8 @@ from typing import (
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelPairs]
+#: A tracked struct's fields: attribute -> (counter name, labels).
+TrackedFields = Mapping[str, Tuple[str, Mapping[str, str]]]
 #: (kind, name, label items in the caller's order): the handle memo key.
 HandleKey = Tuple[str, str, LabelPairs]
 
@@ -257,6 +260,7 @@ class MetricsRegistry:
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
         self._handles: Dict[HandleKey, Any] = {}
+        self._tracked: List[Tuple[object, List[Tuple[str, MetricKey]]]] = []
 
     # ------------------------------------------------------------------
     # Handles (get-or-create)
@@ -308,11 +312,30 @@ class MetricsRegistry:
             self._handles[memo] = handle
         return handle
 
+    def track(self, stats: object, fields: TrackedFields) -> None:
+        """Report attributes of ``stats`` as counters.
+
+        ``stats`` stays the only owner of those counts: the registry
+        reads ``getattr(stats, attr)`` each time it reports, adding it
+        to any interned counter or other tracked struct under the same
+        key.  Pass the struct, not its component, so the registry never
+        keeps an engine, table or log alive.
+        """
+        self._tracked.append((stats, [
+            (attr, (name, _label_key(labels)))
+            for attr, (name, labels) in fields.items()
+        ]))
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def counters(self, name: str) -> List[Counter]:
-        return [c for (n, _), c in sorted(self._counters.items()) if n == name]
+    def _counter_values(self) -> Dict[MetricKey, float]:
+        """Every counter's current value, tracked struct fields included."""
+        values = {key: counter.value for key, counter in self._counters.items()}
+        for stats, fields in self._tracked:
+            for attr, key in fields:
+                values[key] = values.get(key, 0) + getattr(stats, attr)
+        return values
 
     def histograms(self, name: str) -> List[Histogram]:
         return [h for (n, _), h in sorted(self._histograms.items()) if n == name]
@@ -333,15 +356,15 @@ class MetricsRegistry:
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> float:
         """Sum of every counter named ``name`` whose labels ⊇ ``labels``."""
-        subset = _label_key(labels)
+        subset = set(_label_key(labels))
         total = 0.0
-        for (metric_name, label_key), counter in self._counters.items():
-            if metric_name == name and set(subset) <= set(label_key):
-                total += counter.value
+        for (metric_name, label_key), value in self._counter_values().items():
+            if metric_name == name and subset <= set(label_key):
+                total += value
         return total
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counter_values()) + len(self._gauges) + len(self._histograms)
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -351,8 +374,8 @@ class MetricsRegistry:
         return {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "counters": [
-                {"name": name, "labels": _labels_dict(labels), "value": c.value}
-                for (name, labels), c in sorted(self._counters.items())
+                {"name": name, "labels": _labels_dict(labels), "value": value}
+                for (name, labels), value in sorted(self._counter_values().items())
             ],
             "gauges": [
                 {"name": name, "labels": _labels_dict(labels), "value": g.value}
@@ -395,6 +418,8 @@ class MetricsRegistry:
         return registry
 
     def reset(self) -> None:
+        """Forget every metric, handle and tracked struct."""
+        self._tracked.clear()
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
@@ -406,9 +431,9 @@ class MetricsRegistry:
     def render(self) -> List[str]:
         """Human-readable lines, one per metric, deterministically ordered."""
         lines: List[str] = []
-        for (name, labels), counter in sorted(self._counters.items()):
+        for (name, labels), value in sorted(self._counter_values().items()):
             lines.append(
-                "counter   %-46s %s" % (_format_name(name, labels), _format_number(counter.value))
+                "counter   %-46s %s" % (_format_name(name, labels), _format_number(value))
             )
         for (name, labels), gauge in sorted(self._gauges.items()):
             lines.append(

@@ -46,6 +46,17 @@ class CaptureStats:
         self.write_failures += other.write_failures
 
 
+#: The :class:`CaptureStats` fields the metrics registry reports.
+_TRACKED = {
+    "sampled": ("capture_observations_total", {"stage": "sampled"}),
+    "stored": ("capture_observations_total", {"stage": "stored"}),
+    "dropped_capture": ("capture_dropped_total", {"phase": "capture"}),
+    "dropped_storage": ("capture_dropped_total", {"phase": "storage"}),
+    "degraded": ("capture_degraded_total", {}),
+    "write_failures": ("capture_write_failures_total", {}),
+}
+
+
 @dataclass
 class SensorHealth:
     """The supervisor's view of one sensor."""
@@ -186,20 +197,7 @@ class SensorManager:
         self.supervisor = supervisor
         self.stats = CaptureStats()
         self.metrics = metrics if metrics is not None else get_registry()
-        self._m_sampled = self.metrics.counter(
-            "capture_observations_total", {"stage": "sampled"}
-        )
-        self._m_stored = self.metrics.counter(
-            "capture_observations_total", {"stage": "stored"}
-        )
-        self._m_dropped_capture = self.metrics.counter(
-            "capture_dropped_total", {"phase": "capture"}
-        )
-        self._m_dropped_storage = self.metrics.counter(
-            "capture_dropped_total", {"phase": "storage"}
-        )
-        self._m_degraded = self.metrics.counter("capture_degraded_total")
-        self._m_write_failures = self.metrics.counter("capture_write_failures_total")
+        self.metrics.track(self.stats, _TRACKED)
         self._m_ticks = self.metrics.counter("capture_ticks_total")
         self._m_tick_seconds = self.metrics.histogram("capture_tick_seconds")
 
@@ -301,7 +299,6 @@ class SensorManager:
             if self.supervisor is not None:
                 self.supervisor.observe_pass(subsystem)
         self.stats.merge(tick_stats)
-        self._note(tick_stats)
         self._m_ticks.inc()
         self._m_tick_seconds.observe(time.perf_counter() - start)
         return tick_stats
@@ -314,17 +311,7 @@ class SensorManager:
         if stored is not None:
             tick_stats.stored += 1
         self.stats.merge(tick_stats)
-        self._note(tick_stats)
         return stored
-
-    def _note(self, tick_stats: CaptureStats) -> None:
-        """Mirror one batch of capture counters onto the registry."""
-        self._m_sampled.inc(tick_stats.sampled)
-        self._m_stored.inc(tick_stats.stored)
-        self._m_dropped_capture.inc(tick_stats.dropped_capture)
-        self._m_dropped_storage.inc(tick_stats.dropped_storage)
-        self._m_degraded.inc(tick_stats.degraded)
-        self._m_write_failures.inc(tick_stats.write_failures)
 
     def _ingest(
         self, observation: Observation, tick_stats: CaptureStats

@@ -60,7 +60,6 @@ class EagerController(AdmissionController):
         self, target: str, method: str, principal: Optional[str] = None
     ) -> AdmissionTicket:
         self.ledger.checked += 1
-        self._m_checked.inc()
         for queue in self._queues.values():
             queue.drain()
         for bucket in self._buckets.values():
@@ -71,7 +70,6 @@ class EagerController(AdmissionController):
             if burst:
                 queue.arrive(burst)
                 self.ledger.injected_arrivals += burst
-                self._m_injected.inc(burst)
         priority = self.classify(target, method)
         queue.arrive(1.0)
         load = queue.load

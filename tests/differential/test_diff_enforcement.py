@@ -196,7 +196,7 @@ def test_fail_closed_fault_injection(
     for request in outage_requests:
         pair.decide(request)  # same keys again: must re-evaluate, not hit
     assert (
-        pair.compiled.hits == 0
+        pair.compiled.stats.hits == 0
     ), "a fail-closed denial was compiled into the table"
     assert pair.compiled.table_rows >= rows_after_outage
     for _ in range(after):
@@ -268,7 +268,7 @@ def test_capture_path_equivalence():
     for tick in range(5):
         for manager in managers:
             manager.tick(float(tick * 2), world)
-    assert pair.compiled.hits > 0, "repeated capture must hit the table"
+    assert pair.compiled.stats.hits > 0, "repeated capture must hit the table"
     assert managers[0].stats == managers[1].stats
     stored = [
         [dataclasses.replace(o, observation_id=0) for o in datastore.query()]

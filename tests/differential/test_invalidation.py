@@ -65,7 +65,7 @@ class TestExactShardEviction:
         assert not engine.decide(request(subject="mary", timestamp=200.0)).allowed
         assert engine.decide(request(subject="bob", timestamp=200.0)).allowed
         engine.decide(request(subject=None, timestamp=200.0))
-        assert engine.hits == 2
+        assert engine.stats.hits == 2
         assert engine.table_shards == 3
 
     def test_withdraw_all_evicts_only_that_user(self, engine):
@@ -75,7 +75,7 @@ class TestExactShardEviction:
         engine.store.remove_preferences_of("mary")
         assert engine.decide(request(subject="mary", timestamp=200.0)).allowed
         engine.decide(request(subject="bob", timestamp=200.0))
-        assert engine.hits == 1, "bob's shard must survive mary's withdrawal"
+        assert engine.stats.hits == 1, "bob's shard must survive mary's withdrawal"
 
     def test_policy_mutation_evicts_everything(self, engine):
         engine.decide(request(subject="mary"))
@@ -84,7 +84,7 @@ class TestExactShardEviction:
         engine.store.remove_policy("policy-service-sharing")
         assert not engine.decide(request(subject="mary", timestamp=200.0)).allowed
         assert not engine.decide(request(subject="bob", timestamp=200.0)).allowed
-        assert engine.hits == 0
+        assert engine.stats.hits == 0
 
     def test_policy_replacement_takes_effect(self, engine):
         assert engine.decide(request()).allowed
@@ -116,7 +116,7 @@ class TestStaleTablePin:
                 engine.decide(request(timestamp=timestamp)).resolution
                 == reference.decide(request(timestamp=timestamp)).resolution
             )
-        assert engine.hits == 1, "sanity: the row was warm before the mutation"
+        assert engine.stats.hits == 1, "sanity: the row was warm before the mutation"
         opt_out = catalog.preference_2_no_location("mary")
         engine.store.add_preference(opt_out)
         reference.store.add_preference(opt_out)
@@ -135,7 +135,7 @@ class TestStaleTablePin:
         ), "store mutations must bump the per-user version counter"
         assert engine.table_rows == 1, "eviction is lazy (no hook fired)"
         assert not engine.decide(request(timestamp=200.0)).allowed
-        assert engine.hits == 0
+        assert engine.stats.hits == 0
 
 
 class TestManagerHooks:

@@ -103,8 +103,8 @@ class TestImportAdoption:
             assert resolution_key(served.resolution) == resolution_key(
                 original.resolution
             )
-        assert target.hits == len(probes), "adopted rows must serve as hits"
-        assert target.misses == 0
+        assert target.stats.hits == len(probes), "adopted rows must serve as hits"
+        assert target.stats.misses == 0
 
     def test_policy_version_mismatch_discards_everything(self):
         source = compiled_engine()
@@ -153,7 +153,7 @@ class TestWalRoundTrip:
         assert revived.import_table(state.compiled_table) == 2
         for subject in ("mary", "bob"):
             revived.decide(request(subject=subject, timestamp=200.0))
-        assert revived.hits == 2
+        assert revived.stats.hits == 2
 
     def test_latest_logged_table_wins(self, tmp_path):
         storage = StorageEngine(str(tmp_path))

@@ -45,20 +45,20 @@ class TestCaching:
         a = engine.decide(request(timestamp=100.0))
         b = engine.decide(request(timestamp=200.0))
         assert a.resolution == b.resolution
-        assert engine.hits == 1
-        assert engine.misses == 1
+        assert engine.stats.hits == 1
+        assert engine.stats.misses == 1
 
     def test_different_subjects_miss(self, engine):
         engine.decide(request(subject="mary"))
         engine.decide(request(subject="bob"))
-        assert engine.hits == 0
-        assert engine.misses == 2
+        assert engine.stats.hits == 0
+        assert engine.stats.misses == 2
         assert engine.table_shards == 2
 
     def test_cached_decisions_still_audited(self, engine):
         engine.decide(request(timestamp=100.0))
         engine.decide(request(timestamp=200.0))
-        assert engine.hits == 1
+        assert engine.stats.hits == 1
         assert len(engine.audit) == 2
         assert [r.timestamp for r in engine.audit.records()] == [100.0, 200.0]
 
@@ -90,7 +90,7 @@ class TestCaching:
         )
         assert noon.allowed
         assert not evening.allowed, "temporal preference must be re-evaluated"
-        assert engine.uncacheable >= 2
+        assert engine.stats.uncacheable >= 2
         assert engine.table_rows == 0
 
     def test_equivalence_with_uncached_engine(self, engine):
@@ -110,7 +110,7 @@ class TestCaching:
                     assert (
                         engine.decide(req).resolution == plain.decide(req).resolution
                     )
-        assert engine.hits > 0
+        assert engine.stats.hits > 0
 
     def test_capacity_eviction(self):
         spatial = build_simple_building("b", 2, 4)
@@ -162,7 +162,7 @@ class TestCompiledBrownoutBypass:
         noted = compiled.decide(request(), notes=("brownout: degraded",))
         assert "brownout: degraded" in noted.resolution.reasons
         assert compiled.table_rows == 0
-        assert compiled.hits == 0
+        assert compiled.stats.hits == 0
 
     def test_warm_row_never_serves_a_noted_request(self, compiled):
         plain = compiled.decide(request())
@@ -170,11 +170,11 @@ class TestCompiledBrownoutBypass:
         noted = compiled.decide(
             request(timestamp=200.0), notes=("brownout: degraded",)
         )
-        assert compiled.hits == 0, "noted decide must not consult the table"
+        assert compiled.stats.hits == 0, "noted decide must not consult the table"
         assert "brownout: degraded" in noted.resolution.reasons
         assert "brownout: degraded" not in plain.resolution.reasons
         again = compiled.decide(request(timestamp=300.0))
-        assert compiled.hits == 1
+        assert compiled.stats.hits == 1
         assert again.resolution == plain.resolution, (
             "the compiled row must not absorb the brownout note"
         )
@@ -190,7 +190,7 @@ class TestCompiledBrownoutBypass:
         assert time_stable(*compiled._matcher.candidates(stable))
         assert not time_stable(*compiled._matcher.candidates(unstable))
         compiled.decide(stable)
-        assert (compiled.misses, compiled.uncacheable) == (1, 0)
+        assert (compiled.stats.misses, compiled.stats.uncacheable) == (1, 0)
         compiled.decide(unstable)
-        assert (compiled.misses, compiled.uncacheable) == (1, 1)
+        assert (compiled.stats.misses, compiled.stats.uncacheable) == (1, 1)
         assert compiled.table_rows == 1

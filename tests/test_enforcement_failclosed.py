@@ -115,13 +115,13 @@ class TestCachingEngineFailClosed:
         injector = outage_injector(engine.store)
         for _ in range(3):
             assert not engine.decide(sharing_request()).allowed
-        assert engine.hits == 0
-        assert engine.misses == 0
+        assert engine.stats.hits == 0
+        assert engine.stats.misses == 0
         assert engine.table_rows == 0
         injector.uninstall()
         # The outage left no poisoned rows behind.
         assert engine.decide(sharing_request()).allowed
-        assert engine.misses == 1
+        assert engine.stats.misses == 1
 
     def test_faulted_cacheability_probe_means_uncacheable(self):
         engine = make_engine(CompiledEnforcementEngine)
@@ -134,7 +134,7 @@ class TestCachingEngineFailClosed:
         # Step 1 is clean, and the miss's one fetch also proves the row
         # time-stable: there is no second probe to fault.
         assert engine.decide(sharing_request()).allowed
-        assert engine.misses == 1 and engine.uncacheable == 0
+        assert engine.stats.misses == 1 and engine.stats.uncacheable == 0
         assert engine.table_rows == 1
         assert injector.trace.counts()["policy_fetch_fail"] == 1
 
@@ -148,7 +148,7 @@ class TestCachingEngineFailClosed:
             # Repeats (hits fetch nothing) mixed with fresh keys (misses).
             engine.decide(sharing_request(requester_id="svc-%d" % (index % 9)))
         faults = injector.trace.counts()["policy_fetch_fail"]
-        assert faults > 0 and engine.hits > 0
+        assert faults > 0 and engine.stats.hits > 0
         assert engine.metrics.total("enforcement_failclosed_total") == faults
 
     def test_prior_cache_entries_survive_an_outage(self):
@@ -159,7 +159,7 @@ class TestCachingEngineFailClosed:
         # An exact repeat is served from the table without fetching, so
         # the outage does not regress already-proven decisions...
         assert engine.decide(sharing_request(timestamp=200.0)).allowed
-        assert engine.hits == 1
+        assert engine.stats.hits == 1
         # ...but an uncompiled request still fails closed.
         assert not engine.decide(sharing_request(subject_id="bob")).allowed
 

@@ -25,6 +25,7 @@ from repro.federation import (
     campus_erase_subject,
 )
 from repro.iota.assistant import IoTAssistant
+from repro.net.admission import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.inhabitants import generate_inhabitants
 from repro.simulation.mobility import BuildingWorld
@@ -253,6 +254,59 @@ class TestCampus:
         campus.mark_down("bldg-a")
         with pytest.raises(FederationError):
             campus.recover_shard("bldg-a", NOON)
+
+
+class TestSharedRegistryTotals:
+    """Shards, bus and admission share one registry; each stats struct
+    owns its counts and the registry sums the structs on a shared key."""
+
+    def test_tracked_counters_sum_across_shards(self):
+        registry = MetricsRegistry()
+        admission = AdmissionController(seed=3, metrics=registry)
+        campus = Campus(
+            BUILDINGS, seed=11, floors=1, rooms_per_floor=2,
+            metrics=registry, admission=admission,
+        )
+        residents = [_resident(campus, building_id) for building_id in BUILDINGS]
+        for tick in range(3):
+            now = NOON + 60.0 * tick
+            for inhabitant in residents:
+                shard = campus.shard(campus.home_of[inhabitant.user_id])
+                _observe(campus, shard, inhabitant, _rooms(shard)[tick % 2], now)
+                _locate(campus, shard.building_id, inhabitant.user_id, now)
+        shards = campus.shards()
+        owners = {
+            "capture": [shard.tippers.sensor_manager.stats for shard in shards],
+            "table": [shard.tippers.engine.stats for shard in shards],
+            "bus": [campus.bus.stats],
+            "ledger": [admission.ledger],
+        }
+        assert all(stats.sampled for stats in owners["capture"])
+        assert all(stats.hits + stats.misses for stats in owners["table"])
+        tracked = [
+            ("capture_observations_total", {"stage": "sampled"}, "capture", "sampled"),
+            ("capture_observations_total", {"stage": "stored"}, "capture", "stored"),
+            ("capture_dropped_total", {"phase": "capture"}, "capture", "dropped_capture"),
+            ("capture_dropped_total", {"phase": "storage"}, "capture", "dropped_storage"),
+            ("capture_degraded_total", None, "capture", "degraded"),
+            ("capture_write_failures_total", None, "capture", "write_failures"),
+            ("enforcement_table_total", {"result": "hit"}, "table", "hits"),
+            ("enforcement_table_total", {"result": "miss"}, "table", "misses"),
+            ("enforcement_table_total", {"result": "uncacheable"}, "table", "uncacheable"),
+            ("bus_attempts_total", None, "bus", "calls"),
+            ("bus_dropped_total", None, "bus", "dropped"),
+            ("bus_errors_total", None, "bus", "errors"),
+            ("bus_bytes_sent_total", None, "bus", "bytes_sent"),
+            ("bus_bytes_received_total", None, "bus", "bytes_received"),
+            ("bus_simulated_latency_seconds_total", None, "bus", "simulated_latency_s"),
+            ("admission_checked_total", None, "ledger", "checked"),
+            ("admission_injected_arrivals_total", None, "ledger", "injected_arrivals"),
+            ("brownout_responses_total", None, "ledger", "brownouts"),
+        ]
+        for name, labels, owner, field in tracked:
+            expected = sum(getattr(stats, field) for stats in owners[owner])
+            assert registry.total(name, labels) == expected, name
+        assert registry.total("admission_checked_total") == len(residents) * 3
 
 
 class TestCrashRecovery:

@@ -65,6 +65,6 @@ class TestRunWeek:
         plain = run_week(
             days=1, population=8, ticks_per_day=6, seed=5, compile_decisions=False
         )
-        assert built[0].engine.hits > 0, "the compiled run served no rows"
+        assert built[0].engine.stats.hits > 0, "the compiled run served no rows"
         assert compiled == plain
         assert built[0].audit.records() == built[1].audit.records()

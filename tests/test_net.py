@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.bus import Endpoint, MessageBus, RpcError
+from repro.net.bus import BusFault, Endpoint, MessageBus, RpcError
 from repro.net.codec import decode_message, encode_message
 from repro.obs.metrics import MetricsRegistry
 
@@ -201,3 +201,38 @@ class TestRetryAccounting:
         )
         assert histogram.count == bus.stats.logical_calls
         assert histogram.percentile(95) is not None
+
+    def test_negative_fault_latency_is_rejected(self):
+        registry = MetricsRegistry()
+        bus = MessageBus(latency_s=0.25, metrics=registry)
+        bus.register("echo", Echo())
+        bus.install_fault_plane(lambda target, method: BusFault(latency_s=-0.5))
+        with pytest.raises(ValueError):
+            bus.call("echo", "echo")
+        assert bus.stats.simulated_latency_s == registry.total(
+            "bus_simulated_latency_seconds_total"
+        )
+        with pytest.raises(ValueError):
+            BusFault(latency_s=0.5).merge(BusFault(latency_s=-1.0))
+
+    def test_buses_sharing_a_registry_sum(self):
+        registry = MetricsRegistry()
+        buses = [
+            MessageBus(latency_s=latency, metrics=registry)
+            for latency in (0.25, 0.5)
+        ]
+        for count, bus in enumerate(buses, 1):
+            bus.register("echo", Echo())
+            for _ in range(count):
+                bus.call("echo", "echo", {"n": count})
+        for name, field in (
+            ("bus_attempts_total", "calls"),
+            ("bus_bytes_sent_total", "bytes_sent"),
+            ("bus_bytes_received_total", "bytes_received"),
+            ("bus_simulated_latency_seconds_total", "simulated_latency_s"),
+        ):
+            assert registry.total(name) == sum(
+                getattr(bus.stats, field) for bus in buses
+            )
+        assert registry.total("bus_attempts_total") == 3
+        assert registry.total("bus_simulated_latency_seconds_total") == 1.25

@@ -51,6 +51,35 @@ class TestCounter:
         assert counter.value == pytest.approx(1.0)
 
 
+class Lookups:
+    """A stand-in component stats struct for ``MetricsRegistry.track``."""
+
+    FIELDS = {
+        "hits": ("lookups_total", {"result": "hit"}),
+        "misses": ("lookups_total", {"result": "miss"}),
+    }
+
+    def __init__(self, hits=0, misses=0):
+        self.hits = hits
+        self.misses = misses
+
+
+class TestTrack:
+    def test_reads_structs_and_sums_a_shared_key(self):
+        registry = MetricsRegistry()
+        stats = Lookups()
+        registry.track(stats, Lookups.FIELDS)
+        registry.track(Lookups(hits=5), Lookups.FIELDS)
+        registry.counter("lookups_total", {"result": "miss"}).inc(4)
+        stats.hits += 2
+        stats.misses += 1
+        assert registry.total("lookups_total", {"result": "hit"}) == 7
+        assert registry.total("lookups_total") == 12
+        assert [e["value"] for e in registry.snapshot()["counters"]] == [7, 5]
+        assert registry.render()[0].split() == ["counter", "lookups_total{result=hit}", "7"]
+        assert len(registry) == 2
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         gauge = MetricsRegistry().gauge("cache_size")
@@ -214,8 +243,10 @@ class TestRegistrySnapshot:
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
+        registry.track(Lookups(hits=2), Lookups.FIELDS)
         registry.reset()
         assert len(registry) == 0
+        assert registry.total("lookups_total") == 0
 
 
 class TestRender:
@@ -284,11 +315,12 @@ class TestEnforcementMetricCompatibility:
     @staticmethod
     def _families(registry, prefix):
         families = {}
-        for store in (registry._counters, registry._gauges, registry._histograms):
-            for name, labels in store:
-                if name.startswith(prefix):
-                    families.setdefault(name, set()).add(
-                        tuple(sorted(key for key, _ in labels))
+        snapshot = registry.snapshot()
+        for kind in ("counters", "gauges", "histograms"):
+            for entry in snapshot[kind]:
+                if entry["name"].startswith(prefix):
+                    families.setdefault(entry["name"], set()).add(
+                        tuple(sorted(entry["labels"]))
                     )
         return families
 
@@ -319,9 +351,9 @@ class TestEnforcementMetricCompatibility:
         assert families["enforcement_table_rows"] == {()}
         assert families["enforcement_table_invalidations_total"] == {()}
         results = {
-            dict(labels)["result"]
-            for (name, labels) in registry._counters
-            if name == "enforcement_table_total"
+            entry["labels"]["result"]
+            for entry in registry.snapshot()["counters"]
+            if entry["name"] == "enforcement_table_total"
         }
         assert results == {"hit", "miss", "uncacheable"}
         assert registry.total("enforcement_table_total", {"result": "hit"}) == 1
