@@ -16,8 +16,9 @@ test-fast:
 	$(PYTEST) -x -q -m "not slow"
 
 # Differential proofs against reference implementations: compiled
-# enforcement tables, compiled schema validators, lazy admission steps
-# and the WAL record field templates.  The ci Hypothesis profile
+# enforcement tables and their capture-path observation lane, compiled
+# schema validators, lazy admission steps, the WAL record field
+# templates and WAL frames.  The ci Hypothesis profile
 # generates 250 examples per property (>= 1000 decisions checked
 # against the reference interpreter per run).
 diff-test:

@@ -28,6 +28,18 @@ precomputed tail of the :class:`AuditRecord` tuple (everything after
 the timestamp), and the decisions counter for the row's effect -- so
 the hit path allocates only the two NamedTuples it must return.
 
+Capture enforcement has a lane of its own: ``enforce_observation``
+first calls :meth:`CompiledEnforcementEngine._serve_observation`, which
+probes with ``observation_key`` -- the fields ``request_for_observation``
+builds its request from, in ``_flat_key`` order -- so a warm reading
+builds no :class:`DataRequest`.  A miss, or a negative timestamp (which
+``DataRequest`` refuses), takes the request path.  Both lanes share one
+hit helper.
+
+Keys are tuples of vocabulary enum members, which hash by identity
+(``__hash__ = object.__hash__`` in ``vocabulary.py`` and
+``policy/base.py``), so a probe never calls a Python-level hash.
+
 Invalidation protocol
 ---------------------
 
@@ -77,11 +89,12 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.enforcement.engine import Decision, EnforcementEngine
-from repro.core.policy.base import DataRequest
+from repro.core.policy.base import DataRequest, DecisionPhase
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
-from repro.core.reasoner.resolution import resolve
+from repro.core.reasoner.resolution import Resolution, resolve
 from repro.errors import ReproError
+from repro.sensors.base import Observation
 
 _perf_counter = time.perf_counter
 _tuple_new = tuple.__new__
@@ -98,7 +111,8 @@ _row_key = attrgetter(
 )
 #: The serving key: subject first, then the row key.  The hit path
 #: probes one flat dict with this 9-tuple; the per-subject shards only
-#: do invalidation bookkeeping.
+#: do invalidation bookkeeping.  ``EnforcementEngine.observation_key``
+#: builds the same tuple for a capture reading.
 _flat_key = attrgetter(
     "subject_id",
     "requester_id",
@@ -247,43 +261,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
             self._reconcile()
         row = self._rows_get(_flat_key(request))
         if row is not None:
-            self.stats.hits += 1
-            record = _tuple_new(
-                AuditRecord, (request.timestamp,) + row[1]
-            )
-            records = self._audit_records
-            if (
-                records is not None
-                and len(records) < self._audit_capacity
-            ):
-                # Inlined AuditLog.append below-capacity branch
-                # (same bumps, no trim possible).  Direct .value
-                # bumps (not .inc()): method-call overhead is
-                # measurable at this path's budget.
-                records.append(record)
-                self._audit_m_appends.value += 1
-                self._audit_m_records.value += 1
-            else:
-                self._audit.append(record)
-            row[2].value += 1  # enforcement_decisions_total{effect=...}
-            # A hit evaluates zero rules and skips the rules
-            # histogram; enforcement_rules_evaluated measures
-            # interpreter work only (see docs/BENCHMARKS.md).
-            # The latency histogram update is inlined (same
-            # arithmetic as Histogram.observe, which property
-            # tests pin): the call overhead alone is ~10% of a
-            # table hit.
-            elapsed = _perf_counter() - start
-            latency = self._m_latency
-            latency.counts[
-                bisect_left(latency.boundaries, elapsed)
-            ] += 1
-            latency.count += 1
-            latency.sum += elapsed
-            if latency.min is None or elapsed < latency.min:
-                latency.min = elapsed
-            if latency.max is None or elapsed > latency.max:
-                latency.max = elapsed
+            self._note_hit(row, request.timestamp, start)
             return _tuple_new(Decision, (request, row[0]))
 
         # Miss: run the reference interpreter, then compile the outcome.
@@ -340,6 +318,57 @@ class CompiledEnforcementEngine(EnforcementEngine):
             _perf_counter() - start,
         )
         return Decision(request=request, resolution=resolution)
+
+    def _serve_observation(
+        self, observation: Observation, phase: DecisionPhase
+    ) -> Optional[Resolution]:
+        """Serve a warm row for ``observation`` without a DataRequest.
+
+        The probe key is :meth:`observation_key`, which equals
+        ``_flat_key(request_for_observation(...))``.  On a miss, or for a
+        negative timestamp (which ``DataRequest`` refuses), this returns
+        ``None`` and ``enforce_observation`` takes the request path.
+        """
+        start = _perf_counter()
+        if self.store.version != self._store_version:
+            self._reconcile()
+        row = self._rows_get(self.observation_key(observation, phase))
+        timestamp = observation.timestamp
+        if row is None or timestamp < 0:
+            return None
+        self._note_hit(row, timestamp, start)
+        return row[0]
+
+    def _note_hit(self, row: tuple, timestamp: float, start: float) -> None:
+        """Audit and count one decision served from ``row``."""
+        self.stats.hits += 1
+        record = _tuple_new(AuditRecord, (timestamp,) + row[1])
+        records = self._audit_records
+        if records is not None and len(records) < self._audit_capacity:
+            # Inlined AuditLog.append below-capacity branch (same
+            # bumps, no trim possible).  Direct .value bumps (not
+            # .inc()): method-call overhead is measurable at this
+            # path's budget.
+            records.append(record)
+            self._audit_m_appends.value += 1
+            self._audit_m_records.value += 1
+        else:
+            self._audit.append(record)
+        row[2].value += 1  # enforcement_decisions_total{effect=...}
+        # A hit evaluates zero rules and skips the rules histogram;
+        # enforcement_rules_evaluated measures interpreter work only
+        # (see docs/BENCHMARKS.md).  The latency histogram update is
+        # inlined (same arithmetic as Histogram.observe, which property
+        # tests pin): the call overhead alone is ~10% of a table hit.
+        elapsed = _perf_counter() - start
+        latency = self._m_latency
+        latency.counts[bisect_left(latency.boundaries, elapsed)] += 1
+        latency.count += 1
+        latency.sum += elapsed
+        if latency.min is None or elapsed < latency.min:
+            latency.min = elapsed
+        if latency.max is None or elapsed > latency.max:
+            latency.max = elapsed
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -189,25 +189,48 @@ class EnforcementEngine:
     # ------------------------------------------------------------------
     # Capture-path enforcement (steps 2-3 of Figure 1)
     # ------------------------------------------------------------------
+    def observation_key(
+        self, observation: Observation, phase: DecisionPhase
+    ) -> tuple:
+        """The fields of :meth:`request_for_observation` but the timestamp.
+
+        In the compiled table's key order (``compiled._flat_key``):
+        subject, requester id, requester kind, phase, category, space,
+        purpose, granularity, sensor type.  This is the one place that
+        knows the shape of a capture-time request.
+        """
+        sensor_type = observation.sensor_type
+        return (
+            observation.subject_id,
+            "building",
+            RequesterKind.BUILDING,
+            phase,
+            self.sensor_categories.get(sensor_type, DataCategory.ACTIVITY),
+            observation.space_id,
+            self.sensor_purposes.get(sensor_type),
+            GranularityLevel.PRECISE,
+            sensor_type,
+        )
+
     def request_for_observation(
         self, observation: Observation, phase: DecisionPhase
     ) -> DataRequest:
         """The data request implied by capturing/storing ``observation``."""
-        category = self.sensor_categories.get(
-            observation.sensor_type, DataCategory.ACTIVITY
+        (subject_id, requester_id, requester_kind, phase, category,
+         space_id, purpose, granularity, sensor_type) = self.observation_key(
+            observation, phase
         )
-        purpose = self.sensor_purposes.get(observation.sensor_type)
         return DataRequest(
-            requester_id="building",
-            requester_kind=RequesterKind.BUILDING,
+            requester_id=requester_id,
+            requester_kind=requester_kind,
             phase=phase,
             category=category,
-            subject_id=observation.subject_id,
-            space_id=observation.space_id,
+            subject_id=subject_id,
+            space_id=space_id,
             timestamp=observation.timestamp,
             purpose=purpose,
-            granularity=GranularityLevel.PRECISE,
-            sensor_type=observation.sensor_type,
+            granularity=granularity,
+            sensor_type=sensor_type,
         )
 
     def enforce_observation(
@@ -222,16 +245,29 @@ class EnforcementEngine:
         policy authorizing their collection -- but no user preference
         can apply to them.
         """
-        request = self.request_for_observation(observation, phase)
-        decision = self.decide(request)
-        if not decision.allowed:
+        resolution = self._serve_observation(observation, phase)
+        if resolution is None:
+            request = self.request_for_observation(observation, phase)
+            resolution = self.decide(request).resolution
+        if not resolution.allowed:
             return None
         return degrade_observation(
             observation,
-            decision.granularity,
+            resolution.granularity,
             spatial=self.context.spatial,
             ontology=self.ontology,
         )
+
+    def _serve_observation(
+        self, observation: Observation, phase: DecisionPhase
+    ) -> Optional[Resolution]:
+        """The audited resolution for ``observation`` without building
+        its request, or ``None`` to decide it through :meth:`decide`.
+
+        The interpreter has no such shortcut; the compiled engine serves
+        warm table rows here.
+        """
+        return None
 
     def audit_degraded_denial(
         self,

@@ -36,6 +36,11 @@ class Purpose(enum.Enum):
     MARKETING = "marketing"
     LAW_ENFORCEMENT = "law_enforcement"
 
+    # Members compare by identity, so they hash by it too: the C slot
+    # keeps dict probes keyed by members (the compiled enforcement
+    # table's) off the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_string(cls, value: str) -> "Purpose":
         try:
@@ -156,6 +161,8 @@ class DataCategory(enum.Enum):
     MEETING_DETAILS = "meeting_details"
     SOCIAL_TIES = "social_ties"
 
+    __hash__ = object.__hash__  # see Purpose
+
     @classmethod
     def from_string(cls, value: str) -> "DataCategory":
         try:
@@ -195,17 +202,12 @@ class GranularityLevel(enum.Enum):
     AGGREGATE = "aggregate"  # only in k-anonymous aggregates
     NONE = "none"            # not collected / not shared at all
 
+    __hash__ = object.__hash__  # see Purpose
+
     @property
     def rank(self) -> int:
         """Fineness rank: higher reveals more (none=0 ... precise=4)."""
-        order = [
-            GranularityLevel.NONE,
-            GranularityLevel.AGGREGATE,
-            GranularityLevel.BUILDING,
-            GranularityLevel.COARSE,
-            GranularityLevel.PRECISE,
-        ]
-        return order.index(self)
+        return _GRANULARITY_RANK[self]
 
     def at_most(self, other: "GranularityLevel") -> bool:
         """Whether this level reveals no more than ``other``."""
@@ -222,6 +224,20 @@ class GranularityLevel(enum.Enum):
     def minimum(cls, a: "GranularityLevel", b: "GranularityLevel") -> "GranularityLevel":
         """The coarser (less revealing) of two levels."""
         return a if a.rank <= b.rank else b
+
+
+_GRANULARITY_RANK: Dict[GranularityLevel, int] = {
+    level: rank
+    for rank, level in enumerate(
+        (
+            GranularityLevel.NONE,
+            GranularityLevel.AGGREGATE,
+            GranularityLevel.BUILDING,
+            GranularityLevel.COARSE,
+            GranularityLevel.PRECISE,
+        )
+    )
+}
 
 
 def sensitivity_of(

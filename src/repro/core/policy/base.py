@@ -16,6 +16,11 @@ class Effect(enum.Enum):
     ALLOW = "allow"
     DENY = "deny"
 
+    # Members compare by identity, so they hash by it too: the C slot
+    # keeps dict probes keyed by members (the compiled enforcement
+    # table's) off the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class DecisionPhase(enum.Enum):
     """Where in the data lifecycle a rule applies.
@@ -29,6 +34,8 @@ class DecisionPhase(enum.Enum):
     PROCESSING = "processing"
     SHARING = "sharing"
 
+    __hash__ = object.__hash__  # see Effect
+
 
 class RequesterKind(enum.Enum):
     """Who is asking for the data."""
@@ -38,6 +45,8 @@ class RequesterKind(enum.Enum):
     THIRD_PARTY_SERVICE = "third_party_service"
     USER = "user"                  # another inhabitant
     EXTERNAL = "external"          # e.g. law enforcement
+
+    __hash__ = object.__hash__  # see Effect
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,12 @@ from repro.core.policy.serialization import preference_to_dict
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.sensors.base import Observation
 from repro.storage import records
-from repro.storage.wal import DEFAULT_SEGMENT_BYTES, WalPlane, WriteAheadLog
+from repro.storage.wal import (
+    DEFAULT_SEGMENT_BYTES,
+    WalPlane,
+    WriteAheadLog,
+    check_payload_size,
+)
 from repro.tippers.datastore import Datastore
 from repro.tippers.persistence import audit_record_to_dict
 
@@ -93,14 +98,15 @@ class StorageEngine:
         made it: ``log_audit``/``log_observation`` write theirs through
         the field templates in :mod:`repro.storage.records`.  ``data``,
         the record dict, is then needed only by taps, and is None when
-        no tap is installed.  The record is encoded before any tap sees
-        it, so one that cannot be encoded (a :class:`StorageError`) is
-        seen by no tap and reaches no WAL.
+        no tap is installed.  The record is encoded and its size checked
+        before any tap sees it, so one that cannot be encoded or framed
+        (a :class:`StorageError`) is seen by no tap and reaches no WAL.
         """
         if self.replaying:
             return None
         if payload is None:
             payload = records.encode_record(record_type, data)
+        check_payload_size(payload)
         for tap in self.taps:
             tap(record_type, data)
         sealed_before = self.wal.segments_sealed

@@ -43,6 +43,8 @@ SEGMENT_MAGIC = b"RPWAL001"
 SEGMENT_HEADER = struct.Struct(">8sQ")
 FRAME_HEADER = struct.Struct(">QII")
 FRAME_HEADER_FORMAT = ">QII"
+#: The header bytes the CRC covers: LSN and payload length.
+_FRAME_PREFIX = struct.Struct(">QI")
 
 #: Frames above this payload size are rejected at append time and
 #: treated as tears at read time (a corrupted length field must not
@@ -62,15 +64,24 @@ SEGMENT_PATTERN = "wal-%08d.seg"
 WalPlane = Callable[[str, str], Optional[str]]
 
 
-def encode_frame(lsn: int, payload: bytes) -> bytes:
-    """One wire frame for ``payload`` at ``lsn``."""
-    if lsn < 1:
-        raise StorageError("LSN must be >= 1, got %d" % lsn)
+def check_payload_size(payload: bytes) -> None:
+    """Raise :class:`StorageError` if ``payload`` is too big for a frame."""
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise StorageError("payload of %d bytes exceeds frame limit" % len(payload))
-    prefix = struct.pack(">QI", lsn, len(payload))
-    crc = zlib.crc32(prefix + payload) & 0xFFFFFFFF
-    return prefix + struct.pack(">I", crc) + payload
+
+
+def encode_frame(lsn: int, payload: bytes) -> bytes:
+    """One wire frame for ``payload`` at ``lsn``.
+
+    The CRC runs over the 12 prefix bytes and then the payload, in one
+    pass and without first copying the two together.
+    """
+    if lsn < 1:
+        raise StorageError("LSN must be >= 1, got %d" % lsn)
+    check_payload_size(payload)
+    length = len(payload)
+    crc = zlib.crc32(payload, zlib.crc32(_FRAME_PREFIX.pack(lsn, length)))
+    return FRAME_HEADER.pack(lsn, length, crc) + payload
 
 
 def decode_frame(buffer: bytes, offset: int = 0) -> Tuple[Optional["Frame"], int, str]:

@@ -12,12 +12,18 @@ import dataclasses
 
 from hypothesis import example, given, strategies as st
 
+from repro.core.enforcement.compiled import _flat_key
+
 from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
+from repro.sensors.base import Observation
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from tests.differential.harness import EnginePair
 from tests.differential.strategies import (
+    REQUEST_EDITS,
+    observation_runs,
+    observations,
     policies,
     preferences,
     requests,
@@ -56,6 +62,160 @@ def test_mutation_interleavings(policy_list, preference_list, run):
         pair.apply(step)
     pair.assert_trails_equal()
     pair.assert_counters_equal()
+
+
+_WIFI = Observation(
+    observation_id=1,
+    sensor_id="ap-1",
+    sensor_type="wifi_access_point",
+    timestamp=1.0,
+    space_id="b-1001",
+    payload={"mac": "aa:bb"},
+    subject_id="mary",
+)
+
+
+@given(
+    catalog_capture=st.booleans(),
+    policy_list=st.lists(policies, max_size=5),
+    preference_list=st.lists(preferences, max_size=5),
+    pool=st.lists(observations, min_size=1, max_size=4),
+    run=observation_runs,
+)
+# Query rows one key field away from a reading's, then the reading: a
+# lane key that drifted in that field would be served the wrong row.
+@example(
+    catalog_capture=True,
+    policy_list=[],
+    preference_list=[],
+    pool=[_WIFI],
+    run=[
+        ("request_like", (0, DecisionPhase.STORAGE, 5.0, edit))
+        for edit in REQUEST_EDITS[1:]
+    ]
+    + [("observe", (0, DecisionPhase.STORAGE, 6.0))],
+)
+def test_observation_lane(catalog_capture, policy_list, preference_list, pool, run):
+    """Capture-path enforcement: the compiled engine's observation lane
+    serves warm rows without building a DataRequest, and must return
+    the same observation (or raise the same error), audit the same
+    records and count the same decisions as the interpreter -- and keep
+    the same TableStats as the compiled engine without the lane.
+
+    A small pool of readings, each enforced at many timestamps, makes
+    a warm row meet a negative timestamp or a mutation that stales it.
+    ``catalog_capture`` adds the paper's two capture policies, so that
+    preferences degrade allowed readings rather than every reading
+    being denied for want of an authorizing policy."""
+    if catalog_capture:
+        policy_list = [
+            catalog.policy_1_comfort(["b-1001", "b-1002", "b-2001"]),
+            catalog.policy_2_emergency_location("b"),
+        ] + policy_list
+    pair = EnginePair(policies=policy_list, preferences=preference_list)
+    for op, payload in run:
+        if op == "observe":
+            index, phase, timestamp = payload
+            observation = dataclasses.replace(
+                pool[index % len(pool)], timestamp=timestamp
+            )
+            pair.enforce(observation, phase)
+        elif op == "request_like":
+            index, phase, timestamp, edit = payload
+            request = dataclasses.replace(
+                pair.reference.request_for_observation(pool[index % len(pool)], phase),
+                timestamp=timestamp,
+                **edit,
+            )
+            pair.decide(request)
+            pair.request_path.decide(request)
+        else:
+            pair.apply((op, payload))
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()
+    pair.assert_observation_lane_equal()
+
+
+@given(
+    observation=observations,
+    phase=st.sampled_from(list(DecisionPhase)),
+    timestamp=st.floats(0.0, 1e7),
+)
+def test_observation_key_is_the_request_key(observation, phase, timestamp):
+    """The lane probes with ``observation_key``; it must be the key the
+    request path computes for the same reading."""
+    engine = EnginePair().compiled
+    observation = dataclasses.replace(observation, timestamp=timestamp)
+    assert engine.observation_key(observation, phase) == _flat_key(
+        engine.request_for_observation(observation, phase)
+    )
+
+
+def _capture_pair(preference_list=()) -> EnginePair:
+    return EnginePair(
+        policies=[
+            catalog.policy_1_comfort(["b-1001", "b-1002", "b-2001"]),
+            catalog.policy_2_emergency_location("b"),
+        ],
+        preferences=list(preference_list),
+    )
+
+
+@given(
+    preference_list=st.lists(preferences, max_size=5),
+    pool=st.lists(observations, min_size=1, max_size=4),
+)
+def test_observation_lane_serves_warm_rows(preference_list, pool):
+    """After a warm-up pass, a reading builds a DataRequest exactly when
+    its key has no compiled row; the outcomes still match."""
+    pair = _capture_pair(preference_list)
+    readings = [
+        (observation, phase)
+        for observation in pool
+        for phase in (DecisionPhase.CAPTURE, DecisionPhase.STORAGE)
+    ]
+    for observation, phase in readings:
+        pair.enforce(dataclasses.replace(observation, timestamp=1.0), phase)
+    engine = pair.compiled
+    built = []
+    request_for_observation = engine.request_for_observation
+
+    def spy(observation, phase):
+        built.append(observation)
+        return request_for_observation(observation, phase)
+
+    engine.request_for_observation = spy
+    for observation, phase in readings:
+        warm = engine.observation_key(observation, phase) in engine._rows
+        before = len(built)
+        pair.enforce(dataclasses.replace(observation, timestamp=2.0), phase)
+        assert (len(built) == before) == warm
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()
+    pair.assert_observation_lane_equal()
+
+
+def test_warm_reading_builds_no_request():
+    """A warm wifi reading is served by the lane: with the request path
+    broken, it is still enforced, audited and counted as a hit."""
+    pair = _capture_pair()
+    reading = _WIFI
+    warm = pair.enforce(reading, DecisionPhase.STORAGE)
+    assert isinstance(warm, Observation)
+    engine = pair.compiled
+
+    def broken(observation, phase):
+        raise AssertionError("the request path ran for a warm reading")
+
+    engine.request_for_observation = broken
+    hits, trail = engine.stats.hits, len(engine.audit)
+    later = dataclasses.replace(reading, timestamp=2.0)
+    assert engine.enforce_observation(later, DecisionPhase.STORAGE) == (
+        pair.reference.enforce_observation(later, DecisionPhase.STORAGE)
+    )
+    assert engine.stats.hits == hits + 1
+    assert len(engine.audit) == trail + 1
+    assert list(engine.audit)[-1].timestamp == 2.0
 
 
 @given(

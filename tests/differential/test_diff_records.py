@@ -14,6 +14,9 @@ record type takes.  On every input:
   same bytes, or the same exception (a :class:`StorageError` for a
   non-finite float).
 
+WAL frames are checked against the reference framing,
+``crc32(prefix + payload)``.
+
 The example counts come from the profiles in ``conftest.py``; the
 ``@example``s pin one input per fallback.
 """
@@ -21,6 +24,8 @@ The example counts come from the profiles in ``conftest.py``; the
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from typing import Any, Callable, Dict, Union
 
 import pytest
@@ -32,6 +37,7 @@ from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.sensors.base import Observation
 from repro.storage import records
+from repro.storage.wal import decode_frame, encode_frame
 from repro.tippers.persistence import audit_record_to_dict
 
 Outcome = Union[bytes, tuple]
@@ -193,6 +199,7 @@ def _observation(**changes: Any) -> Observation:
 @example(_audit(category=None))
 @example(_audit(subject_id=3))
 @example(_audit(reasons=["as", "list"]))
+@example(_audit(reasons="as a str"))
 @example(_audit(reasons=("ok", 5)))
 @example(_audit(notify_user=1))
 @example(_audit(phase="sharing"))
@@ -241,3 +248,20 @@ def test_observation_template_matches_the_generic_encoder(observation):
         observation.timestamp
     ):
         assert outcome[0] is StorageError
+
+
+def reference_frame(lsn: int, payload: bytes) -> bytes:
+    prefix = struct.pack(">QI", lsn, len(payload))
+    return prefix + struct.pack(">I", zlib.crc32(prefix + payload)) + payload
+
+
+@given(st.integers(1, 2**64 - 1), st.binary(max_size=512))
+@example(1, b"")
+@example(2**64 - 1, b"\x00" * 13)
+def test_frame_matches_reference_and_round_trips(lsn, payload):
+    encoded = encode_frame(lsn, payload)
+    assert encoded == reference_frame(lsn, payload)
+    frame, next_offset, reason = decode_frame(b"junk" + encoded, 4)
+    assert reason == ""
+    assert (frame.lsn, frame.payload) == (lsn, payload)
+    assert next_offset == 4 + len(encoded)

@@ -10,6 +10,7 @@ from repro.core.language.vocabulary import (
     Purpose,
     sensitivity_of,
 )
+from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.errors import SchemaError
 
 
@@ -48,21 +49,28 @@ class TestDataCategory:
             DataCategory.from_string("favorite_color")
 
 
+#: Coarsest to finest.
+GRANULARITY_ORDER = [
+    GranularityLevel.NONE,
+    GranularityLevel.AGGREGATE,
+    GranularityLevel.BUILDING,
+    GranularityLevel.COARSE,
+    GranularityLevel.PRECISE,
+]
+
+
 class TestGranularityLevel:
     def test_rank_order(self):
-        ranks = [
-            GranularityLevel.NONE,
-            GranularityLevel.AGGREGATE,
-            GranularityLevel.BUILDING,
-            GranularityLevel.COARSE,
-            GranularityLevel.PRECISE,
-        ]
-        assert [g.rank for g in ranks] == [0, 1, 2, 3, 4]
+        assert [g.rank for g in GRANULARITY_ORDER] == [0, 1, 2, 3, 4]
+        assert sorted(GranularityLevel, key=lambda g: g.rank) == GRANULARITY_ORDER
 
     def test_at_most(self):
         assert GranularityLevel.COARSE.at_most(GranularityLevel.PRECISE)
         assert not GranularityLevel.PRECISE.at_most(GranularityLevel.COARSE)
         assert GranularityLevel.NONE.at_most(GranularityLevel.NONE)
+        for i, low in enumerate(GRANULARITY_ORDER):
+            for j, high in enumerate(GRANULARITY_ORDER):
+                assert low.at_most(high) is (i <= j)
 
     def test_minimum(self):
         assert (
@@ -101,3 +109,16 @@ class TestSensitivityOf:
         assert sensitivity_of(DataCategory.LOCATION) == pytest.approx(
             DATA_SENSITIVITY[DataCategory.LOCATION]
         )
+
+
+@pytest.mark.parametrize(
+    "vocabulary",
+    [Effect, DecisionPhase, RequesterKind, Purpose, DataCategory, GranularityLevel],
+)
+def test_vocabulary_members_hash_by_identity(vocabulary):
+    """Members compare by identity, so they may hash by it: dict probes
+    keyed by them (the compiled enforcement table) stay in C."""
+    assert vocabulary.__hash__ is object.__hash__
+    for member in vocabulary:
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[vocabulary(member.value)] == 1

@@ -11,6 +11,7 @@ from repro.sensors.base import Observation
 from repro.storage import durable, records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.recovery import replay_directory
+from repro.storage.wal import MAX_PAYLOAD_BYTES
 from repro.tippers.persistence import audit_record_to_dict
 
 
@@ -119,6 +120,17 @@ class TestStorageEngine:
             (records.AUDIT, audit_record_to_dict(record), 0),
             (records.OBS, observation.to_dict(), 1),
         ]
+        engine.close()
+
+    def test_oversized_record_reaches_no_tap(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        seen = []
+        engine.taps.append(lambda rt, data: seen.append(rt))
+        engine.log_observation(obs(1.0))
+        with pytest.raises(StorageError, match="exceeds frame limit"):
+            engine.log_compiled_table({"blob": "x" * MAX_PAYLOAD_BYTES})
+        assert seen == [records.OBS]  # no tap saw the unwritten record
+        assert engine.wal.next_lsn == 2  # no LSN was spent on it
         engine.close()
 
     def test_storage_metrics_emitted(self, tmp_path):
