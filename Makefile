@@ -32,7 +32,8 @@ bench-smoke:
 
 # Perf trajectory: the bench test suite, then a fresh ci-scale run
 # written to BENCH_PR.json (the CI artifact; never a baseline) and
-# gated against the last committed BENCH_<n>.json record.
+# gated against the last committed BENCH_<n>.json record: each timed
+# median within the two records' measured spread, each count exactly.
 bench:
 	$(PYTEST) -x -q tests/test_bench_schema.py tests/test_bench_cli.py
 	PYTHONPATH=src $(PYTHON) -m repro bench run --scale ci --out BENCH_PR.json

@@ -13,12 +13,14 @@ grows with scale.
 """
 
 import random
+import statistics
 
 from benchmarks.conftest import report
 from repro.bench.workloads import (
-    batched_p50_us,
+    REPEATS,
     build_engine,
     check_compiled,
+    compiled_speedup,
     linear_vs_index,
     make_requests,
 )
@@ -63,17 +65,15 @@ def _run_compiled_speedup():
     compiled, _ = build_engine(PolicyIndex, users, compiled=True)
     check_compiled(reference, compiled, requests)
 
-    reference_us = batched_p50_us(reference, requests, passes=7)
-    compiled_us = batched_p50_us(compiled, requests, passes=7)
-    speedup = reference_us / compiled_us
+    speedup = statistics.median(
+        compiled_speedup(reference, compiled, requests) for _ in range(REPEATS)
+    )
     stats = compiled.table_stats()
     report(
         "SCALE-1b: compiled decision tables (%d users, %d rules)"
         % (users, rules),
         [
-            "interpreter p50: %.2f us/op" % reference_us,
-            "compiled p50:    %.2f us/op" % compiled_us,
-            "speedup:         %.1fx" % speedup,
+            "speedup:         %.1fx (median of %d attempts)" % (speedup, REPEATS),
             "table: %d rows in %d shards, hit rate %.3f"
             % (stats["rows"], stats["shards"], stats["hit_rate"]),
         ],

@@ -42,7 +42,8 @@ bench run|record|compare
     prints (or writes) a schema-validated record; ``record`` appends it
     as the next ``BENCH_<n>.json`` on the trajectory; ``compare`` gates
     a fresh run (or a given candidate file) against the last committed
-    record with per-metric tolerances -- exit 0 on pass, 1 on
+    record (or ``--baseline``): timed medians within the two records'
+    own measured spread, counts exactly -- exit 0 on pass, 1 on
     regression, 2 when no baseline/usage error.
 soak [--populations CSV] [--seed N] [--ticks N] [--json] [--report-out PATH]
     The stepped-population capacity soak: find the max sustainable
@@ -459,53 +460,40 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    import json
+def _run_bench_suite(args: argparse.Namespace, label: str):
+    from repro import bench
 
+    return bench.run_suite(
+        scale=args.scale,
+        label=label,
+        progress=lambda name: print("running %s ..." % name, file=sys.stderr),
+    )
+
+
+def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro import bench
     from repro.errors import BenchError
 
     try:
-        record = bench.run_suite(
-            scale=args.scale,
-            label=args.label,
-            progress=lambda name: print("running %s ..." % name,
-                                        file=sys.stderr),
-        )
+        record = _run_bench_suite(args, args.label)
+        if args.out:
+            bench.write_record(record, args.out)
     except BenchError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
     if args.out:
-        try:
-            bench.write_record(record, args.out)
-        except BenchError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return 2
         print("record written to %s" % args.out)
-        return 0
-    if args.json:
+    elif args.json:
         sys.stdout.write(record.dumps())
     else:
-        for line in _bench_lines(record):
-            print(line)
+        print("bench record: scale=%s label=%s peak_rss_kb=%d"
+              % (record.scale, record.label or "-", record.peak_rss_kb))
+        for name, entry in sorted(record.benchmarks.items()):
+            print("  %-20s %s" % (name, " ".join(
+                "%s=%.4g~%.1f%%" % (metric, timed.median, 100.0 * timed.share)
+                for metric, timed in sorted(entry.timed.items())
+            )))
     return 0
-
-
-def _bench_lines(record) -> List[str]:
-    lines = [
-        "bench record: scale=%s label=%s peak_rss_kb=%d"
-        % (record.scale, record.label or "-", record.peak_rss_kb),
-    ]
-    for name, entry in sorted(record.benchmarks.items()):
-        latency = entry.decision_latency
-        lines.append(
-            "  %-22s p50=%-10.3fus p99=%-10.3fus throughput=%-12.1f/s "
-            "shed=%.4f brownout=%.4f wal=%dB"
-            % (name, latency.p50_us, latency.p99_us,
-               entry.ingest_throughput_per_s, entry.shed_rate,
-               entry.brownout_rate, entry.wal_bytes)
-        )
-    return lines
 
 
 def _cmd_bench_record(args: argparse.Namespace) -> int:
@@ -513,13 +501,9 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
     from repro.errors import BenchError
 
     try:
-        record = bench.run_suite(
-            scale=args.scale,
-            label=args.label,
-            progress=lambda name: print("running %s ..." % name,
-                                        file=sys.stderr),
+        numbered, path = bench.append_record(
+            _run_bench_suite(args, args.label), args.dir
         )
-        numbered, path = bench.append_record(record, args.dir)
     except BenchError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
@@ -545,18 +529,8 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         if args.candidate:
             candidate = bench.load_record(args.candidate)
         else:
-            candidate = bench.run_suite(
-                scale=args.scale,
-                label="compare-candidate",
-                progress=lambda name: print("running %s ..." % name,
-                                            file=sys.stderr),
-            )
-        tolerances = bench.Tolerances(
-            latency_factor=args.latency_tolerance,
-            throughput_factor=args.throughput_tolerance,
-            rate_slack=args.rate_slack,
-        )
-        report = bench.compare_records(baseline, candidate, tolerances)
+            candidate = _run_bench_suite(args, "compare-candidate")
+        report = bench.compare_records(baseline, candidate)
     except BenchError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
@@ -745,13 +719,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--scale", choices=("smoke", "ci", "full"), default="ci",
         help="scale for the fresh candidate run (default: ci)",
     )
-    bench_compare.add_argument("--latency-tolerance", type=float, default=3.0,
-                               help="max latency growth factor (default: 3)")
-    bench_compare.add_argument("--throughput-tolerance", type=float,
-                               default=3.0,
-                               help="max throughput shrink factor (default: 3)")
-    bench_compare.add_argument("--rate-slack", type=float, default=0.10,
-                               help="absolute shed/brownout slack (default: 0.1)")
     bench_compare.add_argument("--json", action="store_true",
                                help="print the comparison as JSON")
     bench_compare.set_defaults(func=_cmd_bench_compare)

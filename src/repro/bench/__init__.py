@@ -9,14 +9,13 @@ Quick start::
     report = bench.compare_records(bench.latest_record("."), record)
     assert report.ok, report.lines()
 
-See ``docs/BENCHMARKS.md`` for the trajectory workflow and tolerance
-policy, and ``python -m repro bench --help`` for the CLI.
+See ``docs/BENCHMARKS.md`` for the trajectory workflow and the
+comparison rules, and ``python -m repro bench --help`` for the CLI.
 """
 
 from repro.bench.compare import (
     ComparisonReport,
     MetricVerdict,
-    Tolerances,
     compare_records,
 )
 from repro.bench.runner import (
@@ -32,11 +31,9 @@ from repro.bench.runner import (
 from repro.bench.schema import (
     BENCH_SCHEMA_VERSION,
     BENCHMARK_NAMES,
-    OPTIONAL_BENCHMARK_NAMES,
-    REQUIRED_BENCHMARK_NAMES,
     BenchmarkEntry,
     BenchRecord,
-    LatencySummary,
+    Timed,
 )
 from repro.bench.workloads import SCALES, ScalePreset, resolve_scale
 
@@ -46,13 +43,10 @@ __all__ = [
     "BenchRecord",
     "BenchmarkEntry",
     "ComparisonReport",
-    "LatencySummary",
     "MetricVerdict",
-    "OPTIONAL_BENCHMARK_NAMES",
-    "REQUIRED_BENCHMARK_NAMES",
     "SCALES",
     "ScalePreset",
-    "Tolerances",
+    "Timed",
     "append_record",
     "compare_records",
     "latest_record",

@@ -1,16 +1,15 @@
 """Gate a candidate bench record against a committed baseline.
 
-The comparison is per-metric with direction-aware tolerances:
+One rule per kind of number, and no knobs:
 
-- **Latency** (p50/p99 decision latency) may grow by at most
-  ``latency_factor``; a floor (``latency_floor_us``) keeps sub-
-  microsecond jitter from failing builds on noisy CI machines.
-- **Throughput** may shrink by at most ``throughput_factor``.
-- **Rates** (shed/brownout) are deterministic per seed, so they get an
-  absolute slack, not a factor.
-- **WAL bytes** may grow by at most ``wal_factor`` (plus a fixed slack
-  for segment-boundary wobble), and must not silently drop to zero.
-- **Peak RSS** may grow by at most ``rss_factor``.
+- **Timed** medians regress when the candidate is worse than the
+  baseline by more than ``SPREAD_FACTOR`` times the two records' IQR
+  shares, added in quadrature: each record's own measured spread sets
+  how much movement is noise.  Lower is better, except for
+  ``*_speedup`` ratios.
+- **Counted** numbers are seeded, so any change at all is a regression.
+- **Peak RSS** may grow by at most ``RSS_BOUND``.
+- ``compiled_speedup`` must stay at or above ``COMPILED_SPEEDUP_FLOOR``.
 
 ``compare_records`` never raises on a regression -- it returns a report
 whose ``ok`` drives the CLI exit code (0 pass, 1 regression), keeping
@@ -19,32 +18,23 @@ the CI gate's contract explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List
 
 from repro.bench.schema import BenchRecord
 
-#: Below this many microseconds, latency differences are noise.
-DEFAULT_LATENCY_FLOOR_US = 100.0
+#: A timed median may be worse than the baseline's by this many times
+#: the two records' IQR shares, added in quadrature.
+SPREAD_FACTOR = 2.5
 
+#: Peak RSS may grow by this share (``BENCHMARK.json``'s ``peak_rss_mb``
+#: bound).
+RSS_BOUND = 0.10
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Per-metric regression tolerances (see module docstring)."""
-
-    latency_factor: float = 3.0
-    throughput_factor: float = 3.0
-    rate_slack: float = 0.10
-    wal_factor: float = 1.5
-    wal_slack_bytes: int = 65536
-    rss_factor: float = 3.0
-    latency_floor_us: float = DEFAULT_LATENCY_FLOOR_US
-    #: Candidates that measure compiled enforcement must keep the
-    #: compiled-vs-interpreter speedup at least this high.  The PR that
-    #: introduced the tables landed >= 10x (see docs/BENCHMARKS.md);
-    #: the floor sits below that so scheduler noise on shared CI boxes
-    #: cannot fail a build that did not regress the engine.
-    compiled_speedup_floor: float = 8.0
+#: Compiled enforcement must stay at least this many times faster than
+#: the interpreter.  The tables landed at >= 10x (``BENCH_0002``).
+COMPILED_SPEEDUP_FLOOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,7 @@ class MetricVerdict:
 
     def line(self) -> str:
         status = "ok        " if self.ok else "REGRESSED "
-        return "%s %-24s %-28s baseline=%-12.6g candidate=%-12.6g limit=%.6g%s" % (
+        return "%s %-20s %-32s baseline=%-12.6g candidate=%-12.6g limit=%.6g%s" % (
             status,
             self.benchmark,
             self.metric,
@@ -106,70 +96,21 @@ class ComparisonReport:
             "baseline_id": self.baseline_id,
             "candidate_label": self.candidate_label,
             "ok": self.ok,
-            "verdicts": [
-                {
-                    "benchmark": v.benchmark,
-                    "metric": v.metric,
-                    "baseline": v.baseline,
-                    "candidate": v.candidate,
-                    "limit": v.limit,
-                    "ok": v.ok,
-                    "detail": v.detail,
-                }
-                for v in self.verdicts
-            ],
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
 
+    def check(self, benchmark: str, metric: str, baseline: float,
+              candidate: float, limit: float, ok: bool, detail: str) -> None:
+        self.verdicts.append(MetricVerdict(
+            benchmark, metric, baseline, candidate, limit, ok, detail
+        ))
 
-def _upper_bound(
-    report: ComparisonReport,
-    benchmark: str,
-    metric: str,
-    baseline: float,
-    candidate: float,
-    limit: float,
-    detail: str = "",
-) -> None:
-    report.verdicts.append(
-        MetricVerdict(
-            benchmark=benchmark,
-            metric=metric,
-            baseline=baseline,
-            candidate=candidate,
-            limit=limit,
-            ok=candidate <= limit,
-            detail=detail,
-        )
-    )
+    def missing(self, benchmark: str, metric: str) -> None:
+        self.check(benchmark, metric, 1.0, 0.0, 1.0, False,
+                   "%s missing from candidate" % metric)
 
 
-def _lower_bound(
-    report: ComparisonReport,
-    benchmark: str,
-    metric: str,
-    baseline: float,
-    candidate: float,
-    limit: float,
-    detail: str = "",
-) -> None:
-    report.verdicts.append(
-        MetricVerdict(
-            benchmark=benchmark,
-            metric=metric,
-            baseline=baseline,
-            candidate=candidate,
-            limit=limit,
-            ok=candidate >= limit,
-            detail=detail,
-        )
-    )
-
-
-def compare_records(
-    baseline: BenchRecord,
-    candidate: BenchRecord,
-    tolerances: Tolerances = Tolerances(),
-) -> ComparisonReport:
+def compare_records(baseline: BenchRecord, candidate: BenchRecord) -> ComparisonReport:
     """Every baseline metric checked against ``candidate``."""
     report = ComparisonReport(
         baseline_id=baseline.record_id,
@@ -178,81 +119,39 @@ def compare_records(
     for name, base in sorted(baseline.benchmarks.items()):
         cand = candidate.benchmarks.get(name)
         if cand is None:
-            report.verdicts.append(
-                MetricVerdict(
-                    benchmark=name,
-                    metric="present",
-                    baseline=1.0,
-                    candidate=0.0,
-                    limit=1.0,
-                    ok=False,
-                    detail="benchmark missing from candidate",
-                )
-            )
+            report.missing(name, "benchmark")
             continue
-        for which in ("p50_us", "p99_us"):
-            base_value = getattr(base.decision_latency, which)
-            cand_value = getattr(cand.decision_latency, which)
-            limit = max(
-                base_value * tolerances.latency_factor,
-                tolerances.latency_floor_us,
-            )
-            _upper_bound(
-                report, name, "decision_latency.%s" % which,
-                base_value, cand_value, limit,
-                detail="factor %g, floor %gus"
-                % (tolerances.latency_factor, tolerances.latency_floor_us),
-            )
-        _lower_bound(
-            report, name, "ingest_throughput_per_s",
-            base.ingest_throughput_per_s,
-            cand.ingest_throughput_per_s,
-            base.ingest_throughput_per_s / tolerances.throughput_factor,
-            detail="factor %g" % tolerances.throughput_factor,
-        )
-        for rate_name in ("shed_rate", "brownout_rate"):
-            base_rate = getattr(base, rate_name)
-            cand_rate = getattr(cand, rate_name)
-            _upper_bound(
-                report, name, "%s.delta" % rate_name,
-                base_rate, cand_rate,
-                base_rate + tolerances.rate_slack,
-                detail="abs slack %g" % tolerances.rate_slack,
-            )
-        cand_speedup = cand.extra.get("compiled_speedup")
-        if cand_speedup is not None:
-            # Fires only when the candidate measured the compiled path
-            # (older baselines predate the metric, so absence there
-            # falls back to the absolute floor).
-            base_speedup = base.extra.get("compiled_speedup", 0.0)
-            floor = tolerances.compiled_speedup_floor
-            if base_speedup:
-                floor = max(
-                    floor, base_speedup / tolerances.throughput_factor
-                )
-            _lower_bound(
-                report, name, "extra.compiled_speedup",
-                base_speedup, cand_speedup, floor,
-                detail="floor %gx" % tolerances.compiled_speedup_floor,
-            )
-        if base.wal_bytes:
-            _upper_bound(
-                report, name, "wal_bytes",
-                float(base.wal_bytes), float(cand.wal_bytes),
-                base.wal_bytes * tolerances.wal_factor
-                + tolerances.wal_slack_bytes,
-                detail="factor %g" % tolerances.wal_factor,
-            )
-            _lower_bound(
-                report, name, "wal_bytes.nonzero",
-                float(base.wal_bytes), float(cand.wal_bytes), 1.0,
-                detail="durability must not silently vanish",
-            )
-    if baseline.peak_rss_kb:
-        _upper_bound(
-            report, "<record>", "peak_rss_kb",
-            float(baseline.peak_rss_kb), float(candidate.peak_rss_kb),
-            baseline.peak_rss_kb * tolerances.rss_factor,
-            detail="factor %g" % tolerances.rss_factor,
-        )
+        for metric, base_timed in sorted(base.timed.items()):
+            cand_timed = cand.timed.get(metric)
+            if cand_timed is None:
+                report.missing(name, "timed." + metric)
+                continue
+            tolerance = SPREAD_FACTOR * math.hypot(base_timed.share, cand_timed.share)
+            if metric.endswith("_speedup"):
+                limit = base_timed.median / (1.0 + tolerance)
+                ok = cand_timed.median >= limit
+            else:
+                limit = base_timed.median * (1.0 + tolerance)
+                ok = cand_timed.median <= limit
+            report.check(name, "timed." + metric, base_timed.median,
+                         cand_timed.median, limit, ok,
+                         "tolerance %.1f%%" % (100.0 * tolerance))
+        for metric, base_count in sorted(base.counted.items()):
+            if metric not in cand.counted:
+                report.missing(name, "counted." + metric)
+                continue
+            report.check(name, "counted." + metric, base_count,
+                         cand.counted[metric], base_count,
+                         cand.counted[metric] == base_count, "exact")
+        speedup = cand.timed.get("compiled_speedup")
+        if speedup is not None:
+            report.check(name, "compiled_speedup.floor", COMPILED_SPEEDUP_FLOOR,
+                         speedup.median, COMPILED_SPEEDUP_FLOOR,
+                         speedup.median >= COMPILED_SPEEDUP_FLOOR,
+                         "floor %gx" % COMPILED_SPEEDUP_FLOOR)
+    limit = baseline.peak_rss_kb * (1.0 + RSS_BOUND)
+    report.check("<record>", "peak_rss_kb", baseline.peak_rss_kb,
+                 candidate.peak_rss_kb, limit,
+                 candidate.peak_rss_kb <= limit,
+                 "bound %g%%" % (100.0 * RSS_BOUND))
     return report

@@ -14,8 +14,8 @@ import os
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.schema import BenchRecord, BENCH_SCHEMA_VERSION
-from repro.bench.workloads import WORKLOADS, resolve_scale
+from repro.bench.schema import BENCH_SCHEMA_VERSION, BenchmarkEntry, BenchRecord, Timed
+from repro.bench.workloads import REPEATS, WORKLOADS, resolve_scale, run_once
 from repro.errors import BenchError
 
 #: The trajectory filename shape; the 4-digit group is the record id.
@@ -47,22 +47,39 @@ def run_suite(
 ) -> BenchRecord:
     """Run every workload at ``scale`` and assemble a validated record.
 
-    ``progress`` (optional) is called with each benchmark name before
-    it runs, so the CLI can narrate long suites.
+    The suite runs ``REPEATS`` rounds, each of every workload once, so a
+    workload's repeats are spread over the whole run instead of taken
+    back to back, and their spread sees more of the machine's drift.
+    ``progress`` (optional) is
+    called with each workload's name before it runs, so the CLI can
+    narrate long suites.
     """
     preset = resolve_scale(scale)
-    benchmarks = {}
-    for name, workload in WORKLOADS:
-        if progress is not None:
-            progress(name)
-        benchmarks[name] = workload(preset)
+    samples: Dict[str, Dict[str, List[float]]] = {name: {} for name, _ in WORKLOADS}
+    counted: Dict[str, Dict[str, float]] = {}
+    for repeat in range(1, REPEATS + 1):
+        for name, workload in WORKLOADS:
+            if progress is not None:
+                progress("%s (repeat %d/%d)" % (name, repeat, REPEATS))
+            timed, counts = run_once(workload, preset)
+            if counted.setdefault(name, counts) != counts:
+                raise BenchError("%s counted differently on repeat %d" % (name, repeat))
+            for metric, value in timed.items():
+                samples[name].setdefault(metric, []).append(value)
     record = BenchRecord(
         version=BENCH_SCHEMA_VERSION,
         record_id=record_id,
         scale=preset.name,
         label=label,
         peak_rss_kb=peak_rss_kb(),
-        benchmarks=benchmarks,
+        benchmarks={
+            name: BenchmarkEntry(
+                name=name,
+                timed={metric: Timed.of(values) for metric, values in timed.items()},
+                counted=counted[name],
+            )
+            for name, timed in samples.items()
+        },
     )
     record.validate()
     return record

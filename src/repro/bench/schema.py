@@ -1,18 +1,25 @@
 """The versioned ``BENCH_<n>.json`` record schema.
 
 One record is one run of the scale-benchmark suite (the library twins
-of ``benchmarks/test_scale_*``): per-benchmark p50/p99 decision latency
-and ingest throughput, the overload shed/brownout rates, WAL bytes, and
-the process peak RSS.  Records are committed to the repo as
-``BENCH_0001.json``, ``BENCH_0002.json``, ... -- the recorded perf
-trajectory future PRs must not regress (see ``docs/BENCHMARKS.md``).
+of ``benchmarks/test_scale_*``).  Each benchmark entry holds two maps:
+
+- ``timed``: name -> ``{median, iqr}`` over the suite's fixed number of
+  repeats.  Values are probe-normalized microseconds per op, or ratios
+  of two such times taken in the same run (``*_speedup``, higher is
+  better).
+- ``counted``: name -> number.  Rates, WAL bytes and the workload's
+  counts; each is seeded, so every repeat and every run agrees exactly.
+
+Records are committed to the repo as ``BENCH_0001.json``, ... -- the
+recorded perf trajectory (see ``docs/BENCHMARKS.md``).  Only records of
+the current version are loaded; older ones stay in the repo as history.
 
 Design constraints:
 
 - **Versioned and validated.**  ``BENCH_SCHEMA_VERSION`` is checked
-  before anything else; a record from a newer build is rejected, never
-  misread.  Every numeric field is validated on load *and* dump --
-  NaN, infinities, and negative latencies cannot enter the trajectory.
+  before anything else; a record from another build is rejected, never
+  misread.  Every number is validated on load *and* dump -- NaN,
+  infinities and negative values cannot enter the trajectory.
 - **Deterministic serialization.**  ``dumps`` is sorted-key indented
   JSON with a trailing newline, so records diff cleanly in review.
 - **Stdlib only**, like the rest of the tree.
@@ -22,37 +29,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+import statistics
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.errors import BenchError
 
 #: Bump when the record shape changes; ``from_dict`` rejects others.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
-#: Every record must carry at least these benchmarks -- the library
-#: twins of the ``benchmarks/test_scale_*`` suite, in SCALE order.
-REQUIRED_BENCHMARK_NAMES: Tuple[str, ...] = (
+#: Every record carries exactly these benchmarks -- the library twins
+#: of the ``benchmarks/test_scale_*`` suite, in SCALE order.
+BENCHMARK_NAMES: Tuple[str, ...] = (
     "scale_enforcement",
     "scale_ingest",
     "scale_notifications",
     "scale_week",
     "scale_overload",
-)
-
-#: Benchmarks that joined the suite after records were already
-#: committed.  They are validated and compared like any other entry
-#: when present, but records that predate them stay loadable -- the
-#: trajectory is append-only, so the schema cannot retroactively
-#: require what BENCH_0001 could not have measured.
-OPTIONAL_BENCHMARK_NAMES: Tuple[str, ...] = (
     "scale_federate",
     "scale_rebalance",
-)
-
-#: Every benchmark name this build understands, in SCALE order.
-BENCHMARK_NAMES: Tuple[str, ...] = (
-    REQUIRED_BENCHMARK_NAMES + OPTIONAL_BENCHMARK_NAMES
 )
 
 
@@ -61,16 +56,15 @@ def _require(condition: bool, message: str) -> None:
         raise BenchError(message)
 
 
-def _finite(value: Any, name: str, minimum: float = 0.0) -> float:
-    """``value`` as a float, rejecting NaN/inf/below-minimum."""
+def _finite(value: Any, name: str) -> float:
+    """``value`` as a float, rejecting NaN, infinities and negatives."""
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         "%s must be a number, got %r" % (name, value),
     )
-    number = float(value)
-    _require(math.isfinite(number), "%s must be finite, got %r" % (name, value))
-    _require(number >= minimum, "%s must be >= %g, got %g" % (name, minimum, number))
-    return number
+    _require(math.isfinite(value), "%s must be finite, got %r" % (name, value))
+    _require(value >= 0, "%s must be >= 0, got %g" % (name, value))
+    return value
 
 
 def _non_negative_int(value: Any, name: str) -> int:
@@ -82,53 +76,39 @@ def _non_negative_int(value: Any, name: str) -> int:
     return value
 
 
+def _mapping(value: Any, name: str) -> Mapping[str, Any]:
+    _require(isinstance(value, Mapping), "%s must be an object" % name)
+    for key in value:
+        _require(
+            isinstance(key, str) and bool(key),
+            "%s keys must be non-empty strings" % name,
+        )
+    return value
+
+
 @dataclass(frozen=True)
-class LatencySummary:
-    """p50/p99 (plus mean/max) of one latency distribution, microseconds."""
+class Timed:
+    """The median and interquartile range of one timed metric's repeats."""
 
-    p50_us: float
-    p99_us: float
-    mean_us: float
-    max_us: float
-    count: int
-
-    def validate(self, context: str) -> None:
-        for name in ("p50_us", "p99_us", "mean_us", "max_us"):
-            _finite(getattr(self, name), "%s.%s" % (context, name))
-        _non_negative_int(self.count, "%s.count" % context)
-        _require(self.count >= 1, "%s.count must be >= 1" % context)
-        _require(
-            self.p50_us <= self.p99_us,
-            "%s: p50 (%g) exceeds p99 (%g)" % (context, self.p50_us, self.p99_us),
-        )
-        _require(
-            self.p99_us <= self.max_us,
-            "%s: p99 (%g) exceeds max (%g)" % (context, self.p99_us, self.max_us),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
-            "mean_us": self.mean_us,
-            "max_us": self.max_us,
-            "count": self.count,
-        }
+    median: float
+    iqr: float
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any], context: str) -> "LatencySummary":
-        _require(isinstance(data, Mapping), "%s must be an object" % context)
-        for key in ("p50_us", "p99_us", "mean_us", "max_us", "count"):
-            _require(key in data, "%s is missing %r" % (context, key))
-        summary = cls(
-            p50_us=_finite(data["p50_us"], "%s.p50_us" % context),
-            p99_us=_finite(data["p99_us"], "%s.p99_us" % context),
-            mean_us=_finite(data["mean_us"], "%s.mean_us" % context),
-            max_us=_finite(data["max_us"], "%s.max_us" % context),
-            count=_non_negative_int(data["count"], "%s.count" % context),
+    def of(cls, samples: Sequence[float]) -> "Timed":
+        q1, median, q3 = statistics.quantiles(samples, n=4)
+        return cls(median=median, iqr=q3 - q1)
+
+    @property
+    def share(self) -> float:
+        """The spread as a share of the median."""
+        return self.iqr / self.median
+
+    def validate(self, context: str) -> None:
+        _require(
+            _finite(self.median, "%s.median" % context) > 0,
+            "%s.median must be > 0" % context,
         )
-        summary.validate(context)
-        return summary
+        _finite(self.iqr, "%s.iqr" % context)
 
 
 @dataclass(frozen=True)
@@ -136,46 +116,30 @@ class BenchmarkEntry:
     """One benchmark's metrics inside a record."""
 
     name: str
-    decision_latency: LatencySummary
-    ingest_throughput_per_s: float
-    shed_rate: float = 0.0
-    brownout_rate: float = 0.0
-    wal_bytes: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
+    timed: Dict[str, Timed]
+    counted: Dict[str, float]
 
     def validate(self) -> None:
         context = "benchmarks[%s]" % self.name
         _require(bool(self.name), "benchmark name must be non-empty")
-        self.decision_latency.validate("%s.decision_latency" % context)
-        throughput = _finite(
-            self.ingest_throughput_per_s, "%s.ingest_throughput_per_s" % context
-        )
-        _require(
-            throughput > 0.0,
-            "%s.ingest_throughput_per_s must be > 0" % context,
-        )
-        for rate_name in ("shed_rate", "brownout_rate"):
-            rate = _finite(getattr(self, rate_name), "%s.%s" % (context, rate_name))
-            _require(
-                rate <= 1.0, "%s.%s must be <= 1, got %g" % (context, rate_name, rate)
-            )
-        _non_negative_int(self.wal_bytes, "%s.wal_bytes" % context)
-        for key, value in self.extra.items():
-            _require(
-                isinstance(key, str) and bool(key),
-                "%s.extra keys must be non-empty strings" % context,
-            )
-            _finite(value, "%s.extra[%s]" % (context, key), minimum=-math.inf)
+        _require(bool(self.timed), "%s times nothing" % context)
+        for key, value in _mapping(self.timed, context + ".timed").items():
+            value.validate("%s.timed[%s]" % (context, key))
+        for key, value in _mapping(self.counted, context + ".counted").items():
+            _finite(value, "%s.counted[%s]" % (context, key))
+            if key.endswith("_rate"):
+                _require(
+                    value <= 1, "%s.counted[%s] must be <= 1" % (context, key)
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
-            "decision_latency": self.decision_latency.to_dict(),
-            "ingest_throughput_per_s": self.ingest_throughput_per_s,
-            "shed_rate": self.shed_rate,
-            "brownout_rate": self.brownout_rate,
-            "wal_bytes": self.wal_bytes,
-            "extra": dict(sorted(self.extra.items())),
+            "timed": {
+                key: {"median": value.median, "iqr": value.iqr}
+                for key, value in sorted(self.timed.items())
+            },
+            "counted": dict(sorted(self.counted.items())),
         }
 
     @classmethod
@@ -186,29 +150,18 @@ class BenchmarkEntry:
             data.get("name") == name,
             "%s: entry name %r disagrees with its key" % (context, data.get("name")),
         )
-        for key in ("decision_latency", "ingest_throughput_per_s"):
-            _require(key in data, "%s is missing %r" % (context, key))
-        extra_raw = data.get("extra", {})
-        _require(
-            isinstance(extra_raw, Mapping), "%s.extra must be an object" % context
-        )
+        timed = {}
+        for key, value in _mapping(data.get("timed"), context + ".timed").items():
+            value = _mapping(value, "%s.timed[%s]" % (context, key))
+            _require(
+                "median" in value and "iqr" in value,
+                "%s.timed[%s] needs a median and an iqr" % (context, key),
+            )
+            timed[key] = Timed(median=value["median"], iqr=value["iqr"])
         entry = cls(
             name=name,
-            decision_latency=LatencySummary.from_dict(
-                data["decision_latency"], "%s.decision_latency" % context
-            ),
-            ingest_throughput_per_s=_finite(
-                data["ingest_throughput_per_s"],
-                "%s.ingest_throughput_per_s" % context,
-            ),
-            shed_rate=_finite(data.get("shed_rate", 0.0), "%s.shed_rate" % context),
-            brownout_rate=_finite(
-                data.get("brownout_rate", 0.0), "%s.brownout_rate" % context
-            ),
-            wal_bytes=_non_negative_int(
-                data.get("wal_bytes", 0), "%s.wal_bytes" % context
-            ),
-            extra={str(k): float(v) for k, v in extra_raw.items()},
+            timed=timed,
+            counted=dict(_mapping(data.get("counted"), context + ".counted")),
         )
         entry.validate()
         return entry
@@ -226,16 +179,12 @@ class BenchRecord:
     benchmarks: Dict[str, BenchmarkEntry]
 
     def validate(self) -> None:
-        _require(
-            self.version == BENCH_SCHEMA_VERSION,
-            "unknown bench record version %r (this build understands %d)"
-            % (self.version, BENCH_SCHEMA_VERSION),
-        )
+        _check_version(self.version)
         _non_negative_int(self.record_id, "record_id")
         _require(bool(self.scale), "scale must be a non-empty string")
         _require(isinstance(self.label, str), "label must be a string")
         _non_negative_int(self.peak_rss_kb, "peak_rss_kb")
-        missing = [n for n in REQUIRED_BENCHMARK_NAMES if n not in self.benchmarks]
+        missing = [n for n in BENCHMARK_NAMES if n not in self.benchmarks]
         _require(not missing, "record is missing benchmarks: %s" % ", ".join(missing))
         unknown = [n for n in self.benchmarks if n not in BENCHMARK_NAMES]
         _require(not unknown, "record has unknown benchmarks: %s" % ", ".join(unknown))
@@ -255,9 +204,7 @@ class BenchRecord:
             "label": self.label,
             "peak_rss_kb": self.peak_rss_kb,
             "benchmarks": {
-                name: self.benchmarks[name].to_dict()
-                for name in BENCHMARK_NAMES
-                if name in self.benchmarks
+                name: self.benchmarks[name].to_dict() for name in BENCHMARK_NAMES
             },
         }
 
@@ -266,12 +213,7 @@ class BenchRecord:
         _require(isinstance(data, Mapping), "bench record must be a JSON object")
         # Version gate first: nothing else is interpreted before it.
         _require("version" in data, "bench record is missing 'version'")
-        version = data["version"]
-        _require(
-            version == BENCH_SCHEMA_VERSION,
-            "unknown bench record version %r (this build understands %d)"
-            % (version, BENCH_SCHEMA_VERSION),
-        )
+        _check_version(data["version"])
         for key in ("record_id", "scale", "benchmarks"):
             _require(key in data, "bench record is missing %r" % key)
         benchmarks_raw = data["benchmarks"]
@@ -280,7 +222,7 @@ class BenchRecord:
             "bench record 'benchmarks' must be an object",
         )
         record = cls(
-            version=version,
+            version=data["version"],
             record_id=_non_negative_int(data["record_id"], "record_id"),
             scale=str(data["scale"]),
             label=str(data.get("label", "")),
@@ -306,3 +248,11 @@ class BenchRecord:
         except ValueError as error:
             raise BenchError("bench record is not valid JSON: %s" % error)
         return cls.from_dict(data)
+
+
+def _check_version(version: Any) -> None:
+    _require(
+        type(version) is int and version == BENCH_SCHEMA_VERSION,
+        "unknown bench record version %r (this build understands %d)"
+        % (version, BENCH_SCHEMA_VERSION),
+    )

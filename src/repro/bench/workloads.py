@@ -4,38 +4,36 @@ Every SCALE benchmark has one body here.  The ``benchmarks/test_scale_*``
 pytest suite (and the ABL-2/ABL-3 ablations) are thin wrappers: they
 call the builders below, print their report rows and keep their shape
 assertions.  The ``run_scale_*`` workloads drive the same builders
-directly (no pytest) under a fresh :class:`~repro.obs.MetricsRegistry`,
-so their latency histograms can be exported per benchmark into the
-``BENCH_<n>.json`` trajectory instead of smeared into one session-wide
-``REPRO_METRICS_OUT`` snapshot.  Decision latency comes from the obs
-layer's ``enforcement_decide_seconds`` histogram wherever the workload
-drives the enforcement engine; the notification sweep times its
-accept/ignore decision directly (it is the decision on that path).
+directly (no pytest) and export one ``BENCH_<n>.json`` entry each.
+
+Every timed number is the median of ``REPEATS`` repeats, stored with
+their interquartile range; each repeat's time is normalized to a
+reference machine speed by a probe run between slices of the timed
+loop (:func:`probed_s`).  Every counted number (rates, WAL bytes,
+workload counts) is seeded: each repeat runs in a sealed world (fresh
+metrics registry, observation ids from 1), so the counts of a repeat,
+and of a run, do not depend on what ran before it.
 
 The in-run equivalence checks live in the same bodies, so both paths
 run them: the index decides like the linear scan, the compiled engine
 decides like the interpreter, and its table counters account for every
 decision.  A failed check raises :class:`~repro.errors.BenchError`.
-
-Wall-clock numbers here are intentionally *not* deterministic -- that
-is what the per-metric tolerances in :mod:`repro.bench.compare` are
-for.  The deterministic counterpart is the capacity soak harness in
-:mod:`repro.simulation.longrun`.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import random
 import statistics
 import tempfile
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.bench.schema import BenchmarkEntry, LatencySummary
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
@@ -47,7 +45,7 @@ from repro.errors import BenchError
 from repro.iota.notifications import NotificationManager
 from repro.iota.personas import PERSONAS, generate_decisions
 from repro.iota.preference_model import DataPractice, PreferenceModel
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NullTracer
 from repro.simulation.dbh import BUILDING_ID, make_dbh_tippers
 from repro.simulation.federate import run_federate_scenario
@@ -57,6 +55,7 @@ from repro.simulation.longrun import run_week
 from repro.simulation.mobility import BuildingWorld
 from repro.simulation.overload import run_overload_scenario
 from repro.simulation.rebalance import run_rebalance_scenario
+from repro.sensors.base import scoped_observation_ids
 from repro.spatial.model import SpaceType, build_simple_building
 from repro.storage.durable import StorageEngine
 from repro.tippers.bms import TIPPERS
@@ -93,7 +92,7 @@ SCALES: Dict[str, ScalePreset] = {
         ScalePreset(
             name="smoke",
             enforcement_users=50, enforcement_requests=400,
-            linear_users=50, linear_requests=100,
+            linear_users=50, linear_requests=300,
             ingest_population=6, ingest_ticks=2,
             notification_repeats=3,
             week_days=1, week_population=6, week_ticks_per_day=4,
@@ -137,35 +136,112 @@ def resolve_scale(name: str) -> ScalePreset:
     return preset
 
 
-@contextmanager
-def _scoped_registry() -> Iterator[MetricsRegistry]:
-    """A fresh default registry (and a null tracer) for one workload."""
+# ----------------------------------------------------------------------
+# Probe-normalized timing
+# ----------------------------------------------------------------------
+#: Every timed metric is the median of this many repeats, stored with
+#: their interquartile range.
+REPEATS = 5
+
+#: A timed loop stops for a speed probe after this much op time.
+SLICE_S = 0.02
+
+#: How long one speed probe runs.
+PROBE_S = 0.002
+
+#: Probe units per second on the reference machine, as in ``perf/``.
+REFERENCE_PROBE_RATE = 7500.0
+
+_PROBE_DOCUMENT = {"a": [1, 2, 3, {"b": "text" * 5}], "c": 1.5, "d": {"e": None, "f": True}}
+
+
+class _ProbeItem:
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: str, value: int) -> None:
+        self.key = key
+        self.value = value
+
+
+def _probe_unit() -> None:
+    table = {}
+    for index in range(300):
+        item = _ProbeItem(str(index), index)
+        table[item.key] = item.value
+    json.loads(json.dumps(_PROBE_DOCUMENT))
+    sorted(table.items())
+
+
+def machine_speed() -> float:
+    """The machine's speed now, as a share of the reference speed.
+
+    The probe is a fixed piece of interpreter work that touches nothing
+    of the program, run for ``PROBE_S``.  It is a copy of
+    ``perf/run.py``'s ``machine_speed`` (the package cannot import
+    ``perf/``).
+    """
+    clock = time.perf_counter
+    gc.disable()  # the program's heap must not slow the probe
+    try:
+        units = 0
+        start = clock()
+        while True:
+            _probe_unit()
+            units += 1
+            elapsed = clock() - start
+            if elapsed >= PROBE_S:
+                return units / elapsed / REFERENCE_PROBE_RATE
+    finally:
+        gc.enable()
+
+
+def probed_s(ops: Iterable[Callable[[], Any]]) -> float:
+    """Seconds ``ops`` take, run one after another, at the reference
+    machine speed.
+
+    A shared machine's speed drifts by tens of percent within seconds.
+    The speed is probed before the first op and again after every
+    ``SLICE_S`` of op time, and each slice's time is scaled by the mean
+    speed of the two probes around it: a slower machine slows the slice
+    and its probes alike, and cancels; a slower program does not.
+    """
+    clock = time.perf_counter
+    total = pending = 0.0
+    before = machine_speed()
+    for op in ops:
+        start = clock()
+        op()
+        pending += clock() - start
+        if pending >= SLICE_S:
+            after = machine_speed()
+            total += pending * (before + after) / 2
+            before, pending = after, 0.0
+    if pending:
+        total += pending * (before + machine_speed()) / 2
+    return total
+
+
+#: One repeat of a workload: its timed values and its counts.
+Repeat = Tuple[Dict[str, float], Dict[str, float]]
+
+
+def run_once(
+    workload: Callable[[ScalePreset, MetricsRegistry], Repeat], scale: ScalePreset
+) -> Repeat:
+    """One repeat of ``workload`` in a sealed world: a collected heap, a
+    fresh default registry, a null tracer, and observation ids counted
+    from 1, so what it counts does not depend on what ran before it in
+    the process."""
+    gc.collect()
     registry = MetricsRegistry()
     previous_registry = obs.set_registry(registry)
     previous_tracer = obs.set_tracer(NullTracer())
     try:
-        yield registry
+        with scoped_observation_ids():
+            return workload(scale, registry)
     finally:
         obs.set_registry(previous_registry)
         obs.set_tracer(previous_tracer)
-
-
-def _latency_summary(histogram: Optional[Histogram], context: str) -> LatencySummary:
-    """``histogram`` (seconds) exported as a microsecond summary."""
-    if histogram is None or histogram.count == 0:
-        raise BenchError("workload %s produced no latency samples" % context)
-    summary = histogram.summary(percentiles=(50.0, 99.0))
-    return LatencySummary(
-        p50_us=float(summary["p50"]) * 1e6,  # type: ignore[arg-type]
-        p99_us=float(summary["p99"]) * 1e6,  # type: ignore[arg-type]
-        mean_us=float(summary["mean"]) * 1e6,  # type: ignore[arg-type]
-        max_us=float(summary["max"]) * 1e6,  # type: ignore[arg-type]
-        count=histogram.count,
-    )
-
-
-def _throughput(operations: int, elapsed_s: float) -> float:
-    return operations / max(elapsed_s, 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -241,28 +317,42 @@ def make_requests(users: int, count: int, rng: random.Random) -> List[DataReques
 
 
 def mean_us(engine, requests: Sequence[DataRequest]) -> float:
-    """Mean microseconds per decision over one pass of ``requests``."""
-    start = time.perf_counter()
-    for request in requests:
-        engine.decide(request)
-    return (time.perf_counter() - start) / len(requests) * 1e6
+    """Probe-normalized microseconds per decision over one pass of
+    ``requests``, decided in batches of 25 by a C-driven loop."""
+    drain: deque = deque(maxlen=0)
+    decide = engine.decide
+    seconds = probed_s(
+        lambda chunk=requests[index : index + 25]: drain.extend(map(decide, chunk))
+        for index in range(0, len(requests), 25)
+    )
+    return seconds / len(requests) * 1e6
 
 
-def batched_p50_us(engine, requests: Sequence[DataRequest], passes: int) -> float:
-    """Per-decide p50 microseconds, timed in sequential batches of 25.
+#: The fewest timed passes :func:`batched_p50_us` makes.
+PASSES = 5
+
+
+def batched_p50_us(
+    engine, requests: Sequence[DataRequest], min_s: float = 0.0
+) -> Tuple[float, float]:
+    """Per-decide p50 microseconds, timed in sequential batches of 25,
+    and the seconds the passes took.
 
     Per-call ``perf_counter`` overhead is comparable to a compiled
     table hit, so single-call timing would flatter neither engine
-    fairly; timing batches amortizes it.  All of one engine's passes
-    run back-to-back -- interleaving two engines (at any granularity)
-    evicts the fast engine's warm cache lines and systematically
-    under-reports it.  Noise is additive, so the minimum of the
-    per-pass medians is the best point estimate.
+    fairly; timing batches amortizes it.  At least ``PASSES`` passes
+    run, back-to-back, and more until ``min_s`` has gone by --
+    interleaving two engines (at any granularity) evicts the fast
+    engine's warm cache lines and systematically under-reports it.
+    Noise is additive, so the minimum of the per-pass medians is the
+    best point estimate.
     """
     drain: deque = deque(maxlen=0)
     decide = engine.decide
     best = float("inf")
-    for _ in range(passes):
+    passes = 0
+    start = time.perf_counter()
+    while passes < PASSES or time.perf_counter() - start < min_s:
         samples = []
         for index in range(0, len(requests), 25):
             chunk = requests[index : index + 25]
@@ -272,7 +362,24 @@ def batched_p50_us(engine, requests: Sequence[DataRequest], passes: int) -> floa
             drain.extend(map(decide, chunk))
             samples.append((time.perf_counter() - begin) / len(chunk))
         best = min(best, statistics.median(samples))
-    return best * 1e6
+        passes += 1
+    return best * 1e6, time.perf_counter() - start
+
+
+def compiled_speedup(reference, compiled, requests: Sequence[DataRequest]) -> float:
+    """The compiled engine's warm speedup over ``reference``: one
+    attempt at it.
+
+    ``reference`` is timed and then ``compiled``, each with
+    :func:`batched_p50_us`.  The compiled passes run for as long as the
+    reference's did: a minimum drawn from a shorter window is less
+    likely to catch the machine's quiet moments.  ``scale_enforcement``
+    makes one attempt per repeat and the pytest SCALE-1b floor
+    ``REPEATS`` attempts; both take the median of the attempts' ratios.
+    """
+    reference_us, reference_s = batched_p50_us(reference, requests)
+    compiled_us, _ = batched_p50_us(compiled, requests, reference_s)
+    return reference_us / compiled_us
 
 
 def check_same_decisions(
@@ -302,65 +409,50 @@ def check_compiled(reference, compiled, requests: Sequence[DataRequest]) -> None
 def linear_vs_index(
     users: int, requests: Sequence[DataRequest]
 ) -> Tuple[float, float, int]:
-    """Mean microseconds per decision of a linear rule scan and of the
-    policy index over the same rules, and the rule count; the two must
-    decide the first 50 requests alike."""
+    """Probe-normalized microseconds per decision of a linear rule scan
+    and of the policy index over the same rules, and the rule count; the
+    two must decide the first 50 requests alike.
+
+    The engines take turns, 25 requests each, so both see the machine
+    in the same state and their ratio holds however its speed drifts.
+    """
     linear, rules = build_engine(LinearRuleStore, users)
     index, _ = build_engine(PolicyIndex, users)
     check_same_decisions(linear, {"index": index}, requests[:50])
-    return mean_us(linear, requests), mean_us(index, requests), rules
+    drain: deque = deque(maxlen=0)
+    raw_s = {linear: 0.0, index: 0.0}
+
+    def decide(engine, chunk) -> None:
+        start = time.perf_counter()
+        drain.extend(map(engine.decide, chunk))
+        raw_s[engine] += time.perf_counter() - start
+
+    seconds = probed_s(
+        partial(decide, engine, requests[start : start + 25])
+        for start in range(0, len(requests), 25)
+        for engine in (linear, index)
+    )
+    linear_share = raw_s[linear] / (raw_s[linear] + raw_s[index])
+    per_op_us = seconds / len(requests) * 1e6
+    return per_op_us * linear_share, per_op_us * (1.0 - linear_share), rules
 
 
-def run_scale_enforcement(scale: ScalePreset) -> BenchmarkEntry:
+def run_scale_enforcement(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
     users = scale.enforcement_users
     requests = make_requests(users, scale.enforcement_requests, random.Random(2))
-    indexed_registry = MetricsRegistry()
-    with _scoped_registry():
-        engine, rules = build_engine(PolicyIndex, users, metrics=indexed_registry)
-        start = time.perf_counter()
-        for request in requests:
-            engine.decide(request)
-        elapsed = time.perf_counter() - start
-
-        compiled_engine, _ = build_engine(PolicyIndex, users, compiled=True)
-        check_compiled(engine, compiled_engine, requests)
-        # Whole-pair attempts ride out multi-second scheduling-noise
-        # windows; per-engine minimum across attempts, like the per-pass
-        # minimum, is the additive-noise point estimate.
-        indexed_p50_us = compiled_p50_us = float("inf")
-        for _ in range(3):
-            indexed_p50_us = min(
-                indexed_p50_us, batched_p50_us(engine, requests, passes=5)
-            )
-            compiled_p50_us = min(
-                compiled_p50_us, batched_p50_us(compiled_engine, requests, passes=5)
-            )
-
-        linear_requests = make_requests(
-            scale.linear_users, scale.linear_requests, random.Random(2)
-        )
-        # The speedup is taken against the indexed run timed above.
-        linear_us = linear_vs_index(scale.linear_users, linear_requests)[0]
-
-    indexed_us = elapsed / len(requests) * 1e6
-    return BenchmarkEntry(
-        name="scale_enforcement",
-        decision_latency=_latency_summary(
-            indexed_registry.merged_histogram("enforcement_decide_seconds"),
-            "scale_enforcement",
-        ),
-        ingest_throughput_per_s=_throughput(len(requests), elapsed),
-        extra={
-            "users": float(users),
-            "rules": float(rules),
-            "indexed_us_per_op": indexed_us,
-            "linear_us_per_op": linear_us,
-            "linear_speedup": linear_us / max(indexed_us, 1e-9),
-            "compiled_us_per_op": compiled_p50_us,
-            "compiled_indexed_us_per_op": indexed_p50_us,
-            "compiled_speedup": indexed_p50_us / max(compiled_p50_us, 1e-9),
-        },
+    engine, rules = build_engine(PolicyIndex, users)
+    compiled_engine, _ = build_engine(PolicyIndex, users, compiled=True)
+    check_compiled(engine, compiled_engine, requests)
+    linear_us, index_us, _ = linear_vs_index(
+        scale.linear_users,
+        make_requests(scale.linear_users, scale.linear_requests, random.Random(2)),
     )
+    return {
+        "us_per_op": mean_us(engine, requests),
+        "linear_us_per_op": linear_us,
+        "linear_speedup": linear_us / index_us,
+        "compiled_speedup": compiled_speedup(engine, compiled_engine, requests),
+    }, {"users": users, "rules": rules}
 
 
 # ----------------------------------------------------------------------
@@ -423,29 +515,24 @@ def run_ingest(tippers: TIPPERS, world: BuildingWorld, ticks: int) -> IngestRun:
     )
 
 
-def run_scale_ingest(scale: ScalePreset) -> BenchmarkEntry:
-    with _scoped_registry() as registry:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as tmpdir:
-            engine = StorageEngine(tmpdir, metrics=registry)
-            tippers, world = build_ingest(scale.ingest_population, storage=engine)
-            run = run_ingest(tippers, world, scale.ingest_ticks)
-            wal_bytes = int(registry.total("storage_wal_bytes_total"))
-            engine.close()
-
-    return BenchmarkEntry(
-        name="scale_ingest",
-        decision_latency=_latency_summary(
-            registry.merged_histogram("enforcement_decide_seconds"), "scale_ingest"
-        ),
-        ingest_throughput_per_s=_throughput(run.sampled, run.elapsed_s),
-        wal_bytes=wal_bytes,
-        extra={
-            "sampled": float(run.sampled),
-            "stored": float(run.stored),
-            "dropped": float(run.dropped),
-            "sensors": float(tippers.sensor_manager.count()),
-        },
-    )
+def run_scale_ingest(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as tmpdir:
+        engine = StorageEngine(tmpdir, metrics=registry)
+        tippers, world = build_ingest(scale.ingest_population, storage=engine)
+        seconds = probed_s(
+            partial(ingest_tick, tippers, world, tick)
+            for tick in range(scale.ingest_ticks)
+        )
+        wal_bytes = int(registry.total("storage_wal_bytes_total"))
+        engine.close()
+    stats = tippers.sensor_manager.stats
+    return {"us_per_op": seconds / stats.sampled * 1e6}, {
+        "sampled": stats.sampled,
+        "stored": stats.stored,
+        "dropped": stats.dropped_capture + stats.dropped_storage,
+        "sensors": tippers.sensor_manager.count(),
+        "wal_bytes": wal_bytes,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -473,20 +560,19 @@ ADVERTISED = (
 )
 
 
+@lru_cache(maxsize=None)
 def persona_models() -> Dict[str, PreferenceModel]:
-    """One preference model per Westin persona, fit on noiseless decisions."""
+    """One preference model per Westin persona, fit on noiseless decisions
+    (once per process; the sweep only reads them)."""
     return {
         name: PreferenceModel().fit(generate_decisions(persona, 200, seed=1, noise=0.0))
         for name, persona in PERSONAS.items()
     }
 
 
-def notification_sweep(
-    models: Mapping[str, PreferenceModel], latency: Optional[Histogram] = None
-) -> Dict[str, List[int]]:
+def notification_sweep(models: Mapping[str, PreferenceModel]) -> Dict[str, List[int]]:
     """How many of :data:`ADVERTISED` each persona's assistant shows at
-    each of :data:`NOTIFICATION_THRESHOLDS`.  Each offer (notify or stay
-    silent) is timed into ``latency`` when one is given."""
+    each of :data:`NOTIFICATION_THRESHOLDS`."""
     series = {}
     for name, model in sorted(models.items()):
         counts = []
@@ -494,117 +580,95 @@ def notification_sweep(
             manager = NotificationManager(
                 model, relevance_threshold=threshold, daily_budget=100
             )
-            sent = 0
-            for index, practice in enumerate(ADVERTISED):
-                offer_start = time.perf_counter()
-                shown = manager.offer(float(index), practice, "practice-%d" % index)
-                if latency is not None:
-                    latency.observe(time.perf_counter() - offer_start)
-                if shown:
-                    sent += 1
-            counts.append(sent)
+            counts.append(sum(
+                1
+                for index, practice in enumerate(ADVERTISED)
+                if manager.offer(float(index), practice, "practice-%d" % index)
+            ))
         series[name] = counts
     return series
 
 
-def run_scale_notifications(scale: ScalePreset) -> BenchmarkEntry:
+def run_scale_notifications(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
     models = persona_models()
-    mid = NOTIFICATION_THRESHOLDS.index(0.4)
-    offer_latency = Histogram("notification_offer_seconds")
-    shown = dict.fromkeys(models, 0)
-    start = time.perf_counter()
-    for _ in range(scale.notification_repeats):
-        for name, counts in notification_sweep(models, offer_latency).items():
-            shown[name] += counts[mid]
-    elapsed = time.perf_counter() - start
-    offers = offer_latency.count
-
-    extra = {
-        "advertised_practices": float(len(ADVERTISED)),
-        "offers": float(offers),
-    }
-    for name, count in sorted(shown.items()):
-        extra["shown_at_0.4_%s" % name] = count / float(scale.notification_repeats)
-    return BenchmarkEntry(
-        name="scale_notifications",
-        decision_latency=_latency_summary(offer_latency, "scale_notifications"),
-        ingest_throughput_per_s=_throughput(offers, elapsed),
-        extra=extra,
+    sweeps: List[Dict[str, List[int]]] = []
+    seconds = probed_s(
+        lambda: sweeps.append(notification_sweep(models))
+        for _ in range(scale.notification_repeats)
     )
+    if any(sweep != sweeps[0] for sweep in sweeps):
+        raise BenchError("a notification sweep changed between sweeps")
+    offers = len(sweeps) * len(models) * len(NOTIFICATION_THRESHOLDS) * len(ADVERTISED)
+    mid = NOTIFICATION_THRESHOLDS.index(0.4)
+    counted = {"advertised_practices": len(ADVERTISED), "offers": offers}
+    for name in sorted(models):
+        counted["shown_at_0.4_%s" % name] = sweeps[0][name][mid]
+    return {"us_per_op": seconds / offers * 1e6}, counted
 
 
 # ----------------------------------------------------------------------
 # SCALE-4: week-in-the-life soak
 # ----------------------------------------------------------------------
-def run_scale_week(scale: ScalePreset) -> BenchmarkEntry:
-    with _scoped_registry() as registry:
-        start = time.perf_counter()
-        result = run_week(
-            days=scale.week_days,
-            population=scale.week_population,
-            ticks_per_day=scale.week_ticks_per_day,
-            seed=9,
-        )
-        elapsed = time.perf_counter() - start
+def _one_run(run: Callable[[], Any]) -> Tuple[float, Any]:
+    """``run()``'s probe-normalized seconds and its result."""
+    results: List[Any] = []
+    seconds = probed_s([lambda: results.append(run())])
+    return seconds, results[0]
 
-    return BenchmarkEntry(
-        name="scale_week",
-        decision_latency=_latency_summary(
-            registry.merged_histogram("enforcement_decide_seconds"), "scale_week"
-        ),
-        ingest_throughput_per_s=_throughput(result.observations_sampled, elapsed),
-        extra={
-            "days": float(scale.week_days),
-            "population": float(scale.week_population),
-            "sampled": float(result.observations_sampled),
-            "stored": float(result.observations_stored),
-            "purged": float(result.observations_purged),
-            "queries_total": float(result.queries_total),
-            "denial_rate": round(result.denial_rate, 6),
-        },
-    )
+
+def run_scale_week(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
+    seconds, result = _one_run(lambda: run_week(
+        days=scale.week_days,
+        population=scale.week_population,
+        ticks_per_day=scale.week_ticks_per_day,
+        seed=9,
+    ))
+    return {"us_per_op": seconds / result.observations_sampled * 1e6}, {
+        "days": scale.week_days,
+        "population": scale.week_population,
+        "sampled": result.observations_sampled,
+        "stored": result.observations_stored,
+        "purged": result.observations_purged,
+        "queries_total": result.queries_total,
+        "denial_rate": round(result.denial_rate, 6),
+    }
 
 
 # ----------------------------------------------------------------------
 # SCALE-5..7: the fault scenarios, run and exported
 # ----------------------------------------------------------------------
-def _scenario_entry(
+def _scenario_repeat(
     name: str,
+    registry: MetricsRegistry,
     run: Callable[[MetricsRegistry], ScenarioReport],
     extra: Callable[[Any], Dict[str, float]],
-) -> BenchmarkEntry:
-    """Run one scenario under a fresh registry and export it: admission
-    checks per second, the ledger's shed and brownout rates, WAL bytes,
-    and the scenario's own ``extra`` numbers.  A run that violates its
-    invariants is an error, not a data point."""
-    registry = MetricsRegistry()
-    start = time.perf_counter()
-    report = run(registry)
-    elapsed = time.perf_counter() - start
+) -> Repeat:
+    """Run one scenario and export it: time per admission check, the
+    ledger's shed and brownout rates, WAL bytes, and the scenario's own
+    ``extra`` counts.  A run that violates its invariants is an error,
+    not a data point."""
+    seconds, report = _one_run(lambda: run(registry))
     if not report.ok:
         raise BenchError(
             "%s workload violated its invariants: %s"
             % (name, "; ".join(report.violations))
         )
-    return BenchmarkEntry(
-        name=name,
-        decision_latency=_latency_summary(
-            registry.merged_histogram("enforcement_decide_seconds"), name
-        ),
-        ingest_throughput_per_s=_throughput(report.ledger_checked, elapsed),
-        shed_rate=round(report.ledger_shed / max(report.ledger_checked, 1), 6),
-        brownout_rate=round(
+    counted = {
+        "shed_rate": round(report.ledger_shed / max(report.ledger_checked, 1), 6),
+        "brownout_rate": round(
             report.ledger_brownouts / max(report.ledger_admitted, 1), 6
         ),
-        wal_bytes=int(registry.total("storage_wal_bytes_total")),
-        extra=extra(report),
-    )
+        "wal_bytes": int(registry.total("storage_wal_bytes_total")),
+    }
+    counted.update(extra(report))
+    return {"us_per_op": seconds / report.ledger_checked * 1e6}, counted
 
 
-def run_scale_overload(scale: ScalePreset) -> BenchmarkEntry:
+def run_scale_overload(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
     """SCALE-5: rush-hour overload, admission on."""
-    return _scenario_entry(
+    return _scenario_repeat(
         "scale_overload",
+        registry,
         lambda metrics: run_overload_scenario(
             plan_name="rush-hour",
             seed=11,
@@ -622,10 +686,11 @@ def run_scale_overload(scale: ScalePreset) -> BenchmarkEntry:
     )
 
 
-def run_scale_federate(scale: ScalePreset) -> BenchmarkEntry:
+def run_scale_federate(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
     """SCALE-6: sharded campus federation (roaming, crash, DSAR fan-out)."""
-    return _scenario_entry(
+    return _scenario_repeat(
         "scale_federate",
+        registry,
         lambda metrics: run_federate_scenario(
             plan_name="campus-storm",
             seed=17,
@@ -646,7 +711,7 @@ def run_scale_federate(scale: ScalePreset) -> BenchmarkEntry:
     )
 
 
-def run_scale_rebalance(scale: ScalePreset) -> BenchmarkEntry:
+def run_scale_rebalance(scale: ScalePreset, registry: MetricsRegistry) -> Repeat:
     """SCALE-7: elastic membership (ring change, crash-tolerant rebalance)."""
 
     def extra(report) -> Dict[str, float]:
@@ -663,8 +728,9 @@ def run_scale_rebalance(scale: ScalePreset) -> BenchmarkEntry:
             "recovered": 1.0 if report.recovered else 0.0,
         }
 
-    return _scenario_entry(
+    return _scenario_repeat(
         "scale_rebalance",
+        registry,
         lambda metrics: run_rebalance_scenario(
             plan_name="ring-change",
             seed=23,
@@ -677,7 +743,7 @@ def run_scale_rebalance(scale: ScalePreset) -> BenchmarkEntry:
 
 
 #: Workload registry, in SCALE order; ``runner.run_suite`` walks this.
-WORKLOADS: Tuple[Tuple[str, Callable[[ScalePreset], BenchmarkEntry]], ...] = (
+WORKLOADS: Tuple[Tuple[str, Callable[[ScalePreset, MetricsRegistry], Repeat]], ...] = (
     ("scale_enforcement", run_scale_enforcement),
     ("scale_ingest", run_scale_ingest),
     ("scale_notifications", run_scale_notifications),

@@ -9,7 +9,7 @@ those per-component costs; this module replaces them with values
 what the benchmark suite actually measured:
 
 - ``us_per_decision`` -- the indexed enforcement path's measured cost
-  per decision (``scale_enforcement.extra["indexed_us_per_op"]``).
+  per decision (``scale_enforcement.extra.indexed_us_per_op``).
 - ``us_per_rule`` -- the *marginal* cost of evaluating one more rule,
   taken as the gap between the linear and indexed evaluators spread
   over the rule count (``(linear - indexed) / rules``).
@@ -25,14 +25,15 @@ what the benchmark suite actually measured:
 deliberately a fixed record, not ``latest_record()``: the soak's
 reports must stay byte-identical as new trajectory points land, and a
 recalibration should be an explicit, reviewed edit here.
-:func:`cost_table_from_record` performs the same derivation on any
-record, so tests can prove the pinned numbers match the committed
-JSON.
+:func:`cost_table_from_record` performs the same derivation on a
+record's JSON, so tests can prove the pinned numbers match the
+committed file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 #: The trajectory record DEFAULT_COST_TABLE's numbers were derived
 #: from (see ``tests/test_capacity_soak.py``, which re-derives them).
@@ -95,25 +96,25 @@ class CostTable:
 DEFAULT_COST_TABLE = CostTable()
 
 
-def cost_table_from_record(record) -> CostTable:
-    """Derive a :class:`CostTable` from one trajectory record.
+def cost_table_from_record(record: Mapping[str, Any]) -> CostTable:
+    """Derive a :class:`CostTable` from one trajectory record's JSON.
 
-    ``record`` is a :class:`repro.bench.schema.BenchRecord` (typed
-    loosely so the simulation layer does not import the bench layer at
-    module scope).  Raises ``KeyError`` when the record predates the
-    benchmarks the derivation needs.
+    ``record`` is the parsed JSON of a committed ``BENCH_<n>.json``,
+    read as plain data: BENCH_0002 is a version-1 record, which the
+    bench layer no longer loads.  Raises ``KeyError`` when the record
+    lacks the fields the derivation needs.
     """
-    enforcement = record.benchmarks["scale_enforcement"]
-    overload = record.benchmarks["scale_overload"]
-    indexed = enforcement.extra["indexed_us_per_op"]
-    linear = enforcement.extra["linear_us_per_op"]
-    rules = enforcement.extra["rules"]
+    enforcement = record["benchmarks"]["scale_enforcement"]["extra"]
+    overload = record["benchmarks"]["scale_overload"]
+    indexed = enforcement["indexed_us_per_op"]
+    linear = enforcement["linear_us_per_op"]
+    rules = enforcement["rules"]
     if rules <= 0:
         raise ValueError("record's scale_enforcement has no rules")
     return CostTable(
         us_per_decision=round(indexed, 1),
         us_per_rule=round((linear - indexed) / rules, 3),
-        us_per_queued_call=round(overload.decision_latency.mean_us, 1),
+        us_per_queued_call=round(overload["decision_latency"]["mean_us"], 1),
         principal_state_bytes=DEFAULT_COST_TABLE.principal_state_bytes,
         observation_state_bytes=DEFAULT_COST_TABLE.observation_state_bytes,
     )

@@ -1,45 +1,55 @@
 """Unit tests for the bench trajectory: runner, compare gate, and CLI.
 
-The suite itself is exercised at the cheap ``smoke`` scale once (module
-fixture) and the resulting record is reused across tests; degraded
-candidates are built by perturbing its numbers, not by re-running.
+The suite itself is exercised at the cheap ``smoke`` scale twice, back
+to back (module fixture), and those records are reused across tests;
+slower candidates are built by scaling their numbers, not by re-running.
 """
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from repro import bench
 from repro.__main__ import main
+from repro.bench import Timed
+from repro.bench.compare import SPREAD_FACTOR
 from repro.errors import BenchError
 
 pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def smoke_record():
-    return bench.run_suite(scale="smoke", label="unit-test")
+def smoke_records():
+    """Two smoke records taken back to back."""
+    return (
+        bench.run_suite(scale="smoke", label="unit-test"),
+        bench.run_suite(scale="smoke", label="unit-test-again"),
+    )
 
 
-def degrade(record, latency_factor=1.0, throughput_factor=1.0):
-    """A copy of ``record`` with every benchmark made slower."""
+@pytest.fixture(scope="module")
+def smoke_record(smoke_records):
+    return smoke_records[0]
+
+
+def slow_down(record, factor=1.3, metric="", name=""):
+    """A copy of ``record`` with its timed medians (and their spreads)
+    made ``factor`` times worse: every one, or those named ``metric`` in
+    benchmark ``name``."""
+    def worse(key, timed):
+        scale = 1.0 / factor if key.endswith("_speedup") else factor
+        return Timed(median=timed.median * scale, iqr=timed.iqr * scale)
+
     benchmarks = {}
-    for name, entry in record.benchmarks.items():
-        latency = entry.decision_latency
-        benchmarks[name] = dataclasses.replace(
-            entry,
-            decision_latency=dataclasses.replace(
-                latency,
-                p50_us=latency.p50_us * latency_factor,
-                p99_us=latency.p99_us * latency_factor,
-                mean_us=latency.mean_us * latency_factor,
-                max_us=latency.max_us * latency_factor,
-            ),
-            ingest_throughput_per_s=(
-                entry.ingest_throughput_per_s / throughput_factor
-            ),
-        )
+    for bench_name, entry in record.benchmarks.items():
+        benchmarks[bench_name] = dataclasses.replace(entry, timed={
+            key: worse(key, timed)
+            if (not metric or key == metric) and (not name or bench_name == name)
+            else timed
+            for key, timed in entry.timed.items()
+        })
     return dataclasses.replace(record, benchmarks=benchmarks)
 
 
@@ -52,14 +62,22 @@ class TestRunSuite:
 
     def test_every_benchmark_measured_real_work(self, smoke_record):
         for entry in smoke_record.benchmarks.values():
-            assert entry.decision_latency.count > 0
-            assert entry.ingest_throughput_per_s > 0.0
-        assert smoke_record.benchmarks["scale_ingest"].wal_bytes > 0
-        assert smoke_record.benchmarks["scale_overload"].shed_rate > 0.0
+            assert entry.timed["us_per_op"].median > 0.0
+        counted = {
+            name: entry.counted for name, entry in smoke_record.benchmarks.items()
+        }
+        assert counted["scale_ingest"]["wal_bytes"] > 0
+        assert counted["scale_overload"]["shed_rate"] > 0.0
 
     def test_enforcement_reports_index_speedup(self, smoke_record):
-        extra = smoke_record.benchmarks["scale_enforcement"].extra
-        assert extra["linear_speedup"] > 0.0
+        timed = smoke_record.benchmarks["scale_enforcement"].timed
+        assert timed["linear_speedup"].median > 0.0
+        assert timed["compiled_speedup"].median > 0.0
+
+    def test_counted_numbers_repeat_exactly(self, smoke_records):
+        first, second = smoke_records
+        for name, entry in first.benchmarks.items():
+            assert entry.counted == second.benchmarks[name].counted, name
 
     def test_unknown_scale_is_rejected(self):
         with pytest.raises(BenchError, match="scale"):
@@ -96,19 +114,60 @@ class TestCompare:
         assert report.ok
         assert not report.regressions
 
+    def test_back_to_back_records_pass_both_ways(self, smoke_records):
+        first, second = smoke_records
+        for baseline, candidate in ((first, second), (second, first)):
+            report = bench.compare_records(baseline, candidate)
+            assert report.ok, "\n".join(report.lines())
+
     def test_latency_regression_is_caught(self, smoke_record):
-        report = bench.compare_records(
-            smoke_record, degrade(smoke_record, latency_factor=100.0)
-        )
+        report = bench.compare_records(smoke_record, slow_down(smoke_record))
         assert not report.ok
-        assert any("decision_latency" in v.metric for v in report.regressions)
+        assert any(v.metric.startswith("timed.") for v in report.regressions)
 
     def test_throughput_regression_is_caught(self, smoke_record):
-        report = bench.compare_records(
-            smoke_record, degrade(smoke_record, throughput_factor=100.0)
+        # Time per op is the reciprocal of throughput.  A self-compare
+        # tolerates the factor times sqrt(2) times the metric's spread.
+        timed = smoke_record.benchmarks["scale_ingest"].timed["us_per_op"]
+        tolerance = SPREAD_FACTOR * math.sqrt(2) * timed.share
+        for factor, ok in ((1.0 + tolerance * 0.99, True),
+                           (1.0 + tolerance * 1.01, False)):
+            report = bench.compare_records(
+                smoke_record,
+                slow_down(smoke_record, factor, "us_per_op", "scale_ingest"),
+            )
+            assert report.ok is ok
+            assert [v.metric for v in report.regressions] == (
+                [] if ok else ["timed.us_per_op"]
+            )
+
+    def test_a_count_off_by_one_is_caught(self, smoke_record):
+        for delta in (-1, 1):
+            entry = smoke_record.benchmarks["scale_federate"]
+            counted = dict(entry.counted)
+            counted["wal_bytes"] += delta
+            candidate = dataclasses.replace(smoke_record, benchmarks=dict(
+                smoke_record.benchmarks,
+                scale_federate=dataclasses.replace(entry, counted=counted),
+            ))
+            report = bench.compare_records(smoke_record, candidate)
+            assert [v.metric for v in report.regressions] == ["counted.wal_bytes"]
+
+    def test_compiled_speedup_floor(self, smoke_record):
+        candidate = slow_down(
+            smoke_record, factor=100.0, metric="compiled_speedup"
         )
-        assert not report.ok
-        assert any("throughput" in v.metric for v in report.regressions)
+        report = bench.compare_records(candidate, candidate)
+        assert [v.metric for v in report.regressions] == [
+            "compiled_speedup.floor"
+        ]
+
+    def test_peak_rss_growth_is_caught(self, smoke_record):
+        candidate = dataclasses.replace(
+            smoke_record, peak_rss_kb=int(smoke_record.peak_rss_kb * 1.2)
+        )
+        report = bench.compare_records(smoke_record, candidate)
+        assert [v.metric for v in report.regressions] == ["peak_rss_kb"]
 
     def test_missing_benchmark_is_a_regression(self, smoke_record):
         benchmarks = dict(smoke_record.benchmarks)
@@ -127,26 +186,43 @@ class TestCompare:
 
 
 class TestBenchCLI:
-    def test_run_json_validates(self, capsys):
+    @pytest.fixture
+    def suite(self, smoke_record, monkeypatch):
+        """``bench run`` hands back the module's smoke record instead of
+        running the suite again."""
+        monkeypatch.setattr(
+            bench, "run_suite",
+            lambda scale, label, progress: dataclasses.replace(
+                smoke_record, label=label
+            ),
+        )
+
+    def test_run_json_validates(self, suite, capsys):
         assert main(["bench", "run", "--scale", "smoke", "--json"]) == 0
         out = capsys.readouterr().out
         record = bench.BenchRecord.loads(out)
         assert record.scale == "smoke"
 
+    def test_run_prints_every_benchmark(self, suite, capsys):
+        assert main(["bench", "run", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        for name in bench.BENCHMARK_NAMES:
+            assert name in out
+
     def test_record_then_compare_pass_and_fail(
-        self, smoke_record, tmp_path, capsys
+        self, smoke_records, tmp_path, capsys
     ):
+        first, second = smoke_records
         trajectory = str(tmp_path)
-        bench.append_record(smoke_record, trajectory)
+        bench.append_record(first, trajectory)
         good = tmp_path / "candidate-good.json"
-        bench.write_record(smoke_record, str(good))
+        bench.write_record(second, str(good))
         assert main(
             ["bench", "compare", "--dir", trajectory,
              "--candidate", str(good)]
         ) == 0
         bad = tmp_path / "candidate-bad.json"
-        bench.write_record(degrade(smoke_record, latency_factor=100.0),
-                           str(bad))
+        bench.write_record(slow_down(first), str(bad))
         assert main(
             ["bench", "compare", "--dir", trajectory,
              "--candidate", str(bad)]
@@ -157,7 +233,7 @@ class TestBenchCLI:
         assert main(["bench", "compare", "--dir", str(tmp_path)]) == 2
         assert "no BENCH_" in capsys.readouterr().err
 
-    def test_run_out_writes_record(self, tmp_path, capsys):
+    def test_run_out_writes_record(self, suite, tmp_path, capsys):
         out_path = tmp_path / "BENCH_PR.json"
         assert main(
             ["bench", "run", "--scale", "smoke", "--out", str(out_path)]

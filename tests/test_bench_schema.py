@@ -2,9 +2,9 @@
 
 A bench record is a committed artifact other builds must be able to
 trust, so the schema's job is mostly *rejection*: unknown versions,
-NaN/negative latencies, inverted percentiles, missing benchmarks, and
-malformed JSON all raise :class:`BenchError` before any number is
-believed.
+NaN/negative timings or counts, negative spreads, rates above 1,
+missing benchmarks, and malformed JSON all raise :class:`BenchError`
+before any number is believed.
 """
 
 import json
@@ -15,30 +15,18 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BENCHMARK_NAMES,
-    OPTIONAL_BENCHMARK_NAMES,
-    REQUIRED_BENCHMARK_NAMES,
     BenchmarkEntry,
     BenchRecord,
-    LatencySummary,
+    Timed,
 )
 from repro.errors import BenchError
-
-
-def make_latency(p50=10.0, p99=50.0, mean=15.0, maximum=80.0, count=100):
-    return LatencySummary(
-        p50_us=p50, p99_us=p99, mean_us=mean, max_us=maximum, count=count
-    )
 
 
 def make_entry(name, **overrides):
     fields = dict(
         name=name,
-        decision_latency=make_latency(),
-        ingest_throughput_per_s=1000.0,
-        shed_rate=0.1,
-        brownout_rate=0.05,
-        wal_bytes=4096,
-        extra={"users": 100.0},
+        timed={"us_per_op": Timed(median=10.0, iqr=0.5)},
+        counted={"shed_rate": 0.1, "wal_bytes": 4096, "users": 100},
     )
     fields.update(overrides)
     return BenchmarkEntry(**fields)
@@ -72,36 +60,21 @@ class TestRoundTrip:
         assert json.loads(text)["version"] == BENCH_SCHEMA_VERSION
 
     def test_benchmark_name_sets_are_pinned(self):
-        assert set(REQUIRED_BENCHMARK_NAMES) == {
+        # Every benchmark is required: a record carries all seven.
+        assert BENCHMARK_NAMES == (
             "scale_enforcement", "scale_ingest", "scale_notifications",
-            "scale_week", "scale_overload",
-        }
-        assert set(OPTIONAL_BENCHMARK_NAMES) == {
-            "scale_federate", "scale_rebalance",
-        }
-        assert set(BENCHMARK_NAMES) == (
-            set(REQUIRED_BENCHMARK_NAMES) | set(OPTIONAL_BENCHMARK_NAMES)
+            "scale_week", "scale_overload", "scale_federate",
+            "scale_rebalance",
         )
 
-    def test_optional_benchmarks_may_be_absent(self):
-        # BENCH_0001/0002 predate scale_federate; they must stay loadable.
-        benchmarks = {
-            name: make_entry(name) for name in REQUIRED_BENCHMARK_NAMES
-        }
-        record = BenchRecord(
-            version=BENCH_SCHEMA_VERSION,
-            record_id=1,
-            scale="ci",
-            label="pre-federation record",
-            peak_rss_kb=1024,
-            benchmarks=benchmarks,
-        )
-        loaded = BenchRecord.loads(record.dumps())
-        assert set(loaded.benchmarks) == set(REQUIRED_BENCHMARK_NAMES)
+    def test_timed_keeps_the_median_and_interquartile_range(self):
+        timed = Timed.of([5.0, 1.0, 4.0, 2.0, 3.0])
+        assert timed == Timed(median=3.0, iqr=3.0)
+        assert timed.share == pytest.approx(1.0)
 
 
 class TestVersionGate:
-    @pytest.mark.parametrize("version", [0, 2, 99, "1", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, 99, "2", None, True])
     def test_unknown_versions_are_rejected(self, version):
         data = make_record().to_dict()
         data["version"] = version
@@ -123,42 +96,46 @@ class TestVersionGate:
 
 
 class TestLatencyValidation:
+    """A timed metric's median and IQR."""
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "10"])
     def test_non_finite_or_negative_latency_is_rejected(self, bad):
         with pytest.raises(BenchError):
-            make_latency(p50=bad).validate("test")
+            Timed(median=bad, iqr=1.0).validate("test")
+        with pytest.raises(BenchError):
+            Timed(median=10.0, iqr=bad).validate("test")
 
     def test_inverted_percentiles_are_rejected(self):
-        with pytest.raises(BenchError, match="p50.*exceeds p99"):
-            make_latency(p50=60.0, p99=50.0).validate("test")
-        with pytest.raises(BenchError, match="p99.*exceeds max"):
-            make_latency(p99=50.0, maximum=40.0).validate("test")
+        # The IQR is q3 - q1; a negative one means inverted quartiles.
+        with pytest.raises(BenchError, match="iqr"):
+            Timed(median=10.0, iqr=-0.5).validate("test")
 
     def test_empty_distribution_is_rejected(self):
-        with pytest.raises(BenchError, match="count"):
-            make_latency(count=0).validate("test")
+        with pytest.raises(BenchError, match="times nothing"):
+            make_entry("scale_ingest", timed={}).validate()
 
     def test_nan_rejected_through_json_path(self):
         data = make_record().to_dict()
-        entry = data["benchmarks"]["scale_ingest"]
-        entry["decision_latency"]["p99_us"] = math.nan
+        data["benchmarks"]["scale_ingest"]["timed"]["us_per_op"]["iqr"] = math.nan
         with pytest.raises(BenchError, match="finite"):
             BenchRecord.from_dict(data)
 
 
 class TestEntryValidation:
-    def test_zero_throughput_is_rejected(self):
-        with pytest.raises(BenchError, match="throughput"):
-            make_entry("scale_ingest", ingest_throughput_per_s=0.0).validate()
+    def test_zero_timed_median_is_rejected(self):
+        with pytest.raises(BenchError, match="median must be > 0"):
+            make_entry(
+                "scale_ingest", timed={"us_per_op": Timed(median=0.0, iqr=0.0)}
+            ).validate()
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
     def test_out_of_range_rates_are_rejected(self, rate):
         with pytest.raises(BenchError):
-            make_entry("scale_ingest", shed_rate=rate).validate()
+            make_entry("scale_ingest", counted={"shed_rate": rate}).validate()
 
     def test_negative_wal_bytes_are_rejected(self):
         with pytest.raises(BenchError, match="wal_bytes"):
-            make_entry("scale_ingest", wal_bytes=-1).validate()
+            make_entry("scale_ingest", counted={"wal_bytes": -1}).validate()
 
     def test_entry_name_must_match_its_key(self):
         data = make_record().to_dict()
@@ -166,13 +143,20 @@ class TestEntryValidation:
         with pytest.raises(BenchError, match="disagrees"):
             BenchRecord.from_dict(data)
 
+    def test_timed_value_needs_median_and_iqr(self):
+        data = make_record().to_dict()
+        del data["benchmarks"]["scale_ingest"]["timed"]["us_per_op"]["iqr"]
+        with pytest.raises(BenchError, match="median and an iqr"):
+            BenchRecord.from_dict(data)
+
 
 class TestRecordValidation:
     def test_missing_benchmark_is_rejected(self):
-        data = make_record().to_dict()
-        del data["benchmarks"]["scale_week"]
-        with pytest.raises(BenchError, match="missing benchmarks"):
-            BenchRecord.from_dict(data)
+        for name in ("scale_week", "scale_federate"):
+            data = make_record().to_dict()
+            del data["benchmarks"][name]
+            with pytest.raises(BenchError, match="missing benchmarks"):
+                BenchRecord.from_dict(data)
 
     def test_unknown_benchmark_is_rejected(self):
         benchmarks = {name: make_entry(name) for name in BENCHMARK_NAMES}

@@ -12,14 +12,18 @@ import pytest
 from repro.bench.workloads import (
     ADVERTISED,
     NOTIFICATION_THRESHOLDS,
+    SCALES,
     build_engine,
     check_same_decisions,
     make_requests,
     notification_sweep,
     persona_models,
+    run_once,
+    run_scale_federate,
 )
 from repro.core.reasoner.index import PolicyIndex
 from repro.errors import BenchError
+from repro.sensors.base import Observation
 
 
 def test_notification_sweep_reproduces_the_scale3_table():
@@ -60,3 +64,13 @@ def test_a_changed_decision_fails_the_equivalence_check():
     other, _ = build_engine(PolicyIndex, 0)  # no preferences at all
     with pytest.raises(BenchError, match="fewer rules changed a decision"):
         check_same_decisions(reference, {"fewer rules": other}, requests)
+
+
+def test_a_workload_counts_the_same_whatever_ran_before_it():
+    """Observation ids are process-wide; a workload's WAL bytes must not
+    depend on how many observations earlier code created."""
+    _, first = run_once(run_scale_federate, SCALES["smoke"])
+    Observation.create("s", "wifi_ap", 0.0, "x", {})
+    _, second = run_once(run_scale_federate, SCALES["smoke"])
+    assert first == second
+    assert first["wal_bytes"] > 0

@@ -119,10 +119,10 @@ class TestCostTable:
         # The defaults claim to be derived from the committed
         # BENCH_0002; re-derive and compare, so a trajectory rewrite
         # cannot silently diverge from the model.
+        import json
         import os
 
         from repro.bench import list_records
-        from repro.bench.runner import load_record
         from repro.simulation.costmodel import (
             COST_TABLE_SOURCE_RECORD_ID,
             DEFAULT_COST_TABLE,
@@ -131,7 +131,8 @@ class TestCostTable:
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         paths = dict(list_records(root))
-        record = load_record(paths[COST_TABLE_SOURCE_RECORD_ID])
+        with open(paths[COST_TABLE_SOURCE_RECORD_ID]) as handle:
+            record = json.load(handle)
         assert cost_table_from_record(record) == DEFAULT_COST_TABLE
 
     def test_latency_model_prices_each_component(self):

@@ -266,19 +266,20 @@ class TestBenchmarksDoc:
         assert "## Record schema (version %d)" % BENCH_SCHEMA_VERSION in bench_text
 
     def test_documented_tolerances_match_defaults(self, bench_text):
-        from repro.bench import Tolerances
+        from repro.bench.compare import (
+            COMPILED_SPEEDUP_FLOOR,
+            RSS_BOUND,
+            SPREAD_FACTOR,
+        )
+        from repro.bench.workloads import REPEATS
 
-        defaults = Tolerances()
-        assert (
-            "factor %.1f, floor %.1f us"
-            % (defaults.latency_factor, defaults.latency_floor_us)
-        ) in bench_text
-        assert "factor %.1f" % defaults.throughput_factor in bench_text
-        assert "slack %.2f" % defaults.rate_slack in bench_text
-        assert "factor %.1f, slack %d B" % (
-            defaults.wal_factor, defaults.wal_slack_bytes
-        ) in bench_text
-        assert "factor %.1f" % defaults.rss_factor in bench_text
+        assert "`SPREAD_FACTOR` %.1f |" % SPREAD_FACTOR in bench_text
+        assert "bound %d%%" % round(100 * RSS_BOUND) in bench_text
+        assert "floor %.1fx |" % COMPILED_SPEEDUP_FLOOR in bench_text
+        assert "`REPEATS` = %d rounds" % REPEATS in bench_text
+        for gone in ("Tolerances", "--latency-tolerance",
+                     "--throughput-tolerance", "--rate-slack"):
+            assert gone not in bench_text
 
     def test_documented_scales_exist(self, bench_text):
         from repro.bench import SCALES
@@ -315,7 +316,7 @@ class TestBenchmarksDoc:
         baseline = latest_record(root)
         baseline.validate()
         for entry in baseline.benchmarks.values():
-            assert entry.decision_latency.count > 0
+            assert entry.timed["us_per_op"].median > 0
 
     def test_makefile_wires_bench_and_soak(self):
         makefile = (DOCS.parent.parent / "Makefile").read_text()
