@@ -18,7 +18,8 @@ test-fast:
 # Differential proofs against reference implementations: compiled
 # enforcement tables and their capture-path observation lane, compiled
 # schema validators, lazy admission steps, the WAL record field
-# templates and WAL frames.  The ci Hypothesis profile
+# templates and WAL frames, and a compacted store against one that
+# never compacts.  The ci Hypothesis profile
 # generates 250 examples per property (>= 1000 decisions checked
 # against the reference interpreter per run).
 diff-test:

@@ -162,9 +162,6 @@ DEFAULT_MODEL = FlowModel(
         # the request manager's decide() before release; reviewed
         # 2026-08.
         "repro.tippers.datastore.Datastore.query",
-        # Torn-tail diagnostics callback: carries segment offsets, not
-        # observation payloads; reviewed 2026-08.
-        "repro.tippers.persistence._report_torn_tail",
     ),
     topic_hints={
         # scenario wiring registers endpoints via factory returns the

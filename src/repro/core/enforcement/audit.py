@@ -8,11 +8,17 @@ transparency half of the paper's accountability story.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect
+from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, get_registry
+
+#: How many records an :class:`AuditLog` keeps in memory.  Once full,
+#: the oldest half is discarded.  The durable trail (the WAL and its
+#: snapshots, see ``repro.storage``) keeps every record regardless.
+AUDIT_WINDOW = 100_000
 
 
 class AuditRecord(NamedTuple):
@@ -44,20 +50,49 @@ class AuditRecord(NamedTuple):
         return self.effect is Effect.ALLOW
 
 
+def audit_record_to_dict(record: AuditRecord) -> Dict[str, Any]:
+    return {
+        "timestamp": record.timestamp,
+        "requester_id": record.requester_id,
+        "phase": record.phase.value,
+        "category": record.category,
+        "subject_id": record.subject_id,
+        "space_id": record.space_id,
+        "effect": record.effect.value,
+        "granularity": record.granularity.value,
+        "reasons": list(record.reasons),
+        "notify_user": record.notify_user,
+    }
+
+
+def audit_record_from_dict(data: Dict[str, Any]) -> AuditRecord:
+    try:
+        return AuditRecord(
+            timestamp=data["timestamp"],
+            requester_id=data["requester_id"],
+            phase=DecisionPhase(data["phase"]),
+            category=data["category"],
+            subject_id=data.get("subject_id"),
+            space_id=data.get("space_id"),
+            effect=Effect(data["effect"]),
+            granularity=GranularityLevel(data["granularity"]),
+            reasons=tuple(data.get("reasons", ())),
+            notify_user=data.get("notify_user", False),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise StorageError("malformed audit record: %s" % exc) from None
+
+
 class AuditLog:
     """In-memory audit log with query helpers.
 
-    ``capacity`` bounds memory: once full, the oldest half is discarded
-    (coarse but O(1) amortized), with ``dropped`` counting the loss.
+    Memory is bounded by :data:`AUDIT_WINDOW`: once full, the oldest
+    half is discarded (coarse but O(1) amortized), with ``dropped``
+    counting the loss.
     """
 
-    def __init__(
-        self, capacity: int = 100_000, metrics: Optional[MetricsRegistry] = None
-    ) -> None:
-        if capacity < 2:
-            raise ValueError("capacity must be >= 2")
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._records: List[AuditRecord] = []
-        self._capacity = capacity
         self.dropped = 0
         registry = metrics if metrics is not None else get_registry()
         self._m_appends = registry.counter("audit_appends_total")
@@ -66,8 +101,8 @@ class AuditLog:
 
     def append(self, record: AuditRecord) -> None:
         records = self._records
-        if len(records) >= self._capacity:
-            keep = self._capacity // 2
+        if len(records) >= AUDIT_WINDOW:
+            keep = AUDIT_WINDOW // 2
             trimmed = len(records) - keep
             self.dropped += trimmed
             self._m_dropped.inc(trimmed)

@@ -87,6 +87,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
+from repro.core.enforcement import audit as audit_module
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest, DecisionPhase
@@ -233,7 +234,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._audit = value
         if type(value) is AuditLog:
             self._audit_records = value._records
-            self._audit_capacity = value._capacity
+            self._audit_capacity = audit_module.AUDIT_WINDOW
             self._audit_m_appends = value._m_appends
             self._audit_m_records = value._m_records
         else:

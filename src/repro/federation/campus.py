@@ -361,9 +361,10 @@ class Campus:
 
         A fresh TIPPERS is constructed over the same storage directory;
         the user directory is re-seeded from campus metadata (residents
-        as locals, every previously-observed visitor as a roaming
-        registration, so recovered preferences replay cleanly and
-        visited-shard decisions stay roaming-marked), then the WAL
+        as locals, every previously-observed visitor and every owner of
+        a durable preference as a roaming registration, so every
+        recovered preference replays and visited-shard decisions stay
+        roaming-marked), then the WAL
         replays observations, audit, and preferences, and the shard
         re-registers on the bus.  The building's registry endpoint never
         left the bus -- advertisements are campus metadata, not WAL
@@ -393,6 +394,23 @@ class Campus:
             if building_id not in self._presence[user_id]:
                 continue
             if user_id in resident_ids or user_id not in self._profiles:
+                continue
+            tippers.register_roaming_user(
+                self._profiles[user_id], self.home_of[user_id]
+            )
+        # A roamer's handoff registers them and pushes their preferences
+        # whether or not a sensor here has observed them, so the WAL can
+        # hold preferences of visitors the presence ledger never saw.
+        from repro.storage import records
+        from repro.storage.recovery import read_store
+
+        owners = {
+            data["user_id"]
+            for record_type, data, _ in read_store(storage.directory)
+            if record_type == records.PREF
+        }
+        for user_id in sorted(owners):
+            if user_id in tippers.directory or user_id not in self._profiles:
                 continue
             tippers.register_roaming_user(
                 self._profiles[user_id], self.home_of[user_id]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.errors import SensorError
+from repro.errors import SensorError, StorageError
 from repro.sensors.ontology import SensorTypeSpec
 
 _observation_counter = itertools.count(1)
@@ -96,6 +96,23 @@ class Observation:
             "subject_id": self.subject_id,
             "granularity": self.granularity,
         }
+
+    @staticmethod
+    def from_dict(data: Dict[str, Any]) -> "Observation":
+        """The inverse of :meth:`to_dict`; raises :class:`StorageError`."""
+        try:
+            return Observation(
+                observation_id=data["observation_id"],
+                sensor_id=data["sensor_id"],
+                sensor_type=data["sensor_type"],
+                timestamp=data["timestamp"],
+                space_id=data.get("space_id"),
+                payload=dict(data.get("payload", {})),
+                subject_id=data.get("subject_id"),
+                granularity=data.get("granularity", "precise"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise StorageError("malformed observation record: %s" % exc) from None
 
 
 class SensorSettings:

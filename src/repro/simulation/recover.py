@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.enforcement.audit import audit_record_to_dict
 from repro.core.policy import catalog
 from repro.core.policy.base import RequesterKind
 from repro.errors import NetworkError, PolicyError, ServiceError, SimulatedCrash
@@ -229,8 +230,6 @@ def _run_phases(
     # ------------------------------------------------------------------
     # Phase 2: a fresh process over the same directory
     # ------------------------------------------------------------------
-    from repro.tippers.persistence import audit_record_to_dict
-
     metrics2 = MetricsRegistry()
     storage2 = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics2)
     recovered, _ = _build_tippers(report, storage2, metrics2)

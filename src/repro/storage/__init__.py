@@ -14,6 +14,7 @@ from repro.storage.recovery import (
     RecoveredState,
     RecoveryReport,
     is_storage_directory,
+    read_store,
     recover,
     replay_directory,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "is_storage_directory",
     "list_segments",
     "read_manifest",
+    "read_store",
     "recover",
     "replay_directory",
     "scan_segment",

@@ -4,9 +4,8 @@
 
     <dir>/
       MANIFEST.json                   snapshot watermark (see snapshot.py)
-      snapshot-<lsn>.obs.jsonl        observation snapshot at that LSN
-      snapshot-<lsn>.audit.jsonl      audit snapshot
-      snapshot-<lsn>.prefs.jsonl      preference snapshot
+      snapshot-<lsn>.seg              audit, observation and preference
+                                      records at that LSN, WAL-framed
       wal-00000001.seg ...            WAL segments (last one active)
 
 Everything that must survive a restart goes through ``log_*`` methods,
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.enforcement.audit import AuditLog, AuditRecord
+from repro.core.enforcement.audit import AuditLog, AuditRecord, audit_record_to_dict
 from repro.core.policy.preference import UserPreference
 from repro.core.policy.serialization import preference_to_dict
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -42,7 +41,6 @@ from repro.storage.wal import (
     check_payload_size,
 )
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import audit_record_to_dict
 
 #: Observed by the chaos harness: called with ``(record_type, data)``
 #: for every record submitted for logging, once it is encoded and
@@ -218,12 +216,9 @@ class DurableAuditLog(AuditLog):
     """An audit log whose records survive a crash."""
 
     def __init__(
-        self,
-        engine: StorageEngine,
-        capacity: int = 100_000,
-        metrics: Optional[MetricsRegistry] = None,
+        self, engine: StorageEngine, metrics: Optional[MetricsRegistry] = None
     ) -> None:
-        super().__init__(capacity=capacity, metrics=metrics)
+        super().__init__(metrics=metrics)
         self.engine = engine
 
     def append(self, record: AuditRecord) -> None:

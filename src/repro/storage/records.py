@@ -39,12 +39,11 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Tuple
 
-from repro.core.enforcement.audit import AuditRecord
+from repro.core.enforcement.audit import AuditRecord, audit_record_to_dict
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.sensors.base import Observation
-from repro.tippers.persistence import audit_record_to_dict
 
 OBS = "obs"
 ERASE = "erase"

@@ -3,13 +3,21 @@
 Replay order is the durability contract in reverse:
 
 1. read ``MANIFEST.json`` for the snapshot watermark LSN;
-2. load the three snapshot files at that watermark (torn final lines
-   tolerated, same semantics as the WAL tail);
-3. scan WAL segments in sequence order and apply every frame whose LSN
+2. read the snapshot file at that watermark -- WAL frames holding the
+   log's own records; a frame cut short at the end of the file is a
+   torn tail (skipped and counted), any other bad frame is corruption
+   and raises :class:`~repro.errors.StorageError`;
+3. scan WAL segments in sequence order and take every frame whose LSN
    is greater than the watermark, stopping at the first torn frame or
    LSN discontinuity (everything after a tear is unreachable);
 4. run the retention sweep, so observations that expired while the
    process was down are purged *before* the first query is served.
+
+Steps 1-3 are one generator, :func:`read_store`, which yields every
+durable record in order; replay applies each one (:class:`Replay`),
+compaction applies all but the audit records, which it copies into
+the next snapshot, and a subject access report counts decisions from
+the audit records.
 
 Replayed erase records physically drop the subject's earlier
 observations from the rebuilt state -- recovery never resurrects
@@ -25,20 +33,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.enforcement.audit import AuditLog
+from repro.core.enforcement.audit import AuditLog, audit_record_from_dict
 from repro.errors import StorageError
+from repro.sensors.base import Observation
 from repro.storage import records
-from repro.storage.snapshot import read_manifest, snapshot_paths
-from repro.storage.wal import list_segments, scan_segment
+from repro.storage.snapshot import read_manifest, snapshot_path
+from repro.storage.wal import list_segments, read_segment
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import (
-    audit_record_from_dict,
-    load_audit,
-    load_datastore,
-    observation_from_dict,
-)
+
+#: Scan reasons that mean a snapshot's bytes simply ran out: the tear a
+#: crash mid-write leaves.  Any other bad snapshot frame is corruption.
+_TORN_TAIL_REASONS = ("short-header", "short-payload")
 
 
 @dataclass
@@ -138,6 +145,126 @@ def is_storage_directory(directory: str) -> bool:
     return bool(list_segments(directory))
 
 
+def read_store(
+    directory: str, report: Optional[RecoveryReport] = None
+) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
+    """Snapshot-then-log: every durable record, as ``(type, data, payload)``.
+
+    The snapshot's records come first, then each logged frame past the
+    watermark, up to the first tear or LSN gap.  ``report`` (if given)
+    is filled in as the records are read; only logged frames count
+    toward its frame, record, LSN and tear fields.
+    """
+    if report is None:
+        report = RecoveryReport()
+    manifest = read_manifest(directory)
+    report.snapshot_lsn = manifest.snapshot_lsn
+    report.last_lsn = manifest.snapshot_lsn
+    path = snapshot_path(directory, manifest.snapshot_lsn)
+    if os.path.exists(path):
+        scan, frames = read_segment(path)
+        for frame in frames:
+            yield records.decode_record(frame.payload) + (frame.payload,)
+        if scan.torn:
+            if scan.reason not in _TORN_TAIL_REASONS:
+                raise StorageError(
+                    "corrupt snapshot %s at byte %d: %s"
+                    % (scan.name, scan.valid_bytes, scan.reason)
+                )
+            report.snapshot_torn_tails += 1
+
+    expected_lsn = manifest.snapshot_lsn + 1
+    for path in list_segments(directory):
+        scan, frames = read_segment(path)
+        report.segments_scanned += 1
+        for frame in frames:
+            if frame.lsn < expected_lsn:
+                continue  # already folded into the snapshot
+            if frame.lsn > expected_lsn:
+                report.torn = True
+                report.torn_segment = scan.name
+                report.torn_reason = "lsn-gap"
+                return
+            record_type, data = records.decode_record(frame.payload)
+            report.records_replayed[record_type] = (
+                report.records_replayed.get(record_type, 0) + 1
+            )
+            report.frames_replayed += 1
+            report.last_lsn = frame.lsn
+            expected_lsn += 1
+            yield record_type, data, frame.payload
+        if scan.torn:
+            report.torn = True
+            report.torn_segment = scan.name
+            report.torn_reason = scan.reason
+            return
+
+
+class Replay:
+    """The state a replay rebuilds, one applied record at a time.
+
+    ``datastore`` / ``audit`` may be durable instances; every apply is
+    a base-class apply, so nothing is re-logged.  ``audit`` is None
+    only for a caller that takes the audit records itself (compaction).
+    """
+
+    def __init__(self, datastore: Datastore, audit: Optional[AuditLog]) -> None:
+        self.datastore = datastore
+        self.audit = audit
+        self.report = RecoveryReport()
+        #: ``(user_id, preference_id)`` -> the latest preference dict.
+        self.preferences: Dict[Tuple[Any, Any], Dict[str, Any]] = {}
+        self.compiled_table: Optional[Dict[str, Any]] = None
+        self.migrations: Dict[str, Dict[str, Any]] = {}
+
+    def apply(self, record_type: str, data: Dict[str, Any]) -> None:
+        datastore = self.datastore
+        preferences = self.preferences
+        if record_type == records.OBS:
+            datastore._apply_insert(Observation.from_dict(data))
+        elif record_type == records.ERASE:
+            subject_id = data.get("subject_id")
+            if not isinstance(subject_id, str):
+                raise StorageError("erase record without subject_id")
+            self.report.erasures_applied += 1
+            self.report.erased_observations += datastore._apply_forget(subject_id)
+            for key in [k for k in preferences if k[0] == subject_id]:
+                del preferences[key]
+            # An erasure replayed after a migration copy also strips the
+            # journaled snapshot: a resumed migration must never restore
+            # (resurrect) observations the subject asked to be forgotten.
+            for entry in self.migrations.values():
+                snapshot = entry.get("snapshot")
+                if entry.get("user_id") == subject_id and isinstance(snapshot, dict):
+                    snapshot["observations"] = []
+                    entry["snapshot_erased"] = True
+        elif record_type == records.AUDIT:
+            AuditLog.append(self.audit, audit_record_from_dict(data))
+        elif record_type == records.PREF:
+            key = (data.get("user_id"), data.get("preference_id"))
+            preferences[key] = data
+        elif record_type == records.PREF_WITHDRAW_ALL:
+            user_id = data.get("user_id")
+            for key in [k for k in preferences if k[0] == user_id]:
+                del preferences[key]
+        elif record_type == records.TABLE:
+            # Advisory cache artifact: latest wins, adoption (and version
+            # validation) happens in import_table after the rule store is
+            # rebuilt.
+            self.compiled_table = data
+        elif record_type == records.MIGRATION:
+            migration_id = data.get("migration_id")
+            if not isinstance(migration_id, str) or not migration_id:
+                raise StorageError("migration record without migration_id")
+            # Latest phase per migration id wins: replay order is log order,
+            # so the surviving entry is the furthest phase the shard durably
+            # reached before the crash.
+            self.migrations[migration_id] = dict(data)
+
+    def ordered_preferences(self) -> List[Dict[str, Any]]:
+        return [self.preferences[key] for key in sorted(self.preferences, key=str)]
+
+
 def replay_directory(
     directory: str,
     into_datastore: Optional[Datastore] = None,
@@ -148,121 +275,24 @@ def replay_directory(
     ``into_datastore`` / ``into_audit`` may be durable instances; the
     replay uses base-class applies throughout, so nothing is re-logged.
     """
-    report = RecoveryReport()
-    datastore = into_datastore if into_datastore is not None else Datastore()
-    audit = into_audit if into_audit is not None else AuditLog()
-    preferences: "Dict[tuple, Dict[str, Any]]" = {}
-    extras: Dict[str, Any] = {}
-
-    def torn_tail(_message: str) -> None:
-        report.snapshot_torn_tails += 1
-
-    manifest = read_manifest(directory)
-    report.snapshot_lsn = manifest.snapshot_lsn
-    report.last_lsn = manifest.snapshot_lsn
-    paths = snapshot_paths(directory, manifest.snapshot_lsn)
-    if os.path.exists(paths["obs"]):
-        load_datastore(paths["obs"], into=datastore, on_torn_tail=torn_tail)
-    if os.path.exists(paths["audit"]):
-        load_audit(paths["audit"], into=audit, on_torn_tail=torn_tail)
-    if os.path.exists(paths["prefs"]):
-        from repro.storage.snapshot import load_preferences
-
-        for data in load_preferences(paths["prefs"]):
-            key = (data.get("user_id"), data.get("preference_id"))
-            preferences[key] = data
-
-    expected_lsn = manifest.snapshot_lsn + 1
-    for path in list_segments(directory):
-        if report.torn:
-            break
-        scan = scan_segment(path)
-        report.segments_scanned += 1
-        for frame in scan.frames:
-            if frame.lsn < expected_lsn:
-                continue  # already folded into the snapshot
-            if frame.lsn > expected_lsn:
-                report.torn = True
-                report.torn_segment = scan.name
-                report.torn_reason = "lsn-gap"
-                break
-            _apply_frame(
-                frame.payload, datastore, audit, preferences, extras, report
-            )
-            report.frames_replayed += 1
-            report.last_lsn = frame.lsn
-            expected_lsn += 1
-        if scan.torn and not report.torn:
-            report.torn = True
-            report.torn_segment = scan.name
-            report.torn_reason = scan.reason
-
-    report.observations_restored = datastore.count()
-    report.audit_restored = len(audit)
-    report.preferences_restored = len(preferences)
-    ordered = [preferences[key] for key in sorted(preferences, key=str)]
+    replay = Replay(
+        into_datastore if into_datastore is not None else Datastore(),
+        into_audit if into_audit is not None else AuditLog(),
+    )
+    for record_type, data, _ in read_store(directory, replay.report):
+        replay.apply(record_type, data)
+    report = replay.report
+    report.observations_restored = replay.datastore.count()
+    report.audit_restored = len(replay.audit)
+    report.preferences_restored = len(replay.preferences)
     return RecoveredState(
-        datastore=datastore,
-        audit=audit,
-        preferences=ordered,
+        datastore=replay.datastore,
+        audit=replay.audit,
+        preferences=replay.ordered_preferences(),
         report=report,
-        compiled_table=extras.get("compiled_table"),
-        migrations=extras.get("migrations", {}),
+        compiled_table=replay.compiled_table,
+        migrations=replay.migrations,
     )
-
-
-def _apply_frame(
-    payload: bytes,
-    datastore: Datastore,
-    audit: AuditLog,
-    preferences: "Dict[tuple, Dict[str, Any]]",
-    extras: Dict[str, Any],
-    report: RecoveryReport,
-) -> None:
-    record_type, data = records.decode_record(payload)
-    report.records_replayed[record_type] = (
-        report.records_replayed.get(record_type, 0) + 1
-    )
-    if record_type == records.OBS:
-        datastore._apply_insert(observation_from_dict(data))
-    elif record_type == records.ERASE:
-        subject_id = data.get("subject_id")
-        if not isinstance(subject_id, str):
-            raise StorageError("erase record without subject_id")
-        report.erasures_applied += 1
-        report.erased_observations += datastore._apply_forget(subject_id)
-        for key in [k for k in preferences if k[0] == subject_id]:
-            del preferences[key]
-        # An erasure replayed after a migration copy also strips the
-        # journaled snapshot: a resumed migration must never restore
-        # (resurrect) observations the subject asked to be forgotten.
-        for entry in extras.get("migrations", {}).values():
-            snapshot = entry.get("snapshot")
-            if entry.get("user_id") == subject_id and isinstance(snapshot, dict):
-                snapshot["observations"] = []
-                entry["snapshot_erased"] = True
-    elif record_type == records.AUDIT:
-        AuditLog.append(audit, audit_record_from_dict(data))
-    elif record_type == records.PREF:
-        key = (data.get("user_id"), data.get("preference_id"))
-        preferences[key] = data
-    elif record_type == records.PREF_WITHDRAW_ALL:
-        user_id = data.get("user_id")
-        for key in [k for k in preferences if k[0] == user_id]:
-            del preferences[key]
-    elif record_type == records.TABLE:
-        # Advisory cache artifact: latest wins, adoption (and version
-        # validation) happens in import_table after the rule store is
-        # rebuilt.
-        extras["compiled_table"] = data
-    elif record_type == records.MIGRATION:
-        migration_id = data.get("migration_id")
-        if not isinstance(migration_id, str) or not migration_id:
-            raise StorageError("migration record without migration_id")
-        # Latest phase per migration id wins: replay order is log order,
-        # so the surviving entry is the furthest phase the shard durably
-        # reached before the crash.
-        extras.setdefault("migrations", {})[migration_id] = dict(data)
 
 
 def recover(

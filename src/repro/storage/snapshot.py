@@ -1,17 +1,28 @@
 """Snapshot + compaction: folding sealed WAL segments away.
 
-A snapshot is the materialized state at a *watermark* LSN, stored as
-three JSON-lines files named by that LSN, plus ``MANIFEST.json``
-pointing at it::
+A snapshot is the materialized state at a *watermark* LSN, stored in
+the WAL's own format as one file named by that LSN, plus
+``MANIFEST.json`` pointing at it::
 
-    {"format": 1, "snapshot_lsn": 1042}
+    {"format": 2, "snapshot_lsn": 1042}
 
-Compaction replays the current snapshot plus every sealed segment into
-fresh in-memory state, writes the new snapshot files atomically, moves
-the manifest forward, and only then deletes what was folded.  A crash
-at any point leaves either the old manifest (old snapshot + segments
-intact: nothing lost) or the new manifest (new snapshot complete:
-leftover files are garbage, collected by the next compaction).
+``snapshot-<lsn>.seg`` is a segment header followed by CRC frames,
+numbered from 1, whose payloads are the log's own records
+(:mod:`repro.storage.records`): every ``audit`` record in log order,
+then every ``obs`` record stream by stream, then every ``pref`` record
+in key order.  Recovery reads it through the same frame scan and
+per-record apply as the log (:func:`repro.storage.recovery.read_store`).
+
+Compaction reads snapshot-then-log, applies observations, erasures and
+preferences in memory, and copies each audit payload into the new
+snapshot byte for byte as it goes -- the trail is never held in
+memory, so no record of it is lost however long it grows.  It then
+moves the manifest forward, and only then deletes what was folded.  A
+crash at any point leaves either the old manifest (old snapshot +
+segments intact: nothing lost) or the new manifest (new snapshot
+complete: leftover files are garbage, collected by the next
+compaction).  ``table`` and ``migration`` records are not carried
+into the snapshot.
 
 Erasure interaction -- the DSAR guarantee: an ``erase`` record in the
 log makes the replay *physically drop* every earlier observation of
@@ -32,13 +43,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import StorageError
+from repro.storage import records
+from repro.storage.wal import SEGMENT_HEADER, SEGMENT_MAGIC, encode_frame
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
-OBS_SNAPSHOT_PATTERN = "snapshot-%016d.obs.jsonl"
-AUDIT_SNAPSHOT_PATTERN = "snapshot-%016d.audit.jsonl"
-PREFS_SNAPSHOT_PATTERN = "snapshot-%016d.prefs.jsonl"
+SNAPSHOT_PATTERN = "snapshot-%016d.seg"
 
 
 @dataclass(frozen=True)
@@ -88,48 +99,38 @@ def write_manifest(directory: str, manifest: Manifest) -> None:
     os.replace(temp_path, path)
 
 
-def snapshot_paths(directory: str, snapshot_lsn: int) -> Dict[str, str]:
-    """The three snapshot file paths for a watermark LSN."""
-    return {
-        "obs": os.path.join(directory, OBS_SNAPSHOT_PATTERN % snapshot_lsn),
-        "audit": os.path.join(directory, AUDIT_SNAPSHOT_PATTERN % snapshot_lsn),
-        "prefs": os.path.join(directory, PREFS_SNAPSHOT_PATTERN % snapshot_lsn),
-    }
+def snapshot_path(directory: str, snapshot_lsn: int) -> str:
+    """The snapshot file for a watermark LSN."""
+    return os.path.join(directory, SNAPSHOT_PATTERN % snapshot_lsn)
 
 
-def save_preferences(preferences: List[Dict[str, Any]], path: str) -> int:
-    """Snapshot preference dicts (one JSON object per line), atomically."""
-    temp_path = path + ".tmp"
-    count = 0
-    with open(temp_path, "w") as handle:
-        for data in preferences:
-            handle.write(json.dumps(data, separators=(",", ":"), sort_keys=True))
-            handle.write("\n")
-            count += 1
-    os.replace(temp_path, path)
-    return count
+class SnapshotWriter:
+    """One snapshot file being written, frame by frame.
 
+    Frames go to a temp file; :meth:`commit` renames it into place, so
+    a snapshot only ever appears under its final name complete.  No
+    fault plane sees these writes: they are not WAL appends.
+    """
 
-def load_preferences(path: str) -> List[Dict[str, Any]]:
-    """Load a preference snapshot (torn final line tolerated)."""
-    from repro.tippers.persistence import _iter_data_lines, _report_torn_tail
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.temp_path = os.path.join(directory, "snapshot.seg.tmp")
+        self.frames = 0
+        self._handle = open(self.temp_path, "wb")
+        self._handle.write(SEGMENT_HEADER.pack(SEGMENT_MAGIC, 1))
 
-    preferences: List[Dict[str, Any]] = []
-    for line_no, line, is_final in _iter_data_lines(path):
-        try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise StorageError("preference line is not an object")
-        except (json.JSONDecodeError, StorageError) as exc:
-            wrapped = exc if isinstance(exc, StorageError) else StorageError(str(exc))
-            if is_final:
-                _report_torn_tail(path, line_no, wrapped, None)
-                break
-            raise StorageError(
-                "%s (line %d of %s)" % (wrapped, line_no, path)
-            ) from None
-        preferences.append(data)
-    return preferences
+    def write(self, payload: bytes) -> None:
+        self.frames += 1
+        self._handle.write(encode_frame(self.frames, payload))
+
+    def commit(self, snapshot_lsn: int) -> None:
+        """Close the file and rename it to the watermark's snapshot name."""
+        self._handle.close()
+        os.replace(self.temp_path, snapshot_path(self.directory, snapshot_lsn))
+
+    def discard(self) -> None:
+        self._handle.close()
+        os.remove(self.temp_path)
 
 
 @dataclass
@@ -166,14 +167,9 @@ class CompactionReport:
 
 def _collect_garbage(directory: str, keep_lsn: int, report: CompactionReport) -> None:
     """Delete snapshot files for watermarks other than ``keep_lsn``."""
+    keep = os.path.basename(snapshot_path(directory, keep_lsn))
     for name in sorted(os.listdir(directory)):
-        if not (name.startswith("snapshot-") and name.endswith(".jsonl")):
-            continue
-        try:
-            lsn = int(name.split("-", 1)[1].split(".", 1)[0])
-        except (ValueError, IndexError):
-            continue
-        if lsn != keep_lsn:
+        if name.startswith("snapshot-") and name.endswith(".seg") and name != keep:
             os.remove(os.path.join(directory, name))
             report.obsolete_files_removed += 1
 
@@ -190,28 +186,41 @@ def compact_engine(
     rotated first, so every frame written so far is folded and the
     post-compaction log starts empty.
     """
-    from repro.storage.recovery import replay_directory
-    from repro.tippers.persistence import save_audit, save_datastore
+    from repro.storage.recovery import Replay, read_store
+    from repro.tippers.datastore import Datastore
 
     directory = engine.directory
     engine.wal.rotate()
-    state = replay_directory(directory)
-    report = CompactionReport(
-        frames_folded=state.report.frames_replayed,
-        erasures_folded=state.report.erasures_applied,
-        erased_observations_dropped=state.report.erased_observations,
-    )
-    if retention_by_type and now is not None:
-        report.retention_purged = state.datastore.sweep(now, retention_by_type)
-
-    new_lsn = max(state.report.last_lsn, state.report.snapshot_lsn)
-    paths = snapshot_paths(directory, new_lsn)
+    replay = Replay(Datastore(), audit=None)
+    report = CompactionReport()
+    writer = SnapshotWriter(directory)
+    try:
+        for record_type, data, payload in read_store(directory, replay.report):
+            if record_type == records.AUDIT:
+                writer.write(payload)
+            else:
+                replay.apply(record_type, data)
+        report.audit_snapshotted = writer.frames
+        datastore = replay.datastore
+        if retention_by_type and now is not None:
+            report.retention_purged = datastore.sweep(now, retention_by_type)
+        for sensor_type in datastore.stream_names():
+            for observation in datastore.query(sensor_type=sensor_type):
+                writer.write(records.encode_observation(observation))
+        report.observations_snapshotted = datastore.count()
+        preferences = replay.ordered_preferences()
+        for data in preferences:
+            writer.write(records.encode_record(records.PREF, data))
+        report.preferences_snapshotted = len(preferences)
+        new_lsn = max(replay.report.last_lsn, replay.report.snapshot_lsn)
+        writer.commit(new_lsn)
+    except BaseException:
+        writer.discard()
+        raise
     report.snapshot_lsn = new_lsn
-    report.observations_snapshotted = save_datastore(state.datastore, paths["obs"])
-    report.audit_snapshotted = save_audit(state.audit, paths["audit"])
-    report.preferences_snapshotted = save_preferences(
-        state.preferences, paths["prefs"]
-    )
+    report.frames_folded = replay.report.frames_replayed
+    report.erasures_folded = replay.report.erasures_applied
+    report.erased_observations_dropped = replay.report.erased_observations
     write_manifest(directory, Manifest(snapshot_lsn=new_lsn))
 
     # The watermark has moved: everything it folded is now garbage.

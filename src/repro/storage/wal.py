@@ -31,11 +31,12 @@ appends extend a valid log.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulatedCrash, StorageError
 
@@ -166,32 +167,51 @@ def list_segments(directory: str) -> List[str]:
     return sorted(paths, key=segment_sequence)
 
 
-def scan_segment(path: str) -> SegmentScan:
-    """Read the valid frame prefix of one segment; never raises on torn bytes."""
+def read_segment(path: str) -> Tuple[SegmentScan, Iterator[Frame]]:
+    """Open one segment for a lazy scan: ``(scan, frames)``.
+
+    ``frames`` yields the valid frame prefix one frame at a time, read
+    through a memory map, so a large file (a snapshot) is never copied
+    into memory whole.  ``scan`` is filled in as the frames are read:
+    its ``valid_bytes``, ``torn`` and ``reason`` are final once
+    ``frames`` is exhausted (``scan.frames`` stays empty).
+    """
     with open(path, "rb") as handle:
-        buffer = handle.read()
-    if len(buffer) < SEGMENT_HEADER.size:
-        return SegmentScan(path=path, first_lsn=0, torn=True, reason="short-segment-header")
+        if os.fstat(handle.fileno()).st_size < SEGMENT_HEADER.size:
+            scan = SegmentScan(path=path, first_lsn=0, torn=True,
+                               reason="short-segment-header")
+            return scan, iter(())
+        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     magic, first_lsn = SEGMENT_HEADER.unpack_from(buffer, 0)
     if magic != SEGMENT_MAGIC:
-        return SegmentScan(path=path, first_lsn=0, torn=True, reason="bad-magic")
+        buffer.close()
+        return SegmentScan(path=path, first_lsn=0, torn=True, reason="bad-magic"), iter(())
     scan = SegmentScan(path=path, first_lsn=first_lsn, valid_bytes=SEGMENT_HEADER.size)
-    offset = SEGMENT_HEADER.size
-    expected = first_lsn
-    while offset < len(buffer):
-        frame, next_offset, reason = decode_frame(buffer, offset)
-        if frame is None:
-            scan.torn = True
-            scan.reason = reason
-            return scan
-        if frame.lsn != expected:
-            scan.torn = True
-            scan.reason = "lsn-discontinuity"
-            return scan
-        scan.frames.append(frame)
-        scan.valid_bytes = next_offset
-        offset = next_offset
-        expected += 1
+    return scan, _frames(buffer, scan)
+
+
+def _frames(buffer: mmap.mmap, scan: SegmentScan) -> Iterator[Frame]:
+    """Decode ``buffer``'s frames in LSN order, noting the tear in ``scan``."""
+    try:
+        offset = scan.valid_bytes
+        expected = scan.first_lsn
+        while offset < len(buffer):
+            frame, next_offset, reason = decode_frame(buffer, offset)
+            if frame is None or frame.lsn != expected:
+                scan.torn = True
+                scan.reason = reason or "lsn-discontinuity"
+                return
+            scan.valid_bytes = offset = next_offset
+            expected += 1
+            yield frame
+    finally:
+        buffer.close()
+
+
+def scan_segment(path: str) -> SegmentScan:
+    """Read the valid frame prefix of one segment; never raises on torn bytes."""
+    scan, frames = read_segment(path)
+    scan.frames = list(frames)
     return scan
 
 

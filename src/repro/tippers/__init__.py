@@ -25,12 +25,6 @@ from repro.tippers.inference import InferenceEngine
 from repro.tippers.policy_manager import PolicyManager
 from repro.tippers.preference_manager import PreferenceManager
 from repro.tippers.request_manager import QueryResponse, RequestManager
-from repro.tippers.persistence import (
-    load_audit,
-    load_datastore,
-    save_audit,
-    save_datastore,
-)
 from repro.tippers.preview import EffectPreview, preview_effects
 from repro.tippers.sensor_manager import SensorManager
 from repro.tippers.social import SocialInference, Tie
@@ -52,8 +46,4 @@ __all__ = [
     "Tie",
     "EffectPreview",
     "preview_effects",
-    "save_datastore",
-    "load_datastore",
-    "save_audit",
-    "load_audit",
 ]

@@ -28,7 +28,7 @@ from repro.core.reasoner.resolution import ResolutionStrategy
 from repro.errors import NetworkError, PolicyError, ServiceError
 from repro.net.bus import Endpoint
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.sensors.base import Sensor
+from repro.sensors.base import Observation, Sensor
 from repro.sensors.environment import EnvironmentView
 from repro.sensors.ontology import SensorOntology, default_ontology
 from repro.spatial.model import SpatialModel
@@ -301,7 +301,6 @@ class TIPPERS(Endpoint):
         latest-wins, the profile add is skipped when present -- a
         re-driven import after a crash changes nothing it already did.
         """
-        from repro.tippers.persistence import observation_from_dict
         from repro.users.profile import profile_from_dict
 
         self._journal_migration({
@@ -323,7 +322,7 @@ class TIPPERS(Endpoint):
         }
         observations_imported = 0
         for data in snapshot.get("observations", ()):
-            observation = observation_from_dict(data)
+            observation = Observation.from_dict(data)
             if observation.observation_id in existing:
                 continue
             self.datastore.insert(observation)

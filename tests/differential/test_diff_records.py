@@ -31,14 +31,13 @@ from typing import Any, Callable, Dict, Union
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.core.enforcement.audit import AuditRecord
+from repro.core.enforcement.audit import AuditRecord, audit_record_to_dict
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.sensors.base import Observation
 from repro.storage import records
 from repro.storage.wal import decode_frame, encode_frame
-from repro.tippers.persistence import audit_record_to_dict
 
 Outcome = Union[bytes, tuple]
 

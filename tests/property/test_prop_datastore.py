@@ -1,12 +1,13 @@
 """Property tests: datastore consistency and snapshot round-trips."""
 
-import json
-
 from hypothesis import given, settings, strategies as st
 
+from repro.core.enforcement.audit import AuditRecord, audit_record_from_dict
+from repro.core.language.vocabulary import GranularityLevel
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.sensors.base import Observation
+from repro.storage import records
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import observation_from_json, observation_to_json
 
 observations = st.builds(
     Observation.create,
@@ -20,6 +21,20 @@ observations = st.builds(
         max_size=3,
     ),
     subject_id=st.one_of(st.none(), st.sampled_from(["mary", "bob"])),
+)
+
+audit_records = st.builds(
+    AuditRecord,
+    timestamp=st.floats(0, 1e6, allow_nan=False),
+    requester_id=st.text(max_size=5),
+    phase=st.sampled_from(DecisionPhase),
+    category=st.text(max_size=5),
+    subject_id=st.one_of(st.none(), st.sampled_from(["mary", "bob"])),
+    space_id=st.one_of(st.none(), st.sampled_from(["r1", "r2", "r3"])),
+    effect=st.sampled_from(Effect),
+    granularity=st.sampled_from(GranularityLevel),
+    reasons=st.lists(st.text(max_size=8), max_size=3).map(tuple),
+    notify_user=st.booleans(),
 )
 
 
@@ -82,12 +97,18 @@ def test_sweep_removes_exactly_the_expired(batch, retention, now):
 
 @settings(max_examples=150, deadline=None)
 @given(observation=observations)
-def test_snapshot_line_round_trip(observation):
-    line = observation_to_json(observation)
-    restored = observation_from_json(line)
-    assert restored.to_dict() == observation.to_dict()
-    # Lines are self-contained JSON objects.
-    assert isinstance(json.loads(line), dict)
+def test_snapshot_record_round_trip(observation):
+    record_type, data = records.decode_record(records.encode_observation(observation))
+    assert record_type == records.OBS
+    assert Observation.from_dict(data) == observation
+
+
+@settings(max_examples=150, deadline=None)
+@given(record=audit_records)
+def test_audit_record_round_trip(record):
+    record_type, data = records.decode_record(records.encode_audit(record))
+    assert record_type == records.AUDIT
+    assert audit_record_from_dict(data) == record
 
 
 @settings(max_examples=75, deadline=None)

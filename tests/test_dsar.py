@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.enforcement import audit
+from repro.core.enforcement.audit import AuditRecord
+from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy import catalog
-from repro.core.policy.base import RequesterKind
+from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.errors import PolicyError
+from repro.storage.durable import StorageEngine
+from repro.tippers.bms import TIPPERS
 from repro.tippers.dsar import erase_subject, subject_access_report
 
 
@@ -57,6 +62,42 @@ class TestSubjectAccessReport:
         report = subject_access_report(tippers, "bob", 0.0)
         assert report.observations_total == 0
         assert report.earliest_observation is None
+
+
+class TestDurableDecisionCount:
+    """A storage-backed report counts the durable trail, not the window."""
+
+    def decision(self, index, subject="mary"):
+        return AuditRecord(
+            timestamp=float(index),
+            requester_id="svc",
+            phase=DecisionPhase.SHARING,
+            category="location",
+            subject_id=subject,
+            space_id="b-1001",
+            effect=Effect.DENY if index % 3 == 0 else Effect.ALLOW,
+            granularity=GranularityLevel.PRECISE,
+            reasons=("r",),
+            notify_user=index % 5 == 0,
+        )
+
+    def test_counts_every_decision_past_the_window(
+        self, small_building, mary, bob, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(audit, "AUDIT_WINDOW", 10)
+        engine = StorageEngine(str(tmp_path))
+        bms = TIPPERS(small_building, "b", storage=engine)
+        bms.add_user(mary)
+        bms.add_user(bob)
+        for index in range(25):
+            bms.audit.append(self.decision(index))
+            bms.audit.append(self.decision(index, subject="bob"))
+        assert len(bms.audit) < 25  # the window alone would undercount
+        report = subject_access_report(bms, "mary", 100.0)
+        assert report.decisions_total == 25
+        assert report.decisions_denied == 9  # 0, 3, ..., 24
+        assert report.decisions_overridden == 3  # 5, 10, 20
+        engine.close()
 
 
 class TestErasure:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.enforcement import audit
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
@@ -36,18 +37,15 @@ class TestAppend:
         log.append(record())
         assert len(log) == 1
 
-    def test_capacity_eviction(self):
-        log = AuditLog(capacity=10)
+    def test_capacity_eviction(self, monkeypatch):
+        monkeypatch.setattr(audit, "AUDIT_WINDOW", 10)
+        log = AuditLog()
         for i in range(15):
             log.append(record(timestamp=float(i)))
         assert len(log) <= 10
         assert log.dropped > 0
         # Newest records survive.
         assert list(log)[-1].timestamp == 14.0
-
-    def test_tiny_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            AuditLog(capacity=1)
 
 
 class TestQueries:

@@ -76,6 +76,14 @@ class TestDeterminism:
         other = run_federate_scenario(plan_name=PLAN, seed=23)
         assert other.ok, other.report_text
 
+    def test_recovery_replays_a_roamers_durable_preferences(self):
+        # At this size a roamer's preferences reach the crashed shard's
+        # WAL before its sensors ever observe them.
+        small = run_federate_scenario(plan_name=PLAN, seed=SEED, population=6, ticks=8)
+        assert small.ok, small.report_text
+        assert small.recovery.records_replayed.get("pref", 0) > 0
+        assert small.recovery.preferences_restored > 0
+
     def test_rejects_an_unknown_plan(self):
         from repro.errors import FaultError
 

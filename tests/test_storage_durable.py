@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.enforcement.audit import AuditRecord
+from repro.core.enforcement.audit import AuditRecord, audit_record_to_dict
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import SimulatedCrash, StorageError
@@ -12,7 +12,6 @@ from repro.storage import durable, records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.recovery import replay_directory
 from repro.storage.wal import MAX_PAYLOAD_BYTES
-from repro.tippers.persistence import audit_record_to_dict
 
 
 def obs(timestamp, subject=None):

@@ -5,19 +5,38 @@ import os
 
 import pytest
 
+from repro.core.enforcement import audit
+from repro.core.enforcement.audit import AuditRecord
+from repro.core.language.vocabulary import GranularityLevel
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.sensors.base import Observation
+from repro.storage import records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
+from repro.storage.recovery import read_store, replay_directory
 from repro.storage.snapshot import (
     Manifest,
-    load_preferences,
     manifest_path,
     read_manifest,
-    save_preferences,
-    snapshot_paths,
+    snapshot_path,
     write_manifest,
 )
-from repro.storage.wal import list_segments
+from repro.storage.wal import encode_frame, list_segments, scan_segment
+
+
+def audit_record(timestamp, subject="mary"):
+    return AuditRecord(
+        timestamp=timestamp,
+        requester_id="svc",
+        phase=DecisionPhase.SHARING,
+        category="location",
+        subject_id=subject,
+        space_id="r1",
+        effect=Effect.ALLOW,
+        granularity=GranularityLevel.PRECISE,
+        reasons=("r",),
+        notify_user=False,
+    )
 
 
 def obs(timestamp, subject=None, sensor_type="temperature"):
@@ -57,18 +76,27 @@ class TestManifest:
 
 
 class TestPreferenceSnapshots:
+    def snapshot(self, tmp_path, prefs):
+        engine = StorageEngine(str(tmp_path))
+        for data in prefs:
+            engine.log(records.PREF, data)
+        report = engine.compact()
+        engine.close()
+        assert report.preferences_snapshotted == len(prefs)
+        return snapshot_path(str(tmp_path), report.snapshot_lsn)
+
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "prefs.jsonl")
         prefs = [{"user_id": "mary", "preference_id": "p1", "effect": "deny"}]
-        assert save_preferences(prefs, path) == 1
-        assert load_preferences(path) == prefs
+        self.snapshot(tmp_path, prefs)
+        assert replay_directory(str(tmp_path)).preferences == prefs
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = str(tmp_path / "prefs.jsonl")
-        save_preferences([{"user_id": "mary", "preference_id": "p1"}], path)
-        with open(path, "a") as handle:
-            handle.write('{"user_id": "bo')
-        assert len(load_preferences(path)) == 1
+        path = self.snapshot(tmp_path, [{"user_id": "mary", "preference_id": "p1"}])
+        with open(path, "ab") as handle:
+            handle.write(encode_frame(2, b'{"d":{"user_id":"bo"},"t":"pref"}')[:20])
+        state = replay_directory(str(tmp_path))
+        assert len(state.preferences) == 1
+        assert state.report.snapshot_torn_tails == 1
 
 
 class TestCompaction:
@@ -85,8 +113,13 @@ class TestCompaction:
         assert report.observations_snapshotted == 20
         assert report.snapshot_lsn == 20
         assert read_manifest(str(tmp_path)).snapshot_lsn == 20
-        # Only the fresh active segment remains.
+        # Only the fresh active segment remains, beside one snapshot.
         assert list_segments(str(tmp_path)) == [engine.wal.active_path]
+        assert sorted(os.listdir(str(tmp_path))) == [
+            "MANIFEST.json",
+            os.path.basename(snapshot_path(str(tmp_path), 20)),
+            os.path.basename(engine.wal.active_path),
+        ]
         engine.close()
 
     def test_compaction_physically_drops_erased_data(self, tmp_path):
@@ -120,9 +153,9 @@ class TestCompaction:
         datastore.insert(obs(2.0))
         second = engine.compact()
         assert second.snapshot_lsn > first.snapshot_lsn
-        assert second.obsolete_files_removed >= 3
-        old = snapshot_paths(str(tmp_path), first.snapshot_lsn)
-        assert not any(os.path.exists(path) for path in old.values())
+        # One snapshot file per generation.
+        assert second.obsolete_files_removed == 1
+        assert not os.path.exists(snapshot_path(str(tmp_path), first.snapshot_lsn))
         engine.close()
 
     def test_compaction_is_idempotent_when_idle(self, tmp_path):
@@ -133,3 +166,49 @@ class TestCompaction:
         assert second.snapshot_lsn == first.snapshot_lsn
         assert second.frames_folded == 0
         engine.close()
+
+
+class TestAuditTrailSurvivesCompaction:
+    """Compaction copies the whole durable audit trail, not the window."""
+
+    def test_more_records_than_the_window_survive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(audit, "AUDIT_WINDOW", 100)
+        engine = StorageEngine(str(tmp_path), segment_bytes=4096)
+        log = DurableAuditLog(engine)
+        appended = [audit_record(float(index)) for index in range(250)]
+        for record in appended:
+            log.append(record)
+        assert len(log) < len(appended)  # the in-memory window dropped some
+        report = engine.compact()
+        assert report.audit_snapshotted == len(appended)
+        # A second generation carries the trail forward byte for byte.
+        log.append(audit_record(250.0))
+        appended.append(audit_record(250.0))
+        assert engine.compact().audit_snapshotted == len(appended)
+        engine.close()
+        payloads = [
+            payload
+            for record_type, _, payload in read_store(str(tmp_path))
+            if record_type == records.AUDIT
+        ]
+        assert payloads == [records.encode_audit(record) for record in appended]
+
+    def test_snapshot_frames_are_numbered_from_one(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        DurableAuditLog(engine).append(audit_record(1.0))
+        DurableDatastore(engine).insert(obs(2.0))
+        report = engine.compact()
+        engine.close()
+        scan = scan_segment(snapshot_path(str(tmp_path), report.snapshot_lsn))
+        assert [frame.lsn for frame in scan.frames] == [1, 2]
+        assert not scan.torn
+
+    def test_corrupt_snapshot_header_raises(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        DurableDatastore(engine).insert(obs(1.0))
+        report = engine.compact()
+        engine.close()
+        with open(snapshot_path(str(tmp_path), report.snapshot_lsn), "r+b") as handle:
+            handle.write(b"NOTAWAL!")
+        with pytest.raises(StorageError):
+            replay_directory(str(tmp_path))
