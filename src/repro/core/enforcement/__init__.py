@@ -16,9 +16,8 @@ user data".
 - :mod:`repro.core.enforcement.compiled` -- the Section V-C
   optimization and the engine TIPPERS runs: decisions compiled into
   per-user tables, proven equivalent to the reference engine by
-  ``tests/differential``.
-- :mod:`repro.core.enforcement.tables` -- (de)serialization of compiled
-  tables, so they round-trip through the WAL as advisory records.
+  ``tests/differential``.  The tables are an in-memory cache and are
+  never persisted.
 """
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
@@ -31,14 +30,11 @@ from repro.core.enforcement.mechanisms import (
     laplace_noise,
     suppress_personal_fields,
 )
-from repro.core.enforcement.tables import export_table, import_table
 
 __all__ = [
     "EnforcementEngine",
     "CompiledEnforcementEngine",
     "Decision",
-    "export_table",
-    "import_table",
     "AuditLog",
     "AuditRecord",
     "coarsen_space",

@@ -43,8 +43,8 @@ Keys are tuples of vocabulary enum members, which hash by identity
 Invalidation protocol
 ---------------------
 
-Correctness never depends on anyone remembering to call a hook.  The
-rule store carries monotonic counters
+A rule change needs no hook to invalidate the table.  The rule store
+carries monotonic counters
 (:attr:`~repro.core.reasoner.index.RuleStore.version`,
 :attr:`~repro.core.reasoner.index.RuleStore.policy_version`, and
 :attr:`~repro.core.reasoner.index.RuleStore.preference_versions`) that
@@ -55,12 +55,18 @@ fine-grained counters:
 - a policy mutation drops *every* shard (policies affect all users);
 - a preference mutation of user U drops exactly U's shard.
 
-The :class:`~repro.tippers.preference_manager.PreferenceManager`
-listener hooks additionally call :meth:`invalidate_user` eagerly so a
-withdrawn user's rows are reclaimed without waiting for their next
-request, and :meth:`invalidate_all` backs context changes (user
-profiles feed ``ProfileCondition``, which is time-insensitive and hence
-compiled into rows).
+A mutation made straight on the store, bypassing the preference
+manager, is caught the same way.  Two explicit calls remain, for state
+the counters do not cover:
+:meth:`invalidate_all` backs context changes (user profiles feed
+``ProfileCondition``, which is time-insensitive and hence compiled into
+rows), and :meth:`invalidate_user` reclaims a migrated-away user's
+shard.
+
+The table is an in-memory cache only: it is never persisted, and a
+restarted engine re-warms from misses.  ``SHARD_CAPACITY`` bounds rows
+per shard (a full shard is recompiled from scratch) and ``MAX_SHARDS``
+bounds distinct subjects (FIFO eviction).
 
 Equivalence
 -----------
@@ -96,6 +102,11 @@ from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.resolution import Resolution, resolve
 from repro.errors import ReproError
 from repro.sensors.base import Observation
+
+#: Rows per shard; a full shard is recompiled from scratch.
+SHARD_CAPACITY = 4096
+#: Distinct subjects with a resident shard; the oldest is evicted first.
+MAX_SHARDS = 16384
 
 _perf_counter = time.perf_counter
 _tuple_new = tuple.__new__
@@ -178,23 +189,12 @@ class CompiledEnforcementEngine(EnforcementEngine):
     """An enforcement engine serving repeat requests from compiled rows.
 
     Constructed via ``EnforcementEngine(compiled=True, ...)`` (what
-    TIPPERS does by default) or directly.  ``shard_capacity`` bounds rows per
-    shard (a full shard is recompiled from scratch); ``max_shards``
-    bounds distinct subjects (FIFO eviction).
+    TIPPERS does by default) or directly; it takes the reference
+    engine's arguments and no others.
     """
 
-    def __init__(
-        self,
-        *args: object,
-        shard_capacity: int = 4096,
-        max_shards: int = 16384,
-        **kwargs: object,
-    ) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        if shard_capacity < 1:
-            raise ValueError("shard_capacity must be positive")
-        if max_shards < 1:
-            raise ValueError("max_shards must be positive")
         self._shards: Dict[Optional[str], TableShard] = {}
         #: Flat serving table: ``_flat_key(request)`` -> row.  Always
         #: the union of every shard's rows (with the subject prefixed);
@@ -206,8 +206,6 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._rows_get = self._rows.get
         self._shards_get = self._shards.get
         self._pref_version_of = self.store.preference_versions.get
-        self._shard_capacity = shard_capacity
-        self._max_shards = max_shards
         self._policy_version = self.store.policy_version
         self._store_version = self.store.version
         self._row_count = 0
@@ -284,13 +282,13 @@ class CompiledEnforcementEngine(EnforcementEngine):
             shard = self._shards_get(subject)
             if shard is None:
                 shards = self._shards
-                if len(shards) >= self._max_shards:
+                if len(shards) >= MAX_SHARDS:
                     self._drop_shard(next(iter(shards)))
                 shard = shards[subject] = TableShard(
                     self._pref_version_of(subject, 0)
                 )
                 self._m_shards.set(len(shards))
-            if len(shard.rows) >= self._shard_capacity:
+            if len(shard.rows) >= SHARD_CAPACITY:
                 self._clear_shard_rows(subject, shard)
             key = _row_key(request)
             row = shard.rows[key] = (
@@ -428,9 +426,9 @@ class CompiledEnforcementEngine(EnforcementEngine):
     def invalidate_user(self, user_id: str) -> None:
         """Drop the compiled shard for ``user_id`` (no-op if absent).
 
-        Wired to the preference manager's submit/withdraw listeners for
-        eager reclamation; the per-decide version check would catch the
-        staleness anyway.
+        Reclaims memory only (a migration export calls it for the user
+        leaving this shard); a preference change needs no call, since
+        the per-decide version check drops the stale shard.
         """
         self._drop_shard(user_id)
 
@@ -439,21 +437,6 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._drop_all_shards()
         self._policy_version = self.store.policy_version
         self._store_version = self.store.version
-
-    # ------------------------------------------------------------------
-    # Serialization (see tables.py)
-    # ------------------------------------------------------------------
-    def export_table(self) -> Dict[str, object]:
-        """The compiled table as a JSON-compatible dict."""
-        from repro.core.enforcement.tables import export_table
-
-        return export_table(self)
-
-    def import_table(self, data: Dict[str, object]) -> int:
-        """Adopt still-valid shards from an exported table."""
-        from repro.core.enforcement.tables import import_table
-
-        return import_table(self, data)
 
     # ------------------------------------------------------------------
     # Introspection

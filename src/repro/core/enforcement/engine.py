@@ -177,7 +177,6 @@ class EnforcementEngine:
             resolution = dataclasses.replace(
                 resolution, reasons=resolution.reasons + notes
             )
-            self.metrics.counter("brownout_audited_total").inc()
         self._record(request, resolution)
         self._note_decision(
             resolution,

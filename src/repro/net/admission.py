@@ -202,7 +202,8 @@ class BrownoutPolicy:
     deepens linearly: just past ``high`` responses coarsen one level
     (precise -> coarse), approaching ``shed`` they coarsen
     ``max_levels`` (-> building-level presence).  The policy never
-    degrades below :data:`BROWNOUT_LATTICE`'s floor.
+    degrades below :data:`BROWNOUT_LATTICE`'s floor.  The request
+    manager walks the lattice when it serves a degraded answer.
     """
 
     max_levels: int = 2
@@ -221,18 +222,6 @@ class BrownoutPolicy:
             return self.max_levels
         ramp = (load - high) / (shed - high)
         return max(1, min(self.max_levels, 1 + int(ramp * self.max_levels)))
-
-    @staticmethod
-    def coarsen(granularity: str, levels: int) -> str:
-        """``granularity`` degraded ``levels`` steps down the lattice.
-
-        Granularities outside the lattice (``aggregate``, ``none``) are
-        already coarser than the brownout floor and pass through.
-        """
-        if granularity not in BROWNOUT_LATTICE or levels <= 0:
-            return granularity
-        index = BROWNOUT_LATTICE.index(granularity)
-        return BROWNOUT_LATTICE[min(index + levels, len(BROWNOUT_LATTICE) - 1)]
 
 
 #: An overload fault plane: consulted once per admission check with

@@ -138,16 +138,6 @@ class StorageEngine:
     def log_withdraw_all(self, user_id: str) -> Optional[int]:
         return self.log(records.PREF_WITHDRAW_ALL, {"user_id": user_id})
 
-    def log_compiled_table(self, data: Dict[str, Any]) -> Optional[int]:
-        """Log a compiled enforcement table (advisory; latest wins).
-
-        ``data`` is :func:`repro.core.enforcement.tables.export_table`
-        output.  Recovery surfaces the newest logged table so a restart
-        can re-adopt still-valid shards instead of re-warming; a stale
-        or unreadable table costs warm-up misses, never correctness.
-        """
-        return self.log(records.TABLE, data)
-
     def log_migration(self, data: Dict[str, Any]) -> Optional[int]:
         """Journal one phase of a cross-shard user migration.
 

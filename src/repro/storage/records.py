@@ -24,9 +24,6 @@ Record types:
 ``audit``               one enforcement decision (audit record dict)
 ``pref``                a submitted user preference (latest wins per id)
 ``pref_withdraw_all``   all of a user's preferences were withdrawn
-``table``               a compiled enforcement decision table (advisory
-                        cache artifact; latest wins, dropped by
-                        compaction)
 ``migration``           one phase of a cross-shard user migration
                         (journal entry; latest phase per migration id
                         wins on replay)
@@ -50,10 +47,9 @@ ERASE = "erase"
 AUDIT = "audit"
 PREF = "pref"
 PREF_WITHDRAW_ALL = "pref_withdraw_all"
-TABLE = "table"
 MIGRATION = "migration"
 
-RECORD_TYPES = (OBS, ERASE, AUDIT, PREF, PREF_WITHDRAW_ALL, TABLE, MIGRATION)
+RECORD_TYPES = (OBS, ERASE, AUDIT, PREF, PREF_WITHDRAW_ALL, MIGRATION)
 
 
 #: The canonical encoder, built once: ``json.dumps`` with these options

@@ -125,10 +125,6 @@ class RecoveredState:
     audit: AuditLog
     preferences: List[Dict[str, Any]]
     report: RecoveryReport
-    #: The newest compiled enforcement table logged before the crash
-    #: (advisory: adopt via ``import_table``, which skips shards whose
-    #: version stamps no longer match the live store), or ``None``.
-    compiled_table: Optional[Dict[str, Any]] = None
     #: Cross-shard migration journal: ``migration_id`` -> the latest
     #: journaled phase record.  A rebalance coordinator consults this to
     #: resume (dest journal shows ``committed``) or re-run (journal
@@ -214,7 +210,6 @@ class Replay:
         self.report = RecoveryReport()
         #: ``(user_id, preference_id)`` -> the latest preference dict.
         self.preferences: Dict[Tuple[Any, Any], Dict[str, Any]] = {}
-        self.compiled_table: Optional[Dict[str, Any]] = None
         self.migrations: Dict[str, Dict[str, Any]] = {}
 
     def apply(self, record_type: str, data: Dict[str, Any]) -> None:
@@ -247,11 +242,6 @@ class Replay:
             user_id = data.get("user_id")
             for key in [k for k in preferences if k[0] == user_id]:
                 del preferences[key]
-        elif record_type == records.TABLE:
-            # Advisory cache artifact: latest wins, adoption (and version
-            # validation) happens in import_table after the rule store is
-            # rebuilt.
-            self.compiled_table = data
         elif record_type == records.MIGRATION:
             migration_id = data.get("migration_id")
             if not isinstance(migration_id, str) or not migration_id:
@@ -290,7 +280,6 @@ def replay_directory(
         audit=replay.audit,
         preferences=replay.ordered_preferences(),
         report=report,
-        compiled_table=replay.compiled_table,
         migrations=replay.migrations,
     )
 

@@ -21,8 +21,8 @@ moves the manifest forward, and only then deletes what was folded.  A
 crash at any point leaves either the old manifest (old snapshot +
 segments intact: nothing lost) or the new manifest (new snapshot
 complete: leftover files are garbage, collected by the next
-compaction).  ``table`` and ``migration`` records are not carried
-into the snapshot.
+compaction).  ``migration`` records are not carried into the
+snapshot.
 
 Erasure interaction -- the DSAR guarantee: an ``erase`` record in the
 log makes the replay *physically drop* every earlier observation of

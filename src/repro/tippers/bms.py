@@ -127,17 +127,6 @@ class TIPPERS(Endpoint):
             on_submit=None if storage is None else storage.log_preference,
             on_withdraw_all=None if storage is None else storage.log_withdraw_all,
         )
-        if compile_decisions:
-            # Eager shard reclamation; the engine's per-decide version
-            # check keeps correctness even for mutations that bypass
-            # the manager (e.g. direct store writes in benchmarks).
-            engine = self.engine
-            self.preference_manager.add_submit_listener(
-                lambda preference: engine.invalidate_user(preference.user_id)
-            )
-            self.preference_manager.add_withdraw_listener(
-                engine.invalidate_user
-            )
         self.inference = InferenceEngine(self.datastore, spatial)
         self.social = SocialInference(self.datastore)
         #: user_id -> home building, for principals whose home shard is

@@ -39,31 +39,11 @@ class PreferenceManager:
         self._context = context if context is not None else EvaluationContext()
         self._by_user: Dict[str, Dict[str, UserPreference]] = defaultdict(dict)
         self._selections: Dict[str, Dict[str, str]] = {}
-        # Listener lists, seeded with the constructor's durability hooks
-        # (see repro.storage): called after validation but before the
-        # store mutation -- write-ahead ordering, same as the durable
-        # datastore.  The compiled enforcement engine registers
-        # invalidation listeners here too (hook order is irrelevant to
-        # it: its per-decide version check is authoritative, the
-        # listener only reclaims memory eagerly).
-        self._submit_listeners: List[Callable[[UserPreference], object]] = (
-            [] if on_submit is None else [on_submit]
-        )
-        self._withdraw_listeners: List[Callable[[str], object]] = (
-            [] if on_withdraw_all is None else [on_withdraw_all]
-        )
-
-    def add_submit_listener(
-        self, listener: Callable[[UserPreference], object]
-    ) -> None:
-        """Call ``listener`` with every preference before it is stored."""
-        self._submit_listeners.append(listener)
-
-    def add_withdraw_listener(
-        self, listener: Callable[[str], object]
-    ) -> None:
-        """Call ``listener`` with the user id of every withdraw-all."""
-        self._withdraw_listeners.append(listener)
+        # Durability hooks (see repro.storage): called after validation
+        # but before the store mutation -- write-ahead ordering, same as
+        # the durable datastore.
+        self._on_submit = on_submit
+        self._on_withdraw_all = on_withdraw_all
 
     # ------------------------------------------------------------------
     # Submission
@@ -79,8 +59,8 @@ class PreferenceManager:
         """
         if preference.user_id not in self._directory:
             raise PolicyError("unknown user %r" % preference.user_id)
-        for listener in self._submit_listeners:
-            listener(preference)
+        if self._on_submit is not None:
+            self._on_submit(preference)
         self._by_user[preference.user_id][preference.preference_id] = preference
         self._store.add_preference(preference)
         return detect_conflicts(
@@ -100,19 +80,19 @@ class PreferenceManager:
         del user_prefs[preference_id]
         # The log has no single-withdrawal record; mirror the store
         # rebuild below as withdraw-all + re-submit of what remains.
-        for listener in self._withdraw_listeners:
-            listener(user_id)
-        for preference in user_prefs.values():
-            for listener in self._submit_listeners:
-                listener(preference)
+        if self._on_withdraw_all is not None:
+            self._on_withdraw_all(user_id)
+        if self._on_submit is not None:
+            for preference in user_prefs.values():
+                self._on_submit(preference)
         # The store indexes by preference id; rebuild the user's entry.
         self._store.remove_preferences_of(user_id)
         for preference in user_prefs.values():
             self._store.add_preference(preference)
 
     def withdraw_all(self, user_id: str) -> int:
-        for listener in self._withdraw_listeners:
-            listener(user_id)
+        if self._on_withdraw_all is not None:
+            self._on_withdraw_all(user_id)
         count = len(self._by_user.pop(user_id, {}))
         self._store.remove_preferences_of(user_id)
         self._selections.pop(user_id, None)

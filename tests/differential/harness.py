@@ -96,8 +96,6 @@ class EnginePair:
         policies: Iterable = (),
         preferences: Iterable = (),
         strategy: ResolutionStrategy = ResolutionStrategy.NEGOTIATE,
-        shard_capacity: int = 4096,
-        max_shards: int = 16384,
     ) -> None:
         self.reference_metrics = MetricsRegistry()
         self.compiled_metrics = MetricsRegistry()
@@ -116,8 +114,6 @@ class EnginePair:
             audit=AuditLog(metrics=self.compiled_metrics),
             metrics=self.compiled_metrics,
             compiled=True,
-            shard_capacity=shard_capacity,
-            max_shards=max_shards,
         )
         assert isinstance(self.compiled, CompiledEnforcementEngine)
         self.request_path = RequestPathEngine(
@@ -126,8 +122,6 @@ class EnginePair:
             strategy=strategy,
             audit=AuditLog(metrics=self.request_path_metrics),
             metrics=self.request_path_metrics,
-            shard_capacity=shard_capacity,
-            max_shards=max_shards,
         )
         self.policy_ids: List[str] = []
         for policy in policies:

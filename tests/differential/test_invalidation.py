@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.enforcement import compiled as compiled_module
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
@@ -153,23 +154,22 @@ class TestManagerHooks:
         return tippers
 
     def test_submit_evicts_eagerly(self):
+        """The next decide after a submit drops the stale shard."""
         tippers = self._tippers()
         engine = tippers.engine
         engine.decide(request(subject="mary"))
         engine.decide(request(subject="bob"))
         assert engine.table_shards == 2
         tippers.submit_preference(catalog.preference_2_no_location("mary"))
-        assert engine.table_shards == 1, "submit must evict mary's shard eagerly"
         assert not engine.decide(request(subject="mary", timestamp=200.0)).allowed
 
     def test_withdraw_all_evicts_eagerly(self):
+        """The next decide after a withdraw-all drops the stale shard."""
         tippers = self._tippers()
         engine = tippers.engine
         tippers.submit_preference(catalog.preference_2_no_location("mary"))
         assert not engine.decide(request(subject="mary")).allowed
-        rows_before = engine.table_rows
         tippers.preference_manager.withdraw_all("mary")
-        assert engine.table_rows == rows_before - 1
         assert engine.decide(request(subject="mary", timestamp=200.0)).allowed
 
     def test_add_user_invalidates_profile_conditioned_rows(self):
@@ -203,13 +203,13 @@ class TestManagerHooks:
 
 
 class TestCapacityBounds:
-    def test_max_shards_fifo_eviction(self):
+    def test_max_shards_fifo_eviction(self, monkeypatch):
+        monkeypatch.setattr(compiled_module, "MAX_SHARDS", 2)
         spatial = build_simple_building("b", 2, 4)
         engine = EnforcementEngine(
             context=EvaluationContext(spatial=spatial),
             metrics=MetricsRegistry(),
             compiled=True,
-            max_shards=2,
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for index in range(5):
@@ -217,25 +217,19 @@ class TestCapacityBounds:
         assert engine.table_shards <= 2
         assert engine.table_rows <= 2
 
-    def test_shard_capacity_clears_full_shard(self):
+    def test_shard_capacity_clears_full_shard(self, monkeypatch):
+        monkeypatch.setattr(compiled_module, "SHARD_CAPACITY", 2)
         spatial = build_simple_building("b", 2, 4)
         engine = EnforcementEngine(
             context=EvaluationContext(spatial=spatial),
             metrics=MetricsRegistry(),
             compiled=True,
-            shard_capacity=2,
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for index in range(5):
             engine.decide(request(requester_id="svc-%d" % index))
         assert engine.table_rows <= 2
         assert engine.table_shards == 1
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            EnforcementEngine(compiled=True, shard_capacity=0)
-        with pytest.raises(ValueError):
-            EnforcementEngine(compiled=True, max_shards=0)
 
 
 class TestInvalidationMetrics:

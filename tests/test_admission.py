@@ -94,16 +94,6 @@ class TestBrownoutPolicy:
         assert policy.level_for(0.8, 0.5, 0.8) == 2
         assert policy.level_for(1.0, 0.5, 0.8) == 2
 
-    def test_coarsen_walks_the_lattice_and_floors(self):
-        assert BrownoutPolicy.coarsen("precise", 1) == "coarse"
-        assert BrownoutPolicy.coarsen("precise", 2) == "building"
-        assert BrownoutPolicy.coarsen("precise", 99) == "building"
-        assert BrownoutPolicy.coarsen("coarse", 1) == "building"
-        # Already coarser than the floor: pass through untouched.
-        assert BrownoutPolicy.coarsen("aggregate", 2) == "aggregate"
-        assert BrownoutPolicy.coarsen("none", 1) == "none"
-        assert BrownoutPolicy.coarsen("precise", 0) == "precise"
-
 
 class TestClassification:
     def test_privacy_calls_are_critical(self):

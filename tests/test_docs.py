@@ -161,6 +161,13 @@ class TestStorageDocExamples:
         assert "DEFAULT_SEGMENT_BYTES = %d" % DEFAULT_SEGMENT_BYTES in storage_text
         assert FRAME_HEADER.size == 16  # the documented frame-header table
 
+    def test_documented_record_types_match_the_code(self, storage_text):
+        from repro.storage.records import RECORD_TYPES
+
+        match = re.search(r"Types: ((?:`\w+`,?\s*)+)\.", storage_text)
+        assert match, "the storage doc must list the record types"
+        assert tuple(re.findall(r"`(\w+)`", match.group(1))) == RECORD_TYPES
+
     def test_documented_metrics_exist(self, storage_text):
         import pathlib
 

@@ -8,6 +8,7 @@ time-sensitivity gate, bounds, and the brownout bypass.
 
 import pytest
 
+from repro.core.enforcement import compiled as compiled_module
 from repro.core.enforcement.compiled import CompiledEnforcementEngine, time_stable
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, Purpose
@@ -112,22 +113,17 @@ class TestCaching:
                     )
         assert engine.stats.hits > 0
 
-    def test_capacity_eviction(self):
+    def test_capacity_eviction(self, monkeypatch):
+        monkeypatch.setattr(compiled_module, "MAX_SHARDS", 2)
         spatial = build_simple_building("b", 2, 4)
         engine = CompiledEnforcementEngine(
-            context=EvaluationContext(spatial=spatial), max_shards=2
+            context=EvaluationContext(spatial=spatial)
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for index in range(5):
             engine.decide(request(subject="user-%d" % index))
         assert engine.table_shards <= 2
         assert engine.table_rows <= 2
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            CompiledEnforcementEngine(shard_capacity=0)
-        with pytest.raises(ValueError):
-            CompiledEnforcementEngine(max_shards=0)
 
     def test_stats_shape(self, engine):
         engine.decide(request())

@@ -7,6 +7,10 @@ from repro.core.policy import catalog
 from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.core.policy.preference import UserPreference
 from repro.errors import ServiceError
+from repro.obs.metrics import MetricsRegistry
+from repro.tippers.bms import TIPPERS
+from repro.tippers.request_manager import _brownout_granularity
+from repro.users.profile import UserProfile
 
 SVC = ("concierge", RequesterKind.BUILDING_SERVICE)
 
@@ -60,6 +64,38 @@ class TestLocateUser:
         response = tippers.request_manager.locate_user(*SVC, "bob", 43200.0)
         assert response.allowed
         assert response.value is None
+
+
+class TestBrownout:
+    @pytest.mark.parametrize(
+        "granularity, levels, expected",
+        [
+            ("precise", 1, "coarse"),
+            ("precise", 2, "building"),
+            ("precise", 99, "building"),
+            ("coarse", 1, "building"),
+            # Already coarser than the floor: pass through untouched.
+            ("aggregate", 2, "aggregate"),
+            ("none", 1, "none"),
+            ("precise", 0, "precise"),
+        ],
+    )
+    def test_walks_lattice_to_floor(self, granularity, levels, expected):
+        degraded = _brownout_granularity(GranularityLevel(granularity), levels)
+        assert degraded is GranularityLevel(expected)
+
+    def test_roaming_locate_is_not_counted_as_brownout(self, small_building):
+        metrics = MetricsRegistry()
+        bms = TIPPERS(small_building, "b", metrics=metrics)
+        bms.define_policy(catalog.policy_service_sharing("b"))
+        bms.register_roaming_user(
+            UserProfile(user_id="visitor", name="Visitor"), "elsewhere"
+        )
+        response = bms.request_manager.locate_user(*SVC, "visitor", 43200.0)
+        assert response.allowed
+        assert bms.audit.records()[-1].reasons[-1] == "roaming:elsewhere"
+        assert metrics.total("brownout_queries_total") == 0
+        assert metrics.total("brownout_audited_total") == 0
 
 
 class TestRoomOccupancy:

@@ -57,6 +57,8 @@ class TestRecordCodec:
             records.decode_record(b"not json")
         with pytest.raises(StorageError):
             records.decode_record(b'["not", "an", "object"]')
+        with pytest.raises(StorageError):  # no longer a record type
+            records.decode_record(b'{"d":{},"t":"table"}')
 
     @pytest.mark.parametrize(
         "data",
@@ -127,7 +129,9 @@ class TestStorageEngine:
         engine.taps.append(lambda rt, data: seen.append(rt))
         engine.log_observation(obs(1.0))
         with pytest.raises(StorageError, match="exceeds frame limit"):
-            engine.log_compiled_table({"blob": "x" * MAX_PAYLOAD_BYTES})
+            engine.log_migration(
+                {"migration_id": "m-1", "blob": "x" * MAX_PAYLOAD_BYTES}
+            )
         assert seen == [records.OBS]  # no tap saw the unwritten record
         assert engine.wal.next_lsn == 2  # no LSN was spent on it
         engine.close()
