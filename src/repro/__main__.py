@@ -6,9 +6,10 @@ figure1 [--population N] [--persona NAME]
     Run the paper's Figure-1 interaction end to end and print the
     per-step report.
 lint [paths...] [--format text|json|sarif] [--select RULES] [--flow]
-    With no paths: statically audit the default DBH policy set, its
-    advertisement registry, and the deployed sensors (policy rules
-    P001-P010 plus the reasoner's legacy checks).  With paths: run the
+    With no paths: statically audit the default DBH policy set and its
+    advertisement registry (the resource advertisement, the Figure-4
+    settings document and the concierge service advertisement) under
+    policy rules P001-P010.  With paths: run the
     AST code lint (rules C001-C007) over every ``*.py`` file under
     them.  With ``--flow``: run the interprocedural privacy-flow
     analysis (rules F001-F006) over the paths (default ``src``),

@@ -445,29 +445,12 @@ def lint_paths(
     select: Optional[Set[str]] = None,
 ) -> List[Finding]:
     """Lint every ``*.py`` file under ``paths`` (files or directories)."""
-    import os
-
-    from repro.errors import AnalysisError
+    # The flow package imports this module, so its file walk is
+    # imported here rather than at module level.
+    from repro.analysis.flow.callgraph import collect_files
 
     linter = CodeLinter(select=select)
-    files: List[str] = []
-    for path in paths:
-        if os.path.isfile(path):
-            files.append(path)
-        elif os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs[:] = sorted(
-                    d for d in dirs
-                    if not d.startswith(".") and d != "__pycache__"
-                )
-                files.extend(
-                    os.path.join(root, name)
-                    for name in sorted(names)
-                    if name.endswith(".py")
-                )
-        else:
-            raise AnalysisError("no such file or directory: %r" % path)
     findings: List[Finding] = []
-    for filename in files:
+    for filename in collect_files(paths):
         findings.extend(linter.lint_file(filename))
     return sort_findings(findings)

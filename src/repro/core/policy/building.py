@@ -23,7 +23,12 @@ from typing import Dict, Optional, Tuple
 from repro.core.language.duration import Duration
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect
-from repro.core.policy.conditions import Always, Condition, EvaluationContext
+from repro.core.policy.conditions import (
+    Always,
+    Condition,
+    EvaluationContext,
+    request_in_spaces,
+)
 from repro.errors import PolicyError
 
 
@@ -94,21 +99,9 @@ class BuildingPolicy:
             return False
         if self.purposes and request.purpose not in self.purposes:
             return False
-        if self.space_ids and not self._space_matches(request, context):
+        if self.space_ids and not request_in_spaces(request, self.space_ids, context):
             return False
         return self.condition.matches(request, context)
-
-    def _space_matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        if request.space_id is None:
-            return False
-        if context.spatial is None or request.space_id not in context.spatial:
-            return request.space_id in self.space_ids
-        for space_id in self.space_ids:
-            if space_id in context.spatial and context.spatial.contains(
-                space_id, request.space_id
-            ):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Introspection used by the reasoner and the IRR

@@ -48,6 +48,27 @@ class EvaluationContext:
         return int(timestamp // self.seconds_per_day)
 
 
+def request_in_spaces(
+    request: DataRequest, space_ids: Tuple[str, ...], context: EvaluationContext
+) -> bool:
+    """Whether ``request``'s space lies in (or is) one of ``space_ids``.
+
+    A request with no space matches nothing.  Without a spatial model,
+    or for a space the model does not know, matching falls back to
+    exact ids.
+    """
+    if request.space_id is None:
+        return False
+    if context.spatial is None or request.space_id not in context.spatial:
+        return request.space_id in space_ids
+    for space_id in space_ids:
+        if space_id in context.spatial and context.spatial.contains(
+            space_id, request.space_id
+        ):
+            return True
+    return False
+
+
 class Condition:
     """Base class; subclasses implement :meth:`matches`."""
 

@@ -21,7 +21,12 @@ from typing import Optional, Tuple
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
-from repro.core.policy.conditions import Always, Condition, EvaluationContext
+from repro.core.policy.conditions import (
+    Always,
+    Condition,
+    EvaluationContext,
+    request_in_spaces,
+)
 from repro.errors import PolicyError
 
 
@@ -83,21 +88,9 @@ class UserPreference:
             return False
         if self.requester_kinds and request.requester_kind not in self.requester_kinds:
             return False
-        if self.space_ids and not self._space_matches(request, context):
+        if self.space_ids and not request_in_spaces(request, self.space_ids, context):
             return False
         return self.condition.matches(request, context)
-
-    def _space_matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        if request.space_id is None:
-            return False
-        if context.spatial is None or request.space_id not in context.spatial:
-            return request.space_id in self.space_ids
-        for space_id in self.space_ids:
-            if space_id in context.spatial and context.spatial.contains(
-                space_id, request.space_id
-            ):
-                return True
-        return False
 
     @property
     def is_opt_out(self) -> bool:

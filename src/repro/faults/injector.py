@@ -5,7 +5,8 @@ intercepted operation (bus transport attempt, datastore write, sensor
 sample, policy fetch).  Each interception consults the plan at the
 current step and, when a spec fires, records a :class:`FaultEvent` and
 applies the fault *inside the component's own accounting* -- a dropped
-bus message goes through the same counters as organic loss, a failed
+bus message goes through the bus's own attempt, retry and drop
+counters (fault planes are the bus's only source of loss), a failed
 write raises the same :class:`~repro.errors.StorageError` a real
 backend would.
 

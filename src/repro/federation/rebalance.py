@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FederationError, NetworkError, SimulatedCrash
 from repro.federation.campus import Campus
-from repro.federation.router import SHARD_ENDPOINT_PREFIX
+from repro.federation.router import ROUTER_CALL_DEADLINE_S, SHARD_ENDPOINT_PREFIX
 from repro.net.resilience import Deadline, RetryPolicy
 
 #: Step names the fault plane is consulted with (spec targets match
@@ -184,14 +184,11 @@ class RebalanceCoordinator:
         principal: str,
     ) -> Dict[str, Any]:
         router = self.campus.router
-        if self.retry_policy is None:
-            return router.call_building(
-                building_id, method, payload, principal=principal
-            )
         # Same validation (counted unknown-building rejection) and
-        # deadline budget as the router path, plus bounded retries.
-        # The bus target is spelled PREFIX + id so the privacy-flow
-        # analyzer resolves the dispatch through its prefix map.
+        # deadline budget as the router path, plus the coordinator's
+        # retries when it has a policy.  The bus target is spelled
+        # PREFIX + id so the privacy-flow analyzer resolves the
+        # dispatch through its prefix map.
         router.shard_endpoint(building_id)
         router.metrics.counter(
             "federation_routed_calls_total", {"building": building_id}
@@ -201,7 +198,7 @@ class RebalanceCoordinator:
             method,
             payload,
             retry_policy=self.retry_policy,
-            deadline=Deadline(router.call_deadline_s),
+            deadline=Deadline(ROUTER_CALL_DEADLINE_S),
             principal=principal,
         )
 

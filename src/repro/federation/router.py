@@ -6,8 +6,9 @@ endpoint names (``tippers-<building>``, ``irr-<building>``).  The
 router owns the :class:`~repro.federation.ring.HashRing` that maps a
 principal to their *home building* and addresses every cross-shard call
 through the bus -- which means federation traffic flows through the
-same admission control, circuit breakers, retry policies, and deadline
-budgets as single-building traffic.  There is no privileged side
+same admission control, circuit breakers, and deadline budgets as
+single-building traffic.  A routed call makes one attempt under a
+:data:`ROUTER_CALL_DEADLINE_S` budget.  There is no privileged side
 channel between shards: a DSAR fan-out competes for admission like any
 other CRITICAL call, and a roaming IoTA's re-push can be shed exactly
 like a local one (it cannot: preference submission is CRITICAL).
@@ -31,7 +32,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.errors import FederationError
 from repro.federation.ring import DEFAULT_VNODES, HashRing
 from repro.net.bus import MessageBus
-from repro.net.resilience import Deadline, RetryPolicy
+from repro.net.resilience import Deadline
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Endpoint-name prefixes for per-building shards.  These are the
@@ -56,16 +57,12 @@ class FederationRouter:
         building_ids: Sequence[str],
         vnodes: int = DEFAULT_VNODES,
         metrics: Optional[MetricsRegistry] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        call_deadline_s: float = ROUTER_CALL_DEADLINE_S,
     ) -> None:
         if not building_ids:
             raise FederationError("a federation needs at least one building")
         self._bus = bus
         self._ring = HashRing(building_ids, vnodes=vnodes)
         self.metrics = metrics if metrics is not None else get_registry()
-        self.retry_policy = retry_policy
-        self.call_deadline_s = call_deadline_s
         #: Buildings off the ring but still addressable: a drained
         #: building keeps serving migration export/tombstone calls until
         #: it is decommissioned.
@@ -193,20 +190,11 @@ class FederationRouter:
         self.metrics.counter(
             "federation_routed_calls_total", {"building": building_id}
         ).inc()
-        if self.retry_policy is not None:
-            return self._bus.call(
-                SHARD_ENDPOINT_PREFIX + building_id,
-                method,
-                payload,
-                retry_policy=self.retry_policy,
-                deadline=Deadline(self.call_deadline_s),
-                principal=principal,
-            )
         return self._bus.call(
             SHARD_ENDPOINT_PREFIX + building_id,
             method,
             payload,
-            deadline=Deadline(self.call_deadline_s),
+            deadline=Deadline(ROUTER_CALL_DEADLINE_S),
             principal=principal,
         )
 

@@ -36,6 +36,10 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 #: shape normal traffic.
 _DEFAULT_CALL_DEADLINE_S = 30.0
 
+#: The retries of an assistant whose owner configured no
+#: ``retry_policy``: two immediate re-sends, no backoff.
+FALLBACK_RETRY_POLICY = RetryPolicy(max_retries=2, base_delay_s=0.0, jitter=0.0)
+
 #: Normalization of sensor-type spellings found in documents to the
 #: primary data category their observations yield.
 _SENSOR_TYPE_CATEGORY: Dict[str, DataCategory] = {
@@ -164,7 +168,9 @@ class IoTAssistant:
         self.user_id = user_id
         self.bus = bus
         self.metrics = metrics if metrics is not None else get_registry()
-        self.retry_policy = retry_policy
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else FALLBACK_RETRY_POLICY
+        )
         self.call_deadline_s = call_deadline_s
         self.model = model if model is not None else PreferenceModel()
         self.notifications = (
@@ -188,9 +194,10 @@ class IoTAssistant:
     def _call(self, target: str, method: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One bus call under the assistant's resilience settings.
 
-        With a :class:`~repro.net.resilience.RetryPolicy` configured,
-        its deterministic backoff schedule replaces the legacy fixed
-        retry count.  Every logical call opens a fresh
+        Retries follow the configured
+        :class:`~repro.net.resilience.RetryPolicy`, or
+        :data:`FALLBACK_RETRY_POLICY` when none was given.  Every
+        logical call opens a fresh
         :class:`~repro.net.resilience.Deadline` -- ``call_deadline_s``
         when configured, a generous default otherwise -- so no call can
         retry unbounded (lint rule C007).
@@ -200,10 +207,6 @@ class IoTAssistant:
             if self.call_deadline_s is not None
             else _DEFAULT_CALL_DEADLINE_S
         )
-        if self.retry_policy is None:
-            return self.bus.call(
-                target, method, payload, retries=2, deadline=deadline
-            )
         return self.bus.call(
             target,
             method,

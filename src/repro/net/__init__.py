@@ -6,19 +6,23 @@ inter-component traffic still crosses a serialization boundary: every
 request and response is encoded to JSON text and decoded again, so a
 type that would not survive the wire fails loudly in tests.
 
-The bus also injects configurable latency and message loss so
-experiments can study the framework under imperfect networks.
+Message loss and latency come only from fault planes installed on the
+bus (see :mod:`repro.faults`), so experiments can study the framework
+under imperfect networks; retries come only from a
+:class:`~repro.net.resilience.RetryPolicy` passed to ``call``.  The
+admission controller and the breaker board guard the bus with fixed
+watermarks and thresholds, held as constants in their modules.
 """
 
 from repro.net.admission import (
     AdmissionController,
     AdmissionLedger,
     AdmissionTicket,
-    BrownoutPolicy,
     LoadLevel,
     Priority,
     TokenBucket,
     TopicQueue,
+    brownout_level,
 )
 from repro.net.bus import Endpoint, MessageBus, RpcError
 from repro.net.codec import decode_message, encode_message
@@ -32,9 +36,9 @@ __all__ = [
     "AdmissionController",
     "AdmissionLedger",
     "AdmissionTicket",
-    "BrownoutPolicy",
     "LoadLevel",
     "Priority",
     "TokenBucket",
     "TopicQueue",
+    "brownout_level",
 ]

@@ -19,11 +19,12 @@ story instead:
   time, so two seeded runs replay identically.
 - :class:`TopicQueue` -- a bounded per-target queue model with
   watermark-driven load levels (NOMINAL / BROWNOUT / OVERLOAD).
-- :class:`BrownoutPolicy` -- between the high watermark and hard shed,
-  responses are served *coarser* along the policy language's
-  granularity lattice (precise location -> room -> floor -> presence)
-  instead of not at all.  The lattice is carried here as wire strings
-  so the net layer stays below ``core`` in the import DAG.
+- :func:`brownout_level` -- between :data:`HIGH_WATERMARK` and
+  :data:`SHED_WATERMARK`, responses are served *coarser* along the
+  policy language's granularity lattice (precise location -> room ->
+  floor -> presence) instead of not at all.  The lattice is carried
+  here as wire strings so the net layer stays below ``core`` in the
+  import DAG.
 - :class:`AdmissionController` -- ties the three together and keeps its
   own shed ledger, mirroring the breaker board's rejection accounting
   so the bus identity ``calls == logical_calls + retries`` survives.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -58,9 +59,9 @@ class Priority(enum.Enum):
     """Notification discovery and registry refresh: shed first."""
 
 
-#: Default classification of bus methods into priority classes.  The
-#: method name, not the target, carries the class: ``get_policy_document``
-#: is CRITICAL whichever endpoint serves it.  Unlisted methods are NORMAL.
+#: Classification of bus methods into priority classes.  The method
+#: name, not the target, carries the class: ``get_policy_document`` is
+#: CRITICAL whichever endpoint serves it.  Unlisted methods are NORMAL.
 DEFAULT_METHOD_PRIORITIES: Dict[str, Priority] = {
     # CRITICAL: the calls a privacy-aware building must never drop.
     "get_policy_document": Priority.CRITICAL,
@@ -98,6 +99,14 @@ DEFAULT_METHOD_PRIORITIES: Dict[str, Priority] = {
 #: brownout never degrades past ``building`` -- under load the building
 #: serves *coarser* data, never silently no data.
 BROWNOUT_LATTICE: Tuple[str, ...] = ("precise", "coarse", "building")
+
+#: Load fraction from which NORMAL calls are browned out and DEFERRABLE
+#: calls start to be shed.
+HIGH_WATERMARK = 0.5
+#: Load fraction from which NORMAL and DEFERRABLE calls are always shed.
+SHED_WATERMARK = 0.8
+#: The deepest brownout: how many lattice steps a response may coarsen.
+MAX_BROWNOUT_LEVELS = 2
 
 
 class LoadLevel(enum.Enum):
@@ -154,8 +163,6 @@ class TopicQueue:
     """
 
     capacity: int = 64
-    high_watermark: float = 0.5
-    shed_watermark: float = 0.8
     drain_per_step: float = 1.0
     depth: float = 0.0
     synced_step: int = field(default=0, init=False, repr=False, compare=False)
@@ -164,12 +171,6 @@ class TopicQueue:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise AdmissionError("queue capacity must be >= 1")
-        if not 0.0 < self.high_watermark < 1.0:
-            raise AdmissionError("high_watermark must lie in (0, 1)")
-        if not self.high_watermark < self.shed_watermark <= 1.0:
-            raise AdmissionError(
-                "shed_watermark must lie in (high_watermark, 1]"
-            )
         if self.drain_per_step <= 0:
             raise AdmissionError("drain_per_step must be positive")
 
@@ -179,9 +180,9 @@ class TopicQueue:
         return min(1.0, self.depth / self.capacity)
 
     def level(self) -> LoadLevel:
-        if self.load >= self.shed_watermark:
+        if self.load >= SHED_WATERMARK:
             return LoadLevel.OVERLOAD
-        if self.load >= self.high_watermark:
+        if self.load >= HIGH_WATERMARK:
             return LoadLevel.BROWNOUT
         return LoadLevel.NOMINAL
 
@@ -194,34 +195,22 @@ class TopicQueue:
         self.depth = min(float(self.capacity), self.depth + units)
 
 
-@dataclass(frozen=True)
-class BrownoutPolicy:
-    """How far responses degrade along the granularity lattice.
+def brownout_level(load: float) -> int:
+    """How far a response at ``load`` degrades along the lattice (0 = none).
 
-    Between the high watermark and the shed watermark the degradation
-    deepens linearly: just past ``high`` responses coarsen one level
-    (precise -> coarse), approaching ``shed`` they coarsen
-    ``max_levels`` (-> building-level presence).  The policy never
-    degrades below :data:`BROWNOUT_LATTICE`'s floor.  The request
-    manager walks the lattice when it serves a degraded answer.
+    Between the watermarks the degradation deepens linearly: just past
+    :data:`HIGH_WATERMARK` responses coarsen one level (precise ->
+    coarse), approaching :data:`SHED_WATERMARK` they coarsen
+    :data:`MAX_BROWNOUT_LEVELS` (-> building-level presence), which
+    never passes :data:`BROWNOUT_LATTICE`'s floor.  The request manager
+    walks the lattice when it serves a degraded answer.
     """
-
-    max_levels: int = 2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_levels < len(BROWNOUT_LATTICE):
-            raise AdmissionError(
-                "max_levels must lie in [1, %d]" % (len(BROWNOUT_LATTICE) - 1)
-            )
-
-    def level_for(self, load: float, high: float, shed: float) -> int:
-        """The brownout depth (0 = none) for a load between watermarks."""
-        if load < high:
-            return 0
-        if load >= shed:
-            return self.max_levels
-        ramp = (load - high) / (shed - high)
-        return max(1, min(self.max_levels, 1 + int(ramp * self.max_levels)))
+    if load < HIGH_WATERMARK:
+        return 0
+    if load >= SHED_WATERMARK:
+        return MAX_BROWNOUT_LEVELS
+    ramp = (load - HIGH_WATERMARK) / (SHED_WATERMARK - HIGH_WATERMARK)
+    return max(1, min(MAX_BROWNOUT_LEVELS, 1 + int(ramp * MAX_BROWNOUT_LEVELS)))
 
 
 #: An overload fault plane: consulted once per admission check with
@@ -263,14 +252,6 @@ class AdmissionLedger:
     brownouts: int = 0
     injected_arrivals: int = 0
 
-    def shed_rate(self, priority: Optional[Priority] = None) -> float:
-        if priority is None:
-            return self.shed / self.checked if self.checked else 0.0
-        shed = self.shed_by_class.get(priority.value, 0)
-        admitted = self.admitted_by_class.get(priority.value, 0)
-        total = shed + admitted
-        return shed / total if total else 0.0
-
 
 #: The :class:`AdmissionLedger` fields the metrics registry reports.
 _TRACKED = {
@@ -303,13 +284,15 @@ class AdmissionController:
     Shedding order under load:
 
     1. DEFERRABLE calls shed probabilistically once the target's load
-       crosses ``high_watermark`` (the probability ramps 0 -> 1 toward
-       ``shed_watermark``, drawn from the seeded RNG) and always shed
-       past it.
+       crosses :data:`HIGH_WATERMARK` (the probability ramps 0 -> 1
+       toward :data:`SHED_WATERMARK`, drawn from the seeded RNG) and
+       always shed past it.
     2. NORMAL calls are admitted *browned out* between the watermarks
        (the ticket carries a granularity-degradation level) and shed
-       past ``shed_watermark``.
+       past :data:`SHED_WATERMARK`.
     3. CRITICAL calls are always admitted, whatever the load.
+
+    :data:`DEFAULT_METHOD_PRIORITIES` assigns each method its class.
 
     Independently, per-principal token buckets bound what any one
     principal may issue; an exhausted budget sheds that principal's
@@ -320,34 +303,17 @@ class AdmissionController:
         self,
         seed: int = 0,
         queue_capacity: int = 64,
-        high_watermark: float = 0.5,
-        shed_watermark: float = 0.8,
         drain_per_step: float = 1.0,
         principal_capacity: float = 8.0,
         principal_refill_per_step: float = 0.5,
-        method_priorities: Optional[Mapping[str, Priority]] = None,
-        brownout: Optional[BrownoutPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
         self.queue_capacity = queue_capacity
-        self.high_watermark = high_watermark
-        self.shed_watermark = shed_watermark
         self.drain_per_step = drain_per_step
         self.principal_capacity = principal_capacity
         self.principal_refill_per_step = principal_refill_per_step
-        self.method_priorities = dict(DEFAULT_METHOD_PRIORITIES)
-        if method_priorities:
-            self.method_priorities.update(method_priorities)
-        self.brownout = brownout if brownout is not None else BrownoutPolicy()
-        # Validate the watermark geometry once, through a probe queue.
-        TopicQueue(
-            capacity=queue_capacity,
-            high_watermark=high_watermark,
-            shed_watermark=shed_watermark,
-            drain_per_step=drain_per_step,
-        )
         self._step = 0
         self._queues: Dict[str, TopicQueue] = {}
         self._buckets: Dict[str, TokenBucket] = {}
@@ -374,10 +340,7 @@ class AdmissionController:
         queue = self._queues.get(target)
         if queue is None:
             queue = TopicQueue(
-                capacity=self.queue_capacity,
-                high_watermark=self.high_watermark,
-                shed_watermark=self.shed_watermark,
-                drain_per_step=self.drain_per_step,
+                capacity=self.queue_capacity, drain_per_step=self.drain_per_step
             )
             queue.synced_step = self._step
             self._queues[target] = queue
@@ -410,9 +373,6 @@ class AdmissionController:
                     break
         return bucket
 
-    def classify(self, target: str, method: str) -> Priority:
-        return self.method_priorities.get(method, Priority.NORMAL)
-
     # ------------------------------------------------------------------
     # The decision
     # ------------------------------------------------------------------
@@ -436,7 +396,7 @@ class AdmissionController:
             if burst:
                 queue.arrive(burst)
                 self.ledger.injected_arrivals += burst
-        priority = self.classify(target, method)
+        priority = DEFAULT_METHOD_PRIORITIES.get(method, Priority.NORMAL)
         queue.arrive(1.0)
         load = queue.load
         ticket = self._verdict(target, method, principal, priority, load)
@@ -466,25 +426,21 @@ class AdmissionController:
                 reason="principal %r over budget" % (principal or "_shared"),
             )
         if priority is Priority.DEFERRABLE:
-            if load >= self.shed_watermark:
+            if load >= SHED_WATERMARK:
                 return self._shed_ticket(priority, load, "past shed watermark")
-            if load >= self.high_watermark:
-                ramp = (load - self.high_watermark) / (
-                    self.shed_watermark - self.high_watermark
-                )
+            if load >= HIGH_WATERMARK:
+                ramp = (load - HIGH_WATERMARK) / (SHED_WATERMARK - HIGH_WATERMARK)
                 if self._rng.random() < ramp:
                     return self._shed_ticket(
                         priority, load, "deferred under brownout"
                     )
             return AdmissionTicket(admitted=True, priority=priority, load=load)
         # NORMAL: brownout between the watermarks, shed past the hard one.
-        if load >= self.shed_watermark:
+        if load >= SHED_WATERMARK:
             return self._shed_ticket(priority, load, "past shed watermark")
-        level = self.brownout.level_for(
-            load, self.high_watermark, self.shed_watermark
-        )
         return AdmissionTicket(
-            admitted=True, priority=priority, load=load, brownout_level=level
+            admitted=True, priority=priority, load=load,
+            brownout_level=brownout_level(load),
         )
 
     @staticmethod

@@ -1,8 +1,7 @@
-"""Request/response message bus with loss and latency injection."""
+"""Request/response message bus; loss and latency come from fault planes."""
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -72,7 +71,8 @@ class BusFault:
 
 #: A transport-level interception point: consulted once per attempt,
 #: inside the bus's own accounting, so injected faults reconcile with
-#: the attempt/retry counters exactly like organic loss does.
+#: the attempt/retry counters.  Planes are the bus's only source of
+#: message loss and simulated latency.
 FaultPlane = Callable[[str, str], Optional[BusFault]]
 
 
@@ -90,12 +90,11 @@ class BusStats:
 
     ``calls`` counts transport *attempts* (each retry is an attempt);
     ``logical_calls`` counts :meth:`MessageBus.call` invocations, and
-    ``retries`` the re-sent attempts after simulated loss, so
-    ``calls == logical_calls + retries`` always holds.  Keeping the
-    historical attempt-counting name ``calls`` preserves every existing
-    reader; rate computations should divide by the counter matching
-    their denominator (attempts for loss rates, logical calls for
-    request failure rates).
+    ``retries`` the re-sent attempts after a lost one, so
+    ``calls == logical_calls + retries`` always holds.  Rate
+    computations should divide by the counter matching their
+    denominator (attempts for loss rates, logical calls for request
+    failure rates).
     """
 
     calls: int = 0
@@ -106,8 +105,8 @@ class BusStats:
     simulated_latency_s: float = 0.0
     logical_calls: int = 0
     retries: int = 0
-    #: Attempts lost to an *injected* fault (drop/offline/corrupt);
-    #: always a subset of ``dropped``.
+    #: Attempts lost to an injected fault (drop/offline/corrupt).  Fault
+    #: planes are the only source of loss, so this equals ``dropped``.
     faulted: int = 0
     #: Messages mangled in transit by a fault plane (subset of ``faulted``).
     corrupted: int = 0
@@ -117,11 +116,6 @@ class BusStats:
     #: Calls shed by admission control before becoming a logical call
     #: (its own ledger, same identity-preserving position as ``rejected``).
     shed: int = 0
-
-    @property
-    def attempts(self) -> int:
-        """Alias making the attempt-counting semantics of ``calls`` explicit."""
-        return self.calls
 
 
 #: The :class:`BusStats` fields the metrics registry reports.
@@ -138,30 +132,20 @@ _TRACKED = {
 class MessageBus:
     """Connects named endpoints through a JSON boundary.
 
-    ``drop_rate`` is the probability a call is lost (raising
-    :class:`NetworkError` at the caller); ``latency_s`` is accumulated
-    in :attr:`stats` rather than slept, so simulations can account for
-    network time without wall-clock cost.
+    Installed fault planes (:data:`FaultPlane`) lose messages, raising
+    :class:`NetworkError` at the caller, and add latency, which is
+    accumulated in :attr:`stats` rather than slept, so simulations can
+    account for network time without wall-clock cost.
     """
 
     def __init__(
         self,
-        drop_rate: float = 0.0,
-        latency_s: float = 0.0,
-        rng: Optional[random.Random] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         breakers: Optional[BreakerBoard] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
-        if not 0.0 <= drop_rate < 1.0:
-            raise NetworkError("drop_rate must lie in [0, 1)")
-        if latency_s < 0:
-            raise NetworkError("latency_s must be non-negative")
         self._endpoints: Dict[str, Endpoint] = {}
-        self.drop_rate = drop_rate
-        self.latency_s = latency_s
-        self._rng = rng if rng is not None else random.Random(0)
         self.stats = BusStats()
         self.breakers = breakers
         self.admission = admission
@@ -232,18 +216,17 @@ class MessageBus:
         target: str,
         method: str,
         payload: Optional[Dict[str, Any]] = None,
-        retries: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         deadline: Optional[Deadline] = None,
         principal: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Invoke ``method`` on ``target`` with a JSON round-trip.
 
-        ``retries`` re-sends on simulated loss (not on remote errors);
-        passing ``retry_policy`` supersedes ``retries`` and additionally
-        charges the policy's deterministic backoff schedule as simulated
-        latency.  ``deadline`` bounds the call: backoff delays that would
-        overdraw the budget abort retrying with
+        ``retry_policy`` re-sends on transport loss (not on remote
+        errors), charging the policy's deterministic backoff schedule as
+        simulated latency; without one the call makes a single attempt.
+        ``deadline`` bounds the call: backoff delays that would overdraw
+        the budget abort retrying with
         :class:`~repro.errors.DeadlineError`.  When the bus carries a
         :class:`~repro.net.resilience.BreakerBoard`, calls to a target
         whose breaker is open are refused up front with
@@ -290,14 +273,13 @@ class MessageBus:
         self.metrics.counter("bus_calls_total", call_labels).inc()
         latency = self.metrics.histogram("bus_call_seconds", call_labels)
         start = time.perf_counter()
-        schedule = retry_policy.schedule() if retry_policy is not None else None
-        max_attempts = (len(schedule) if schedule is not None else retries) + 1
+        schedule = retry_policy.schedule() if retry_policy is not None else ()
         try:
             with self.tracer.span("bus.call", target=target, method=method):
                 last_error: Optional[NetworkError] = None
-                for attempt in range(max_attempts):
+                for attempt in range(len(schedule) + 1):
                     if attempt:
-                        backoff = schedule[attempt - 1] if schedule is not None else 0.0
+                        backoff = schedule[attempt - 1]
                         if deadline is not None and not deadline.try_charge(backoff):
                             self.metrics.counter(
                                 "bus_deadline_exhausted_total", {"target": target}
@@ -340,16 +322,14 @@ class MessageBus:
         """Account one lost attempt and raise the transport error."""
         self.stats.dropped += 1
         self.metrics.counter("bus_dropped_by_target_total", {"target": target}).inc()
-        if metric:
-            self.stats.faulted += 1
-            self.metrics.counter(metric, {"target": target}).inc()
+        self.stats.faulted += 1
+        self.metrics.counter(metric, {"target": target}).inc()
         raise NetworkError(reason)
 
     def _call_once(
         self, target: str, method: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
         self.stats.calls += 1
-        self.stats.simulated_latency_s += self.latency_s
         fault = self._consult_planes(target, method)
         if fault is not None and fault.latency_s:
             self.stats.simulated_latency_s += fault.latency_s
@@ -372,8 +352,6 @@ class MessageBus:
                 "bus_fault_dropped_total",
                 "message to %r dropped: %s" % (target, fault.drop),
             )
-        if self.drop_rate and self._rng.random() < self.drop_rate:
-            self._drop_attempt(target, "", "message to %r dropped" % target)
         if fault is not None and fault.corrupt:
             # Truncation garbles the JSON framing; the decode below
             # fails exactly the way a torn datagram would.

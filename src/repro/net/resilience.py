@@ -9,12 +9,14 @@ recovery story:
   bounded retry budget.  The whole backoff schedule is a pure function
   of the policy's fields, so two runs with the same seed sleep the same
   simulated durations in the same order.
-- :class:`Deadline` -- a per-call time budget.  Backoff and simulated
-  network latency are charged against it; once exhausted, retrying
+- :class:`Deadline` -- a per-call time budget.  The bus charges each
+  retry's backoff delay against it (fault-injected latency goes to
+  the bus statistics only); once a backoff would overdraw it, retrying
   stops with :class:`~repro.errors.DeadlineError`.
 - :class:`CircuitBreaker` / :class:`BreakerBoard` -- per-endpoint
-  breakers that trip after consecutive transport failures and reject
-  calls while open.  Recovery is measured in *logical calls* (rejected
+  breakers that trip after :data:`FAILURE_THRESHOLD` consecutive
+  transport failures and reject calls while open.  Recovery is
+  measured in *logical calls* (:data:`COOLDOWN_REJECTIONS` rejected
   attempts), never wall-clock time, keeping simulations reproducible.
 
 Nothing here sleeps: delays are accounted (into bus statistics and the
@@ -24,10 +26,15 @@ deadline budget), matching the bus's simulated-latency model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from repro.errors import CircuitOpenError, DeadlineError
+
+#: Consecutive transport failures that open an endpoint's breaker.
+FAILURE_THRESHOLD = 5
+#: Calls an open breaker refuses before it lets a half-open trial through.
+COOLDOWN_REJECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,8 @@ class RetryPolicy:
     ``base_delay_s * multiplier ** (n - 1)``, is jittered by up to
     ``jitter`` (a fraction, symmetric), and is always clamped to
     ``max_delay_s``.  Jitter is derived from ``seed`` and the attempt
-    number only, so :meth:`schedule` is deterministic.
+    number only, so :meth:`schedule` is deterministic; it is computed
+    once, when the policy is built.
     """
 
     max_retries: int = 3
@@ -48,6 +56,9 @@ class RetryPolicy:
     max_delay_s: float = 2.0
     jitter: float = 0.1
     seed: int = 0
+    _schedule: Tuple[float, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -60,6 +71,9 @@ class RetryPolicy:
             raise ValueError("max_delay_s must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must lie in [0, 1]")
+        object.__setattr__(self, "_schedule", tuple(
+            self.delay_for(n) for n in range(1, self.max_retries + 1)
+        ))
 
     # ------------------------------------------------------------------
     # Schedule
@@ -83,35 +97,17 @@ class RetryPolicy:
         unit = random.Random("retry:%d:%d" % (self.seed, attempt)).uniform(-1.0, 1.0)
         return max(0.0, min(base * (1.0 + self.jitter * unit), self.max_delay_s))
 
-    def base_schedule(self) -> Tuple[float, ...]:
-        """Pre-jitter delays; non-decreasing and capped at the max."""
-        return tuple(self.base_delay_for(n) for n in range(1, self.max_retries + 1))
-
     def schedule(self) -> Tuple[float, ...]:
         """The full jittered backoff schedule, one entry per retry."""
-        return tuple(self.delay_for(n) for n in range(1, self.max_retries + 1))
-
-    def schedule_within(self, budget_s: float) -> Tuple[float, ...]:
-        """The longest schedule prefix whose total stays within budget."""
-        if budget_s < 0:
-            raise ValueError("budget_s must be non-negative")
-        kept = []
-        total = 0.0
-        for delay in self.schedule():
-            if total + delay > budget_s:
-                break
-            kept.append(delay)
-            total += delay
-        return tuple(kept)
+        return self._schedule
 
 
 class Deadline:
     """A spend-down time budget for one logical call.
 
-    Simulated costs (backoff delays, per-attempt latency) are charged
-    against the budget; :meth:`try_charge` refuses charges that would
-    overdraw it, and :meth:`charge` raises
-    :class:`~repro.errors.DeadlineError` instead.
+    The bus charges each retry's backoff delay against the budget;
+    :meth:`try_charge` refuses charges that would overdraw it, and
+    :meth:`charge` raises :class:`~repro.errors.DeadlineError` instead.
     """
 
     def __init__(self, budget_s: float) -> None:
@@ -149,23 +145,17 @@ class CircuitBreaker:
     """A deterministic per-endpoint circuit breaker.
 
     States follow the classic closed -> open -> half-open cycle, but
-    the open state cools down after ``cooldown_rejections`` *rejected
-    calls* rather than elapsed wall-clock time, so behaviour under a
-    seeded simulation replays exactly.  A half-open trial that fails
-    re-opens the breaker; one that succeeds closes it.
+    the open state cools down after :data:`COOLDOWN_REJECTIONS`
+    *rejected calls* rather than elapsed wall-clock time, so behaviour
+    under a seeded simulation replays exactly.  A half-open trial that
+    fails re-opens the breaker; one that succeeds closes it.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, failure_threshold: int = 5, cooldown_rejections: int = 8) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_rejections < 1:
-            raise ValueError("cooldown_rejections must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.cooldown_rejections = cooldown_rejections
+    def __init__(self) -> None:
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.rejections_while_open = 0
@@ -175,7 +165,7 @@ class CircuitBreaker:
         """Whether the next call may proceed (may transition to half-open)."""
         if self.state == self.OPEN:
             self.rejections_while_open += 1
-            if self.rejections_while_open >= self.cooldown_rejections:
+            if self.rejections_while_open >= COOLDOWN_REJECTIONS:
                 self.state = self.HALF_OPEN
             return False
         return True
@@ -187,7 +177,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN or (
-            self.consecutive_failures >= self.failure_threshold
+            self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self.state = self.OPEN
             self.rejections_while_open = 0
@@ -208,19 +198,13 @@ class CircuitBreaker:
 class BreakerBoard:
     """Lazily-created circuit breakers, one per bus target."""
 
-    def __init__(self, failure_threshold: int = 5, cooldown_rejections: int = 8) -> None:
-        self.failure_threshold = failure_threshold
-        self.cooldown_rejections = cooldown_rejections
+    def __init__(self) -> None:
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker(self, target: str) -> CircuitBreaker:
         breaker = self._breakers.get(target)
         if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.failure_threshold,
-                cooldown_rejections=self.cooldown_rejections,
-            )
-            self._breakers[target] = breaker
+            breaker = self._breakers[target] = CircuitBreaker()
         return breaker
 
     def check(self, target: str) -> None:
@@ -252,9 +236,3 @@ class BreakerBoard:
     def states(self) -> Dict[str, str]:
         return {target: b.state for target, b in sorted(self._breakers.items())}
 
-    def open_targets(self) -> Tuple[str, ...]:
-        return tuple(
-            target
-            for target, breaker in sorted(self._breakers.items())
-            if breaker.state != CircuitBreaker.CLOSED
-        )

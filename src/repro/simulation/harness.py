@@ -512,8 +512,6 @@ def build_campus(
     controller = AdmissionController(
         seed=report.seed,
         queue_capacity=8,
-        high_watermark=0.5,
-        shed_watermark=0.8,
         drain_per_step=0.25,
         principal_capacity=16.0,
         principal_refill_per_step=1.0,

@@ -331,8 +331,6 @@ def _run_soak_step(
             controller = AdmissionController(
                 seed=seed,
                 queue_capacity=queue_capacity,
-                high_watermark=0.5,
-                shed_watermark=0.8,
                 drain_per_step=drain_per_step,
                 principal_capacity=64.0,
                 principal_refill_per_step=8.0,

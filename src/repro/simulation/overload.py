@@ -157,8 +157,6 @@ def run_overload_scenario(
         controller = AdmissionController(
             seed=seed,
             queue_capacity=32,
-            high_watermark=0.5,
-            shed_watermark=0.8,
             drain_per_step=1.0,
             principal_capacity=16.0,
             principal_refill_per_step=1.0,

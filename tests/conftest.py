@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policy import catalog
+from repro.net import resilience
 from repro.sensors.environment import EnvironmentView, PresentDevice
 from repro.spatial.model import SpatialModel, build_simple_building
 from repro.tippers.bms import TIPPERS
@@ -99,3 +100,17 @@ def tippers(small_building, mary, bob) -> TIPPERS:
     bms.deploy_sensor("temperature_sensor", "temp-1", "b-1001")
     bms.deploy_sensor("hvac_unit", "hvac-1", "b-1001")
     return bms
+
+
+@pytest.fixture
+def thresholds(monkeypatch):
+    """Set the circuit-breaker constants for one test."""
+
+    def set_thresholds(
+        failure_threshold=resilience.FAILURE_THRESHOLD,
+        cooldown_rejections=resilience.COOLDOWN_REJECTIONS,
+    ):
+        monkeypatch.setattr(resilience, "FAILURE_THRESHOLD", failure_threshold)
+        monkeypatch.setattr(resilience, "COOLDOWN_REJECTIONS", cooldown_rejections)
+
+    return set_thresholds

@@ -25,8 +25,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from hypothesis import example, given, strategies as st
 
 from repro.net.admission import (
+    DEFAULT_METHOD_PRIORITIES,
     AdmissionController,
     AdmissionTicket,
+    Priority,
     TokenBucket,
     TopicQueue,
 )
@@ -41,8 +43,6 @@ class EagerController(AdmissionController):
         if queue is None:
             queue = self._queues[target] = TopicQueue(
                 capacity=self.queue_capacity,
-                high_watermark=self.high_watermark,
-                shed_watermark=self.shed_watermark,
                 drain_per_step=self.drain_per_step,
             )
         return queue
@@ -70,7 +70,7 @@ class EagerController(AdmissionController):
             if burst:
                 queue.arrive(burst)
                 self.ledger.injected_arrivals += burst
-        priority = self.classify(target, method)
+        priority = DEFAULT_METHOD_PRIORITIES.get(method, Priority.NORMAL)
         queue.arrive(1.0)
         load = queue.load
         ticket = self._verdict(target, method, principal, priority, load)

@@ -7,9 +7,15 @@ never shed, and the shed ledger always balances.  Hypothesis drives
 arbitrary operation sequences through each invariant.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.net import admission
 from repro.net.admission import (
+    DEFAULT_METHOD_PRIORITIES,
+    HIGH_WATERMARK,
+    SHED_WATERMARK,
     AdmissionController,
     LoadLevel,
     Priority,
@@ -35,8 +41,6 @@ bucket_ops = st.lists(
 queues = st.builds(
     TopicQueue,
     capacity=st.integers(1, 256),
-    high_watermark=st.floats(0.05, 0.6, allow_nan=False),
-    shed_watermark=st.floats(0.65, 1.0, allow_nan=False),
     drain_per_step=st.floats(0.5, 32.0, allow_nan=False),
 )
 
@@ -88,20 +92,27 @@ class TestTopicQueueProperties:
             assert 0.0 <= queue.depth <= queue.capacity
             assert 0.0 <= queue.load <= 1.0
 
-    @given(queue=queues, ops=queue_ops)
-    def test_level_agrees_with_watermarks(self, queue, ops):
-        for op, units in ops:
-            if op == "drain":
-                queue.drain()
-            else:
-                queue.arrive(units)
-            level = queue.level()
-            if level is LoadLevel.OVERLOAD:
-                assert queue.load >= queue.shed_watermark
-            elif level is LoadLevel.BROWNOUT:
-                assert queue.high_watermark <= queue.load < queue.shed_watermark
-            else:
-                assert queue.load < queue.high_watermark
+    @given(
+        queue=queues,
+        ops=queue_ops,
+        high=st.floats(0.05, 0.6, allow_nan=False),
+        shed=st.floats(0.65, 1.0, allow_nan=False),
+    )
+    def test_level_agrees_with_watermarks(self, queue, ops, high, shed):
+        with mock.patch.object(admission, "HIGH_WATERMARK", high), \
+                mock.patch.object(admission, "SHED_WATERMARK", shed):
+            for op, units in ops:
+                if op == "drain":
+                    queue.drain()
+                else:
+                    queue.arrive(units)
+                level = queue.level()
+                if level is LoadLevel.OVERLOAD:
+                    assert queue.load >= shed
+                elif level is LoadLevel.BROWNOUT:
+                    assert high <= queue.load < shed
+                else:
+                    assert queue.load < high
 
 
 calls = st.lists(
@@ -134,14 +145,14 @@ class TestAdmissionControllerProperties:
             controller.install_fault_plane(lambda target, method: burst)
         for target, method, principal in ops:
             ticket = controller.admit(target, method, principal)
-            if controller.classify(target, method) is Priority.CRITICAL:
+            if DEFAULT_METHOD_PRIORITIES.get(method) is Priority.CRITICAL:
                 assert ticket.admitted
             if not ticket.admitted and "over budget" not in ticket.reason:
                 # Non-budget sheds only happen under watermark pressure.
                 if ticket.priority is Priority.NORMAL:
-                    assert ticket.load >= controller.shed_watermark
+                    assert ticket.load >= SHED_WATERMARK
                 else:
-                    assert ticket.load >= controller.high_watermark
+                    assert ticket.load >= HIGH_WATERMARK
         ledger = controller.ledger
         assert ledger.checked == ledger.admitted + ledger.shed
         assert ledger.checked == len(ops)

@@ -7,7 +7,11 @@ bounded by the configured cap, and never overdraw a deadline budget.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import DeadlineError, NetworkError
+from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
+from repro.net.bus import MessageBus
 from repro.net.resilience import Deadline, RetryPolicy
+from repro.obs.metrics import MetricsRegistry
 
 policies = st.builds(
     RetryPolicy,
@@ -45,7 +49,9 @@ class TestScheduleProperties:
 
     @given(policy=policies)
     def test_base_schedule_is_monotone_and_capped(self, policy):
-        schedule = policy.base_schedule()
+        schedule = [
+            policy.base_delay_for(n) for n in range(1, policy.max_retries + 1)
+        ]
         for earlier, later in zip(schedule, schedule[1:]):
             assert earlier <= later
         for delay in schedule:
@@ -60,17 +66,40 @@ class TestScheduleProperties:
             assert delay >= min(base * (1.0 - policy.jitter), policy.max_delay_s)
 
 
+def kept_prefix(schedule, budget):
+    """The longest prefix of ``schedule`` whose total stays within budget."""
+    kept, total = [], 0.0
+    for delay in schedule:
+        if total + delay > budget:
+            break
+        kept.append(delay)
+        total += delay
+    return tuple(kept)
+
+
 class TestBudgetProperties:
-    @given(policy=policies, budget=st.floats(0.0, 20.0, allow_nan=False))
-    def test_schedule_within_never_overdraws(self, policy, budget):
-        kept = policy.schedule_within(budget)
-        assert sum(kept) <= budget
-        assert kept == policy.schedule()[: len(kept)]
+    @settings(deadline=None)
+    @given(policy=policies, budget=st.floats(0.01, 20.0, allow_nan=False))
+    def test_bus_retries_never_overdraw_the_deadline(self, policy, budget):
+        bus = MessageBus(metrics=MetricsRegistry())
+        bus.register_handler("echo", lambda method, payload: {})
+        FaultInjector(
+            single_spec_plan(FaultSpec(kind=FaultKind.DROP))  # every attempt
+        ).install_bus(bus)
+        deadline = Deadline(budget)
+        try:
+            bus.call("echo", "ping", retry_policy=policy, deadline=deadline)
+        except (DeadlineError, NetworkError):
+            pass
+        kept = kept_prefix(policy.schedule(), budget)
+        assert deadline.spent_s <= budget
+        assert bus.stats.retries == len(kept)
+        assert bus.stats.calls == len(kept) + 1
 
     @given(policy=policies, budget=st.floats(0.01, 20.0, allow_nan=False))
     def test_charging_the_kept_schedule_always_fits(self, policy, budget):
         deadline = Deadline(budget)
-        for delay in policy.schedule_within(budget):
+        for delay in kept_prefix(policy.schedule(), budget):
             assert deadline.try_charge(delay)
         assert deadline.spent_s <= deadline.budget_s
 

@@ -5,15 +5,18 @@ import math
 import pytest
 
 from repro.errors import AdmissionError, AdmissionShedError
+from repro.net import admission
 from repro.net.admission import (
     BROWNOUT_LATTICE,
-    DEFAULT_METHOD_PRIORITIES,
+    HIGH_WATERMARK,
+    MAX_BROWNOUT_LEVELS,
+    SHED_WATERMARK,
     AdmissionController,
-    BrownoutPolicy,
     LoadLevel,
     Priority,
     TokenBucket,
     TopicQueue,
+    brownout_level,
 )
 from repro.net.bus import MessageBus
 from repro.obs.metrics import MetricsRegistry
@@ -46,22 +49,23 @@ class TestTokenBucket:
 
 class TestTopicQueue:
     def test_watermark_geometry_validation(self):
+        assert 0.0 < HIGH_WATERMARK < SHED_WATERMARK <= 1.0
         with pytest.raises(AdmissionError):
             TopicQueue(capacity=0)
         with pytest.raises(AdmissionError):
-            TopicQueue(high_watermark=0.0)
-        with pytest.raises(AdmissionError):
-            TopicQueue(high_watermark=0.8, shed_watermark=0.5)
-        with pytest.raises(AdmissionError):
             TopicQueue(drain_per_step=0.0)
 
-    def test_levels_track_the_watermarks(self):
-        queue = TopicQueue(capacity=10, high_watermark=0.5, shed_watermark=0.8)
+    def test_levels_track_the_watermarks(self, monkeypatch):
+        queue = TopicQueue(capacity=10)
         assert queue.level() is LoadLevel.NOMINAL
         queue.arrive(5.0)
         assert queue.level() is LoadLevel.BROWNOUT
         queue.arrive(3.0)
         assert queue.level() is LoadLevel.OVERLOAD
+        # The levels read the module's watermarks, not copies of them.
+        monkeypatch.setattr(admission, "HIGH_WATERMARK", 0.9)
+        monkeypatch.setattr(admission, "SHED_WATERMARK", 1.0)
+        assert queue.level() is LoadLevel.NOMINAL
 
     def test_depth_is_bounded_and_drains_to_zero(self):
         queue = TopicQueue(capacity=4, drain_per_step=1.0)
@@ -81,39 +85,44 @@ class TestTopicQueue:
 
 class TestBrownoutPolicy:
     def test_max_levels_bounded_by_lattice(self):
-        with pytest.raises(AdmissionError):
-            BrownoutPolicy(max_levels=0)
-        with pytest.raises(AdmissionError):
-            BrownoutPolicy(max_levels=len(BROWNOUT_LATTICE))
+        assert 1 <= MAX_BROWNOUT_LEVELS < len(BROWNOUT_LATTICE)
 
-    def test_level_ramps_between_watermarks(self):
-        policy = BrownoutPolicy(max_levels=2)
-        assert policy.level_for(0.4, 0.5, 0.8) == 0
-        assert policy.level_for(0.5, 0.5, 0.8) == 1
-        assert policy.level_for(0.79, 0.5, 0.8) == 2
-        assert policy.level_for(0.8, 0.5, 0.8) == 2
-        assert policy.level_for(1.0, 0.5, 0.8) == 2
+    def test_level_ramps_between_watermarks(self, monkeypatch):
+        assert brownout_level(0.4) == 0
+        assert brownout_level(0.5) == 1
+        assert brownout_level(0.79) == 2
+        assert brownout_level(0.8) == 2
+        assert brownout_level(1.0) == 2
+        monkeypatch.setattr(admission, "HIGH_WATERMARK", 0.2)
+        monkeypatch.setattr(admission, "SHED_WATERMARK", 0.6)
+        assert brownout_level(0.19) == 0
+        assert brownout_level(0.2) == 1
+        assert brownout_level(0.4) == 2
+        assert brownout_level(0.6) == 2
+
+
+def classify(method):
+    """The class a fresh controller's ticket gives ``method``."""
+    controller = AdmissionController(metrics=MetricsRegistry())
+    return controller.admit("tippers", method).priority
 
 
 class TestClassification:
     def test_privacy_calls_are_critical(self):
-        controller = AdmissionController(metrics=MetricsRegistry())
         for method in ("get_policy_document", "submit_preference",
                        "dsar_report", "dsar_erase"):
-            assert controller.classify("tippers", method) is Priority.CRITICAL
+            assert classify(method) is Priority.CRITICAL
 
     def test_unknown_methods_default_to_normal(self):
-        controller = AdmissionController(metrics=MetricsRegistry())
-        assert controller.classify("x", "frobnicate") is Priority.NORMAL
+        assert classify("frobnicate") is Priority.NORMAL
 
-    def test_custom_priorities_override(self):
-        controller = AdmissionController(
-            metrics=MetricsRegistry(),
-            method_priorities={"frobnicate": Priority.DEFERRABLE},
+    def test_custom_priorities_override(self, monkeypatch):
+        monkeypatch.setitem(
+            admission.DEFAULT_METHOD_PRIORITIES, "frobnicate", Priority.DEFERRABLE
         )
-        assert controller.classify("x", "frobnicate") is Priority.DEFERRABLE
-        # Defaults survive alongside the override.
-        assert controller.classify("x", "discover") is Priority.DEFERRABLE
+        assert classify("frobnicate") is Priority.DEFERRABLE
+        # The rest of the table survives alongside the override.
+        assert classify("discover") is Priority.DEFERRABLE
 
 
 def saturate(controller, target="tippers", method="locate_user", calls=64):
@@ -193,9 +202,14 @@ class TestAdmitVerdicts:
             controller.admit("tippers", "dsar_report")
         ledger = controller.ledger
         assert ledger.checked == ledger.admitted + ledger.shed
-        assert ledger.shed_rate(Priority.CRITICAL) == 0.0
-        assert ledger.shed_rate(Priority.NORMAL) > 0.0
-        assert 0.0 < ledger.shed_rate() < 1.0
+
+        def shed_rate(priority):
+            shed = ledger.shed_by_class.get(priority.value, 0)
+            return shed / (shed + ledger.admitted_by_class.get(priority.value, 0))
+
+        assert shed_rate(Priority.CRITICAL) == 0.0
+        assert shed_rate(Priority.NORMAL) > 0.0
+        assert 0.0 < ledger.shed / ledger.checked < 1.0
 
     def test_same_seed_runs_are_identical(self):
         def run(seed):

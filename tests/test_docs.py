@@ -70,16 +70,19 @@ class TestResilienceDocExamples:
         assert FaultKind.POLICY_FETCH_FAIL in kinds
 
     def test_documented_defaults_match_the_code(self):
-        from repro.net.resilience import CircuitBreaker, RetryPolicy
+        from repro.net.resilience import (
+            COOLDOWN_REJECTIONS,
+            FAILURE_THRESHOLD,
+            RetryPolicy,
+        )
 
         text = (DOCS.parent / "RESILIENCE.md").read_text()
         policy = RetryPolicy()
         assert "`max_retries` | %d" % policy.max_retries in text
         assert "`base_delay_s` | %g" % policy.base_delay_s in text
         assert "`max_delay_s` | %g" % policy.max_delay_s in text
-        breaker = CircuitBreaker()
-        assert "`failure_threshold = %d`" % breaker.failure_threshold in text
-        assert "`cooldown_rejections = %d`" % breaker.cooldown_rejections in text
+        assert "`failure_threshold = %d`" % FAILURE_THRESHOLD in text
+        assert "`cooldown_rejections = %d`" % COOLDOWN_REJECTIONS in text
 
     def test_trace_line_example_matches_format(self):
         from repro.faults import FaultKind, FaultTrace
@@ -90,14 +93,20 @@ class TestResilienceDocExamples:
         assert event.line() in text
 
     def test_documented_overload_defaults_match_the_code(self):
-        from repro.net.admission import AdmissionController
+        from repro.net.admission import (
+            HIGH_WATERMARK,
+            MAX_BROWNOUT_LEVELS,
+            SHED_WATERMARK,
+            AdmissionController,
+        )
         from repro.tippers.sensor_manager import SensorHealthSupervisor
 
         text = (DOCS.parent / "RESILIENCE.md").read_text()
         controller = AdmissionController()
         assert "capacity `%d`" % controller.queue_capacity in text
-        assert "**high watermark**\n(`%g`)" % controller.high_watermark in text
-        assert "**shed watermark** (`%g`)" % controller.shed_watermark in text
+        assert "**high watermark**\n(`%g`)" % HIGH_WATERMARK in text
+        assert "**shed watermark** (`%g`)" % SHED_WATERMARK in text
+        assert "deepest brownout\n(`%d` lattice steps)" % MAX_BROWNOUT_LEVELS in text
         assert (
             "capacity `%g`, refill `%g`/step"
             % (controller.principal_capacity,

@@ -105,7 +105,7 @@ class TestLossyNetwork:
         assert first == second
 
     def test_zero_loss_control(self, tippers):
-        bus = MessageBus(drop_rate=0.0)
+        bus = MessageBus()  # no fault plane: a lossless network
         bus.register("tippers", tippers)
         registry = IoTResourceRegistry("irr-1", tippers.spatial)
         bus.register("irr-1", registry)

@@ -5,6 +5,8 @@ import pytest
 from repro.core.language.builder import ResourcePolicyBuilder, ServicePolicyBuilder
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
+from repro.errors import NetworkError
+from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from repro.iota.assistant import (
     IoTAssistant,
     practices_from_resource,
@@ -14,6 +16,7 @@ from repro.iota.personas import PERSONAS, generate_decisions
 from repro.iota.preference_model import DataPractice, PreferenceModel
 from repro.irr.registry import IoTResourceRegistry
 from repro.net.bus import MessageBus
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -181,6 +184,37 @@ class TestEffectPreview:
         assistant = IoTAssistant("ghost", bus, registry_endpoints=["irr-1"])
         with pytest.raises(RpcError):
             assistant.fetch_effect_preview(now=0.0)
+
+
+class TestFallbackRetries:
+    """An assistant built without a retry policy re-sends twice, at no cost."""
+
+    def make(self, drop_steps):
+        metrics = MetricsRegistry()
+        bus = MessageBus(metrics=metrics)
+        bus.register_handler("tippers", lambda method, payload: {"entries": []})
+        FaultInjector(
+            single_spec_plan(FaultSpec(kind=FaultKind.DROP, at_steps=drop_steps))
+        ).install_bus(bus)
+        return bus, IoTAssistant("mary", bus, metrics=metrics)
+
+    def test_answers_on_the_third_attempt(self):
+        bus, assistant = self.make((0, 1))
+        assert assistant.fetch_effect_preview(now=0.0) == []
+        stats = bus.stats
+        assert stats.calls == 3
+        assert stats.retries == 2
+        assert stats.simulated_latency_s == 0.0
+        assert stats.calls == stats.logical_calls + stats.retries
+
+    def test_a_third_drop_raises_after_three_attempts(self):
+        bus, assistant = self.make((0, 1, 2))
+        with pytest.raises(NetworkError) as excinfo:
+            assistant.fetch_effect_preview(now=0.0)
+        assert excinfo.type is NetworkError  # lost in transit, not remote
+        assert bus.stats.calls == 3
+        assert bus.stats.dropped == 3
+        assert bus.stats.retries == 2
 
 
 class TestFeedbackLoop:

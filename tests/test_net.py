@@ -1,12 +1,12 @@
 """Unit tests for the message bus and codec."""
 
-import random
-
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import FaultError, NetworkError
+from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from repro.net.bus import BusFault, Endpoint, MessageBus, RpcError
 from repro.net.codec import decode_message, encode_message
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -17,6 +17,24 @@ class Echo(Endpoint):
         if method == "boom":
             raise NetworkError("kaboom")
         return super().handle(method, payload)
+
+
+def lossy(bus, rate=0.0, seed=0):
+    """Lose ``rate`` of ``bus``'s attempts (every attempt when 0)."""
+    spec = FaultSpec(kind=FaultKind.DROP, rate=rate)
+    FaultInjector(single_spec_plan(spec, seed=seed)).install_bus(bus)
+    return bus
+
+
+def immediate_retries(count):
+    """A policy that re-sends ``count`` times without backoff."""
+    return RetryPolicy(max_retries=count, base_delay_s=0.0, jitter=0.0)
+
+
+def with_latency(bus, latency_s):
+    """Charge ``latency_s`` of simulated latency to every attempt."""
+    bus.install_fault_plane(lambda target, method: BusFault(latency_s=latency_s))
+    return bus
 
 
 class TestCodec:
@@ -89,39 +107,43 @@ class TestBus:
 
 
 class TestLossAndLatency:
-    def test_drop_rate_raises(self):
-        bus = MessageBus(drop_rate=0.999999, rng=random.Random(0))
+    def test_plane_drop_raises(self):
+        bus = lossy(MessageBus())
         bus.register("echo", Echo())
         with pytest.raises(NetworkError):
             bus.call("echo", "echo", {})
         assert bus.stats.dropped >= 1
 
     def test_retries_recover_from_loss(self):
-        bus = MessageBus(drop_rate=0.5, rng=random.Random(3))
+        bus = lossy(MessageBus(), rate=0.5, seed=3)
         bus.register("echo", Echo())
         # With enough retries one attempt gets through.
-        result = bus.call("echo", "echo", {"x": 1}, retries=50)
+        result = bus.call(
+            "echo", "echo", {"x": 1}, retry_policy=immediate_retries(50)
+        )
         assert result == {"echoed": {"x": 1}}
 
     def test_rpc_errors_not_retried(self):
         bus = MessageBus()
         bus.register("echo", Echo())
         with pytest.raises(RpcError):
-            bus.call("echo", "boom", retries=5)
+            bus.call("echo", "boom", retry_policy=immediate_retries(5))
         assert bus.stats.calls == 1, "application errors must not be retried"
 
     def test_latency_accumulated(self):
-        bus = MessageBus(latency_s=0.05)
+        bus = with_latency(MessageBus(), 0.05)
         bus.register("echo", Echo())
         bus.call("echo", "echo", {})
         bus.call("echo", "echo", {})
         assert bus.stats.simulated_latency_s == pytest.approx(0.1)
 
     def test_invalid_parameters(self):
-        with pytest.raises(NetworkError):
-            MessageBus(drop_rate=1.0)
-        with pytest.raises(NetworkError):
-            MessageBus(latency_s=-1)
+        with pytest.raises(FaultError):
+            FaultSpec(kind=FaultKind.DROP, rate=1.5)
+        with pytest.raises(FaultError):
+            FaultSpec(kind=FaultKind.LATENCY, latency_s=-1)
+        with pytest.raises(ValueError):
+            BusFault(latency_s=-1)
 
     def test_byte_counters_advance(self):
         bus = MessageBus()
@@ -142,12 +164,15 @@ class TestRetryAccounting:
     """
 
     def test_attempts_split_into_logical_calls_and_retries(self):
-        bus = MessageBus(drop_rate=0.4, rng=random.Random(7), metrics=MetricsRegistry())
+        bus = lossy(MessageBus(metrics=MetricsRegistry()), rate=0.4, seed=7)
         bus.register("echo", Echo())
         succeeded = failed = 0
         for index in range(50):
             try:
-                bus.call("echo", "echo", {"i": index}, retries=3)
+                bus.call(
+                    "echo", "echo", {"i": index},
+                    retry_policy=immediate_retries(3),
+                )
                 succeeded += 1
             except NetworkError:
                 failed += 1
@@ -155,7 +180,6 @@ class TestRetryAccounting:
         assert bus.stats.logical_calls == 50
         assert bus.stats.retries > 0, "a 40% loss rate must force retries"
         assert bus.stats.calls == bus.stats.logical_calls + bus.stats.retries
-        assert bus.stats.attempts == bus.stats.calls
         # With no endpoint errors, every attempt either dropped or
         # succeeded, and each success completes one logical call.
         assert bus.stats.errors == 0
@@ -167,7 +191,9 @@ class TestRetryAccounting:
         bus = MessageBus(metrics=MetricsRegistry())
         bus.register("echo", Echo())
         for index in range(10):
-            bus.call("echo", "echo", {"i": index}, retries=5)
+            bus.call(
+                "echo", "echo", {"i": index}, retry_policy=immediate_retries(5)
+            )
         assert bus.stats.logical_calls == 10
         assert bus.stats.retries == 0
         assert bus.stats.calls == 10
@@ -176,18 +202,21 @@ class TestRetryAccounting:
         bus = MessageBus(metrics=MetricsRegistry())
         bus.register("echo", Echo())
         with pytest.raises(RpcError):
-            bus.call("echo", "boom", retries=5)
+            bus.call("echo", "boom", retry_policy=immediate_retries(5))
         assert bus.stats.logical_calls == 1
         assert bus.stats.retries == 0
         assert bus.stats.calls == 1
 
     def test_registry_mirrors_stats(self):
         registry = MetricsRegistry()
-        bus = MessageBus(drop_rate=0.3, rng=random.Random(11), metrics=registry)
+        bus = lossy(MessageBus(metrics=registry), rate=0.3, seed=11)
         bus.register("echo", Echo())
         for index in range(30):
             try:
-                bus.call("echo", "echo", {"i": index}, retries=2)
+                bus.call(
+                    "echo", "echo", {"i": index},
+                    retry_policy=immediate_retries(2),
+                )
             except NetworkError:
                 pass
         assert registry.total("bus_attempts_total") == bus.stats.calls
@@ -204,11 +233,16 @@ class TestRetryAccounting:
 
     def test_negative_fault_latency_is_rejected(self):
         registry = MetricsRegistry()
-        bus = MessageBus(latency_s=0.25, metrics=registry)
+        bus = MessageBus(metrics=registry)
         bus.register("echo", Echo())
+        plane = lambda target, method: BusFault(latency_s=0.25)  # noqa: E731
+        bus.install_fault_plane(plane)
+        bus.call("echo", "echo")
+        bus.remove_fault_plane(plane)
         bus.install_fault_plane(lambda target, method: BusFault(latency_s=-0.5))
         with pytest.raises(ValueError):
             bus.call("echo", "echo")
+        assert bus.stats.simulated_latency_s == 0.25
         assert bus.stats.simulated_latency_s == registry.total(
             "bus_simulated_latency_seconds_total"
         )
@@ -218,7 +252,7 @@ class TestRetryAccounting:
     def test_buses_sharing_a_registry_sum(self):
         registry = MetricsRegistry()
         buses = [
-            MessageBus(latency_s=latency, metrics=registry)
+            with_latency(MessageBus(metrics=registry), latency)
             for latency in (0.25, 0.5)
         ]
         for count, bus in enumerate(buses, 1):

@@ -108,18 +108,20 @@ class TestExceptionSafety:
         assert "RpcError" in span.error
 
     def test_bus_call_span_closes_on_network_loss(self):
-        import random
+        from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
+        from repro.net.resilience import RetryPolicy
 
         tracer = Tracer()
-        bus = MessageBus(
-            drop_rate=0.999999,
-            rng=random.Random(0),
-            metrics=MetricsRegistry(),
-            tracer=tracer,
-        )
+        bus = MessageBus(metrics=MetricsRegistry(), tracer=tracer)
+        FaultInjector(
+            single_spec_plan(FaultSpec(kind=FaultKind.DROP))  # every attempt
+        ).install_bus(bus)
         bus.register("svc", _Failing())
         with pytest.raises(NetworkError):
-            bus.call("svc", "anything", retries=2)
+            bus.call(
+                "svc", "anything",
+                retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.0, jitter=0.0),
+            )
         (span,) = tracer.find("bus.call")
         assert span.finished
         assert span.status == "error"

@@ -17,9 +17,10 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class TestHalfOpenReclose:
-    def test_reclose_restores_the_full_failure_budget(self):
+    def test_reclose_restores_the_full_failure_budget(self, thresholds):
         """A healed breaker is truly closed: the streak starts from zero."""
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_rejections=1)
+        thresholds(3, 1)
+        breaker = CircuitBreaker()
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
@@ -35,9 +36,10 @@ class TestHalfOpenReclose:
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.times_opened == 2
 
-    def test_half_open_failure_reopens_below_threshold(self):
+    def test_half_open_failure_reopens_below_threshold(self, thresholds):
         """One failed trial re-opens even with a high failure threshold."""
-        breaker = CircuitBreaker(failure_threshold=5, cooldown_rejections=1)
+        thresholds(5, 1)
+        breaker = CircuitBreaker()
         for _ in range(5):
             breaker.record_failure()
         breaker.allow()
@@ -46,9 +48,10 @@ class TestHalfOpenReclose:
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.rejections_while_open == 0  # cooldown restarts
 
-    def test_open_close_cycle_is_repeatable(self):
+    def test_open_close_cycle_is_repeatable(self, thresholds):
         """trip -> cool down -> heal, twice; counters stay consistent."""
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_rejections=2)
+        thresholds(1, 2)
+        breaker = CircuitBreaker()
         for cycle in range(1, 3):
             breaker.record_failure()
             assert breaker.state == CircuitBreaker.OPEN
@@ -62,13 +65,11 @@ class TestHalfOpenReclose:
 
 
 class TestBusHalfOpenReclose:
-    def test_bus_recloses_and_serves_after_fault_window(self):
+    def test_bus_recloses_and_serves_after_fault_window(self, thresholds):
         """End to end: trip on drops, cool down on rejections, re-close."""
+        thresholds(2, 2)
         metrics = MetricsRegistry()
-        bus = MessageBus(
-            metrics=metrics,
-            breakers=BreakerBoard(failure_threshold=2, cooldown_rejections=2),
-        )
+        bus = MessageBus(metrics=metrics, breakers=BreakerBoard())
         bus.register_handler("echo", lambda method, payload: {"ok": True})
         injector = FaultInjector(
             single_spec_plan(FaultSpec(kind=FaultKind.DROP, at_steps=(0, 1)))

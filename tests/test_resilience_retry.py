@@ -25,11 +25,33 @@ class TestRetryPolicy:
             max_retries=6, base_delay_s=0.1, multiplier=2.0, max_delay_s=1.0,
             jitter=0.0,
         )
-        assert policy.base_schedule() == (0.1, 0.2, 0.4, 0.8, 1.0, 1.0)
+        assert tuple(policy.base_delay_for(n) for n in range(1, 7)) == (
+            0.1, 0.2, 0.4, 0.8, 1.0, 1.0
+        )
 
     def test_zero_jitter_schedule_equals_base(self):
         policy = RetryPolicy(jitter=0.0)
-        assert policy.schedule() == policy.base_schedule()
+        assert policy.schedule() == tuple(
+            policy.base_delay_for(n) for n in range(1, policy.max_retries + 1)
+        )
+
+    def test_schedule_is_computed_once(self, monkeypatch):
+        policy = RetryPolicy(seed=3)
+        expected = tuple(
+            policy.delay_for(n) for n in range(1, policy.max_retries + 1)
+        )
+
+        def refuse(self, attempt):
+            raise AssertionError("schedule() recomputed a delay")
+
+        monkeypatch.setattr(RetryPolicy, "delay_for", refuse)
+        assert policy.schedule() == expected
+        assert policy.schedule() is policy.schedule()
+        # The cached schedule takes no part in equality or hashing.
+        monkeypatch.undo()
+        assert policy == RetryPolicy(seed=3)
+        assert hash(policy) == hash(RetryPolicy(seed=3))
+        assert "_schedule" not in repr(policy)
 
     def test_jitter_is_deterministic_per_seed(self):
         first = RetryPolicy(seed=7).schedule()
@@ -49,15 +71,28 @@ class TestRetryPolicy:
             assert base * (1 - policy.jitter) <= delay or delay == policy.max_delay_s
             assert delay <= base * (1 + policy.jitter)
 
-    def test_schedule_within_respects_budget(self):
+    def test_deadline_keeps_the_longest_affordable_schedule_prefix(self):
         policy = RetryPolicy(max_retries=5, jitter=0.0, base_delay_s=0.1,
                              multiplier=2.0, max_delay_s=10.0)
         # Full schedule: 0.1, 0.2, 0.4, 0.8, 1.6
-        assert policy.schedule_within(0.75) == (0.1, 0.2, 0.4)
-        assert policy.schedule_within(0.05) == ()
-        assert sum(policy.schedule_within(100.0)) == pytest.approx(3.1)
-        with pytest.raises(ValueError):
-            policy.schedule_within(-1.0)
+        for budget, retries, error in (
+            (0.75, 3, DeadlineError),
+            (0.05, 0, DeadlineError),
+            (100.0, 5, NetworkError),
+        ):
+            bus = MessageBus(metrics=MetricsRegistry())
+            bus.register_handler("echo", lambda method, payload: {"ok": True})
+            FaultInjector(
+                single_spec_plan(FaultSpec(kind=FaultKind.DROP))
+            ).install_bus(bus)
+            deadline = Deadline(budget)
+            with pytest.raises(error):
+                bus.call("echo", "ping", retry_policy=policy, deadline=deadline)
+            assert bus.stats.retries == retries
+            assert deadline.spent_s == pytest.approx(
+                sum(policy.schedule()[:retries])
+            )
+        assert deadline.spent_s == pytest.approx(3.1)
 
 
 class TestDeadline:
