@@ -6,7 +6,8 @@ the corresponding tools:
 
 1. *Policy linting* (Section V-A): a deliberately sloppy policy set is
    analyzed before activation; the linter catches the shadowed policy,
-   the unbounded retention, and the sensor nobody authorized.
+   the over-collection, the unbounded retention, and the deployed
+   sensors nobody authorized.
 2. *Automated IRR setup* (Section V-B): the registry is provisioned
    from Manufacturer Usage Descriptions instead of hand-written
    documents -- one advertisement per deployed sensor type.
@@ -19,11 +20,11 @@ Run:  python examples/building_admin_toolkit.py
 
 import dataclasses
 
+from repro.analysis import PolicyLinter, Severity
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.core.policy.building import BuildingPolicy
-from repro.core.reasoner.analysis import analyze_policies, errors_only
 from repro.irr.mud import auto_provision
 from repro.irr.registry import IoTResourceRegistry
 from repro.simulation.dbh import BUILDING_ID, make_dbh_tippers
@@ -39,6 +40,8 @@ def main() -> None:
 
     # ------------------------------------------------------------ 1
     print("== 1. Linting a draft policy set ==")
+    # Oops: the draft only covers Wi-Fi and cameras, so every other
+    # deployed sensor type is authorized by nothing.
     draft = [
         catalog.policy_2_emergency_location(BUILDING_ID),
         # Oops: a blanket deny that shadows the research policy below.
@@ -54,6 +57,7 @@ def main() -> None:
             name="Research data collection",
             description="d",
             categories=(DataCategory.LOCATION,),
+            sensor_types=("wifi_access_point",),
             purposes=(Purpose.RESEARCH,),
             granularity=GranularityLevel.PRECISE,  # also over-collection
             phases=(DecisionPhase.CAPTURE, DecisionPhase.STORAGE),
@@ -69,11 +73,12 @@ def main() -> None:
         ),
     ]
     deployed = {s.sensor_type for s in tippers.sensor_manager.sensors()}
-    findings = analyze_policies(draft, deployed_sensor_types=deployed)
+    findings = PolicyLinter(deployed_sensor_types=deployed).lint_policies(draft)
     for finding in findings:
         print("  ", finding)
+    errors = [f for f in findings if f.severity is Severity.ERROR]
     print("   -> %d findings (%d errors); fix before activation"
-          % (len(findings), len(errors_only(findings))))
+          % (len(findings), len(errors)))
 
     # Activate a clean set instead.
     tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))

@@ -9,9 +9,9 @@ lint [paths...] [--format text|json|sarif] [--select RULES] [--flow]
     With no paths: statically audit the default DBH policy set and its
     advertisement registry (the resource advertisement, the Figure-4
     settings document and the concierge service advertisement) under
-    policy rules P001-P010.  With paths: run the
-    AST code lint (rules C001-C007) over every ``*.py`` file under
-    them.  With ``--flow``: run the interprocedural privacy-flow
+    policy rules P001-P014, with the DBH deployment's sensor types.
+    With paths: run the AST code lint (rules C001-C007) over every
+    ``*.py`` file under them.  With ``--flow``: run the interprocedural privacy-flow
     analysis (rules F001-F006) over the paths (default ``src``),
     subtracting the committed ``flow_baseline.json`` unless
     ``--no-baseline`` (or ``--baseline PATH`` picks another file);

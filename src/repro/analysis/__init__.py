@@ -4,7 +4,7 @@ Three analyzers share one finding/severity/reporting core
 (:mod:`repro.analysis.findings`):
 
 - :class:`PolicyLinter` audits whole advertisement registries and
-  policy documents statically (rules ``P001``--``P010``).
+  policy documents statically (rules ``P001``--``P014``).
 - :class:`CodeLinter` runs stdlib-``ast`` rules over the codebase
   itself (rules ``C001``--``C007``).
 - :class:`~repro.analysis.flow.FlowAnalyzer` runs the interprocedural

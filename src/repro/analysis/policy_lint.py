@@ -9,20 +9,27 @@ every :class:`BuildingPolicy`, every stored preference -- the way P3P
 deployments learned the hard way that machine-readable policies rot
 without tooling that lints them as artifacts.
 
-Rules (ids P001-P010; see ``docs/ANALYSIS.md`` for the full catalog):
+Rules (ids P001-P014; see ``docs/ANALYSIS.md`` for the full catalog):
 
 ========  =========================  =========================================
 P001      dangling-space             space reference not in the spatial model
 P002      unknown-sensor             sensor type not in the ontology
 P003      unknown-purpose            purpose key outside the taxonomy
 P004      dangling-inference         inferred category outside the vocabulary
-P005      shadowed-rule              rule unreachable behind a covering rule
+P005      shadowed-rule              allow behind an unconditional covering deny
 P006      contradictory-effects      identical selectors, opposite effects
 P007      retention-beyond-purpose   retention longer than the purpose allows
 P008      settings-beyond-data       setting offers finer data than declared
 P009      hard-conflict              mandatory policy vs user opt-out
 P010      duplicate-advertisement    advertisement set repeats itself
+P011      redundant-policy           two allows with identical selectors
+P012      over-collection            granularity finer than the purposes need
+P013      unauthorized-sensor        deployed sensor type no allow covers
+P014      unused-policy              policy names only undeployed sensors
 ========  =========================  =========================================
+
+P013 and P014 run only when the linter is given the deployed sensor
+types.
 
 Advertisements are duck-typed: anything with ``advertisement_id`` /
 ``kind`` / ``coverage_space_id`` / ``document`` / ``settings``
@@ -32,9 +39,10 @@ a remote registry lint without reconstructing registry objects.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import (
+    RULES,
     Finding,
     Severity,
     register_rule,
@@ -43,10 +51,10 @@ from repro.analysis.findings import (
 )
 from repro.core.language.duration import Duration
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.core.policy.building import BuildingPolicy
-from repro.core.policy.conditions import EvaluationContext
+from repro.core.policy.conditions import Always, EvaluationContext
 from repro.core.policy.preference import UserPreference
-from repro.core.reasoner.analysis import scope_covers
 from repro.core.reasoner.conflicts import ConflictKind, detect_conflicts_by_user
 from repro.sensors.ontology import SensorOntology, default_ontology
 from repro.spatial.model import SpatialModel
@@ -73,18 +81,20 @@ register_rule(
 )
 register_rule(
     "P005", "shadowed-rule", Severity.ERROR,
-    "An allowing policy is unreachable: an earlier mandatory or "
-    "same-or-higher-priority denying policy covers its whole scope.",
+    "An allowing policy can never take effect: an unconditional denying "
+    "policy covers its whole scope, and a matched deny always wins, "
+    "whatever either policy's priority or mandatory flag.",
 )
 register_rule(
     "P006", "contradictory-effects", Severity.ERROR,
     "Two policies with identical selectors declare opposite effects; "
-    "the outcome depends on evaluation order, not policy.",
+    "wherever both apply the deny wins, so the allow survives only where "
+    "the deny's condition fails.",
 )
 register_rule(
     "P007", "retention-beyond-purpose", Severity.WARNING,
-    "Declared retention exceeds what the document's purpose class "
-    "plausibly needs.",
+    "Declared retention exceeds what the purpose class plausibly needs, "
+    "or an allowing policy collects personal data with no retention bound.",
 )
 register_rule(
     "P008", "settings-beyond-data", Severity.WARNING,
@@ -100,6 +110,26 @@ register_rule(
     "P010", "duplicate-advertisement", Severity.WARNING,
     "The advertisement set repeats an advertisement id or an identical "
     "document; discovery returns redundant entries.",
+)
+register_rule(
+    "P011", "redundant-policy", Severity.INFO,
+    "Two allowing policies have identical selectors; one of them adds "
+    "nothing.",
+)
+register_rule(
+    "P012", "over-collection", Severity.WARNING,
+    "An allowing policy collects personal data at a finer granularity "
+    "than any purpose it declares plausibly needs.",
+)
+register_rule(
+    "P013", "unauthorized-sensor", Severity.WARNING,
+    "A deployed sensor type is covered by no allowing policy; all its "
+    "data is dropped at capture.",
+)
+register_rule(
+    "P014", "unused-policy", Severity.INFO,
+    "A policy names only sensor types that are not deployed, so it can "
+    "never govern a capture.",
 )
 
 
@@ -119,6 +149,25 @@ PURPOSE_MAX_RETENTION: Dict[Purpose, Duration] = {
     Purpose.LAW_ENFORCEMENT: Duration.parse("P1Y"),
 }
 
+#: The finest granularity each purpose class plausibly needs.  Personal
+#: data collected finer than every declared purpose needs is flagged by
+#: P012.
+PURPOSE_MAX_GRANULARITY: Dict[Purpose, GranularityLevel] = {
+    Purpose.EMERGENCY_RESPONSE: GranularityLevel.PRECISE,
+    Purpose.PROVIDING_SERVICE: GranularityLevel.PRECISE,
+    Purpose.SECURITY: GranularityLevel.PRECISE,
+    Purpose.LOGGING: GranularityLevel.COARSE,
+    Purpose.COMFORT: GranularityLevel.COARSE,
+    Purpose.ENERGY_MANAGEMENT: GranularityLevel.AGGREGATE,
+    Purpose.ACCESS_CONTROL: GranularityLevel.PRECISE,
+    Purpose.RESEARCH: GranularityLevel.AGGREGATE,
+    Purpose.MARKETING: GranularityLevel.AGGREGATE,
+    Purpose.LAW_ENFORCEMENT: GranularityLevel.PRECISE,
+}
+
+#: The phases in which a policy keeps data, so retention applies.
+_KEEPING_PHASES = {DecisionPhase.CAPTURE, DecisionPhase.STORAGE}
+
 #: Sensor-less resource entries compiled from pure sharing policies use
 #: this placeholder type; it is not a dangling reference.
 _SENSORLESS = {"", "none"}
@@ -136,6 +185,39 @@ def _known_purpose(key: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _scope_key(policy: BuildingPolicy) -> Tuple:
+    """The policy's selectors, order-free (what P006 and P011 compare)."""
+    return (
+        frozenset(policy.categories),
+        frozenset(policy.sensor_types),
+        frozenset(policy.space_ids),
+        frozenset(policy.phases),
+        frozenset(policy.purposes),
+    )
+
+
+def _covers(outer: BuildingPolicy, inner: BuildingPolicy) -> bool:
+    """Whether ``outer``'s selectors admit every request ``inner``'s do.
+
+    Empty selectors are wildcards: a wildcard covers anything, and a
+    non-empty selector covers only a non-empty subset of itself.
+    Conditions are not compared.
+    """
+
+    def selector_covers(outer_values: tuple, inner_values: tuple) -> bool:
+        if not outer_values:
+            return True
+        return bool(inner_values) and set(inner_values) <= set(outer_values)
+
+    return (
+        selector_covers(outer.categories, inner.categories)
+        and selector_covers(outer.sensor_types, inner.sensor_types)
+        and selector_covers(outer.space_ids, inner.space_ids)
+        and selector_covers(outer.purposes, inner.purposes)
+        and set(inner.phases) <= set(outer.phases)
+    )
 
 
 class _Adv:
@@ -162,7 +244,9 @@ class PolicyLinter:
     ``spatial`` enables space-reference checks (P001) and spatial
     conflict overlap; ``ontology`` defaults to the DBH ontology and
     drives the sensor checks (P002).  ``select`` is a pre-expanded set
-    of rule ids to keep (``None`` keeps all).
+    of rule ids to keep (``None`` keeps all).  ``deployed_sensor_types``
+    (the sensor types installed in the building) enables the deployment
+    checks P013 and P014.
     """
 
     def __init__(
@@ -170,10 +254,15 @@ class PolicyLinter:
         spatial: Optional[SpatialModel] = None,
         ontology: Optional[SensorOntology] = None,
         select: Optional[Set[str]] = None,
+        deployed_sensor_types: Optional[Iterable[str]] = None,
     ) -> None:
         self._spatial = spatial
         self._ontology = ontology if ontology is not None else default_ontology()
         self._select = select
+        self._deployed = (
+            None if deployed_sensor_types is None
+            else frozenset(deployed_sensor_types)
+        )
 
     # ------------------------------------------------------------------
     # Drivers
@@ -249,7 +338,7 @@ class PolicyLinter:
             )
             retention = entry.get("retention", {}).get("duration")
             if retention:
-                findings.extend(self._check_retention(
+                findings.extend(self._check_document_retention(
                     retention, entry.get("purpose", {}), where
                 ))
         return self._done(findings)
@@ -290,22 +379,23 @@ class PolicyLinter:
                         "P002", policy.policy_id,
                         "sensor type %r is not in the ontology" % sensor_type,
                     ))
-            retention = policy.retention
-            if retention is not None and policy.purposes:
-                allowed = max(
-                    (
-                        PURPOSE_MAX_RETENTION[purpose].total_seconds()
-                        for purpose in policy.purposes
-                    ),
-                )
-                if retention.total_seconds() > allowed:
-                    findings.append(self._finding(
-                        "P007", policy.policy_id,
-                        "retention %s exceeds the %ds its purposes allow"
-                        % (retention.isoformat(), allowed),
-                    ))
+            if policy.retention is not None:
+                findings.extend(self._check_retention(
+                    policy.retention, policy.purposes, policy.policy_id
+                ))
+            elif policy.collects_personal_data and any(
+                phase in _KEEPING_PHASES for phase in policy.phases
+            ):
+                findings.append(self._finding(
+                    "P007", policy.policy_id,
+                    "%r collects personal data with no retention bound"
+                    % policy.policy_id,
+                ))
+            findings.extend(self._check_over_collection(policy))
         findings.extend(self._check_shadowing(policies))
-        findings.extend(self._check_contradictions(policies))
+        findings.extend(self._check_same_scope(policies))
+        if self._deployed is not None:
+            findings.extend(self._check_deployment(policies))
         return self._done(findings)
 
     def lint_conflicts(
@@ -362,7 +452,7 @@ class PolicyLinter:
                     ))
         return findings
 
-    def _check_retention(
+    def _check_document_retention(
         self, duration_text: str, purposes: Dict[str, Any], subject: str
     ) -> List[Finding]:
         try:
@@ -374,10 +464,16 @@ class PolicyLinter:
             for key in purposes
             if _known_purpose(key)
         ]
-        if not named:
+        return self._check_retention(retention, named, subject)
+
+    def _check_retention(
+        self, retention: Duration, purposes: Sequence[Purpose], subject: str
+    ) -> List[Finding]:
+        """P007: retention past the most permissive purpose's bound."""
+        if not purposes:
             return []
         allowed = max(
-            PURPOSE_MAX_RETENTION[purpose].total_seconds() for purpose in named
+            PURPOSE_MAX_RETENTION[purpose].total_seconds() for purpose in purposes
         )
         if retention.total_seconds() > allowed:
             return [self._finding(
@@ -425,50 +521,100 @@ class PolicyLinter:
                     ))
         return findings
 
+    def _check_over_collection(self, policy: BuildingPolicy) -> List[Finding]:
+        """P012: personal data finer than every declared purpose needs."""
+        if not policy.purposes or not policy.collects_personal_data:
+            return []
+        needed = max(
+            (PURPOSE_MAX_GRANULARITY[purpose] for purpose in policy.purposes),
+            key=lambda granularity: granularity.rank,
+        )
+        if policy.granularity.rank <= needed.rank:
+            return []
+        return [self._finding(
+            "P012", policy.policy_id,
+            "%r collects at %s but its purposes need at most %s"
+            % (policy.policy_id, policy.granularity.value, needed.value),
+        )]
+
     def _check_shadowing(
         self, policies: Sequence[BuildingPolicy]
     ) -> List[Finding]:
+        """P005, the resolver's rule: a matched deny always denies.
+
+        ``resolve()`` denies whenever any matched building policy
+        denies, whatever its priority or ``mandatory`` flag, so an
+        allowing policy whose scope a condition-free denying policy
+        covers can never take effect.  A denying policy is never
+        flagged: when it matches, it takes effect.
+        """
+        deniers = [
+            policy for policy in policies
+            if policy.effect is Effect.DENY and isinstance(policy.condition, Always)
+        ]
         findings = []
-        for shadowed in policies:
-            for shadower in policies:
-                if shadower.policy_id == shadowed.policy_id:
-                    continue
-                blocking = (
-                    shadower.effect is not shadowed.effect
-                    and (shadower.mandatory or shadower.priority >= shadowed.priority)
-                    and not shadowed.mandatory
-                )
-                if blocking and scope_covers(shadower, shadowed):
+        for allower in policies:
+            if allower.effect is not Effect.ALLOW:
+                continue
+            for denier in deniers:
+                if _covers(denier, allower):
                     findings.append(self._finding(
-                        "P005", shadowed.policy_id,
-                        "%r can never take effect: %r covers its whole "
-                        "scope with the opposite effect"
-                        % (shadowed.policy_id, shadower.policy_id),
+                        "P005", allower.policy_id,
+                        "%r can never take effect: %r denies its whole "
+                        "scope unconditionally"
+                        % (allower.policy_id, denier.policy_id),
                     ))
         return findings
 
-    def _check_contradictions(
+    def _check_same_scope(
         self, policies: Sequence[BuildingPolicy]
     ) -> List[Finding]:
+        """P006 (opposite effects) and P011 (two allows) on one scope key."""
         findings = []
         seen: Dict[Tuple, BuildingPolicy] = {}
         for policy in policies:
-            key = (
-                frozenset(policy.categories),
-                frozenset(policy.sensor_types),
-                frozenset(policy.space_ids),
-                frozenset(policy.phases),
-                frozenset(policy.purposes),
-            )
-            other = seen.get(key)
-            if other is not None and other.effect is not policy.effect:
+            other = seen.setdefault(_scope_key(policy), policy)
+            if other is policy:
+                continue
+            if other.effect is not policy.effect:
                 findings.append(self._finding(
                     "P006", policy.policy_id,
                     "%r and %r select identical requests but declare "
                     "opposite effects" % (other.policy_id, policy.policy_id),
                 ))
-            else:
-                seen[key] = policy
+            elif policy.effect is Effect.ALLOW:
+                findings.append(self._finding(
+                    "P011", policy.policy_id,
+                    "%r and %r have identical scope"
+                    % (other.policy_id, policy.policy_id),
+                ))
+        return findings
+
+    def _check_deployment(
+        self, policies: Sequence[BuildingPolicy]
+    ) -> List[Finding]:
+        """P013 (deployed, never authorized) and P014 (never deployed)."""
+        deployed = self._deployed
+        authorized: Set[str] = set()
+        for policy in policies:
+            if policy.effect is Effect.ALLOW:
+                # An empty sensor selector authorizes every deployed type.
+                authorized |= set(policy.sensor_types) or deployed
+        findings = [
+            self._finding(
+                "P013", sensor_type,
+                "deployed sensor type %r is covered by no policy; all its "
+                "data will be dropped at capture" % sensor_type,
+            )
+            for sensor_type in sorted(deployed - authorized)
+        ]
+        for policy in policies:
+            if policy.sensor_types and not deployed & set(policy.sensor_types):
+                findings.append(self._finding(
+                    "P014", policy.policy_id,
+                    "%r only names sensor types that are not deployed"
+                    % policy.policy_id,
+                ))
         return findings
 
     def _check_duplicates(self, advertisements: List[_Adv]) -> List[Finding]:
@@ -499,8 +645,6 @@ class PolicyLinter:
     # Plumbing
     # ------------------------------------------------------------------
     def _finding(self, rule_id: str, subject: str, message: str) -> Finding:
-        from repro.analysis.findings import RULES
-
         return Finding(
             rule_id=rule_id,
             severity=RULES[rule_id].severity,
@@ -519,8 +663,8 @@ def lint_dbh_scenario(select: Optional[Set[str]] = None) -> List[Finding]:
 
     Policies, the compiled resource advertisement, the Figure-4 settings
     document, and the concierge service advertisement all pass through
-    the linter; the result is the repo's own lint gate (and must stay
-    empty).
+    the linter, with the deployed sensor types enabling P013/P014; the
+    result is the repo's own lint gate (and must stay empty).
     """
     from repro.core.policy import catalog
     from repro.irr.registry import IoTResourceRegistry
@@ -554,7 +698,13 @@ def lint_dbh_scenario(select: Optional[Set[str]] = None) -> List[Finding]:
     registry.publish_service(
         "dbh-concierge", BUILDING_ID, SmartConcierge(tippers).policy_document()
     )
-    linter = PolicyLinter(spatial=tippers.spatial, select=select)
+    linter = PolicyLinter(
+        spatial=tippers.spatial,
+        select=select,
+        deployed_sensor_types={
+            sensor.sensor_type for sensor in tippers.sensor_manager.sensors()
+        },
+    )
     return linter.lint_building(
         tippers.policy_manager.policies(), registry=registry
     )

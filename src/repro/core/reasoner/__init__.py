@@ -16,7 +16,6 @@ that the overhead of privacy compliance is minimized" (Section V-C).
   matching sublinear in the number of rules.
 """
 
-from repro.core.reasoner.analysis import Finding, Severity, analyze_policies
 from repro.core.reasoner.conflicts import Conflict, ConflictKind, detect_conflicts
 from repro.core.reasoner.index import LinearRuleStore, PolicyIndex, RuleStore
 from repro.core.reasoner.matcher import MatchResult, PolicyMatcher
@@ -27,9 +26,6 @@ from repro.core.reasoner.resolution import (
 )
 
 __all__ = [
-    "Finding",
-    "Severity",
-    "analyze_policies",
     "PolicyMatcher",
     "MatchResult",
     "Conflict",

@@ -134,17 +134,6 @@ def _classify(policy: BuildingPolicy, preference: UserPreference) -> Optional[Co
     return None
 
 
-def conflicts_for_user(
-    policies: Sequence[BuildingPolicy],
-    preferences: Sequence[UserPreference],
-    user_id: str,
-    context: Optional[EvaluationContext] = None,
-) -> List[Conflict]:
-    """Conflicts involving only ``user_id``'s preferences."""
-    mine = [p for p in preferences if p.user_id == user_id]
-    return detect_conflicts(policies, mine, context)
-
-
 def detect_conflicts_by_user(
     policies: Sequence[BuildingPolicy],
     preferences: Sequence[UserPreference],

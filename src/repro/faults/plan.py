@@ -62,7 +62,7 @@ class FaultKind(enum.Enum):
     CRASH_MID_MIGRATION = "crash_mid_migration"
     """Rebalance: the shard executing the current migration step
     crashes (source on ``copy``/``finalize``, destination on
-    ``import``); WAL replay must resume or roll back the migration."""
+    ``import``); WAL replay must resume the migration."""
 
     CUTOVER_PARTITION = "cutover_partition"
     """Rebalance: the cross-shard link is partitioned at the current

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FederationError, NetworkError, SimulatedCrash
+from repro.errors import NetworkError, SimulatedCrash
 from repro.federation.campus import Campus
 from repro.federation.router import ROUTER_CALL_DEADLINE_S, SHARD_ENDPOINT_PREFIX
 from repro.net.resilience import Deadline, RetryPolicy
@@ -81,7 +81,7 @@ class MigrationOutcome:
     source: str
     dest: str
     #: ``completed`` | ``already_finalized`` | ``partitioned`` |
-    #: ``blocked`` | ``rolled_back``
+    #: ``blocked``
     status: str
     observations_moved: int = 0
     preferences_moved: int = 0
@@ -124,7 +124,6 @@ class RebalanceCoordinator:
             "crashes": 0,
             "retried": 0,
             "resumed_committed": 0,
-            "rolled_back": 0,
         }
 
     # ------------------------------------------------------------------
@@ -344,44 +343,6 @@ class RebalanceCoordinator:
                 self.stats["retried"] += 1
                 outcomes.append(self.migrate(migration))
         return outcomes
-
-    def rollback(self, migration: UserMigration) -> MigrationOutcome:
-        """Cancel a stalled migration: the user stays at the source.
-
-        Only legal while the source still holds the user (i.e. the
-        migration never reached its tombstone).  The destination's
-        partial copy -- if any -- is erased with the same tombstone
-        machinery, journaled on the destination's WAL, and the router's
-        forwarding mark is dropped so calls route to the source again.
-        The caller is responsible for having reverted the ring change
-        that planned this migration.
-        """
-        m = migration
-        done = self._completed.get(m.migration_id)
-        if done is not None and done.status == "completed":
-            raise FederationError(
-                "migration %r already tombstoned its source; it cannot "
-                "be rolled back" % m.migration_id
-            )
-        self._call(
-            m.dest,
-            "migrate_finalize",
-            {
-                "migration_id": m.migration_id,
-                "user_id": m.user_id,
-                "to_building": m.source,
-            },
-            principal=m.user_id,
-        )
-        self.campus.router.clear_migrating(m.user_id)
-        self._pending.pop(m.migration_id, None)
-        outcome = self._outcome(m, "rolled_back")
-        self._completed[m.migration_id] = outcome
-        self.stats["rolled_back"] += 1
-        self.campus.metrics.counter(
-            "federation_migrations_total", {"outcome": "rolled_back"}
-        ).inc()
-        return outcome
 
     # ------------------------------------------------------------------
     # Outcome bookkeeping

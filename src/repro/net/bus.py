@@ -105,10 +105,8 @@ class BusStats:
     simulated_latency_s: float = 0.0
     logical_calls: int = 0
     retries: int = 0
-    #: Attempts lost to an injected fault (drop/offline/corrupt).  Fault
-    #: planes are the only source of loss, so this equals ``dropped``.
-    faulted: int = 0
-    #: Messages mangled in transit by a fault plane (subset of ``faulted``).
+    #: Messages mangled in transit by a fault plane (subset of
+    #: ``dropped``: fault planes are the bus's only source of loss).
     corrupted: int = 0
     #: Calls refused by an open circuit breaker before becoming a
     #: logical call (so ``calls == logical_calls + retries`` still holds).
@@ -322,7 +320,6 @@ class MessageBus:
         """Account one lost attempt and raise the transport error."""
         self.stats.dropped += 1
         self.metrics.counter("bus_dropped_by_target_total", {"target": target}).inc()
-        self.stats.faulted += 1
         self.metrics.counter(metric, {"target": target}).inc()
         raise NetworkError(reason)
 

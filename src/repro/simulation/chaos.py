@@ -51,7 +51,6 @@ class ChaosReport(ScenarioReport):
     decisions: List[str] = field(default_factory=list)
     audit_effects: List[str] = field(default_factory=list)
     bus_dropped: int = 0
-    bus_faulted: int = 0
     bus_corrupted: int = 0
     bus_rejected: int = 0
     breaker_states: Dict[str, str] = field(default_factory=dict)
@@ -72,7 +71,6 @@ class ChaosReport(ScenarioReport):
                 "logical_calls": self.bus_logical_calls,
                 "retries": self.bus_retries,
                 "dropped": self.bus_dropped,
-                "faulted": self.bus_faulted,
                 "corrupted": self.bus_corrupted,
                 "rejected": self.bus_rejected,
             },
@@ -87,13 +85,12 @@ class ChaosReport(ScenarioReport):
             "capture: stored=%d write_failures=%d stalled_samples=%d"
             % (self.stored, self.write_failures, self.stalled),
             "bus: attempts=%d logical=%d retries=%d dropped=%d "
-            "(faulted=%d corrupted=%d) breaker_rejected=%d"
+            "(corrupted=%d) breaker_rejected=%d"
             % (
                 self.bus_attempts,
                 self.bus_logical_calls,
                 self.bus_retries,
                 self.bus_dropped,
-                self.bus_faulted,
                 self.bus_corrupted,
                 self.bus_rejected,
             ),
@@ -195,7 +192,6 @@ def run_chaos_scenario(
     report.harvest_bus(bus)
     stats = bus.stats
     report.bus_dropped = stats.dropped
-    report.bus_faulted = stats.faulted
     report.bus_corrupted = stats.corrupted
     report.bus_rejected = stats.rejected
     if bus.breakers is not None:

@@ -144,7 +144,7 @@ class StorageEngine:
         ``data`` carries ``migration_id``/``user_id``/``from``/``to``/
         ``phase`` (plus the frozen snapshot on the ``copy`` phase).
         Replay surfaces the latest phase per migration id so a restarted
-        shard can resume or roll back an in-flight migration; a DSAR
+        shard can resume an in-flight migration; a DSAR
         erasure replayed after the copy strips the journaled snapshot so
         erased observations can never be resurrected from the journal.
         """

@@ -135,8 +135,8 @@ class TIPPERS(Endpoint):
         self._roaming: Dict[str, str] = {}
         #: migration_id -> latest journaled phase record, populated by
         #: :meth:`recover` from the WAL's migration journal.  A
-        #: rebalance coordinator reads this to resume or roll back
-        #: migrations that were in flight when the shard crashed.
+        #: rebalance coordinator reads this to resume migrations that
+        #: were in flight when the shard crashed.
         self.recovered_migrations: Dict[str, Dict[str, Any]] = {}
         self.request_manager = RequestManager(
             self.engine,

@@ -34,11 +34,11 @@ def finding(**overrides) -> Finding:
 
 
 class TestRegistry:
-    def test_all_twenty_three_rules_registered(self):
+    def test_all_twenty_seven_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
-        assert {"C001", "C007", "F001", "F006", "P001", "P010"} <= set(ids)
-        assert len(ids) == 23
+        assert {"C001", "C007", "F001", "F006", "P001", "P014"} <= set(ids)
+        assert len(ids) == 27
 
     def test_duplicate_registration_rejected(self):
         all_rules()  # ensure analyzers imported

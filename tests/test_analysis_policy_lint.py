@@ -1,8 +1,9 @@
-"""Unit tests for the policy-set linter (rules P001-P010)."""
+"""Unit tests for the policy-set linter (rules P001-P014)."""
 
 import pytest
 
 from repro.analysis.policy_lint import (
+    PURPOSE_MAX_GRANULARITY,
     PURPOSE_MAX_RETENTION,
     PolicyLinter,
     lint_dbh_scenario,
@@ -11,6 +12,7 @@ from repro.core.language.duration import Duration
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.core.policy.building import BuildingPolicy
+from repro.core.policy.conditions import TemporalCondition
 from repro.core.policy.preference import UserPreference
 from repro.spatial.model import build_simple_building
 
@@ -24,6 +26,9 @@ def policy(**overrides) -> BuildingPolicy:
         categories=(DataCategory.LOCATION,),
         phases=(DecisionPhase.CAPTURE,),
         granularity=GranularityLevel.PRECISE,
+        # Bounded, so P007's unbounded-retention case stays out of the
+        # single-rule tests.
+        retention=Duration.parse("P7D"),
     )
     defaults.update(overrides)
     return BuildingPolicy(**defaults)
@@ -183,7 +188,8 @@ class TestIndividualRules:
         findings = [f for f in linter.lint_policies([deny, allow]) if f.rule_id == "P005"]
         assert findings == []
 
-    def test_p005_mandatory_policies_not_shadowed(self, linter):
+    def test_p005_mandatory_allow_is_shadowed(self, linter):
+        # resolve() denies on any matched deny, mandatory allow or not.
         deny_all = policy(
             policy_id="deny-all", effect=Effect.DENY, categories=(), priority=9
         )
@@ -191,9 +197,30 @@ class TestIndividualRules:
         findings = [
             f
             for f in linter.lint_policies([deny_all, protected])
-            if f.rule_id == "P005" and f.subject == "must-run"
+            if f.rule_id == "P005"
         ]
-        assert findings == []
+        assert [f.subject for f in findings] == ["must-run"]
+
+    def test_p005_conditional_deny_does_not_shadow(self, linter):
+        night = TemporalCondition(start_hour=18.0, end_hour=8.0)
+        deny_at_night = policy(
+            policy_id="deny-night", effect=Effect.DENY, categories=(),
+            condition=night,
+        )
+        allow = policy(policy_id="allow-location")
+        findings = linter.lint_policies([deny_at_night, allow])
+        assert "P005" not in [f.rule_id for f in findings]
+
+    def test_p006_and_p011_share_the_scope_key(self, linter):
+        allow = policy(policy_id="a", categories=(DataCategory.PRESENCE,))
+        twin = policy(policy_id="b", categories=(DataCategory.PRESENCE,))
+        deny = policy(
+            policy_id="c", categories=(DataCategory.PRESENCE,), effect=Effect.DENY
+        )
+        findings = linter.lint_policies([allow, twin, deny])
+        assert {(f.rule_id, f.subject) for f in findings} >= {
+            ("P011", "b"), ("P006", "c"),
+        }
 
     def test_p007_retention_within_bound_clean(self, linter):
         ok = policy(
@@ -223,6 +250,7 @@ class TestIndividualRules:
 
     def test_purpose_table_covers_every_purpose(self):
         assert set(PURPOSE_MAX_RETENTION) == set(Purpose)
+        assert set(PURPOSE_MAX_GRANULARITY) == set(Purpose)
 
 
 class TestSelection:
@@ -240,3 +268,16 @@ class TestSelection:
 class TestShippedScenario:
     def test_dbh_scenario_is_clean(self):
         assert lint_dbh_scenario() == []
+
+    def test_dbh_scenario_audits_the_deployment(self, monkeypatch):
+        audited = []
+        check = PolicyLinter._check_deployment
+
+        def spy(self, policies):
+            audited.append(self._deployed)
+            return check(self, policies)
+
+        monkeypatch.setattr(PolicyLinter, "_check_deployment", spy)
+        assert lint_dbh_scenario() == []
+        assert len(audited) == 1
+        assert {"wifi_access_point", "camera"} <= audited[0]

@@ -52,8 +52,7 @@ class TestChaosInvariants:
     def test_bus_accounting_identity_survives_chaos(self, monkey_runs):
         report = monkey_runs[0]
         assert report.bus_attempts == report.bus_logical_calls + report.bus_retries
-        assert report.bus_corrupted <= report.bus_faulted
-        assert report.bus_faulted <= report.bus_dropped
+        assert report.bus_corrupted <= report.bus_dropped
 
     def test_no_allow_for_a_faulted_policy_fetch(self):
         # The engine is non-caching, so each decision performs exactly

@@ -227,6 +227,16 @@ class TestAnalysisDocExamples:
                 "flow rule %s needs its own section" % rule_id
             )
 
+    def test_every_policy_rule_documented(self, analysis_text):
+        from repro.analysis.findings import all_rules
+
+        policy_rules = [r.rule_id for r in all_rules() if r.rule_id.startswith("P")]
+        assert policy_rules
+        for rule_id in policy_rules:
+            assert "### %s" % rule_id in analysis_text, (
+                "policy rule %s needs its own section" % rule_id
+            )
+
     def test_makefile_wires_lint_flow(self):
         makefile = (DOCS.parent.parent / "Makefile").read_text()
         assert "lint-flow:" in makefile

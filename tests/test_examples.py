@@ -19,7 +19,7 @@ CASES = [
     ("personalized_assistant.py", "fundamentalist"),
     ("inference_attack.py", "de-identified"),
     ("smart_services.py", "DELIVERED"),
-    ("building_admin_toolkit.py", "shadowed-policy"),
+    ("building_admin_toolkit.py", "shadowed-rule"),
 ]
 
 

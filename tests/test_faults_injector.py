@@ -37,7 +37,6 @@ class TestBusPlane:
         with pytest.raises(NetworkError):
             bus.call("echo", "ping")
         assert bus.stats.dropped == 1
-        assert bus.stats.faulted == 1
         # Step 1 has no scheduled fault: the retry-free call succeeds.
         assert bus.call("echo", "ping") == {"ok": True}
         assert injector.trace.lines() == [
@@ -77,7 +76,6 @@ class TestBusPlane:
         with pytest.raises(NetworkError):
             bus.call("echo", "ping")
         assert bus.stats.corrupted == 1
-        assert bus.stats.faulted == 1
         assert bus.stats.dropped == 1
 
     def test_latency_spike_is_charged_not_slept(self):

@@ -177,7 +177,6 @@ class TestEndpointCrashMidDiscovery:
         assert after.resources
 
         # All six crashed attempts are visible in the books and trace.
-        assert bus.stats.faulted == 6
         assert bus.stats.dropped == 6
         assert injector.trace.counts() == {"crash": 6}
         assert bus.stats.calls == bus.stats.logical_calls + bus.stats.retries
@@ -264,7 +263,7 @@ class TestInjectedRetryAccounting:
 
         assert bus.stats.logical_calls == 2
         assert bus.stats.retries == 3
-        assert bus.stats.faulted == 3
+        assert bus.stats.dropped == 3
         assert bus.stats.calls == 5
         assert bus.stats.calls == bus.stats.logical_calls + bus.stats.retries
         # The registry mirrors the books exactly.
@@ -273,7 +272,7 @@ class TestInjectedRetryAccounting:
         assert metrics.total("bus_dropped_total") == bus.stats.dropped
         assert metrics.total(
             "bus_fault_dropped_total", {"target": "tippers"}
-        ) == bus.stats.faulted
+        ) == bus.stats.dropped
         # The charged backoff equals the policy's first delays, exactly.
         expected = sum(policy.schedule()[:2]) + policy.schedule()[0]
         assert bus.stats.simulated_latency_s == pytest.approx(expected)
@@ -316,8 +315,7 @@ class TestFailureVisibility:
         assert registry.total("bus_retries_total") == bus.stats.retries
         assert registry.total("bus_dropped_total") == bus.stats.dropped
         # Every drop came from the fault plane, and is marked as such.
-        assert registry.total("bus_fault_dropped_total") == bus.stats.faulted
-        assert bus.stats.faulted == bus.stats.dropped
+        assert registry.total("bus_fault_dropped_total") == bus.stats.dropped
 
         # The accounting identity: every attempt is a first send or a retry.
         assert bus.stats.calls == bus.stats.logical_calls + bus.stats.retries

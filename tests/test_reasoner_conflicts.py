@@ -10,8 +10,8 @@ from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.conflicts import (
     Conflict,
     ConflictKind,
-    conflicts_for_user,
     detect_conflicts,
+    detect_conflicts_by_user,
 )
 from repro.spatial.model import build_simple_building
 
@@ -115,9 +115,9 @@ class TestScopeOverlap:
 
 
 class TestHelpers:
-    def test_conflicts_for_user_filters(self, context):
+    def test_conflicts_by_user_filters(self, context):
         prefs = [preference(), preference(preference_id="f2", user_id="bob")]
-        mine = conflicts_for_user([policy()], prefs, "mary", context)
+        mine = detect_conflicts_by_user([policy()], prefs, context).get("mary", [])
         assert len(mine) == 1
         assert mine[0].preference.user_id == "mary"
 

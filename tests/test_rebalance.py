@@ -3,12 +3,11 @@
 The coordinator's two-phase protocol is exercised step by step: a clean
 migration moves observations and preferences and flips the campus
 metadata, a partitioned finalize leaves the user mid-flight (served
-fail-closed through marked forwarding) until a retry converges, a
+fail-closed through marked forwarding) until a retry converges, and a
 destination crash right after the import committed resumes through the
-replayed WAL journal without re-copying, and a rollback tombstones the
-partial copy.  The decommissioning tests pin the satellite behaviours:
-breaker eviction on unregister, counted unknown-building rejections,
-and the drain-first/empty-first guards.
+replayed WAL journal without re-copying.  The decommissioning tests
+pin the satellite behaviours: breaker eviction on unregister, counted
+unknown-building rejections, and the drain-first/empty-first guards.
 """
 
 import pytest
@@ -294,44 +293,6 @@ def test_crash_after_import_commit_resumes_via_journal(tmp_path):
     assert migration.user_id not in _stored_subjects(
         campus.shard(migration.source)
     )
-    campus.close()
-
-
-def test_rollback_tombstones_the_partial_copy(tmp_path):
-    campus = _campus(tmp_path)
-    _populate(campus)
-    coordinator, migrations = _join_wave(campus)
-    migration = migrations[0]
-    injector = FaultInjector(_partition_at("import", start=1))
-    injector.install_rebalancer(coordinator)
-    try:
-        outcome = coordinator.migrate(migration)
-    finally:
-        injector.uninstall()
-    assert outcome.status == "partitioned"
-    # The copy landed at the destination before the acknowledgement was
-    # lost; rolling back must tombstone it and un-mark the user.
-    assert migration.user_id in _stored_subjects(campus.shard(NEW))
-
-    coordinator.rollback(migration)
-
-    assert migration.user_id not in _stored_subjects(campus.shard(NEW))
-    assert campus.router.migration_of(migration.user_id) is None
-    assert campus.home_of[migration.user_id] == migration.source
-    assert migration.user_id in _stored_subjects(
-        campus.shard(migration.source)
-    )
-    assert not coordinator.pending()
-    campus.close()
-
-
-def test_rollback_of_a_completed_migration_refuses(tmp_path):
-    campus = _campus(tmp_path)
-    _populate(campus)
-    coordinator, migrations = _join_wave(campus)
-    coordinator.migrate(migrations[0])
-    with pytest.raises(FederationError):
-        coordinator.rollback(migrations[0])
     campus.close()
 
 
