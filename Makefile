@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast diff-test bench-smoke bench soak lint lint-flow obs scenarios
+.PHONY: test test-fast diff-test bench-smoke bench lint lint-flow obs scenarios
 
 # Full tier-1 suite: unit + integration + property tests.
 test:
@@ -32,23 +32,16 @@ diff-test:
 bench-smoke:
 	$(PYTEST) benchmarks --benchmark-disable -q -s
 
-# Perf trajectory: the bench test suite, then a fresh ci-scale run
-# written to BENCH_PR.json (the CI artifact; never a baseline) and
-# gated against the last committed BENCH_<n>.json record: each timed
-# median within the two records' measured spread, each count exactly.
+# Perf trajectory: the bench test suite and the gate's checks against
+# real measurements, then a fresh ci-scale run written to BENCH_PR.json
+# (the CI artifact; never a baseline) and gated against the last
+# committed BENCH_<n>.json record: each timed median within the two
+# records' measured spread, each count exactly.
 bench:
-	$(PYTEST) -x -q tests/test_bench_schema.py tests/test_bench_cli.py
+	$(PYTEST) -x -q tests/test_bench_schema.py tests/test_bench_cli.py \
+	          benchmarks/test_bench_gate.py
 	PYTHONPATH=src $(PYTHON) -m repro bench run --scale ci --out BENCH_PR.json
 	PYTHONPATH=src $(PYTHON) -m repro bench compare --candidate BENCH_PR.json
-
-# Capacity soak: the soak test suite, then two same-seed stepped-
-# population runs whose deterministic reports must be byte-identical.
-soak:
-	$(PYTEST) -x -q tests/test_capacity_soak.py \
-	          tests/property/test_prop_admission.py
-	PYTHONPATH=src $(PYTHON) -m repro soak --report-out /tmp/repro-soak-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro soak --report-out /tmp/repro-soak-b.txt
-	diff /tmp/repro-soak-a.txt /tmp/repro-soak-b.txt
 
 # Static analysis: audit the DBH policy set, code-lint the tree, then
 # prove the privacy-flow invariant over the call graph.

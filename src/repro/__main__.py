@@ -46,11 +46,6 @@ bench run|record|compare
     record (or ``--baseline``): timed medians within the two records'
     own measured spread, counts exactly -- exit 0 on pass, 1 on
     regression, 2 when no baseline/usage error.
-soak [--populations CSV] [--seed N] [--ticks N] [--json] [--report-out PATH]
-    The stepped-population capacity soak: find the max sustainable
-    population under the latency/memory ceilings.  The report is
-    seeded and byte-reproducible.  Exit 0 when some step is
-    sustainable, 1 when none is.
 """
 
 from __future__ import annotations
@@ -543,43 +538,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.simulation.longrun import SOAK_POPULATIONS, run_capacity_soak
-
-    populations = SOAK_POPULATIONS
-    if args.populations:
-        try:
-            populations = tuple(
-                int(token) for token in args.populations.split(",") if token
-            )
-        except ValueError:
-            print("error: --populations must be a CSV of integers",
-                  file=sys.stderr)
-            return 2
-    try:
-        report = run_capacity_soak(
-            populations=populations,
-            seed=args.seed,
-            ticks=args.ticks,
-            active_cap=args.active_cap,
-            latency_ceiling_us=args.latency_ceiling_us,
-            memory_ceiling_mb=args.memory_ceiling_mb,
-        )
-    except ValueError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text())
-    if args.report_out and not _write_report(args.report_out,
-                                             report.report_text()):
-        return 2
-    return 0 if report.max_sustainable_population > 0 else 1
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -723,27 +681,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_compare.add_argument("--json", action="store_true",
                                help="print the comparison as JSON")
     bench_compare.set_defaults(func=_cmd_bench_compare)
-
-    soak = subparsers.add_parser(
-        "soak", help="stepped-population capacity soak"
-    )
-    soak.add_argument(
-        "--populations", default=None, metavar="CSV",
-        help="comma-separated population steps (default: 1000,10000,100000,1000000)",
-    )
-    soak.add_argument("--seed", type=int, default=17)
-    soak.add_argument("--ticks", type=_positive_int, default=6)
-    soak.add_argument("--active-cap", type=_positive_int, default=200,
-                      help="max simulated principals per step (default: 200)")
-    soak.add_argument("--latency-ceiling-us", type=float, default=5000.0)
-    soak.add_argument("--memory-ceiling-mb", type=float, default=2048.0)
-    soak.add_argument("--json", action="store_true",
-                      help="print the report as JSON")
-    soak.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    soak.set_defaults(func=_cmd_soak)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -198,23 +198,45 @@ def _scope_key(policy: BuildingPolicy) -> Tuple:
     )
 
 
-def _covers(outer: BuildingPolicy, inner: BuildingPolicy) -> bool:
+def _covers(
+    outer: BuildingPolicy,
+    inner: BuildingPolicy,
+    spatial: Optional[SpatialModel],
+) -> bool:
     """Whether ``outer``'s selectors admit every request ``inner``'s do.
 
     Empty selectors are wildcards: a wildcard covers anything, and a
-    non-empty selector covers only a non-empty subset of itself.
-    Conditions are not compared.
+    non-empty selector covers only a non-empty subset of itself.  An
+    inner space is also covered by an outer space that contains it,
+    when the spatial model knows both -- the containment
+    ``request_in_spaces`` matches requests by.  Conditions are not
+    compared.
     """
 
-    def selector_covers(outer_values: tuple, inner_values: tuple) -> bool:
+    def space_within(outer_id: str, inner_id: str) -> bool:
+        return (
+            spatial is not None
+            and outer_id in spatial
+            and inner_id in spatial
+            and spatial.contains(outer_id, inner_id)
+        )
+
+    def selector_covers(
+        outer_values: tuple, inner_values: tuple, within=None
+    ) -> bool:
         if not outer_values:
             return True
-        return bool(inner_values) and set(inner_values) <= set(outer_values)
+        return bool(inner_values) and all(
+            value in outer_values or within is not None and any(
+                within(outer_value, value) for outer_value in outer_values
+            )
+            for value in inner_values
+        )
 
     return (
         selector_covers(outer.categories, inner.categories)
         and selector_covers(outer.sensor_types, inner.sensor_types)
-        and selector_covers(outer.space_ids, inner.space_ids)
+        and selector_covers(outer.space_ids, inner.space_ids, space_within)
         and selector_covers(outer.purposes, inner.purposes)
         and set(inner.phases) <= set(outer.phases)
     )
@@ -241,12 +263,12 @@ class _Adv:
 class PolicyLinter:
     """Audits advertisement sets, policies, and preference collections.
 
-    ``spatial`` enables space-reference checks (P001) and spatial
-    conflict overlap; ``ontology`` defaults to the DBH ontology and
-    drives the sensor checks (P002).  ``select`` is a pre-expanded set
-    of rule ids to keep (``None`` keeps all).  ``deployed_sensor_types``
-    (the sensor types installed in the building) enables the deployment
-    checks P013 and P014.
+    ``spatial`` enables space-reference checks (P001), containment in
+    P005's coverage and spatial conflict overlap; ``ontology`` defaults
+    to the DBH ontology and drives the sensor checks (P002).
+    ``select`` is a pre-expanded set of rule ids to keep (``None`` keeps
+    all).  ``deployed_sensor_types`` (the sensor types installed in the
+    building) enables the deployment checks P013 and P014.
     """
 
     def __init__(
@@ -557,7 +579,7 @@ class PolicyLinter:
             if allower.effect is not Effect.ALLOW:
                 continue
             for denier in deniers:
-                if _covers(denier, allower):
+                if _covers(denier, allower, self._spatial):
                     findings.append(self._finding(
                         "P005", allower.policy_id,
                         "%r can never take effect: %r denies its whole "

@@ -148,10 +148,6 @@ class AuditLog:
             subject_id=subject_id, predicate=lambda r: r.effect is Effect.DENY
         )
 
-    def notifications_pending(self, subject_id: str) -> List[AuditRecord]:
-        """Records whose outcome the subject should be told about."""
-        return self.records(subject_id=subject_id, predicate=lambda r: r.notify_user)
-
     def summary(self) -> Dict[str, int]:
         """Counts by outcome, for dashboards and benchmarks."""
         counts: Counter = Counter()

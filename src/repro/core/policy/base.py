@@ -80,22 +80,6 @@ class DataRequest:
         if self.timestamp < 0:
             raise PolicyError("timestamp must be non-negative")
 
-    def with_granularity(self, granularity: GranularityLevel) -> "DataRequest":
-        """A copy of this request at a different granularity."""
-        return DataRequest(
-            requester_id=self.requester_id,
-            requester_kind=self.requester_kind,
-            phase=self.phase,
-            category=self.category,
-            subject_id=self.subject_id,
-            space_id=self.space_id,
-            timestamp=self.timestamp,
-            purpose=self.purpose,
-            granularity=granularity,
-            sensor_type=self.sensor_type,
-            attributes=dict(self.attributes),
-        )
-
     @property
     def is_attributable(self) -> bool:
         """Whether the data can be tied to a person."""

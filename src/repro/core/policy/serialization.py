@@ -1,4 +1,4 @@
-"""Wire serialization of preferences, conditions, and requests.
+"""Wire serialization of preferences and conditions.
 
 The IoTA communicates preferences to TIPPERS over the message bus
 (step 8 of Figure 1), so preferences need a JSON form.  Structured
@@ -9,10 +9,10 @@ not cross the wire and raise :class:`PolicyError`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
+from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.core.policy.conditions import (
     AllOf,
     AnyOf,
@@ -140,41 +140,3 @@ def preference_from_dict(data: Dict[str, Any]) -> UserPreference:
         )
     except (KeyError, ValueError) as exc:
         raise PolicyError("malformed preference payload: %s" % exc) from None
-
-
-# ----------------------------------------------------------------------
-# Requests
-# ----------------------------------------------------------------------
-def request_to_dict(request: DataRequest) -> Dict[str, Any]:
-    return {
-        "requester_id": request.requester_id,
-        "requester_kind": request.requester_kind.value,
-        "phase": request.phase.value,
-        "category": request.category.value,
-        "subject_id": request.subject_id,
-        "space_id": request.space_id,
-        "timestamp": request.timestamp,
-        "purpose": request.purpose.value if request.purpose is not None else None,
-        "granularity": request.granularity.value,
-        "sensor_type": request.sensor_type,
-        "attributes": dict(request.attributes),
-    }
-
-
-def request_from_dict(data: Dict[str, Any]) -> DataRequest:
-    try:
-        return DataRequest(
-            requester_id=data["requester_id"],
-            requester_kind=RequesterKind(data["requester_kind"]),
-            phase=DecisionPhase(data["phase"]),
-            category=DataCategory(data["category"]),
-            subject_id=data.get("subject_id"),
-            space_id=data.get("space_id"),
-            timestamp=data["timestamp"],
-            purpose=Purpose(data["purpose"]) if data.get("purpose") else None,
-            granularity=GranularityLevel(data.get("granularity", "precise")),
-            sensor_type=data.get("sensor_type"),
-            attributes=dict(data.get("attributes", {})),
-        )
-    except (KeyError, ValueError) as exc:
-        raise PolicyError("malformed request payload: %s" % exc) from None

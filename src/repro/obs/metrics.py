@@ -204,22 +204,6 @@ class Histogram:
             result[key] = self.percentile(p) if self.count else None
         return result
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram equal to observing both sample streams."""
-        if self.boundaries != other.boundaries:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        merged = Histogram(self.name, self.labels, self.boundaries)
-        merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        merged.count = self.count + other.count
-        merged.sum = self.sum + other.sum
-        mins = [m for m in (self.min, other.min) if m is not None]
-        maxs = [m for m in (self.max, other.max) if m is not None]
-        merged.min = min(mins) if mins else None
-        merged.max = max(maxs) if maxs else None
-        return merged
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "boundaries": list(self.boundaries),
@@ -336,21 +320,6 @@ class MetricsRegistry:
             for attr, key in fields:
                 values[key] = values.get(key, 0) + getattr(stats, attr)
         return values
-
-    def histograms(self, name: str) -> List[Histogram]:
-        return [h for (n, _), h in sorted(self._histograms.items()) if n == name]
-
-    def merged_histogram(self, name: str) -> Optional[Histogram]:
-        """Every histogram named ``name`` merged across label sets.
-
-        Returns ``None`` when no histogram with that name exists.  The
-        merge is exact (bucket-count addition), so percentiles of the
-        result equal percentiles of the concatenated sample streams.
-        """
-        merged: Optional[Histogram] = None
-        for histogram in self.histograms(name):
-            merged = histogram if merged is None else merged.merge(histogram)
-        return merged
 
     def total(
         self, name: str, labels: Optional[Mapping[str, str]] = None

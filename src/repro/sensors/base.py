@@ -19,9 +19,9 @@ def scoped_observation_ids(start: int = 1) -> Iterator[None]:
 
     Ids are normally process-unique, which makes serialized byte counts
     (WAL totals) depend on how many observations earlier code created.
-    Harnesses that promise byte-identical reports (the capacity soak)
-    run their isolated world under this scope; the process-wide counter
-    is restored on exit.
+    Harnesses that promise byte-identical counts (each repeat of a
+    ``repro bench`` workload) run their isolated world under this
+    scope; the process-wide counter is restored on exit.
     """
     global _observation_counter
     saved = _observation_counter
@@ -70,19 +70,6 @@ class Observation:
             space_id=space_id,
             payload=dict(payload),
             subject_id=subject_id,
-        )
-
-    def with_payload(self, payload: Dict[str, object], granularity: Optional[str] = None) -> "Observation":
-        """A copy carrying ``payload`` (used by privacy mechanisms)."""
-        return Observation(
-            observation_id=self.observation_id,
-            sensor_id=self.sensor_id,
-            sensor_type=self.sensor_type,
-            timestamp=self.timestamp,
-            space_id=self.space_id,
-            payload=dict(payload),
-            subject_id=self.subject_id,
-            granularity=granularity if granularity is not None else self.granularity,
         )
 
     def to_dict(self) -> Dict[str, object]:

@@ -83,26 +83,6 @@ class SensorSubsystem:
     def select(self, predicate: Callable[[Sensor], bool]) -> List[Sensor]:
         return [s for s in self._sensors.values() if predicate(s)]
 
-    def actuate_all(
-        self,
-        changes: Dict[str, object],
-        predicate: Optional[Callable[[Sensor], bool]] = None,
-    ) -> int:
-        """Apply a settings change to every (matching) sensor.
-
-        Returns the number of sensors actuated.  Validation failures on
-        any sensor abort the whole call (sensors already actuated keep
-        the new settings; callers wanting atomicity should validate via
-        a dry-run sensor first).
-        """
-        count = 0
-        for sensor in self._sensors.values():
-            if predicate is not None and not predicate(sensor):
-                continue
-            sensor.actuate(changes)
-            count += 1
-        return count
-
     def sample_all(
         self,
         now: float,

@@ -128,9 +128,6 @@ class PreferenceManager:
             self._by_user.get(user_id, {}).values(), key=lambda p: p.preference_id
         )
 
-    def users_with_preferences(self) -> List[str]:
-        return sorted(uid for uid, prefs in self._by_user.items() if prefs)
-
     def count(self) -> int:
         return sum(len(prefs) for prefs in self._by_user.values())
 

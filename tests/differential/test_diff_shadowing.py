@@ -2,13 +2,17 @@
 
 P005 claims an allowing policy can never take effect.  The oracle is
 :meth:`EnforcementEngine.decide` itself: over a small universe (two
-categories, two purposes, sensor types and spaces each absent or one of
-two, four times of day) every request a flagged policy applies to must
-be denied, under every :class:`ResolutionStrategy`.
+categories, two purposes, sensor types absent or one of two, spaces
+absent or one of a building's nested spaces, four times of day) every
+request a flagged policy applies to must be denied, under every
+:class:`ResolutionStrategy`.  The linter and the engine share one
+spatial model -- building ``b`` holds floor ``b-f1``, which holds rooms
+``b-1001`` and ``b-1002`` -- and one more space id, ``annex``, lies
+outside it, so matching by exact id stays under test too.
 
 Hypothesis draws small policy sets over that universe with ``Always``
 or ``TemporalCondition`` conditions and random priority and
-``mandatory`` flags.  The ``@example`` cases pin the three shapes on
+``mandatory`` flags.  The ``@example`` cases pin the four shapes on
 which P005 once disagreed with ``resolve()``; ``test_pinned_cases``
 states the exact findings for each.
 """
@@ -29,11 +33,13 @@ from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import Always, EvaluationContext, TemporalCondition
 from repro.core.reasoner.index import PolicyIndex
 from repro.core.reasoner.resolution import ResolutionStrategy
+from repro.spatial.model import build_simple_building
 
 CATEGORIES = (DataCategory.LOCATION, DataCategory.PRESENCE)
 PURPOSES = (Purpose.SECURITY, Purpose.RESEARCH)
 SENSOR_TYPES = ("wifi_access_point", "camera")
-SPACES = ("room-1", "room-2")
+SPATIAL = build_simple_building("b", 1, 2)
+SPACES = ("b", "b-f1", "b-1001", "b-1002", "annex")
 PHASES = (DecisionPhase.CAPTURE, DecisionPhase.SHARING)
 #: Hour-of-day boundaries for temporal conditions, and one request hour
 #: inside each of the windows they cut.
@@ -101,7 +107,9 @@ def drawn_policies(draw, policy_id):
 @st.composite
 def policy_sets(draw):
     """One to three drawn policies, plus (three times in four) a deny
-    widened from one of them, so covering pairs are common."""
+    widened from one of them, so covering pairs are common.  The deny
+    keeps or drops the base's space, or moves it to a space that
+    encloses it or lies inside it."""
     count = draw(st.integers(1, 3))
     policies = [draw(drawn_policies("p%d" % index)) for index in range(count)]
     if draw(st.integers(0, 3)) > 0:
@@ -117,7 +125,14 @@ def policy_sets(draw):
             categories=keep(base.categories),
             purposes=keep(base.purposes),
             sensor_types=keep(base.sensor_types),
-            space_ids=keep(base.space_ids),
+            space_ids=draw(st.sampled_from([(), base.space_ids] + [
+                (other,)
+                for space in base.space_ids if space in SPATIAL
+                for other in SPACES
+                if other != space and other in SPATIAL
+                and (SPATIAL.contains(other, space)
+                     or SPATIAL.contains(space, other))
+            ])),
             phases=draw(st.sampled_from([base.phases, PHASES])),
             condition=draw(conditions),
             priority=draw(st.integers(-5, 5)),
@@ -149,7 +164,7 @@ UNIVERSE = [
     )
 ]
 
-#: The three shapes P005 used to get wrong on SHARING/LOCATION requests.
+#: The four shapes P005 used to get wrong on SHARING/LOCATION requests.
 ALLOW_ALL_OVER_DENY_LOC = [
     _policy("allow-all", Effect.ALLOW, priority=5),
     _policy("deny-loc", Effect.DENY, categories=(DataCategory.LOCATION,)),
@@ -164,10 +179,20 @@ DENY_ALL_VS_MANDATORY_ALLOW_LOC = [
         "allow-loc", Effect.ALLOW, categories=(DataCategory.LOCATION,), mandatory=True
     ),
 ]
+DENY_BUILDING_OVER_ALLOW_ROOM = [
+    _policy(
+        "deny-building", Effect.DENY, categories=(DataCategory.LOCATION,),
+        space_ids=("b",),
+    ),
+    _policy(
+        "allow-room", Effect.ALLOW, categories=(DataCategory.LOCATION,),
+        space_ids=("b-1001",),
+    ),
+]
 
 
 def _shadowed(policies):
-    findings = PolicyLinter().lint_policies(policies)
+    findings = PolicyLinter(spatial=SPATIAL).lint_policies(policies)
     return [f.subject for f in findings if f.rule_id == "P005"]
 
 
@@ -175,6 +200,7 @@ def _shadowed(policies):
 @example(policies=ALLOW_ALL_OVER_DENY_LOC)
 @example(policies=DENY_ALL_UNDER_ALLOW_LOC)
 @example(policies=DENY_ALL_VS_MANDATORY_ALLOW_LOC)
+@example(policies=DENY_BUILDING_OVER_ALLOW_ROOM)
 def test_every_shadowed_policy_is_dead(policies):
     """Each P005 subject is an ALLOW that no request in the universe
     gets past, whichever strategy resolves it."""
@@ -182,7 +208,7 @@ def test_every_shadowed_policy_is_dead(policies):
     if not shadowed:
         return
     by_id = {policy.policy_id: policy for policy in policies}
-    context = EvaluationContext()
+    context = EvaluationContext(spatial=SPATIAL)
     engines = []
     for strategy in ResolutionStrategy:
         store = PolicyIndex()
@@ -206,8 +232,12 @@ def test_every_shadowed_policy_is_dead(policies):
         (ALLOW_ALL_OVER_DENY_LOC, []),
         (DENY_ALL_UNDER_ALLOW_LOC, ["allow-loc"]),
         (DENY_ALL_VS_MANDATORY_ALLOW_LOC, ["allow-loc"]),
+        (DENY_BUILDING_OVER_ALLOW_ROOM, ["allow-room"]),
     ],
-    ids=["allow-all-over-deny-loc", "deny-all-under-allow-loc", "mandatory-allow-loc"],
+    ids=[
+        "allow-all-over-deny-loc", "deny-all-under-allow-loc",
+        "mandatory-allow-loc", "deny-building-over-allow-room",
+    ],
 )
 def test_pinned_cases(policies, expected):
     assert _shadowed(policies) == expected

@@ -1,7 +1,7 @@
 """Property tests for the overload-protection primitives.
 
-The admission layer's guarantees are what the capacity soak leans on:
-token buckets never go negative and never exceed capacity, topic-queue
+The admission layer's guarantees at any population size: token
+buckets never go negative and never exceed capacity, topic-queue
 watermark levels agree with the load fraction, CRITICAL traffic is
 never shed, and the shed ledger always balances.  Hypothesis drives
 arbitrary operation sequences through each invariant.

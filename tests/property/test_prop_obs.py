@@ -1,12 +1,9 @@
 """Property tests for the observability layer.
 
 Mirrors the round-trip idiom of ``test_prop_documents.py``: snapshots
-must reconstruct losslessly, and histogram merging must be exactly
-equivalent to observing the concatenated sample streams -- the property
-that makes per-shard metric aggregation trustworthy.
+must reconstruct losslessly.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
@@ -37,38 +34,6 @@ def build_histogram(values, boundaries):
     for value in values:
         histogram.observe(value)
     return histogram
-
-
-def assert_snapshots_equivalent(a, b):
-    """Equal snapshots, modulo float-addition reassociation in ``sum``."""
-    sum_a, sum_b = a.pop("sum"), b.pop("sum")
-    assert a == b
-    assert sum_a == pytest.approx(sum_b, rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(xs=sample_lists, ys=sample_lists, boundaries=bucket_sets)
-def test_merged_histogram_equals_concatenated_samples(xs, ys, boundaries):
-    merged = build_histogram(xs, boundaries).merge(build_histogram(ys, boundaries))
-    concatenated = build_histogram(xs + ys, boundaries)
-    assert_snapshots_equivalent(merged.snapshot(), concatenated.snapshot())
-
-
-@settings(max_examples=100, deadline=None)
-@given(xs=sample_lists, ys=sample_lists, boundaries=bucket_sets)
-def test_merged_percentiles_equal_concatenated_percentiles(xs, ys, boundaries):
-    merged = build_histogram(xs, boundaries).merge(build_histogram(ys, boundaries))
-    concatenated = build_histogram(xs + ys, boundaries)
-    for p in (1, 25, 50, 75, 90, 95, 99, 100):
-        assert merged.percentile(p) == concatenated.percentile(p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(xs=sample_lists, ys=sample_lists, boundaries=bucket_sets)
-def test_merge_is_commutative(xs, ys, boundaries):
-    a = build_histogram(xs, boundaries)
-    b = build_histogram(ys, boundaries)
-    assert a.merge(b).snapshot() == b.merge(a).snapshot()
 
 
 @settings(max_examples=100, deadline=None)

@@ -313,25 +313,6 @@ class TestBenchmarksDoc:
         for name in SCALES:
             assert "`%s`" % name in bench_text
 
-    def test_documented_soak_cost_table_matches(self, bench_text):
-        from repro.simulation.costmodel import (
-            COST_TABLE_SOURCE_RECORD_ID,
-            DEFAULT_COST_TABLE,
-        )
-
-        assert "%.1fus" % DEFAULT_COST_TABLE.us_per_decision in bench_text
-        assert "rules_p99 * %.3fus" % DEFAULT_COST_TABLE.us_per_rule in bench_text
-        assert (
-            "queue_depth_p99 * %.1fus" % DEFAULT_COST_TABLE.us_per_queued_call
-            in bench_text
-        )
-        assert (
-            "%d bytes per principal" % DEFAULT_COST_TABLE.principal_state_bytes
-            in bench_text
-        )
-        # The docs must name the record the derivation pins.
-        assert "BENCH_%04d" % COST_TABLE_SOURCE_RECORD_ID in bench_text
-
     def test_committed_trajectory_validates(self):
         from repro.bench import latest_record, list_records
 
@@ -344,10 +325,9 @@ class TestBenchmarksDoc:
         for entry in baseline.benchmarks.values():
             assert entry.timed["us_per_op"].median > 0
 
-    def test_makefile_wires_bench_and_soak(self):
+    def test_makefile_wires_bench(self):
         makefile = (DOCS.parent.parent / "Makefile").read_text()
         assert "bench:" in makefile
-        assert "soak:" in makefile
         assert "repro bench" in makefile
 
     def test_readme_mentions_the_trajectory(self):

@@ -75,10 +75,6 @@ class TestQueries:
         assert len(denials) == 1
         assert denials[0].subject_id == "mary"
 
-    def test_notifications_pending(self, log):
-        assert len(log.notifications_pending("bob")) == 1
-        assert log.notifications_pending("mary") == []
-
     def test_predicate(self, log):
         matches = log.records(predicate=lambda r: r.phase is DecisionPhase.SHARING)
         assert len(matches) == 3

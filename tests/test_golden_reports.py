@@ -1,9 +1,9 @@
 """Golden reports: the exact stdout of every pinned scenario invocation.
 
 Each file under ``tests/golden/`` is what ``python -m repro <argv>``
-prints for one fault scenario (or the capacity soak) at its pinned
-seed, so any change to a report -- a counter, a line's order, a JSON
-key -- fails here byte for byte.  After a *deliberate* report change,
+prints for one fault scenario at its pinned seed, so any change to a
+report -- a counter, a line's order, a JSON key -- fails here byte for
+byte.  After a *deliberate* report change,
 regenerate the affected file by redirecting the same command into it,
 for example::
 
@@ -40,7 +40,6 @@ INVOCATIONS = {
     "rebalance-ring-change.txt": "rebalance --plan ring-change --seed 23",
     "rebalance-ring-change.json":
         "rebalance --plan ring-change --seed 23 --json",
-    "soak.txt": "soak",
 }
 
 

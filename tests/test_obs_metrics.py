@@ -193,24 +193,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", boundaries=())
 
-    def test_merge_requires_matching_bounds(self):
-        a = Histogram("h", boundaries=(1.0, 2.0))
-        b = Histogram("h", boundaries=(1.0, 3.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_adds_counts(self):
-        a = Histogram("h", boundaries=(1.0, 2.0, 4.0))
-        b = Histogram("h", boundaries=(1.0, 2.0, 4.0))
-        a.observe(0.5)
-        a.observe(3.0)
-        b.observe(1.5)
-        merged = a.merge(b)
-        assert merged.count == 3
-        assert merged.min == 0.5
-        assert merged.max == 3.0
-        assert sum(merged.counts) == 3
-
     def test_default_latency_buckets_strictly_increasing(self):
         bounds = DEFAULT_LATENCY_BUCKETS
         assert all(a < b for a, b in zip(bounds, bounds[1:]))

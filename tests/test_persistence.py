@@ -4,6 +4,7 @@ A snapshot is written by compaction and read back by recovery; these
 tests go through both, then poke at the file's frames directly.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -21,14 +22,15 @@ from repro.tippers.datastore import Datastore
 
 
 def obs(timestamp, sensor_type="wifi_access_point", subject=None, granularity="precise"):
-    return Observation.create(
+    observation = Observation.create(
         sensor_id="s1",
         sensor_type=sensor_type,
         timestamp=timestamp,
         space_id="r1",
         payload={"device_mac": "aa:bb", "rssi": -40.0, "nested": {"k": [1, 2]}},
         subject_id=subject,
-    ).with_payload({"device_mac": "aa:bb", "rssi": -40.0, "nested": {"k": [1, 2]}}, granularity)
+    )
+    return dataclasses.replace(observation, granularity=granularity)
 
 
 def write_snapshot(directory, observations=(), audit_records=()):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.errors import PolicyError
 
@@ -30,14 +30,6 @@ class TestDataRequest:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(PolicyError):
             make_request(timestamp=-1.0)
-
-    def test_with_granularity_copies(self):
-        request = make_request()
-        coarse = request.with_granularity(GranularityLevel.COARSE)
-        assert coarse.granularity is GranularityLevel.COARSE
-        assert request.granularity is GranularityLevel.PRECISE
-        assert coarse.subject_id == request.subject_id
-        assert coarse.purpose == request.purpose
 
     def test_is_attributable(self):
         assert make_request().is_attributable

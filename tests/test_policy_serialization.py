@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
+from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.core.policy.conditions import (
     AllOf,
     Always,
@@ -24,8 +24,6 @@ from repro.core.policy.serialization import (
     condition_to_dict,
     preference_from_dict,
     preference_to_dict,
-    request_from_dict,
-    request_to_dict,
 )
 from repro.errors import PolicyError
 
@@ -114,42 +112,3 @@ class TestPreferenceSerialization:
         preference = preference_from_dict(minimal)
         assert preference.granularity_cap is GranularityLevel.PRECISE
         assert preference.condition == Always()
-
-
-class TestRequestSerialization:
-    def full_request(self) -> DataRequest:
-        return DataRequest(
-            requester_id="svc",
-            requester_kind=RequesterKind.BUILDING_SERVICE,
-            phase=DecisionPhase.SHARING,
-            category=DataCategory.LOCATION,
-            subject_id="mary",
-            space_id="b-1001",
-            timestamp=123.0,
-            purpose=Purpose.PROVIDING_SERVICE,
-            granularity=GranularityLevel.COARSE,
-            sensor_type="wifi_access_point",
-            attributes={"trace": "t1"},
-        )
-
-    def test_round_trip(self):
-        request = self.full_request()
-        assert request_from_dict(request_to_dict(request)) == request
-
-    def test_null_purpose_round_trip(self):
-        request = DataRequest(
-            requester_id="svc",
-            requester_kind=RequesterKind.BUILDING_SERVICE,
-            phase=DecisionPhase.SHARING,
-            category=DataCategory.LOCATION,
-            subject_id=None,
-            space_id=None,
-            timestamp=0.0,
-        )
-        restored = request_from_dict(request_to_dict(request))
-        assert restored.purpose is None
-        assert restored.subject_id is None
-
-    def test_malformed_rejected(self):
-        with pytest.raises(PolicyError):
-            request_from_dict({"requester_id": "x"})

@@ -45,6 +45,7 @@ class TestSubmission:
         prefs = tippers.preference_manager.preferences_of("mary")
         assert len(prefs) == 1
         assert prefs[0].categories == (DataCategory.PRESENCE,)
+        assert tippers.preference_manager.count() == 1
 
     def test_non_conflicting_preference_reports_nothing(self, tippers):
         conflicts = tippers.preference_manager.submit(
@@ -105,12 +106,6 @@ class TestSelections:
 
 
 class TestIntrospection:
-    def test_users_with_preferences(self, tippers):
-        tippers.preference_manager.submit(preference())
-        tippers.preference_manager.submit(preference("f2", user="bob"))
-        assert tippers.preference_manager.users_with_preferences() == ["bob", "mary"]
-        assert tippers.preference_manager.count() == 2
-
     def test_conflicts_of(self, tippers):
         tippers.preference_manager.submit(catalog.preference_2_no_location("mary"))
         conflicts = tippers.preference_manager.conflicts_of("mary")

@@ -13,14 +13,6 @@ class TestObservation:
         b = Observation.create("s1", "camera", 1.0, "r1", {})
         assert a.observation_id != b.observation_id
 
-    def test_with_payload_preserves_identity(self):
-        obs = Observation.create("s1", "camera", 1.0, "r1", {"x": 1})
-        redone = obs.with_payload({"x": 2}, granularity="coarse")
-        assert redone.observation_id == obs.observation_id
-        assert redone.payload == {"x": 2}
-        assert redone.granularity == "coarse"
-        assert obs.payload == {"x": 1}, "original untouched"
-
     def test_to_dict_round_trip_fields(self):
         obs = Observation.create("s1", "camera", 2.5, "r1", {"k": "v"}, subject_id="u1")
         data = obs.to_dict()

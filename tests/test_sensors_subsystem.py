@@ -45,25 +45,6 @@ class TestRegistry:
         assert [s.sensor_id for s in chosen] == ["cam-2"]
 
 
-class TestActuation:
-    def test_actuate_all(self, subsystem):
-        count = subsystem.actuate_all({"recording": "off"})
-        assert count == 2
-        assert all(s.settings.get("recording") == "off" for s in subsystem)
-
-    def test_actuate_with_predicate(self, subsystem):
-        count = subsystem.actuate_all(
-            {"recording": "off"}, predicate=lambda s: s.space_id == "r1"
-        )
-        assert count == 1
-        assert subsystem.get("cam-1").settings.get("recording") == "off"
-        assert subsystem.get("cam-2").settings.get("recording") == "on"
-
-    def test_actuate_invalid_setting_raises(self, subsystem):
-        with pytest.raises(SensorError):
-            subsystem.actuate_all({"resolution": "8k"})
-
-
 class TestSampling:
     def test_sample_all_gathers_everything(self, subsystem):
         observations = subsystem.sample_all(0.0, TwoRoomWorld())
