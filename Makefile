@@ -19,8 +19,10 @@ test-fast:
 # enforcement tables and their capture-path observation lane, compiled
 # schema validators, lazy admission steps, the WAL record field
 # templates and WAL frames, a compacted store against one that never
-# compacts, and the P005 shadowed-rule lint against the enforcement
-# engine's decisions.  The ci Hypothesis profile
+# compacts, the P005 shadowed-rule lint against the enforcement
+# engine's decisions, and the scope algebra (covers, overlaps, key and
+# conflict detection) against brute force over which requests each
+# rule admits.  The ci Hypothesis profile
 # generates 250 examples per property (>= 1000 decisions checked
 # against the reference interpreter per run).
 diff-test:

@@ -16,8 +16,6 @@ NEGOTIATE sits between, overriding only for mandatory policies.
 
 import random
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose

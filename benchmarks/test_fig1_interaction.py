@@ -6,8 +6,6 @@ per-step latencies, and verifies the paper's walked-through outcome:
 the step-10 query is rejected once Mary's IoTA opts her out.
 """
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.simulation.scenario import run_figure1_scenario
 

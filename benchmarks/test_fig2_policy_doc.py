@@ -7,10 +7,6 @@ every element the figure shows, and benchmarks serialize+parse
 round-trip throughput.
 """
 
-import json
-
-import pytest
-
 from benchmarks.conftest import report
 from repro.core.language.builder import ResourcePolicyBuilder
 from repro.core.language.document import ResourcePolicyDocument

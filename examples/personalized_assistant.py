@@ -17,7 +17,7 @@ from repro.core.policy.settings import location_settings_space
 from repro.iota.notifications import NotificationManager
 from repro.iota.personas import PERSONAS, generate_decisions
 from repro.iota.preference_model import DataPractice, PreferenceModel
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, Purpose
 
 
 ADVERTISED_PRACTICES = [

@@ -13,7 +13,7 @@ permissions (Preferences 3 and 4):
 Run:  python examples/smart_services.py
 """
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, GranularityLevel
 from repro.core.policy import catalog
 from repro.core.policy.preference import ServicePermission
 from repro.services.concierge import SmartConcierge

@@ -14,6 +14,7 @@ C004      mutable-default       list/dict/set literal as a default
 C005      metric-name           metric names must be dotted.snake_case
 C006      layer-import          module-level import violating the DAG
 C007      unbounded-call        bus call without a deadline (clients)
+C008      unused-import         module-level import never used
 ========  ====================  ========================================
 
 Suppress a finding by putting ``# repro: noqa=C002`` on the flagged
@@ -76,6 +77,12 @@ register_rule(
     "A bus call in a client layer (services, iota) has no deadline=; "
     "under overload it can retry unbounded -- pass a Deadline so the "
     "admission controller and breakers can shed it predictably.",
+)
+
+register_rule(
+    "C008", "unused-import", Severity.WARNING,
+    "A module-level import binds a name the module never uses; delete "
+    "it (or list the name in __all__ if it is re-exported).",
 )
 
 #: Layers whose bus calls C007 requires to carry a deadline.  Building
@@ -231,6 +238,7 @@ class CodeLinter:
         findings.extend(self._check_defaults(tree, filename))
         findings.extend(self._check_layering(tree, filename))
         findings.extend(self._check_deadlines(tree, filename))
+        findings.extend(self._check_unused_imports(tree, filename))
         suppressions = suppressions_in(source)
         kept = [
             finding
@@ -425,6 +433,41 @@ class CodeLinter:
         return findings
 
     # ------------------------------------------------------------------
+    # C008: unused imports
+    # ------------------------------------------------------------------
+    def _check_unused_imports(self, tree: ast.Module, filename: str) -> List[Finding]:
+        """Flag module-level imports whose bound name is never read.
+
+        ``__init__.py`` files re-export by importing and are exempt, as
+        are ``from __future__`` imports and names listed in
+        ``__all__``.  A name read only inside a string annotation
+        counts as used.
+        """
+        if filename.replace("\\", "/").split("/")[-1] == "__init__.py":
+            return []
+        imported: Dict[str, int] = {}
+        for node in _module_level(tree.body):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    imported[local] = getattr(alias, "lineno", node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = getattr(
+                            alias, "lineno", node.lineno
+                        )
+        used = _names_read(tree)
+        return [
+            self._finding(
+                "C008", filename, line,
+                "%r is imported but never used" % name,
+            )
+            for name, line in imported.items()
+            if name not in used
+        ]
+
+    # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
     @staticmethod
@@ -438,6 +481,54 @@ class CodeLinter:
             file=filename,
             line=line,
         )
+
+
+def _module_level(body: Sequence[ast.stmt]) -> Iterable[ast.stmt]:
+    """Module-level statements, looking into ``if`` and ``try`` blocks."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from _module_level(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            handlers = [stmt for handler in node.handlers for stmt in handler.body]
+            yield from _module_level(
+                node.body + handlers + node.orelse + node.finalbody
+            )
+
+
+def _names_read(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, the names ``__all__`` lists, and
+    the names read inside string annotations."""
+    used: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            used.update(
+                item.value for item in node.value.elts
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)
+                )
+    return used
 
 
 def lint_paths(

@@ -17,12 +17,12 @@ P002      unknown-sensor             sensor type not in the ontology
 P003      unknown-purpose            purpose key outside the taxonomy
 P004      dangling-inference         inferred category outside the vocabulary
 P005      shadowed-rule              allow behind an unconditional covering deny
-P006      contradictory-effects      identical selectors, opposite effects
+P006      contradictory-effects      identical scope, opposite effects
 P007      retention-beyond-purpose   retention longer than the purpose allows
 P008      settings-beyond-data       setting offers finer data than declared
 P009      hard-conflict              mandatory policy vs user opt-out
 P010      duplicate-advertisement    advertisement set repeats itself
-P011      redundant-policy           two allows with identical selectors
+P011      redundant-policy           two allows with identical scope
 P012      over-collection            granularity finer than the purposes need
 P013      unauthorized-sensor        deployed sensor type no allow covers
 P014      unused-policy              policy names only undeployed sensors
@@ -39,7 +39,7 @@ a remote registry lint without reconstructing registry objects.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.findings import (
     RULES,
@@ -55,6 +55,7 @@ from repro.core.policy.base import DecisionPhase, Effect
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import Always, EvaluationContext
 from repro.core.policy.preference import UserPreference
+from repro.core.policy.scope import Scope
 from repro.core.reasoner.conflicts import ConflictKind, detect_conflicts_by_user
 from repro.sensors.ontology import SensorOntology, default_ontology
 from repro.spatial.model import SpatialModel
@@ -87,9 +88,9 @@ register_rule(
 )
 register_rule(
     "P006", "contradictory-effects", Severity.ERROR,
-    "Two policies with identical selectors declare opposite effects; "
-    "wherever both apply the deny wins, so the allow survives only where "
-    "the deny's condition fails.",
+    "Two policies with identical scope (they admit the same requests) "
+    "declare opposite effects; wherever both apply the deny wins, so the "
+    "allow survives only where the deny's condition fails.",
 )
 register_rule(
     "P007", "retention-beyond-purpose", Severity.WARNING,
@@ -113,8 +114,8 @@ register_rule(
 )
 register_rule(
     "P011", "redundant-policy", Severity.INFO,
-    "Two allowing policies have identical selectors; one of them adds "
-    "nothing.",
+    "Two allowing policies have identical scope (they admit the same "
+    "requests); one of them adds nothing.",
 )
 register_rule(
     "P012", "over-collection", Severity.WARNING,
@@ -187,61 +188,6 @@ def _known_purpose(key: str) -> bool:
         return False
 
 
-def _scope_key(policy: BuildingPolicy) -> Tuple:
-    """The policy's selectors, order-free (what P006 and P011 compare)."""
-    return (
-        frozenset(policy.categories),
-        frozenset(policy.sensor_types),
-        frozenset(policy.space_ids),
-        frozenset(policy.phases),
-        frozenset(policy.purposes),
-    )
-
-
-def _covers(
-    outer: BuildingPolicy,
-    inner: BuildingPolicy,
-    spatial: Optional[SpatialModel],
-) -> bool:
-    """Whether ``outer``'s selectors admit every request ``inner``'s do.
-
-    Empty selectors are wildcards: a wildcard covers anything, and a
-    non-empty selector covers only a non-empty subset of itself.  An
-    inner space is also covered by an outer space that contains it,
-    when the spatial model knows both -- the containment
-    ``request_in_spaces`` matches requests by.  Conditions are not
-    compared.
-    """
-
-    def space_within(outer_id: str, inner_id: str) -> bool:
-        return (
-            spatial is not None
-            and outer_id in spatial
-            and inner_id in spatial
-            and spatial.contains(outer_id, inner_id)
-        )
-
-    def selector_covers(
-        outer_values: tuple, inner_values: tuple, within=None
-    ) -> bool:
-        if not outer_values:
-            return True
-        return bool(inner_values) and all(
-            value in outer_values or within is not None and any(
-                within(outer_value, value) for outer_value in outer_values
-            )
-            for value in inner_values
-        )
-
-    return (
-        selector_covers(outer.categories, inner.categories)
-        and selector_covers(outer.sensor_types, inner.sensor_types)
-        and selector_covers(outer.space_ids, inner.space_ids, space_within)
-        and selector_covers(outer.purposes, inner.purposes)
-        and set(inner.phases) <= set(outer.phases)
-    )
-
-
 class _Adv:
     """Uniform view over Advertisement objects and wire-form dicts."""
 
@@ -263,8 +209,8 @@ class _Adv:
 class PolicyLinter:
     """Audits advertisement sets, policies, and preference collections.
 
-    ``spatial`` enables space-reference checks (P001), containment in
-    P005's coverage and spatial conflict overlap; ``ontology`` defaults
+    ``spatial`` enables space-reference checks (P001) and space
+    containment when scopes are compared; ``ontology`` defaults
     to the DBH ontology and drives the sensor checks (P002).
     ``select`` is a pre-expanded set of rule ids to keep (``None`` keeps
     all).  ``deployed_sensor_types`` (the sensor types installed in the
@@ -579,7 +525,7 @@ class PolicyLinter:
             if allower.effect is not Effect.ALLOW:
                 continue
             for denier in deniers:
-                if _covers(denier, allower, self._spatial):
+                if denier.scope.covers(allower.scope, self._spatial):
                     findings.append(self._finding(
                         "P005", allower.policy_id,
                         "%r can never take effect: %r denies its whole "
@@ -593,9 +539,9 @@ class PolicyLinter:
     ) -> List[Finding]:
         """P006 (opposite effects) and P011 (two allows) on one scope key."""
         findings = []
-        seen: Dict[Tuple, BuildingPolicy] = {}
+        seen: Dict[Scope, BuildingPolicy] = {}
         for policy in policies:
-            other = seen.setdefault(_scope_key(policy), policy)
+            other = seen.setdefault(policy.scope.key(self._spatial), policy)
             if other is policy:
                 continue
             if other.effect is not policy.effect:

@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.language.vocabulary import GranularityLevel
-from repro.core.policy.base import DataRequest, DecisionPhase, Effect
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, get_registry
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.language.vocabulary import GranularityLevel
 from repro.errors import EnforcementError

@@ -8,7 +8,7 @@ schemas in :mod:`repro.core.language.schema` on both directions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.language.duration import Duration

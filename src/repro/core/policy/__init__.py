@@ -9,6 +9,10 @@
   actuation and access rules of Policies 1-4 in the paper.
 - :mod:`repro.core.policy.preference` -- user preferences and service
   permissions (Preferences 1-4 in the paper).
+- :mod:`repro.core.policy.scope` -- which requests a rule governs: the
+  :class:`~repro.core.policy.scope.Scope` of its phases and selectors,
+  the one rule behind the matchers, the policy lint and conflict
+  detection.
 - :mod:`repro.core.policy.settings` -- the settings space a building
   exposes (Figure 4) and user selections within it.
 """

@@ -18,17 +18,14 @@ in :mod:`repro.core.policy.catalog`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.core.language.duration import Duration
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect
-from repro.core.policy.conditions import (
-    Always,
-    Condition,
-    EvaluationContext,
-    request_in_spaces,
-)
+from repro.core.policy.conditions import Always, Condition, EvaluationContext
+from repro.core.policy.scope import Scope
 from repro.errors import PolicyError
 
 
@@ -86,22 +83,19 @@ class BuildingPolicy:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def applies_to(self, request: DataRequest, context: EvaluationContext) -> bool:
-        """Whether this policy governs ``request``.
+    @cached_property
+    def scope(self) -> Scope:
+        """The requests this policy's phases and selectors admit."""
+        return Scope.of(
+            self.phases, self.categories, self.sensor_types, self.purposes,
+            space_ids=self.space_ids,
+        )
 
-        Empty selector tuples are wildcards, matching any value.
-        """
-        if request.phase not in self.phases:
-            return False
-        if self.categories and request.category not in self.categories:
-            return False
-        if self.sensor_types and request.sensor_type not in self.sensor_types:
-            return False
-        if self.purposes and request.purpose not in self.purposes:
-            return False
-        if self.space_ids and not request_in_spaces(request, self.space_ids, context):
-            return False
-        return self.condition.matches(request, context)
+    def applies_to(self, request: DataRequest, context: EvaluationContext) -> bool:
+        """Whether its scope admits ``request`` and its condition matches."""
+        return self.scope.admits(request, context.spatial) and self.condition.matches(
+            request, context
+        )
 
     # ------------------------------------------------------------------
     # Introspection used by the reasoner and the IRR

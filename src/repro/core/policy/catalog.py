@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 
 from repro.core.language.duration import Duration
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.core.policy.building import ActuationRule, BuildingPolicy
 from repro.core.policy.conditions import TemporalCondition
 from repro.core.policy.preference import ServicePermission, UserPreference

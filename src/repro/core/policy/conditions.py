@@ -13,10 +13,11 @@ All conditions are immutable and combinable with :class:`AllOf`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, RequesterKind
+from repro.core.policy.scope import in_spaces
 from repro.errors import PolicyError
 from repro.spatial.model import SpatialModel
 
@@ -46,27 +47,6 @@ class EvaluationContext:
     def day_index_of(self, timestamp: float) -> int:
         """Day number since the simulation epoch (day 0 = Monday)."""
         return int(timestamp // self.seconds_per_day)
-
-
-def request_in_spaces(
-    request: DataRequest, space_ids: Tuple[str, ...], context: EvaluationContext
-) -> bool:
-    """Whether ``request``'s space lies in (or is) one of ``space_ids``.
-
-    A request with no space matches nothing.  Without a spatial model,
-    or for a space the model does not know, matching falls back to
-    exact ids.
-    """
-    if request.space_id is None:
-        return False
-    if context.spatial is None or request.space_id not in context.spatial:
-        return request.space_id in space_ids
-    for space_id in space_ids:
-        if space_id in context.spatial and context.spatial.contains(
-            space_id, request.space_id
-        ):
-            return True
-    return False
 
 
 class Condition:
@@ -120,13 +100,7 @@ class SpatialCondition(Condition):
     def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
         if request.space_id is None:
             return self.match_unlocated
-        if context.spatial is None or request.space_id not in context.spatial:
-            # Without a model (or for unknown spaces) fall back to
-            # exact-id matching so unit tests need not build a model.
-            return request.space_id == self.space_id
-        if self.space_id not in context.spatial:
-            return False
-        return context.spatial.contains(self.space_id, request.space_id)
+        return in_spaces(request.space_id, (self.space_id,), context.spatial)
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,13 @@ Two kinds are modelled, matching the paper's examples:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Tuple
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
-from repro.core.policy.conditions import (
-    Always,
-    Condition,
-    EvaluationContext,
-    request_in_spaces,
-)
+from repro.core.policy.conditions import Always, Condition, EvaluationContext
+from repro.core.policy.scope import Scope
 from repro.errors import PolicyError
 
 
@@ -70,27 +67,21 @@ class UserPreference:
                 "preference %r applies to no phase" % self.preference_id
             )
 
-    def applies_to(self, request: DataRequest, context: EvaluationContext) -> bool:
-        """Whether this preference governs ``request``.
+    @cached_property
+    def scope(self) -> Scope:
+        """The requests this preference's phases and selectors admit, all
+        of them about its own user."""
+        return Scope.of(
+            self.phases, self.categories, purposes=self.purposes,
+            requester_ids=self.requester_ids, requester_kinds=self.requester_kinds,
+            space_ids=self.space_ids, subject_ids=(self.user_id,),
+        )
 
-        Preferences only ever govern requests about their own user, and
-        empty selector tuples are wildcards.
-        """
-        if request.subject_id != self.user_id:
-            return False
-        if request.phase not in self.phases:
-            return False
-        if self.categories and request.category not in self.categories:
-            return False
-        if self.purposes and request.purpose not in self.purposes:
-            return False
-        if self.requester_ids and request.requester_id not in self.requester_ids:
-            return False
-        if self.requester_kinds and request.requester_kind not in self.requester_kinds:
-            return False
-        if self.space_ids and not request_in_spaces(request, self.space_ids, context):
-            return False
-        return self.condition.matches(request, context)
+    def applies_to(self, request: DataRequest, context: EvaluationContext) -> bool:
+        """Whether its scope admits ``request`` and its condition matches."""
+        return self.scope.admits(request, context.spatial) and self.condition.matches(
+            request, context
+        )
 
     @property
     def is_opt_out(self) -> bool:

@@ -7,10 +7,10 @@ the help of a policy reasoner)." (Section III-B.)
 
 Detection is *static*: it compares rule scopes, not a concrete request,
 so the building can warn a user the moment she submits a preference.
-Because arbitrary conditions cannot be compared symbolically, two rules
-whose explicit selectors overlap are reported as conflicting even if
-their conditions might never both hold -- a sound over-approximation
-(no missed conflicts, possibly spurious ones).
+Selectors are compared exactly: some request must lie in both rules'
+scopes (``Scope.overlaps``).  Only conditions are over-approximated: a
+pair is reported even if its two conditions might never both hold --
+sound (no missed conflicts), possibly spurious where conditions differ.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import Effect
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import EvaluationContext
 from repro.core.policy.preference import UserPreference
-from repro.spatial.model import SpatialModel
 
 
 class ConflictKind(enum.Enum):
@@ -64,40 +62,6 @@ class Conflict:
         )
 
 
-def _scopes_overlap(
-    policy: BuildingPolicy,
-    preference: UserPreference,
-    spatial: Optional[SpatialModel],
-) -> bool:
-    """Whether the two rules can govern a common request.
-
-    Empty selectors are wildcards; spaces overlap when either side is a
-    wildcard or some pair of selected spaces overlaps in the model.
-    """
-    if policy.categories and preference.categories:
-        if not set(policy.categories) & set(preference.categories):
-            return False
-    if not set(policy.phases) & set(preference.phases):
-        return False
-    if policy.purposes and preference.purposes:
-        if not set(policy.purposes) & set(preference.purposes):
-            return False
-    if policy.space_ids and preference.space_ids:
-        if spatial is None:
-            if not set(policy.space_ids) & set(preference.space_ids):
-                return False
-        else:
-            overlapping = any(
-                a in spatial and b in spatial and spatial.overlap(a, b)
-                for a in policy.space_ids
-                for b in preference.space_ids
-            )
-            literal = bool(set(policy.space_ids) & set(preference.space_ids))
-            if not overlapping and not literal:
-                return False
-    return True
-
-
 def detect_conflicts(
     policies: Sequence[BuildingPolicy],
     preferences: Sequence[UserPreference],
@@ -115,7 +79,7 @@ def detect_conflicts(
         if policy.effect is not Effect.ALLOW:
             continue
         for preference in preferences:
-            if not _scopes_overlap(policy, preference, spatial):
+            if not policy.scope.overlaps(preference.scope, spatial):
                 continue
             conflict = _classify(policy, preference)
             if conflict is not None:

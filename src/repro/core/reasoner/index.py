@@ -14,7 +14,7 @@ and is verified (by property tests) to return decisions identical to
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.language.vocabulary import DataCategory
 from repro.core.policy.base import DataRequest, DecisionPhase

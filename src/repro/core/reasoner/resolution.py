@@ -10,11 +10,11 @@ completely met"), the other two are ablation baselines.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.core.language.vocabulary import GranularityLevel
-from repro.core.policy.base import DataRequest, Effect
+from repro.core.policy.base import Effect
 from repro.core.reasoner.matcher import MatchResult
 
 

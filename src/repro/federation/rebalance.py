@@ -40,7 +40,7 @@ migration pending for :meth:`RebalanceCoordinator.retry_pending`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, SimulatedCrash
 from repro.federation.campus import Campus

@@ -13,7 +13,7 @@ daily budget and per-practice deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.language.vocabulary import sensitivity_of

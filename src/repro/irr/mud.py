@@ -15,7 +15,7 @@ turning IRR setup from hand-authoring into a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.language.document import (
@@ -32,7 +32,6 @@ from repro.core.language.vocabulary import (
     Purpose,
 )
 from repro.core.policy.settings import SettingChoice, SettingGroup, SettingsSpace
-from repro.errors import RegistryError
 from repro.irr.registry import Advertisement, IoTResourceRegistry
 from repro.tippers.bms import TIPPERS
 

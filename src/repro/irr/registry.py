@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.language.document import (
     ResourcePolicyDocument,

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.tracing import Span, get_tracer
+from repro.obs.tracing import get_tracer
 
 F = TypeVar("F", bound=Callable)
 

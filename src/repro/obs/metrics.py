@@ -26,17 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelPairs]

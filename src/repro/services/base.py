@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.core.language.builder import ServicePolicyBuilder
 from repro.core.language.document import ServicePolicyDocument
 from repro.core.policy.base import RequesterKind

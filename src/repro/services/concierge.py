@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.language.builder import ServicePolicyBuilder
-from repro.core.language.vocabulary import GranularityLevel, Purpose
+from repro.core.language.vocabulary import Purpose
 from repro.errors import ServiceError
 from repro.services.base import BuildingService
 from repro.spatial.model import Space, SpaceType

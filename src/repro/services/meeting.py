@@ -9,7 +9,7 @@ participant's permission (Preference 4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.language.builder import ServicePolicyBuilder

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import catalog
-from repro.core.policy.base import RequesterKind
 from repro.core.reasoner.resolution import ResolutionStrategy
 from repro.iota.assistant import IoTAssistant
 from repro.iota.personas import PERSONAS, generate_decisions

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.enforcement.audit import AuditLog
 from repro.core.enforcement.engine import EnforcementEngine
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import GranularityLevel, Purpose
 from repro.core.policy.base import RequesterKind
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import EvaluationContext

@@ -18,7 +18,7 @@ of the datastore, audit log, and preference manager:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditRecord, audit_record_from_dict

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.enforcement.engine import EnforcementEngine

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.policy.base import DecisionPhase

@@ -9,7 +9,7 @@ affiliation, and office assignment." (Section IV-A.2.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import PolicyError

@@ -14,9 +14,8 @@ import dataclasses
 import pytest
 
 from repro.core.enforcement import compiled as compiled_module
-from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.core.policy.conditions import EvaluationContext, ProfileCondition

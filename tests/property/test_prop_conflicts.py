@@ -6,7 +6,7 @@ objecting (or capping) preference both in force, the static pass must
 have flagged that pair.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.policy.base import Effect
 from repro.core.policy.conditions import EvaluationContext

@@ -13,7 +13,7 @@ from repro.core.enforcement.mechanisms import (
 from repro.core.language.vocabulary import GranularityLevel
 from repro.sensors.base import Observation
 from repro.sensors.ontology import default_ontology
-from repro.spatial.model import SpaceType, build_simple_building
+from repro.spatial.model import build_simple_building
 
 _SPATIAL = build_simple_building("b", floors=3, rooms_per_floor=4)
 _ONTOLOGY = default_ontology()

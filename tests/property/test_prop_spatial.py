@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spatial.geometry import Box, Point
+from repro.spatial.geometry import Box
 from repro.spatial.model import SpaceType, build_simple_building
 
 boxes = st.builds(

@@ -16,10 +16,12 @@ VIOLATIONS = {
     "C003": "try:\n    pass\nexcept:\n    pass\n",
     "C004": "def f(items=[]):\n    return items\n",
     "C005": "def run(registry):\n    registry.counter('cacheHits')\n",
-    "C006": "from repro.tippers.policy_manager import PolicyManager\n",
+    "C006": "from repro.tippers.policy_manager import PolicyManager\n"
+            "MANAGER = PolicyManager\n",
     # C007 only applies to the client layers; the fixture routes it
     # into src/repro/services/ below.
     "C007": "def f(bus):\n    return bus.call('tippers', 'locate_user', {})\n",
+    "C008": "import json\n",
 }
 
 
@@ -50,7 +52,7 @@ class TestFixtureTree:
         out = capsys.readouterr().out
         for rule_id in VIOLATIONS:
             assert out.count(rule_id) == 1, "expected exactly one %s" % rule_id
-        assert "7 finding(s)" in out
+        assert "%d finding(s)" % len(VIOLATIONS) in out
 
     def test_single_rule_selection(self, capsys, fixture_tree):
         assert main(["lint", "--select", "C003", fixture_tree]) == 1

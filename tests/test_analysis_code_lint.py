@@ -1,4 +1,4 @@
-"""Unit tests for the AST code linter (rules C001-C007)."""
+"""Unit tests for the AST code linter (rules C001-C008)."""
 
 import textwrap
 
@@ -151,14 +151,16 @@ class TestMetricName:
 class TestLayering:
     def test_core_importing_tippers_flagged(self):
         ids = rule_ids(
-            "from repro.tippers.policy_manager import PolicyManager\n",
+            "from repro.tippers.policy_manager import PolicyManager\n"
+            "MANAGER = PolicyManager\n",
             filename="src/repro/core/engine.py",
         )
         assert ids == ["C006"]
 
     def test_downward_import_clean(self):
         assert rule_ids(
-            "from repro.spatial.model import SpatialModel\n",
+            "from repro.spatial.model import SpatialModel\n"
+            "MODEL = SpatialModel\n",
             filename="src/repro/core/engine.py",
         ) == []
 
@@ -170,13 +172,15 @@ class TestLayering:
 
     def test_top_level_modules_exempt(self):
         assert rule_ids(
-            "from repro.simulation.dbh import make_dbh_tippers\n",
+            "from repro.simulation.dbh import make_dbh_tippers\n"
+            "BUILD = make_dbh_tippers\n",
             filename="src/repro/__main__.py",
         ) == []
 
     def test_files_outside_repro_not_layer_checked(self):
         assert rule_ids(
-            "from repro.tippers.policy_manager import PolicyManager\n",
+            "from repro.tippers.policy_manager import PolicyManager\n"
+            "MANAGER = PolicyManager\n",
             filename="tests/test_x.py",
         ) == []
 
@@ -193,6 +197,48 @@ class TestLayering:
 
         for layer in LAYER_DAG:
             visit(layer, set())
+
+
+class TestUnusedImport:
+    def test_unused_import_flagged(self):
+        assert rule_ids("import json\n") == ["C008"]
+
+    def test_unused_from_import_flags_its_own_line(self):
+        findings = lint(
+            "from typing import (\n    Dict,\n    List,\n)\nx: Dict = {}\n"
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("C008", 3)]
+
+    def test_used_names_clean(self):
+        assert rule_ids(
+            "import os.path\nfrom json import dumps as d\n"
+            "print(os.path.sep, d)\n"
+        ) == []
+
+    def test_future_import_exempt(self):
+        assert rule_ids("from __future__ import annotations\n") == []
+
+    def test_init_module_exempt(self):
+        assert rule_ids(
+            "from json import dumps\n", filename="src/repro/pkg/__init__.py"
+        ) == []
+
+    def test_name_in_dunder_all_clean(self):
+        assert rule_ids(
+            "from json import dumps\n__all__ = ['dumps']\n"
+        ) == []
+
+    def test_name_used_only_in_string_annotation_clean(self):
+        assert rule_ids(
+            "from typing import Optional\nfrom json import JSONDecoder\n"
+            "def f(x: 'Optional[JSONDecoder]') -> None:\n    return None\n"
+        ) == []
+
+    def test_function_local_import_not_checked(self):
+        assert rule_ids("def f():\n    import json\n") == []
+
+    def test_noqa_suppresses(self):
+        assert rule_ids("import json  # repro: noqa=C008\n") == []
 
 
 class TestSuppressionAndErrors:

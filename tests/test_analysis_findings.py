@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.findings import (
-    RULES,
     Finding,
     Rule,
     Severity,
@@ -34,11 +33,11 @@ def finding(**overrides) -> Finding:
 
 
 class TestRegistry:
-    def test_all_twenty_seven_rules_registered(self):
+    def test_all_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
-        assert {"C001", "C007", "F001", "F006", "P001", "P014"} <= set(ids)
-        assert len(ids) == 27
+        assert {"C001", "C008", "F001", "F006", "P001", "P014"} <= set(ids)
+        assert len(ids) == 28
 
     def test_duplicate_registration_rejected(self):
         all_rules()  # ensure analyzers imported
@@ -103,7 +102,7 @@ class TestSelection:
     def test_prefix_expansion(self):
         chosen = expand_selection("C")
         assert chosen == {
-            "C001", "C002", "C003", "C004", "C005", "C006", "C007",
+            "C001", "C002", "C003", "C004", "C005", "C006", "C007", "C008",
         }
 
     def test_exact_and_mixed(self):

@@ -211,7 +211,7 @@ class TestIndividualRules:
         findings = linter.lint_policies([deny_at_night, allow])
         assert "P005" not in [f.rule_id for f in findings]
 
-    def test_p006_and_p011_share_the_scope_key(self, linter):
+    def test_p006_and_p011_share_the_scope(self, linter):
         allow = policy(policy_id="a", categories=(DataCategory.PRESENCE,))
         twin = policy(policy_id="b", categories=(DataCategory.PRESENCE,))
         deny = policy(
@@ -221,6 +221,28 @@ class TestIndividualRules:
         assert {(f.rule_id, f.subject) for f in findings} >= {
             ("P011", "b"), ("P006", "c"),
         }
+
+    def test_p006_on_spaces_that_admit_the_same_requests(self, linter):
+        # Room b-1001 lies in building b, so both admit every request
+        # in b: the same scope, written two ways.
+        allow = policy(policy_id="allow-b", space_ids=("b",))
+        deny = policy(
+            policy_id="deny-b", effect=Effect.DENY, space_ids=("b", "b-1001")
+        )
+        findings = linter.lint_policies([allow, deny])
+        assert {(f.rule_id, f.subject) for f in findings} == {
+            ("P005", "allow-b"), ("P006", "deny-b"),
+        }
+
+    def test_p011_on_spaces_that_admit_the_same_requests(self, linter):
+        floor = policy(policy_id="floor", space_ids=("b-f1",))
+        floor_and_room = policy(
+            policy_id="floor-and-room", space_ids=("b-f1", "b-1001")
+        )
+        findings = linter.lint_policies([floor, floor_and_room])
+        assert [(f.rule_id, f.subject) for f in findings] == [
+            ("P011", "floor-and-room"),
+        ]
 
     def test_p007_retention_within_bound_clean(self, linter):
         ok = policy(

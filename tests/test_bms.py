@@ -5,9 +5,8 @@ import pytest
 from repro.core.enforcement import CompiledEnforcementEngine, EnforcementEngine
 from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
-from repro.errors import NetworkError, PolicyError
+from repro.errors import PolicyError
 from repro.net.bus import MessageBus, RpcError
-from repro.spatial.model import build_simple_building
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
 

@@ -8,7 +8,6 @@ from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpo
 from repro.core.policy import catalog
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.core.policy.conditions import EvaluationContext
-from repro.core.reasoner.resolution import ResolutionStrategy
 from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from repro.obs.metrics import MetricsRegistry

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.language.builder import (
-    ResourcePolicyBuilder,
-    ServicePolicyBuilder,
-    SettingsBuilder,
-)
+from repro.core.language.builder import ResourcePolicyBuilder, ServicePolicyBuilder
 from repro.core.policy.settings import location_settings_space
-from repro.errors import NetworkError, RegistryError
+from repro.errors import RegistryError
 from repro.irr.registry import Advertisement, IoTResourceRegistry, discover_registries
 from repro.net.bus import MessageBus, RpcError
 from repro.spatial.model import build_simple_building

@@ -1,16 +1,8 @@
 """Unit tests for MUD-based IRR auto-provisioning (Section V-B)."""
 
-import pytest
-
 from repro.core.language.duration import Duration
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
-from repro.irr.mud import (
-    BUILTIN_PROFILES,
-    MUDProfile,
-    advertisement_document,
-    auto_provision,
-)
+from repro.irr.mud import BUILTIN_PROFILES, advertisement_document, auto_provision
 from repro.irr.registry import IoTResourceRegistry
 from repro.iota.assistant import practices_from_resource
 

@@ -1,7 +1,5 @@
 """Unit tests for the typed policy documents (Figures 2-4)."""
 
-import json
-
 import pytest
 
 from repro.core.language.document import (

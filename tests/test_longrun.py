@@ -5,7 +5,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.core.reasoner.resolution import ResolutionStrategy
-from repro.simulation.longrun import WeekReport, run_week
+from repro.simulation.longrun import run_week
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.language.duration import Duration
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.core.policy.building import ActuationRule, BuildingPolicy
 from repro.core.policy.conditions import EvaluationContext, TemporalCondition

@@ -5,7 +5,6 @@ import pytest
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.document import ResourcePolicyDocument
 from repro.core.language.duration import Duration
-from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import EvaluationContext

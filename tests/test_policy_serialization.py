@@ -11,7 +11,6 @@ from repro.core.policy.conditions import (
     Always,
     AnyOf,
     Condition,
-    EvaluationContext,
     Not,
     ProfileCondition,
     SpatialCondition,

@@ -8,7 +8,6 @@ from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.conditions import EvaluationContext
 from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.conflicts import (
-    Conflict,
     ConflictKind,
     detect_conflicts,
     detect_conflicts_by_user,

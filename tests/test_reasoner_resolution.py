@@ -7,7 +7,7 @@ from repro.core.policy.base import DataRequest, DecisionPhase, Effect, Requester
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.matcher import MatchResult
-from repro.core.reasoner.resolution import Resolution, ResolutionStrategy, resolve
+from repro.core.reasoner.resolution import ResolutionStrategy, resolve
 
 
 def request(granularity=GranularityLevel.PRECISE) -> DataRequest:

@@ -20,7 +20,6 @@ from repro.net.resilience import BreakerBoard
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.inhabitants import generate_inhabitants
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType
 
 BUILDINGS = ("bldg-a", "bldg-b", "bldg-c")
 NEW = "bldg-d"

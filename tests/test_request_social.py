@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel
-from repro.core.policy import catalog
+from repro.core.language.vocabulary import DataCategory
 from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference

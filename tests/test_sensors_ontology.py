@@ -3,15 +3,7 @@
 import pytest
 
 from repro.errors import SensorError
-from repro.sensors.ontology import (
-    CAMERA,
-    ObservationField,
-    ParameterSpec,
-    SensorOntology,
-    SensorTypeSpec,
-    WIFI_AP,
-    default_ontology,
-)
+from repro.sensors.ontology import CAMERA, ParameterSpec, WIFI_AP, default_ontology
 
 
 class TestParameterSpec:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SensorError
-from repro.sensors.drivers import MotionSensor, SurveillanceCamera
+from repro.sensors.drivers import SurveillanceCamera
 from repro.sensors.environment import EnvironmentView, PresentDevice
 from repro.sensors.subsystem import SensorSubsystem
 

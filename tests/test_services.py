@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, GranularityLevel
 from repro.core.policy import catalog
 from repro.core.policy.base import RequesterKind
 from repro.core.policy.preference import ServicePermission

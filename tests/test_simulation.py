@@ -12,7 +12,7 @@ from repro.simulation.dbh import (
     deploy_dbh_sensors,
     make_dbh_tippers,
 )
-from repro.simulation.inhabitants import Inhabitant, Schedule, generate_inhabitants
+from repro.simulation.inhabitants import Schedule, generate_inhabitants
 from repro.simulation.mobility import BuildingWorld
 from repro.spatial.model import SpaceType
 

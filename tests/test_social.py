@@ -5,7 +5,7 @@ import pytest
 from repro.errors import StorageError
 from repro.sensors.base import Observation
 from repro.tippers.datastore import Datastore
-from repro.tippers.social import SocialInference, Tie
+from repro.tippers.social import SocialInference
 
 
 def sighting(timestamp, subject, space):

@@ -1,7 +1,5 @@
 """Unit tests for repro.spatial.geometry."""
 
-import math
-
 import pytest
 
 from repro.spatial.geometry import Box, Point

@@ -7,7 +7,7 @@ from repro.errors import PolicyError, SimulatedCrash, StorageError
 from repro.sensors.base import Observation
 from repro.simulation.recover import run_recovery_scenario
 from repro.spatial.model import build_simple_building
-from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
+from repro.storage.durable import DurableDatastore, StorageEngine
 from repro.storage.recovery import is_storage_directory, recover, replay_directory
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
