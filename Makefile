@@ -49,7 +49,7 @@ bench:
 # prove the privacy-flow invariant over the call graph.
 lint: lint-flow
 	PYTHONPATH=src $(PYTHON) -m repro lint
-	PYTHONPATH=src $(PYTHON) -m repro lint src tests benchmarks
+	PYTHONPATH=src $(PYTHON) -m repro lint src tests benchmarks examples
 
 # Interprocedural privacy-flow analysis (rules F001-F006) against the
 # committed flow_baseline.json.

@@ -17,6 +17,7 @@ import random
 
 from benchmarks.conftest import report
 from repro.bench.workloads import build_engine, check_same_decisions, make_requests, mean_us
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.reasoner.index import PolicyIndex
 
 USERS = 500
@@ -24,7 +25,7 @@ USERS = 500
 
 def run_ablation():
     interpreter, _ = build_engine(PolicyIndex, USERS)
-    compiled, _ = build_engine(PolicyIndex, USERS, compiled=True)
+    compiled, _ = build_engine(PolicyIndex, USERS, CompiledEnforcementEngine)
     rng = random.Random(4)
 
     # Repetitive workload: queries about 20 hot users, repeated.

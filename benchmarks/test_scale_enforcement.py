@@ -24,6 +24,7 @@ from repro.bench.workloads import (
     linear_vs_index,
     make_requests,
 )
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.reasoner.index import LinearRuleStore, PolicyIndex
 
 
@@ -62,7 +63,7 @@ def _run_compiled_speedup():
     users, count = 300, 2000
     requests = make_requests(users, count, random.Random(2))
     reference, rules = build_engine(PolicyIndex, users)
-    compiled, _ = build_engine(PolicyIndex, users, compiled=True)
+    compiled, _ = build_engine(PolicyIndex, users, CompiledEnforcementEngine)
     check_compiled(reference, compiled, requests)
 
     speedup = statistics.median(

@@ -34,6 +34,7 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
@@ -260,10 +261,10 @@ CATEGORIES = (
 def build_engine(
     store_cls,
     users: int,
-    compiled: bool = False,
+    engine_cls=EnforcementEngine,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[EnforcementEngine, int]:
-    """An engine over a fresh ``store_cls`` holding the three building
+    """An ``engine_cls`` over a fresh ``store_cls`` holding the three building
     policies and three generated sharing preferences per user, and its
     rule count.
 
@@ -290,11 +291,10 @@ def build_engine(
                     granularity_cap=rng.choice(list(GranularityLevel)),
                 )
             )
-    engine = EnforcementEngine(
+    engine = engine_cls(
         store=store,
         context=EvaluationContext(spatial=build_simple_building("b", 2, 4)),
         metrics=metrics,
-        compiled=compiled,
     )
     return engine, 3 + 3 * users
 
@@ -441,7 +441,7 @@ def run_scale_enforcement(scale: ScalePreset, registry: MetricsRegistry) -> Repe
     users = scale.enforcement_users
     requests = make_requests(users, scale.enforcement_requests, random.Random(2))
     engine, rules = build_engine(PolicyIndex, users)
-    compiled_engine, _ = build_engine(PolicyIndex, users, compiled=True)
+    compiled_engine, _ = build_engine(PolicyIndex, users, CompiledEnforcementEngine)
     check_compiled(engine, compiled_engine, requests)
     linear_us, index_us, _ = linear_vs_index(
         scale.linear_users,

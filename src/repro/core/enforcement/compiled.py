@@ -188,9 +188,8 @@ _TRACKED = {
 class CompiledEnforcementEngine(EnforcementEngine):
     """An enforcement engine serving repeat requests from compiled rows.
 
-    Constructed via ``EnforcementEngine(compiled=True, ...)`` (what
-    TIPPERS does by default) or directly; it takes the reference
-    engine's arguments and no others.
+    TIPPERS builds one by default.  It takes the reference engine's
+    arguments and no others.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:

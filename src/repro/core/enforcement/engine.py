@@ -41,8 +41,8 @@ from repro.sensors.ontology import SensorOntology, default_ontology
 
 #: The primary data category an observation of each sensor type yields,
 #: used when turning raw observations into data requests at capture
-#: time.  Extend (or override via the engine constructor) for custom
-#: sensor types.
+#: time, and by the IoTA when it reads a resource advertisement.  Other
+#: sensor types yield ``ACTIVITY``.
 DEFAULT_SENSOR_CATEGORY: Dict[str, DataCategory] = {
     "wifi_access_point": DataCategory.LOCATION,
     "bluetooth_beacon": DataCategory.LOCATION,
@@ -67,6 +67,10 @@ DEFAULT_SENSOR_PURPOSE: Dict[str, Purpose] = {
     "id_card_reader": Purpose.ACCESS_CONTROL,
 }
 
+# Bound once: ``observation_key`` runs for every captured reading.
+_category_of = DEFAULT_SENSOR_CATEGORY.get
+_purpose_of = DEFAULT_SENSOR_PURPOSE.get
+
 
 class Decision(NamedTuple):
     """A resolution plus the audit record it produced.
@@ -90,22 +94,13 @@ class Decision(NamedTuple):
 class EnforcementEngine:
     """Resolves and applies policies at every decision phase.
 
-    Pass ``compiled=True`` to get a :class:`CompiledEnforcementEngine`
-    (see ``enforcement/compiled.py``): same constructor, same decision
-    semantics bit-for-bit, but repeat requests are served from a
-    flattened per-user decision table instead of re-walking policy
-    documents.  The plain class remains the reference interpreter the
-    differential test harness treats as the oracle.
+    This is the reference interpreter the differential test harness
+    treats as the oracle.  Its subclass
+    :class:`~repro.core.enforcement.compiled.CompiledEnforcementEngine`
+    takes the same constructor and decides bit-for-bit alike, but serves
+    repeat requests from a flattened per-user decision table instead of
+    re-walking policy documents.
     """
-
-    def __new__(cls, *args: object, **kwargs: object) -> "EnforcementEngine":
-        if cls is EnforcementEngine and kwargs.get("compiled"):
-            from repro.core.enforcement.compiled import (
-                CompiledEnforcementEngine,
-            )
-
-            return super().__new__(CompiledEnforcementEngine)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -113,23 +108,13 @@ class EnforcementEngine:
         context: Optional[EvaluationContext] = None,
         strategy: ResolutionStrategy = ResolutionStrategy.NEGOTIATE,
         ontology: Optional[SensorOntology] = None,
-        sensor_categories: Optional[Dict[str, DataCategory]] = None,
-        sensor_purposes: Optional[Dict[str, Purpose]] = None,
         audit: Optional[AuditLog] = None,
         metrics: Optional[MetricsRegistry] = None,
-        *,
-        compiled: bool = False,
     ) -> None:
         self.store = store if store is not None else PolicyIndex()
         self.context = context if context is not None else EvaluationContext()
         self.strategy = strategy
         self.ontology = ontology if ontology is not None else default_ontology()
-        self.sensor_categories = dict(DEFAULT_SENSOR_CATEGORY)
-        if sensor_categories:
-            self.sensor_categories.update(sensor_categories)
-        self.sensor_purposes = dict(DEFAULT_SENSOR_PURPOSE)
-        if sensor_purposes:
-            self.sensor_purposes.update(sensor_purposes)
         self.audit = audit if audit is not None else AuditLog()
         self._matcher = PolicyMatcher(self.store, self.context)
         # Metric handles are resolved once here; decide() only touches
@@ -204,9 +189,9 @@ class EnforcementEngine:
             "building",
             RequesterKind.BUILDING,
             phase,
-            self.sensor_categories.get(sensor_type, DataCategory.ACTIVITY),
+            _category_of(sensor_type, DataCategory.ACTIVITY),
             observation.space_id,
-            self.sensor_purposes.get(sensor_type),
+            _purpose_of(sensor_type),
             GranularityLevel.PRECISE,
             sensor_type,
         )

@@ -27,12 +27,18 @@ _DURATION_RE = re.compile(
     r")?$"
 )
 
+#: One simulated (and civil) day and hour.  Every clock in the system
+#: counts seconds from its epoch; hours of the day and day numbers are
+#: taken modulo a day.
+SECONDS_PER_DAY = 86400
+SECONDS_PER_HOUR = 3600
+
 _SECONDS_PER = {
-    "years": 365 * 86400,
-    "months": 30 * 86400,
-    "weeks": 7 * 86400,
-    "days": 86400,
-    "hours": 3600,
+    "years": 365 * SECONDS_PER_DAY,
+    "months": 30 * SECONDS_PER_DAY,
+    "weeks": 7 * SECONDS_PER_DAY,
+    "days": SECONDS_PER_DAY,
+    "hours": SECONDS_PER_HOUR,
     "minutes": 60,
     "seconds": 1,
 }
@@ -86,8 +92,8 @@ class Duration:
         if total < 0:
             raise SchemaError("duration seconds must be non-negative")
         remaining = int(total)
-        days, remaining = divmod(remaining, 86400)
-        hours, remaining = divmod(remaining, 3600)
+        days, remaining = divmod(remaining, SECONDS_PER_DAY)
+        hours, remaining = divmod(remaining, SECONDS_PER_HOUR)
         minutes, seconds = divmod(remaining, 60)
         return cls(days=days, hours=hours, minutes=minutes, seconds=seconds)
 

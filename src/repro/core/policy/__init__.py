@@ -3,8 +3,8 @@
 - :mod:`repro.core.policy.base` -- shared vocabulary: effects, decision
   phases, and the :class:`~repro.core.policy.base.DataRequest` that
   flows through the reasoner and enforcement engine.
-- :mod:`repro.core.policy.conditions` -- composable spatial, temporal,
-  profile, purpose, and requester conditions.
+- :mod:`repro.core.policy.conditions` -- when a rule applies: temporal
+  and profile conditions and their boolean combinations.
 - :mod:`repro.core.policy.building` -- building policies, including the
   actuation and access rules of Policies 1-4 in the paper.
 - :mod:`repro.core.policy.preference` -- user preferences and service
@@ -22,15 +22,10 @@ from repro.core.policy.building import ActuationRule, BuildingPolicy
 from repro.core.policy.conditions import (
     AllOf,
     AnyOf,
-    CategoryCondition,
     Condition,
     EvaluationContext,
-    GranularityCondition,
     Not,
     ProfileCondition,
-    PurposeCondition,
-    RequesterCondition,
-    SpatialCondition,
     TemporalCondition,
 )
 from repro.core.policy.preference import ServicePermission, UserPreference
@@ -43,13 +38,8 @@ __all__ = [
     "DataRequest",
     "Condition",
     "EvaluationContext",
-    "SpatialCondition",
     "TemporalCondition",
     "ProfileCondition",
-    "PurposeCondition",
-    "RequesterCondition",
-    "CategoryCondition",
-    "GranularityCondition",
     "AllOf",
     "AnyOf",
     "Not",

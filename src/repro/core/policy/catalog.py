@@ -113,9 +113,8 @@ def policy_4_event_disclosure(event_space_id: str) -> BuildingPolicy:
     "An event coordinator requires that details regarding an event are
     disclosed to registered participants only when they are nearby."
     The spatial selector restricts sharing to requests located at the
-    event space; the profile restriction to registered participants is
-    enforced by a condition added by the building when it knows the
-    event roster (see :mod:`repro.tippers.policy_manager`).
+    event space; ``RequestManager.event_details`` checks the roster
+    (kept by :mod:`repro.tippers.policy_manager`) and nearness first.
     """
     return BuildingPolicy(
         policy_id="policy-4-event",

@@ -1,10 +1,14 @@
 """Composable conditions over data requests.
 
 Conditions are the "context specific requirements" of Section IV: a
-rule applies only when its condition matches the request.  Conditions
-evaluate against an :class:`EvaluationContext` that provides the spatial
-model (for the ``contained`` operator) and the user directory (for
-profile checks).
+rule applies only when its request lies in the rule's
+:class:`~repro.core.policy.scope.Scope` *and* its condition matches.
+The scope says which data, sensors, spaces, purposes, requesters and
+subjects a rule reaches; a condition says only *when*: the time of day
+(:class:`TemporalCondition`) and the subject's profile group
+(:class:`ProfileCondition`), which no selector can express.  Conditions
+evaluate against an :class:`EvaluationContext` that provides the user
+directory (for profile checks).
 
 All conditions are immutable and combinable with :class:`AllOf`,
 :class:`AnyOf`, and :class:`Not`.
@@ -15,38 +19,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy.base import DataRequest, RequesterKind
-from repro.core.policy.scope import in_spaces
+from repro.core.language.duration import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.core.policy.base import DataRequest
 from repro.errors import PolicyError
 from repro.spatial.model import SpatialModel
 
 
 @dataclass
 class EvaluationContext:
-    """What conditions may consult besides the request itself.
+    """What rules may consult besides the request itself.
 
+    ``spatial`` is the model a scope's space selector nests spaces by.
     ``user_profiles`` maps user id to the set of group names the user
     belongs to (Section IV-A.2: "Profiles can be based on groups
-    (students, faculty, staff etc.)").  ``seconds_per_day`` defaults to
-    86400; the simulation clock counts seconds from its epoch, and
-    temporal conditions interpret timestamps modulo one day.
+    (students, faculty, staff etc.)").  The simulation clock counts
+    seconds from its epoch, and temporal conditions interpret
+    timestamps modulo one day (:data:`SECONDS_PER_DAY`).
     """
 
     spatial: Optional[SpatialModel] = None
     user_profiles: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    seconds_per_day: int = 86400
 
     def groups_of(self, user_id: str) -> FrozenSet[str]:
         return self.user_profiles.get(user_id, frozenset())
 
     def hour_of(self, timestamp: float) -> float:
         """Hour-of-day in [0, 24) for a simulation timestamp."""
-        return (timestamp % self.seconds_per_day) / (self.seconds_per_day / 24.0)
+        return (timestamp % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
     def day_index_of(self, timestamp: float) -> int:
         """Day number since the simulation epoch (day 0 = Monday)."""
-        return int(timestamp // self.seconds_per_day)
+        return int(timestamp // SECONDS_PER_DAY)
 
 
 class Condition:
@@ -83,24 +86,6 @@ class Always(Condition):
 
     def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
         return True
-
-
-@dataclass(frozen=True)
-class SpatialCondition(Condition):
-    """Matches requests whose space is (contained in) ``space_id``.
-
-    A request with no space matches only when ``match_unlocated``.
-    """
-
-    time_sensitive = False
-
-    space_id: str
-    match_unlocated: bool = False
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        if request.space_id is None:
-            return self.match_unlocated
-        return in_spaces(request.space_id, (self.space_id,), context.spatial)
 
 
 @dataclass(frozen=True)
@@ -141,101 +126,6 @@ class ProfileCondition(Condition):
         if request.subject_id is None:
             return False
         return self.group in context.groups_of(request.subject_id)
-
-
-@dataclass(frozen=True)
-class SubjectCondition(Condition):
-    """Matches requests about one specific subject."""
-
-    time_sensitive = False
-
-    subject_id: str
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        return request.subject_id == self.subject_id
-
-
-@dataclass(frozen=True)
-class PurposeCondition(Condition):
-    """Matches requests declaring one of the listed purposes."""
-
-    time_sensitive = False
-
-    purposes: Tuple[Purpose, ...]
-
-    def __post_init__(self) -> None:
-        if not self.purposes:
-            raise PolicyError("PurposeCondition needs >= 1 purpose")
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        return request.purpose in self.purposes
-
-
-@dataclass(frozen=True)
-class RequesterCondition(Condition):
-    """Matches requests from specific requesters or requester kinds."""
-
-    time_sensitive = False
-
-    requester_ids: Tuple[str, ...] = ()
-    kinds: Tuple[RequesterKind, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.requester_ids and not self.kinds:
-            raise PolicyError("RequesterCondition needs ids or kinds")
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        if self.requester_ids and request.requester_id in self.requester_ids:
-            return True
-        return bool(self.kinds) and request.requester_kind in self.kinds
-
-
-@dataclass(frozen=True)
-class CategoryCondition(Condition):
-    """Matches requests for one of the listed data categories."""
-
-    time_sensitive = False
-
-    categories: Tuple[DataCategory, ...]
-
-    def __post_init__(self) -> None:
-        if not self.categories:
-            raise PolicyError("CategoryCondition needs >= 1 category")
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        return request.category in self.categories
-
-
-@dataclass(frozen=True)
-class GranularityCondition(Condition):
-    """Matches requests asking for granularity finer than ``threshold``.
-
-    Useful for preferences like "notify me only when precise location
-    is requested".
-    """
-
-    time_sensitive = False
-
-    finer_than: GranularityLevel
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        return request.granularity.rank > self.finer_than.rank
-
-
-@dataclass(frozen=True)
-class SensorTypeCondition(Condition):
-    """Matches requests sourced from one of the listed sensor types."""
-
-    time_sensitive = False
-
-    sensor_types: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sensor_types:
-            raise PolicyError("SensorTypeCondition needs >= 1 sensor type")
-
-    def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
-        return request.sensor_type in self.sensor_types
 
 
 @dataclass(frozen=True)

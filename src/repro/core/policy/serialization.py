@@ -1,15 +1,20 @@
 """Wire serialization of preferences and conditions.
 
 The IoTA communicates preferences to TIPPERS over the message bus
-(step 8 of Figure 1), so preferences need a JSON form.  Structured
-conditions (spatial, temporal, profile, and their boolean combinations)
-serialize to a tagged format; exotic hand-written condition classes do
-not cross the wire and raise :class:`PolicyError`.
+(step 8 of Figure 1), so preferences need a JSON form.  Conditions
+(temporal, profile, and their boolean combinations) serialize to a
+tagged format; hand-written condition classes do not cross the wire
+and raise :class:`PolicyError`.
+
+Decoding checks the shape of every field: a payload that is not a
+preference (a missing field, a string where a list belongs, an unknown
+enum value, a non-numeric strength) raises :class:`PolicyError`, never
+a bare ``TypeError``, so the bus answers it as an ``RpcError``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DecisionPhase, Effect, RequesterKind
@@ -20,12 +25,38 @@ from repro.core.policy.conditions import (
     Condition,
     Not,
     ProfileCondition,
-    SpatialCondition,
-    SubjectCondition,
     TemporalCondition,
 )
 from repro.core.policy.preference import UserPreference
 from repro.errors import PolicyError
+
+_REQUIRED = object()
+_NUMBER = (int, float)
+_LIST = (list, tuple)
+
+
+def _field(data: Dict[str, Any], key: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """``data[key]`` (``default`` when absent), which must be a ``kind``.
+    A bool is not a number."""
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise PolicyError("missing field %r" % key)
+    if isinstance(value, bool) and kind is not bool or not isinstance(value, kind):
+        raise PolicyError("field %r has the wrong type: %r" % (key, value))
+    return value
+
+
+def _strings(data: Dict[str, Any], key: str, default: Any = ()) -> Tuple[str, ...]:
+    values = _field(data, key, _LIST, default)
+    if not all(isinstance(value, str) for value in values):
+        raise PolicyError("field %r must list strings: %r" % (key, values))
+    return tuple(values)
+
+
+def _object(data: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(data, dict):
+        raise PolicyError("%s must be an object, not %r" % (what, data))
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -34,12 +65,6 @@ from repro.errors import PolicyError
 def condition_to_dict(condition: Condition) -> Dict[str, Any]:
     if isinstance(condition, Always):
         return {"kind": "always"}
-    if isinstance(condition, SpatialCondition):
-        return {
-            "kind": "spatial",
-            "space_id": condition.space_id,
-            "match_unlocated": condition.match_unlocated,
-        }
     if isinstance(condition, TemporalCondition):
         return {
             "kind": "temporal",
@@ -49,8 +74,6 @@ def condition_to_dict(condition: Condition) -> Dict[str, Any]:
         }
     if isinstance(condition, ProfileCondition):
         return {"kind": "profile", "group": condition.group}
-    if isinstance(condition, SubjectCondition):
-        return {"kind": "subject", "subject_id": condition.subject_id}
     if isinstance(condition, AllOf):
         return {
             "kind": "all",
@@ -68,32 +91,25 @@ def condition_to_dict(condition: Condition) -> Dict[str, Any]:
     )
 
 
-def condition_from_dict(data: Dict[str, Any]) -> Condition:
-    kind = data.get("kind")
+def condition_from_dict(data: Any) -> Condition:
+    kind = _object(data, "a condition").get("kind")
     if kind == "always":
         return Always()
-    if kind == "spatial":
-        return SpatialCondition(
-            space_id=data["space_id"],
-            match_unlocated=data.get("match_unlocated", False),
-        )
     if kind == "temporal":
         return TemporalCondition(
-            start_hour=data["start_hour"],
-            end_hour=data["end_hour"],
-            weekdays_only=data.get("weekdays_only", False),
+            start_hour=_field(data, "start_hour", _NUMBER),
+            end_hour=_field(data, "end_hour", _NUMBER),
+            weekdays_only=_field(data, "weekdays_only", bool, False),
         )
     if kind == "profile":
-        return ProfileCondition(group=data["group"])
-    if kind == "subject":
-        return SubjectCondition(subject_id=data["subject_id"])
+        return ProfileCondition(group=_field(data, "group", str))
     if kind == "all":
-        return AllOf(tuple(condition_from_dict(c) for c in data["conditions"]))
+        return AllOf(tuple(map(condition_from_dict, _field(data, "conditions", _LIST))))
     if kind == "any":
-        return AnyOf(tuple(condition_from_dict(c) for c in data["conditions"]))
+        return AnyOf(tuple(map(condition_from_dict, _field(data, "conditions", _LIST))))
     if kind == "not":
-        return Not(condition_from_dict(data["condition"]))
-    raise PolicyError("unknown condition kind %r" % kind)
+        return Not(condition_from_dict(data.get("condition")))
+    raise PolicyError("unknown condition kind %r" % (kind,))
 
 
 # ----------------------------------------------------------------------
@@ -117,26 +133,25 @@ def preference_to_dict(preference: UserPreference) -> Dict[str, Any]:
     }
 
 
-def preference_from_dict(data: Dict[str, Any]) -> UserPreference:
+def preference_from_dict(data: Any) -> UserPreference:
+    _object(data, "a preference")
     try:
         return UserPreference(
-            preference_id=data["preference_id"],
-            user_id=data["user_id"],
-            description=data.get("description", ""),
-            effect=Effect(data["effect"]),
-            categories=tuple(DataCategory(c) for c in data.get("categories", [])),
-            phases=tuple(DecisionPhase(p) for p in data["phases"]),
-            requester_ids=tuple(data.get("requester_ids", [])),
-            requester_kinds=tuple(
-                RequesterKind(k) for k in data.get("requester_kinds", [])
-            ),
-            purposes=tuple(Purpose(p) for p in data.get("purposes", [])),
-            space_ids=tuple(data.get("space_ids", [])),
+            preference_id=_field(data, "preference_id", str),
+            user_id=_field(data, "user_id", str),
+            description=_field(data, "description", str, ""),
+            effect=Effect(_field(data, "effect", str)),
+            categories=tuple(map(DataCategory, _strings(data, "categories"))),
+            phases=tuple(map(DecisionPhase, _strings(data, "phases", _REQUIRED))),
+            requester_ids=_strings(data, "requester_ids"),
+            requester_kinds=tuple(map(RequesterKind, _strings(data, "requester_kinds"))),
+            purposes=tuple(map(Purpose, _strings(data, "purposes"))),
+            space_ids=_strings(data, "space_ids"),
             granularity_cap=GranularityLevel(
-                data.get("granularity_cap", "precise")
+                _field(data, "granularity_cap", str, "precise")
             ),
             condition=condition_from_dict(data.get("condition", {"kind": "always"})),
-            strength=data.get("strength", 1.0),
+            strength=_field(data, "strength", _NUMBER, 1.0),
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise PolicyError("malformed preference payload: %s" % exc) from None

@@ -8,9 +8,11 @@ the help of a policy reasoner)." (Section III-B.)
 Detection is *static*: it compares rule scopes, not a concrete request,
 so the building can warn a user the moment she submits a preference.
 Selectors are compared exactly: some request must lie in both rules'
-scopes (``Scope.overlaps``).  Only conditions are over-approximated: a
-pair is reported even if its two conditions might never both hold --
-sound (no missed conflicts), possibly spurious where conditions differ.
+scopes (``Scope.overlaps``).  Only conditions are over-approximated,
+and a condition is a time window or a profile group and nothing else:
+a pair is reported even if its two conditions might never both hold
+(disjoint hours, groups the subject is not in) -- sound (no missed
+conflicts), possibly spurious only there.
 """
 
 from __future__ import annotations

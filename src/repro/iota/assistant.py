@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.enforcement.engine import DEFAULT_SENSOR_CATEGORY
 from repro.core.language.document import (
     ResourceDescription,
     ResourcePolicyDocument,
@@ -40,19 +41,6 @@ _DEFAULT_CALL_DEADLINE_S = 30.0
 #: ``retry_policy``: two immediate re-sends, no backoff.
 FALLBACK_RETRY_POLICY = RetryPolicy(max_retries=2, base_delay_s=0.0, jitter=0.0)
 
-#: Normalization of sensor-type spellings found in documents to the
-#: primary data category their observations yield.
-_SENSOR_TYPE_CATEGORY: Dict[str, DataCategory] = {
-    "wifi_access_point": DataCategory.LOCATION,
-    "bluetooth_beacon": DataCategory.LOCATION,
-    "camera": DataCategory.PRESENCE,
-    "power_meter": DataCategory.ENERGY_USE,
-    "temperature_sensor": DataCategory.TEMPERATURE,
-    "motion_sensor": DataCategory.OCCUPANCY,
-    "hvac_unit": DataCategory.TEMPERATURE,
-    "id_card_reader": DataCategory.IDENTITY,
-}
-
 
 def _normalize(name: str) -> str:
     return name.strip().lower().replace(" ", "_").replace("-", "_")
@@ -75,7 +63,7 @@ def _category_for(observation_name: str, inferred: Tuple[str, ...], sensor_type:
         return DataCategory(_normalize(observation_name))
     except ValueError:
         pass
-    return _SENSOR_TYPE_CATEGORY.get(_normalize(sensor_type), DataCategory.ACTIVITY)
+    return DEFAULT_SENSOR_CATEGORY.get(_normalize(sensor_type), DataCategory.ACTIVITY)
 
 
 def practices_from_resource(resource: ResourceDescription) -> List[DataPractice]:

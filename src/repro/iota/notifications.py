@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.language.duration import SECONDS_PER_DAY
 from repro.core.language.vocabulary import sensitivity_of
 from repro.errors import PolicyError
 from repro.iota.preference_model import DataPractice, PreferenceModel
@@ -43,7 +44,6 @@ class NotificationManager:
         model: PreferenceModel,
         relevance_threshold: float = 0.4,
         daily_budget: int = 5,
-        seconds_per_day: int = 86400,
     ) -> None:
         if not 0.0 <= relevance_threshold <= 1.0:
             raise PolicyError("relevance_threshold must lie in [0, 1]")
@@ -52,7 +52,6 @@ class NotificationManager:
         self._model = model
         self.relevance_threshold = relevance_threshold
         self.daily_budget = daily_budget
-        self._seconds_per_day = seconds_per_day
         self._seen: Set[Tuple] = set()
         self._sent_today: Dict[int, int] = {}
         self.sent: List[Notification] = []
@@ -111,7 +110,7 @@ class NotificationManager:
             self._seen.add(key)
             self.suppressed_low_relevance += 1
             return None
-        day = int(now // self._seconds_per_day)
+        day = int(now // SECONDS_PER_DAY)
         if self._sent_today.get(day, 0) >= self.daily_budget:
             # Budget exhausted: do NOT mark as seen so the practice can
             # be surfaced tomorrow.

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.language.builder import ServicePolicyBuilder
+from repro.core.language.duration import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.core.language.vocabulary import Purpose
 from repro.errors import ServiceError
 from repro.services.base import BuildingService
@@ -64,7 +65,7 @@ class FoodDeliveryService(BuildingService):
         return tuple(self._subscribers)
 
     def _is_lunch_time(self, now: float) -> bool:
-        hour = (now % 86400) / 3600.0
+        hour = (now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         return self.LUNCH_START_HOUR <= hour < self.LUNCH_END_HOUR
 
     def deliver(self, user_id: str, now: float) -> DeliveryAttempt:

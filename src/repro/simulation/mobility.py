@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
+from repro.core.language.duration import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.errors import ReproError
 from repro.sensors.environment import EnvironmentView, PresentDevice
 from repro.simulation.inhabitants import Inhabitant
@@ -31,12 +32,10 @@ class BuildingWorld(EnvironmentView):
         spatial: SpatialModel,
         inhabitants: List[Inhabitant],
         seed: int = 0,
-        seconds_per_day: int = 86400,
     ) -> None:
         self._spatial = spatial
         self._inhabitants = {p.user_id: p for p in inhabitants}
         self._rng = random.Random(seed)
-        self._seconds_per_day = seconds_per_day
         self._locations: Dict[str, Optional[str]] = {
             p.user_id: None for p in inhabitants
         }
@@ -71,7 +70,7 @@ class BuildingWorld(EnvironmentView):
     # Time stepping
     # ------------------------------------------------------------------
     def hour_of(self, now: float) -> float:
-        return (now % self._seconds_per_day) / (self._seconds_per_day / 24.0)
+        return (now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
     def step(self, now: float, dt_s: float = 60.0) -> None:
         """Advance the world to ``now``: move people, relax physics."""

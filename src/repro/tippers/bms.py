@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.enforcement.audit import AuditLog
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import GranularityLevel, Purpose
 from repro.core.policy.base import RequesterKind
@@ -93,14 +94,14 @@ class TIPPERS(Endpoint):
         else:
             self.datastore = Datastore()
         # compile_decisions=False selects the reference interpreter.
-        self.engine = EnforcementEngine(
+        engine_cls = CompiledEnforcementEngine if compile_decisions else EnforcementEngine
+        self.engine = engine_cls(
             store=self.store,
             context=self.context,
             strategy=strategy,
             ontology=self.ontology,
             audit=audit,
             metrics=self.metrics,
-            compiled=compile_decisions,
         )
         self.sensor_manager = SensorManager(
             self.engine,

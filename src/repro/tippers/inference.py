@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.language.duration import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.sensors.base import Observation
 from repro.spatial.model import SpatialModel
 from repro.tippers.datastore import Datastore
@@ -57,11 +58,9 @@ class InferenceEngine:
         self,
         datastore: Datastore,
         spatial: Optional[SpatialModel] = None,
-        seconds_per_day: int = 86400,
     ) -> None:
         self._datastore = datastore
         self._spatial = spatial
-        self._seconds_per_day = seconds_per_day
 
     # ------------------------------------------------------------------
     # Occupancy
@@ -177,8 +176,8 @@ class InferenceEngine:
         self, subject_id: str, day_index: int
     ) -> Optional[Tuple[float, float]]:
         """(arrival_hour, departure_hour) of one simulated day."""
-        day_start = day_index * self._seconds_per_day
-        day_end = day_start + self._seconds_per_day
+        day_start = day_index * SECONDS_PER_DAY
+        day_end = day_start + SECONDS_PER_DAY
         observations = self._datastore.query(
             subject_id=subject_id, since=day_start, until=day_end
         )
@@ -188,7 +187,7 @@ class InferenceEngine:
         if not sightings:
             return None
         hours = [
-            (obs.timestamp - day_start) / (self._seconds_per_day / 24.0)
+            (obs.timestamp - day_start) / SECONDS_PER_HOUR
             for obs in sightings
         ]
         return (min(hours), max(hours))
@@ -200,7 +199,7 @@ class InferenceEngine:
             return None
         days = sorted(
             {
-                int(obs.timestamp // self._seconds_per_day)
+                int(obs.timestamp // SECONDS_PER_DAY)
                 for obs in observations
                 if obs.sensor_type in LOCATION_SENSOR_TYPES
             }

@@ -4,9 +4,9 @@
 rule stores -- the reference
 :class:`~repro.core.enforcement.engine.EnforcementEngine` (the oracle)
 and a :class:`~repro.core.enforcement.compiled.CompiledEnforcementEngine`
-constructed through the public ``EnforcementEngine(compiled=True)``
-switch.  Every mutation is applied to both stores; every request is
-decided by both engines and the outcomes compared field by field.
+built with the same arguments.  Every mutation is applied to both
+stores; every request is decided by both engines and the outcomes
+compared field by field.
 
 Observations are also enforced by a third engine, a
 :class:`RequestPathEngine`: the compiled engine with its observation
@@ -107,15 +107,13 @@ class EnginePair:
             audit=AuditLog(metrics=self.reference_metrics),
             metrics=self.reference_metrics,
         )
-        self.compiled = EnforcementEngine(
+        self.compiled = CompiledEnforcementEngine(
             store=PolicyIndex(),
             context=make_context(),
             strategy=strategy,
             audit=AuditLog(metrics=self.compiled_metrics),
             metrics=self.compiled_metrics,
-            compiled=True,
         )
-        assert isinstance(self.compiled, CompiledEnforcementEngine)
         self.request_path = RequestPathEngine(
             store=PolicyIndex(),
             context=make_context(),

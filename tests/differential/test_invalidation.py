@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro.core.enforcement import compiled as compiled_module
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy import catalog
@@ -44,10 +45,9 @@ def request(subject="mary", timestamp=100.0, **overrides):
 @pytest.fixture
 def engine():
     spatial = build_simple_building("b", 2, 4)
-    engine = EnforcementEngine(
+    engine = CompiledEnforcementEngine(
         context=EvaluationContext(spatial=spatial),
         metrics=MetricsRegistry(),
-        compiled=True,
     )
     engine.store.add_policy(catalog.policy_service_sharing("b"))
     return engine
@@ -205,10 +205,9 @@ class TestCapacityBounds:
     def test_max_shards_fifo_eviction(self, monkeypatch):
         monkeypatch.setattr(compiled_module, "MAX_SHARDS", 2)
         spatial = build_simple_building("b", 2, 4)
-        engine = EnforcementEngine(
+        engine = CompiledEnforcementEngine(
             context=EvaluationContext(spatial=spatial),
             metrics=MetricsRegistry(),
-            compiled=True,
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for index in range(5):
@@ -219,10 +218,9 @@ class TestCapacityBounds:
     def test_shard_capacity_clears_full_shard(self, monkeypatch):
         monkeypatch.setattr(compiled_module, "SHARD_CAPACITY", 2)
         spatial = build_simple_building("b", 2, 4)
-        engine = EnforcementEngine(
+        engine = CompiledEnforcementEngine(
             context=EvaluationContext(spatial=spatial),
             metrics=MetricsRegistry(),
-            compiled=True,
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for index in range(5):

@@ -13,7 +13,6 @@ from repro.core.policy.conditions import (
     Always,
     Not,
     ProfileCondition,
-    SpatialCondition,
     TemporalCondition,
 )
 from repro.core.policy.preference import UserPreference
@@ -64,7 +63,6 @@ requests = st.builds(
 
 _leaf_conditions = st.one_of(
     st.just(Always()),
-    st.builds(SpatialCondition, space_id=st.sampled_from(SPACES)),
     st.builds(ProfileCondition, group=st.sampled_from(["faculty", "staff", "grad-student"])),
     st.builds(
         TemporalCondition,

@@ -21,6 +21,7 @@ from repro.bench.workloads import (
     run_once,
     run_scale_federate,
 )
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.reasoner.index import PolicyIndex
 from repro.errors import BenchError
 from repro.sensors.base import Observation
@@ -58,7 +59,7 @@ def test_generated_preferences_draw_category_then_effect_then_cap():
 def test_a_changed_decision_fails_the_equivalence_check():
     reference, _ = build_engine(PolicyIndex, 20)
     requests = make_requests(20, 50, random.Random(3))
-    same, _ = build_engine(PolicyIndex, 20, compiled=True)
+    same, _ = build_engine(PolicyIndex, 20, CompiledEnforcementEngine)
     check_same_decisions(reference, {"compiled": same}, requests)
 
     other, _ = build_engine(PolicyIndex, 0)  # no preferences at all

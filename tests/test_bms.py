@@ -7,6 +7,7 @@ from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
 from repro.errors import PolicyError
 from repro.net.bus import MessageBus, RpcError
+from repro.obs.metrics import MetricsRegistry
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
 
@@ -126,3 +127,27 @@ class TestBusEndpoint:
     def test_malformed_payload_is_rpc_error(self, bus):
         with pytest.raises(RpcError):
             bus.call("tippers", "locate_user", {"subject_id": "mary"})
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"condition": {"kind": "all", "conditions": 5}},
+            {"condition": None},
+            {"condition": 7},
+            {"strength": "x"},
+        ],
+    )
+    def test_malformed_preference_is_counted_rpc_error(self, tippers, malformed):
+        registry = MetricsRegistry()
+        bus = MessageBus(metrics=registry)
+        bus.register("tippers", tippers)
+        payload = preference_to_dict(catalog.preference_2_no_location("mary"))
+        payload.update(malformed)
+        stored = tippers.preference_manager.count()
+        with pytest.raises(RpcError):
+            bus.call("tippers", "submit_preference", {"preference": payload})
+        assert registry.total(
+            "bus_rpc_errors_total",
+            {"target": "tippers", "method": "submit_preference"},
+        ) == 1
+        assert tippers.preference_manager.count() == stored

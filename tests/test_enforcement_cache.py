@@ -146,10 +146,9 @@ class TestCompiledBrownoutBypass:
         from repro.obs.metrics import MetricsRegistry
 
         spatial = build_simple_building("b", 2, 4)
-        engine = EnforcementEngine(
+        engine = CompiledEnforcementEngine(
             context=EvaluationContext(spatial=spatial),
             metrics=MetricsRegistry(),
-            compiled=True,
         )
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         return engine

@@ -267,6 +267,7 @@ class TestEnforcementMetricCompatibility:
 
     @staticmethod
     def _build(compiled):
+        from repro.core.enforcement.compiled import CompiledEnforcementEngine
         from repro.core.enforcement.engine import EnforcementEngine
         from repro.core.language.vocabulary import DataCategory, Purpose
         from repro.core.policy import catalog
@@ -277,7 +278,8 @@ class TestEnforcementMetricCompatibility:
         )
 
         registry = MetricsRegistry()
-        engine = EnforcementEngine(metrics=registry, compiled=compiled)
+        engine_cls = CompiledEnforcementEngine if compiled else EnforcementEngine
+        engine = engine_cls(metrics=registry)
         engine.store.add_policy(catalog.policy_service_sharing("b"))
         for timestamp in (100.0, 200.0):
             engine.decide(

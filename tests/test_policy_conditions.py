@@ -1,25 +1,20 @@
-"""Unit tests for the condition language."""
+"""Unit tests for the condition language, and for the scope selectors
+that say which requests a rule reaches (conditions say only when)."""
 
 import pytest
 
-from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
+from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, RequesterKind
 from repro.core.policy.conditions import (
     AllOf,
     Always,
     AnyOf,
-    CategoryCondition,
     EvaluationContext,
-    GranularityCondition,
     Not,
     ProfileCondition,
-    PurposeCondition,
-    RequesterCondition,
-    SensorTypeCondition,
-    SpatialCondition,
-    SubjectCondition,
     TemporalCondition,
 )
+from repro.core.policy.scope import Scope, in_spaces
 from repro.errors import PolicyError
 from repro.spatial.model import build_simple_building
 
@@ -47,28 +42,37 @@ def context():
     )
 
 
-class TestSpatialCondition:
+class TestSpaceSelector:
+    """``in_spaces``, the one space rule behind ``Scope.admits``."""
+
     def test_exact_match(self, context):
-        assert SpatialCondition("b-1001").matches(request(), context)
+        assert in_spaces("b-1001", ("b-1001",), context.spatial)
+        assert Scope.of(space_ids=("b-1001",)).admits(request(), context.spatial)
 
     def test_hierarchical_containment(self, context):
-        assert SpatialCondition("b").matches(request(), context)
-        assert SpatialCondition("b-f1").matches(request(), context)
-        assert not SpatialCondition("b-f2").matches(request(), context)
+        assert in_spaces("b-1001", ("b",), context.spatial)
+        assert in_spaces("b-1001", ("b-f1",), context.spatial)
+        assert not in_spaces("b-1001", ("b-f2",), context.spatial)
+        assert Scope.of(space_ids=("b",)).admits(request(), context.spatial)
+        assert not Scope.of(space_ids=("b-f2",)).admits(request(), context.spatial)
 
     def test_unlocated_request(self, context):
-        assert not SpatialCondition("b").matches(request(space_id=None), context)
-        assert SpatialCondition("b", match_unlocated=True).matches(
-            request(space_id=None), context
+        assert not in_spaces(None, ("b",), context.spatial)
+        assert not Scope.of(space_ids=("b",)).admits(
+            request(space_id=None), context.spatial
         )
+        assert Scope.of().admits(request(space_id=None), context.spatial)
 
     def test_without_model_falls_back_to_id_equality(self):
-        bare = EvaluationContext()
-        assert SpatialCondition("x").matches(request(space_id="x"), bare)
-        assert not SpatialCondition("x").matches(request(space_id="y"), bare)
+        assert in_spaces("x", ("x",), None)
+        assert not in_spaces("y", ("x",), None)
+        assert not in_spaces("b-1001", ("b",), None)
 
     def test_unknown_condition_space_with_model(self, context):
-        assert not SpatialCondition("nowhere").matches(request(), context)
+        assert not in_spaces("b-1001", ("nowhere",), context.spatial)
+        assert not Scope.of(space_ids=("nowhere",)).admits(request(), context.spatial)
+        assert in_spaces("annex", ("annex",), context.spatial)
+        assert not in_spaces("annex", ("b",), context.spatial)
 
 
 class TestTemporalCondition:
@@ -115,53 +119,48 @@ class TestProfileAndSubject:
         assert not ProfileCondition("faculty").matches(request(subject_id=None), context)
 
     def test_subject_condition(self, context):
-        assert SubjectCondition("mary").matches(request(), context)
-        assert not SubjectCondition("bob").matches(request(), context)
+        mary = Scope.of(subject_ids=("mary",))
+        assert mary.admits(request(), context.spatial)
+        assert not mary.admits(request(subject_id="bob"), context.spatial)
+        assert not mary.admits(request(subject_id=None), context.spatial)
 
 
 class TestSelectorConditions:
-    def test_purpose(self, context):
-        cond = PurposeCondition((Purpose.PROVIDING_SERVICE,))
-        assert cond.matches(request(), context)
-        assert not cond.matches(request(purpose=Purpose.SECURITY), context)
+    """What the selector conditions said, now said by a rule's scope."""
 
-    def test_purpose_empty_rejected(self):
-        with pytest.raises(PolicyError):
-            PurposeCondition(())
+    def test_purpose(self, context):
+        scope = Scope.of(purposes=(Purpose.PROVIDING_SERVICE,))
+        assert scope.admits(request(), context.spatial)
+        assert not scope.admits(request(purpose=Purpose.SECURITY), context.spatial)
 
     def test_requester_by_id_and_kind(self, context):
-        by_id = RequesterCondition(requester_ids=("svc",))
-        by_kind = RequesterCondition(kinds=(RequesterKind.BUILDING_SERVICE,))
-        assert by_id.matches(request(), context)
-        assert by_kind.matches(request(), context)
-        assert not by_id.matches(request(requester_id="other"), context)
-
-    def test_requester_needs_some_selector(self):
-        with pytest.raises(PolicyError):
-            RequesterCondition()
+        by_id = Scope.of(requester_ids=("svc",))
+        by_kind = Scope.of(requester_kinds=(RequesterKind.BUILDING_SERVICE,))
+        assert by_id.admits(request(), context.spatial)
+        assert by_kind.admits(request(), context.spatial)
+        assert not by_id.admits(request(requester_id="other"), context.spatial)
+        assert not by_kind.admits(
+            request(requester_kind=RequesterKind.THIRD_PARTY_SERVICE), context.spatial
+        )
 
     def test_category(self, context):
-        cond = CategoryCondition((DataCategory.LOCATION, DataCategory.PRESENCE))
-        assert cond.matches(request(), context)
-        assert not cond.matches(request(category=DataCategory.ENERGY_USE), context)
-
-    def test_granularity_finer_than(self, context):
-        cond = GranularityCondition(finer_than=GranularityLevel.COARSE)
-        assert cond.matches(request(granularity=GranularityLevel.PRECISE), context)
-        assert not cond.matches(request(granularity=GranularityLevel.COARSE), context)
+        scope = Scope.of(categories=(DataCategory.LOCATION, DataCategory.PRESENCE))
+        assert scope.admits(request(), context.spatial)
+        assert not scope.admits(request(category=DataCategory.ENERGY_USE), context.spatial)
 
     def test_sensor_type(self, context):
-        cond = SensorTypeCondition(("wifi_access_point",))
-        assert cond.matches(request(sensor_type="wifi_access_point"), context)
-        assert not cond.matches(request(sensor_type="camera"), context)
-        assert not cond.matches(request(), context)
+        scope = Scope.of(sensor_types=("wifi_access_point",))
+        assert scope.admits(request(sensor_type="wifi_access_point"), context.spatial)
+        assert not scope.admits(request(sensor_type="camera"), context.spatial)
+        assert not scope.admits(request(), context.spatial)
 
 
 class TestCombinators:
     def test_all_of(self, context):
-        cond = AllOf((ProfileCondition("faculty"), SpatialCondition("b")))
+        business_hours = TemporalCondition(start_hour=9, end_hour=17)
+        cond = AllOf((ProfileCondition("faculty"), business_hours))
         assert cond.matches(request(), context)
-        assert not AllOf((ProfileCondition("staff"), SpatialCondition("b"))).matches(
+        assert not AllOf((ProfileCondition("staff"), business_hours)).matches(
             request(), context
         )
 
@@ -179,7 +178,7 @@ class TestCombinators:
         assert Not(ProfileCondition("staff")).matches(request(), context)
 
     def test_operator_sugar(self, context):
-        cond = ProfileCondition("faculty") & SpatialCondition("b")
+        cond = ProfileCondition("faculty") & TemporalCondition(9, 17)
         assert cond.matches(request(), context)
         cond = ProfileCondition("staff") | ProfileCondition("faculty")
         assert cond.matches(request(), context)

@@ -13,8 +13,6 @@ from repro.core.policy.conditions import (
     Condition,
     Not,
     ProfileCondition,
-    SpatialCondition,
-    SubjectCondition,
     TemporalCondition,
 )
 from repro.core.policy.preference import UserPreference
@@ -32,14 +30,14 @@ class TestConditionSerialization:
         "condition",
         [
             Always(),
-            SpatialCondition("b-1001"),
-            SpatialCondition("b", match_unlocated=True),
+            AllOf(()),
+            AnyOf(()),
             TemporalCondition(start_hour=18, end_hour=8),
             TemporalCondition(start_hour=9, end_hour=17, weekdays_only=True),
             ProfileCondition("faculty"),
-            SubjectCondition("mary"),
+            Not(TemporalCondition(start_hour=0, end_hour=6)),
             Not(ProfileCondition("staff")),
-            AllOf((SpatialCondition("b"), TemporalCondition(9, 17))),
+            AllOf((ProfileCondition("faculty"), TemporalCondition(9, 17))),
             AnyOf((ProfileCondition("a"), ProfileCondition("b"))),
         ],
     )
@@ -47,13 +45,55 @@ class TestConditionSerialization:
         assert condition_from_dict(condition_to_dict(condition)) == condition
 
     def test_json_compatible(self):
-        condition = AllOf((SpatialCondition("b"), Not(TemporalCondition(9, 17))))
+        condition = AllOf((ProfileCondition("faculty"), Not(TemporalCondition(9, 17))))
         text = json.dumps(condition_to_dict(condition))
         assert condition_from_dict(json.loads(text)) == condition
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PolicyError):
             condition_from_dict({"kind": "quantum"})
+
+    def test_only_when_kinds_decode(self):
+        """A condition says when, never which requests: the kinds that
+        restated a selector (``spatial``, ``subject``) are not decoded."""
+        decodable = {"always", "temporal", "profile", "all", "any", "not"}
+        bodies = {
+            "temporal": {"start_hour": 1, "end_hour": 2},
+            "profile": {"group": "faculty"},
+            "all": {"conditions": []},
+            "any": {"conditions": []},
+            "not": {"condition": {"kind": "always"}},
+        }
+        for kind in decodable:
+            condition_from_dict(dict(bodies.get(kind, {}), kind=kind))
+        for retired in (
+            {"kind": "spatial", "space_id": "b"},
+            {"kind": "subject", "subject_id": "mary"},
+        ):
+            with pytest.raises(PolicyError, match="unknown condition kind"):
+                condition_from_dict(retired)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            None,
+            7,
+            "always",
+            [],
+            {"kind": "all", "conditions": 5},
+            {"kind": "any", "conditions": "ab"},
+            {"kind": "all", "conditions": [None]},
+            {"kind": "not"},
+            {"kind": "temporal", "start_hour": "9", "end_hour": 17},
+            {"kind": "temporal", "start_hour": True, "end_hour": 17},
+            {"kind": "temporal", "start_hour": 9, "end_hour": 17, "weekdays_only": 1},
+            {"kind": "profile"},
+            {"kind": "profile", "group": ["faculty"]},
+        ],
+    )
+    def test_malformed_condition_is_policy_error(self, data):
+        with pytest.raises(PolicyError):
+            condition_from_dict(data)
 
     def test_custom_condition_not_serializable(self):
         class Weird(Condition):
@@ -94,6 +134,36 @@ class TestPreferenceSerialization:
     def test_malformed_payload_rejected(self):
         with pytest.raises(PolicyError):
             preference_from_dict({"preference_id": "p"})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("condition", {"kind": "all", "conditions": 5}),
+            ("condition", None),
+            ("condition", 7),
+            ("strength", "x"),
+            ("strength", True),
+            ("strength", float("nan")),
+            ("preference_id", 5),
+            ("description", None),
+            ("categories", "location"),
+            ("categories", [["location"]]),
+            ("phases", None),
+            ("requester_ids", "concierge"),
+            ("space_ids", [1001]),
+            ("granularity_cap", 3),
+        ],
+    )
+    def test_malformed_field_is_policy_error(self, field, value):
+        data = preference_to_dict(self.full_preference())
+        data[field] = value
+        with pytest.raises(PolicyError):
+            preference_from_dict(data)
+
+    @pytest.mark.parametrize("data", [None, 7, "p1", [], [["preference_id", "p"]]])
+    def test_non_object_payload_is_policy_error(self, data):
+        with pytest.raises(PolicyError):
+            preference_from_dict(data)
 
     def test_bad_enum_value_rejected(self):
         data = preference_to_dict(self.full_preference())
