@@ -22,9 +22,10 @@ test-fast:
 # compacts, the P005 shadowed-rule lint against the enforcement
 # engine's decisions, and the scope algebra (covers, overlaps, key and
 # conflict detection) against brute force over which requests each
-# rule admits.  The ci Hypothesis profile
-# generates 250 examples per property (>= 1000 decisions checked
-# against the reference interpreter per run).
+# rule admits.  Also fuzzing: the WAL record decoder on arbitrary bytes
+# and JSON values, and the round trip of every record type.  The ci
+# Hypothesis profile generates 250 examples per property (>= 1000
+# decisions checked against the reference interpreter per run).
 diff-test:
 	REPRO_DIFF_PROFILE=diff-ci $(PYTEST) tests/differential -q
 

@@ -29,9 +29,12 @@ class AuditRecord(NamedTuple):
     order of magnitude cheaper than frozen-dataclass ``__init__``.  The
     field order is part of the compiled-table layout (see
     ``enforcement/compiled.py``): a cached row stores the tail of this
-    tuple (everything after ``timestamp``) precomputed.  It also fixes
-    the WAL field template (``repro.storage.records``), which unpacks
-    the tuple in this order; a new field must be added there too.
+    tuple (everything after ``timestamp``) precomputed.  It is also the
+    WAL's positional order: an ``audit`` record is the array
+    ``["audit", timestamp, requester_id, ...]`` with no key names
+    (``records.FIELDS[AUDIT]`` is this tuple's ``_fields``), written by a
+    field template in ``repro.storage.records`` that unpacks the tuple in
+    this order; a new field must be added to that template too.
     """
 
     timestamp: float

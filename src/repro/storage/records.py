@@ -1,20 +1,32 @@
 """The logical records carried inside WAL frames.
 
 A record is ``(type, data)`` where ``data`` is a JSON-compatible dict.
-The wire form is canonical compact JSON (sorted keys), so a given
-logical record always encodes to the same bytes -- which is what makes
-same-seed chaos runs produce byte-identical logs.
+The wire form is one canonical compact JSON array whose first element
+is the type (nested dicts have sorted keys), so a given logical record
+always encodes to the same bytes -- which is what makes same-seed chaos
+runs produce byte-identical logs:
 
-The two hot types, ``audit`` (one per enforcement decision) and ``obs``
-(one per stored observation), are written straight from their typed
-objects by :func:`encode_audit` and :func:`encode_observation`: a
-``%``-template lists the fields in sorted-key order, so no dict is
-built or sorted.  The template writes the bytes :func:`encode_record`
-would write for the object's dict; anything it cannot write exactly
-falls through to that generic path, which is also the differential
-oracle (``tests/differential/test_diff_records.py``).  A field added to
+- the two hot types, ``audit`` (one per enforcement decision) and
+  ``obs`` (one per stored observation), list their fields positionally
+  in the order :data:`FIELDS` declares:
+  ``["audit",48600.0,"building","capture",...]``.  No key name is
+  written, so each frame is about half the size of a keyed one and
+  still decodes on its own;
+- the four cold types are ``[type, data]``.
+
+Both hot types are written straight from their typed objects by
+:func:`encode_audit` and :func:`encode_observation`: a ``%``-template
+lists the fields in :data:`FIELDS` order, so no dict or list is built.
+The template writes the bytes :func:`encode_record` would write for the
+object's dict; anything it cannot write exactly falls through to that
+generic path, which is also the differential oracle
+(``tests/differential/test_diff_records.py``).  A field added to
 :class:`~repro.core.enforcement.audit.AuditRecord` or
-:class:`~repro.sensors.base.Observation` must be added to its template.
+:class:`~repro.sensors.base.Observation` must be added to
+:data:`FIELDS` and to its template; :func:`encode_record` refuses a
+dict whose keys differ from :data:`FIELDS`, so a field is never dropped
+silently.  The keyed ``{"t": ..., "d": {...}}`` form of earlier stores
+is not read.
 
 Record types:
 
@@ -51,6 +63,15 @@ MIGRATION = "migration"
 
 RECORD_TYPES = (OBS, ERASE, AUDIT, PREF, PREF_WITHDRAW_ALL, MIGRATION)
 
+#: The positional types and the order their fields are written in.
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    AUDIT: AuditRecord._fields,
+    OBS: (
+        "observation_id", "sensor_id", "sensor_type", "timestamp",
+        "space_id", "payload", "subject_id", "granularity",
+    ),
+}
+
 
 #: The canonical encoder, built once: ``json.dumps`` with these options
 #: would construct a new encoder on every call.
@@ -60,14 +81,28 @@ _CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=F
 def encode_record(record_type: str, data: Dict[str, Any]) -> bytes:
     """The canonical payload bytes for one logical record.
 
-    Raises :class:`StorageError` for an unknown type or for data that is
-    not canonical JSON (a non-finite float, unsortable keys, a value
-    JSON cannot represent).
+    Raises :class:`StorageError` for an unknown type, for data that is
+    not a dict, for a positional type whose keys differ from
+    :data:`FIELDS`, or for data that is not canonical JSON (a
+    non-finite float, unsortable keys, a value JSON cannot represent).
     """
     if record_type not in RECORD_TYPES:
         raise StorageError("unknown record type %r" % record_type)
+    if not isinstance(data, dict):
+        raise StorageError("%s record data is not a dict" % record_type)
+    fields = FIELDS.get(record_type)
+    if fields is None:
+        body = [record_type, data]
+    elif data.keys() == set(fields):
+        body = [record_type]
+        body.extend(data[name] for name in fields)
+    else:
+        raise StorageError(
+            "%s record fields %s are not %s"
+            % (record_type, sorted(map(str, data)), list(fields))
+        )
     try:
-        return _CANONICAL.encode({"t": record_type, "d": data}).encode("utf-8")
+        return _CANONICAL.encode(body).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise StorageError("record is not canonical JSON: %s" % exc) from None
 
@@ -80,18 +115,9 @@ _PHASES = _json_values(DecisionPhase)
 _EFFECTS = _json_values(Effect)
 _GRANULARITIES = _json_values(GranularityLevel)
 
-# The ``{"t": ..., "d": {...}}`` envelopes with the fields of
-# ``audit_record_to_dict`` / ``Observation.to_dict`` in sorted-key order.
-_AUDIT_TEMPLATE = (
-    '{"d":{"category":%s,"effect":%s,"granularity":%s,"notify_user":%s,'
-    '"phase":%s,"reasons":[%s],"requester_id":%s,"space_id":%s,'
-    '"subject_id":%s,"timestamp":%r},"t":"audit"}'
-)
-_OBS_TEMPLATE = (
-    '{"d":{"granularity":%s,"observation_id":%d,"payload":%s,'
-    '"sensor_id":%s,"sensor_type":%s,"space_id":%s,"subject_id":%s,'
-    '"timestamp":%r},"t":"obs"}'
-)
+# The arrays ``encode_record`` writes, with the fields in FIELDS order.
+_AUDIT_TEMPLATE = '["audit",%r,%s,%s,%s,%s,%s,%s,%s,[%s],%s]'
+_OBS_TEMPLATE = '["obs",%d,%s,%s,%r,%s,%s,%s,%s]'
 
 
 def _audit_payload(record: AuditRecord) -> bytes:
@@ -107,16 +133,16 @@ def _audit_payload(record: AuditRecord) -> bytes:
     ):
         raise TypeError("not a template audit record")
     return (_AUDIT_TEMPLATE % (
+        timestamp,
+        _quote(requester_id),
+        _PHASES[phase],
         _quote(category),
+        "null" if subject_id is None else _quote(subject_id),
+        "null" if space_id is None else _quote(space_id),
         _EFFECTS[effect],
         _GRANULARITIES[granularity],
-        "true" if notify_user else "false",
-        _PHASES[phase],
         ",".join(map(_quote, reasons)),
-        _quote(requester_id),
-        "null" if space_id is None else _quote(space_id),
-        "null" if subject_id is None else _quote(subject_id),
-        timestamp,
+        "true" if notify_user else "false",
     )).encode("utf-8")
 
 
@@ -136,14 +162,14 @@ def _observation_payload(observation: Observation) -> bytes:
     ):
         raise TypeError("not a template observation")
     return (_OBS_TEMPLATE % (
-        _quote(observation.granularity),
         observation_id,
-        _CANONICAL.encode(payload),
         _quote(observation.sensor_id),
         _quote(observation.sensor_type),
-        "null" if space_id is None else _quote(space_id),
-        "null" if subject_id is None else _quote(subject_id),
         timestamp,
+        "null" if space_id is None else _quote(space_id),
+        _CANONICAL.encode(payload),
+        "null" if subject_id is None else _quote(subject_id),
+        _quote(observation.granularity),
     )).encode("utf-8")
 
 
@@ -177,13 +203,27 @@ def encode_observation(observation: Observation) -> bytes:
 
 
 def decode_record(payload: bytes) -> Tuple[str, Dict[str, Any]]:
-    """Parse one record payload; raises :class:`StorageError` on garbage."""
+    """Parse one record payload into ``(type, data)``.
+
+    A positional type's ``data`` has its :data:`FIELDS` as keys.  Raises
+    :class:`StorageError` on anything that is not a record array,
+    including the keyed envelope of earlier stores.
+    """
     try:
-        envelope = json.loads(payload.decode("utf-8"))
-        record_type = envelope["t"]
-        data = envelope["d"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        body = json.loads(payload.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise StorageError("malformed storage record: %s" % exc) from None
-    if record_type not in RECORD_TYPES or not isinstance(data, dict):
+    if type(body) is not list or not body or type(body[0]) is not str:
         raise StorageError("malformed storage record envelope")
-    return record_type, data
+    record_type = body[0]
+    fields = FIELDS.get(record_type)
+    if fields is not None:
+        if len(body) == len(fields) + 1:
+            return record_type, dict(zip(fields, body[1:]))
+    elif (
+        record_type in RECORD_TYPES
+        and len(body) == 2
+        and type(body[1]) is dict
+    ):
+        return record_type, body[1]
+    raise StorageError("malformed %r storage record" % record_type[:32])

@@ -50,6 +50,23 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.storage.durable import StorageEngine
     from repro.storage.recovery import RecoveryReport
 
+#: What a payload's ``now`` may be: a JSON number.
+_NUMBER = (int, float)
+
+
+def _field(payload: Dict[str, Any], name: str, kind: Any) -> Any:
+    """``payload[name]``; a :class:`ValueError` if it is not a ``kind``.
+
+    A payload of the wrong shape is then refused like a missing field,
+    as an ``RpcError``, before anything is logged or stored.
+    """
+    value = payload[name]
+    if not isinstance(value, kind):
+        raise ValueError(
+            "payload field %r has type %s" % (name, type(value).__name__)
+        )
+    return value
+
 
 class TIPPERS(Endpoint):
     """The privacy-aware building management system."""
@@ -488,19 +505,21 @@ class TIPPERS(Endpoint):
             conflicts = self.submit_preference(preference)
             return {"conflicts": [c.describe() for c in conflicts]}
         if method == "submit_selection":
-            conflicts = self.apply_selection(payload["user_id"], payload["selection"])
+            conflicts = self.apply_selection(
+                _field(payload, "user_id", str), _field(payload, "selection", dict)
+            )
             return {"conflicts": [c.describe() for c in conflicts]}
         if method == "preview_effects":
             from repro.tippers.preview import preview_effects
 
-            user_id = payload["user_id"]
+            user_id = _field(payload, "user_id", str)
             if user_id not in self.directory:
                 raise NetworkError("unknown user %r" % user_id)
             preview = preview_effects(
                 self.engine,
                 user_id,
                 payload.get("space_id", self.building_id),
-                payload["now"],
+                _field(payload, "now", _NUMBER),
             )
             return {
                 "user_id": preview.user_id,
@@ -519,7 +538,9 @@ class TIPPERS(Endpoint):
             from repro.tippers.dsar import subject_access_report
 
             report = subject_access_report(
-                self, payload["user_id"], payload["now"]
+                self,
+                _field(payload, "user_id", str),
+                _field(payload, "now", _NUMBER),
             )
             return {
                 "user_id": report.user_id,
@@ -532,8 +553,8 @@ class TIPPERS(Endpoint):
 
             receipt = erase_subject(
                 self,
-                payload["user_id"],
-                payload["now"],
+                _field(payload, "user_id", str),
+                _field(payload, "now", _NUMBER),
                 withdraw_preferences=bool(
                     payload.get("withdraw_preferences", False)
                 ),
@@ -548,9 +569,9 @@ class TIPPERS(Endpoint):
         if method == "register_roaming":
             from repro.users.profile import profile_from_dict
 
-            profile = profile_from_dict(payload["profile"])
+            profile = profile_from_dict(_field(payload, "profile", dict))
             added = self.register_roaming_user(
-                profile, payload["home_building_id"]
+                profile, _field(payload, "home_building_id", str)
             )
             return {
                 "user_id": profile.user_id,
@@ -559,30 +580,30 @@ class TIPPERS(Endpoint):
             }
         if method == "migrate_export":
             return self.migrate_export(
-                payload["migration_id"],
-                payload["user_id"],
-                payload["to_building"],
+                _field(payload, "migration_id", str),
+                _field(payload, "user_id", str),
+                _field(payload, "to_building", str),
             )
         if method == "migrate_import":
             return self.migrate_import(
-                payload["migration_id"],
-                payload["user_id"],
-                payload["from_building"],
-                payload["snapshot"],
+                _field(payload, "migration_id", str),
+                _field(payload, "user_id", str),
+                _field(payload, "from_building", str),
+                _field(payload, "snapshot", dict),
             )
         if method == "migrate_finalize":
             return self.migrate_finalize(
-                payload["migration_id"],
-                payload["user_id"],
-                payload["to_building"],
+                _field(payload, "migration_id", str),
+                _field(payload, "user_id", str),
+                _field(payload, "to_building", str),
             )
         if method == "locate_user":
             marker = payload.get("migration_marker")
             response = self.locate_user(
-                payload["requester_id"],
+                _field(payload, "requester_id", str),
                 RequesterKind(payload.get("requester_kind", "building_service")),
-                payload["subject_id"],
-                payload["now"],
+                _field(payload, "subject_id", str),
+                _field(payload, "now", _NUMBER),
                 purpose=Purpose(payload.get("purpose", "providing_service")),
                 granularity=GranularityLevel(payload.get("granularity", "precise")),
                 brownout_level=int(payload.get("brownout_level", 0)),
@@ -604,10 +625,10 @@ class TIPPERS(Endpoint):
         if method == "room_occupancy":
             marker = payload.get("migration_marker")
             response = self.room_occupancy(
-                payload["requester_id"],
+                _field(payload, "requester_id", str),
                 RequesterKind(payload.get("requester_kind", "building_service")),
-                payload["space_id"],
-                payload["now"],
+                _field(payload, "space_id", str),
+                _field(payload, "now", _NUMBER),
                 purpose=Purpose(payload.get("purpose", "providing_service")),
                 extra_notes=(str(marker),) if marker else (),
             )

@@ -1,10 +1,11 @@
-"""Differential tests: WAL field templates vs the generic record encoder.
+"""Differential and fuzz tests of the WAL record codec.
 
 ``audit`` and ``obs`` records are written straight from their typed
 objects (:func:`repro.storage.records.encode_audit` /
 :func:`~repro.storage.records.encode_observation`); the reference is
 ``encode_record(type, to_dict(obj))``, the generic path every other
-record type takes.  On every input:
+record type takes, whose bytes must be the canonical array
+``[type, *fields in FIELDS order]``.  On every input:
 
 - a well-typed object (finite ``float`` timestamp, ``str`` fields,
   JSON-encodable payload) must be written by the template itself, byte
@@ -14,15 +15,24 @@ record type takes.  On every input:
   same bytes, or the same exception (a :class:`StorageError` for a
   non-finite float).
 
+The decoder is fuzzed: on arbitrary bytes and arbitrary JSON values
+(non-arrays, any arity, non-string or unhashable types, non-dict cold
+data, the keyed ``{"t","d"}`` form of earlier stores) it returns a
+``(str, dict)`` record or raises :class:`StorageError`, nothing else.
+Every type round-trips both ways, as a serializer should:
+``decode(encode(t, d)) == (t, d)``, and a canonical payload that
+decodes re-encodes to the same bytes.
+
 WAL frames are checked against the reference framing,
 ``crc32(prefix + payload)``.
 
 The example counts come from the profiles in ``conftest.py``; the
-``@example``s pin one input per fallback.
+``@example``s pin one input per fallback and per malformed shape.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import zlib
@@ -144,6 +154,11 @@ def assert_same_bytes(
     """``encode`` and its template agree with the reference on ``record``."""
     expected = _outcome(lambda: records.encode_record(record_type, to_dict(record)))
     assert _outcome(lambda: encode(record)) == expected
+    if isinstance(expected, bytes):
+        data = to_dict(record)
+        assert json.loads(expected) == [record_type] + [
+            data[name] for name in records.FIELDS[record_type]
+        ]
     if well_typed and isinstance(expected, bytes):
         assert template(record) == expected
     else:
@@ -264,3 +279,115 @@ def test_frame_matches_reference_and_round_trips(lsn, payload):
     assert reason == ""
     assert (frame.lsn, frame.payload) == (lsn, payload)
     assert next_offset == 4 + len(encoded)
+
+
+finite_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False), texts,
+)
+finite_values = st.recursive(
+    finite_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(texts, children, max_size=3),
+    max_leaves=8,
+)
+finite_dicts = st.dictionaries(texts, finite_values, max_size=4)
+finite_timestamps = st.floats(allow_nan=False, allow_infinity=False)
+
+#: One well-formed ``(type, data)`` record of each of the six types.
+record_dicts = st.one_of(
+    st.builds(
+        lambda record, timestamp: record._replace(timestamp=timestamp),
+        audit_records,
+        finite_timestamps,
+    ).map(lambda r: (records.AUDIT, audit_record_to_dict(r))),
+    st.builds(
+        Observation,
+        observation_id=st.integers(),
+        sensor_id=texts,
+        sensor_type=texts,
+        timestamp=finite_timestamps,
+        space_id=optional_texts,
+        payload=finite_dicts,
+        subject_id=optional_texts,
+        granularity=texts,
+    ).map(lambda o: (records.OBS, o.to_dict())),
+    st.tuples(
+        st.sampled_from([t for t in records.RECORD_TYPES if t not in records.FIELDS]),
+        finite_dicts,
+    ),
+)
+
+#: Arrays shaped like records but wrong in one way or another.
+record_like = st.builds(
+    lambda head, rest: [head] + rest,
+    st.sampled_from(records.RECORD_TYPES) | texts | finite_values,
+    st.lists(finite_values, max_size=12),
+)
+keyed_envelopes = st.builds(
+    lambda record_type, data: {"t": record_type, "d": data},
+    st.sampled_from(records.RECORD_TYPES),
+    finite_dicts,
+)
+
+
+def decodes_or_refuses(payload: bytes) -> Any:
+    """The decoder's result on ``payload``, or None if it refused."""
+    try:
+        result = records.decode_record(payload)
+    except StorageError:
+        return None
+    assert type(result) is tuple and len(result) == 2
+    record_type, data = result
+    assert type(record_type) is str and record_type in records.RECORD_TYPES
+    assert type(data) is dict
+    if record_type in records.FIELDS:
+        assert tuple(data) == records.FIELDS[record_type]
+    return result
+
+
+@given(st.binary(max_size=256))
+@example(b"")
+@example(b"\xff\xfe\x00")
+@example(b"[" * 100_000)
+@example(b'["audit"')
+@example(b'{"d":{"user_id":"mary"},"t":"pref"}')
+def test_decode_arbitrary_bytes_is_a_record_or_storage_error(payload):
+    decodes_or_refuses(payload)
+
+
+@given(finite_values | record_like | keyed_envelopes)
+@example([])
+@example("audit")
+@example(["audit"])
+@example(["obs", 1, 2])
+@example(["audit"] + [None] * 11)
+@example([5, {}])
+@example([["pref"], {}])
+@example([{"t": "pref"}, {}])
+@example(["pref", 5])
+@example(["pref", []])
+@example(["pref", {}, {}])
+@example(["table", {}])
+@example({"t": "pref", "d": {"user_id": "mary"}})
+@example({"t": "audit", "d": {}})
+def test_decode_arbitrary_json_is_a_record_or_storage_error(value):
+    payload = records._CANONICAL.encode(value).encode("utf-8")
+    result = decodes_or_refuses(payload)
+    if isinstance(value, dict):
+        assert result is None  # the keyed form is not read
+    if result is not None:
+        assert records.encode_record(*result) == payload
+
+
+@given(record_dicts)
+@example((records.ERASE, {"subject_id": "mary"}))
+@example((records.PREF_WITHDRAW_ALL, {}))
+@example((records.MIGRATION, {"phase": "copy", "snapshot": {"obs": [1.5, None]}}))
+@example((records.OBS, _observation(space_id=None, subject_id=None).to_dict()))
+@example((records.AUDIT, audit_record_to_dict(_audit(reasons=()))))
+def test_every_record_type_round_trips(record):
+    record_type, data = record
+    payload = records.encode_record(record_type, data)
+    assert records.decode_record(payload) == (record_type, data)
+    assert records.encode_record(*records.decode_record(payload)) == payload

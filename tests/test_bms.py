@@ -8,6 +8,7 @@ from repro.core.policy.serialization import preference_to_dict
 from repro.errors import PolicyError
 from repro.net.bus import MessageBus, RpcError
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.durable import StorageEngine
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
 
@@ -151,3 +152,57 @@ class TestBusEndpoint:
             {"target": "tippers", "method": "submit_preference"},
         ) == 1
         assert tippers.preference_manager.count() == stored
+
+    @pytest.mark.parametrize(
+        "method,payload",
+        [
+            ("submit_selection", {"user_id": "mary", "selection": 5}),
+            ("locate_user", {"requester_id": "svc", "subject_id": ["mary"], "now": 1.0}),
+            ("locate_user", {"requester_id": "svc", "subject_id": "mary", "now": "x"}),
+            ("locate_user", {"requester_id": 5, "subject_id": "mary", "now": 1.0}),
+            ("room_occupancy", {"requester_id": "svc", "space_id": ["b-1001"], "now": 1.0}),
+            ("room_occupancy", {"requester_id": ["svc"], "space_id": "b-1001", "now": 1.0}),
+            ("preview_effects", {"user_id": ["mary"], "now": 1.0}),
+            ("preview_effects", {"user_id": "mary", "now": "x"}),
+            ("dsar_report", {"user_id": "mary", "now": "x"}),
+            ("dsar_report", {"user_id": ["mary"], "now": 1.0}),
+            ("dsar_erase", {"user_id": "mary", "now": "x"}),
+            ("register_roaming", {"profile": 5, "home_building_id": "c"}),
+            ("migrate_export", {"migration_id": "m1", "user_id": ["mary"], "to_building": "c"}),
+            (
+                "migrate_finalize",
+                {"migration_id": "m1", "user_id": ["mary"], "to_building": "c"},
+            ),
+            (
+                "migrate_import",
+                {"migration_id": "m1", "user_id": "zed", "from_building": "c",
+                 "snapshot": 5},
+            ),
+            (
+                "migrate_import",
+                {"migration_id": ["m1"], "user_id": "zed", "from_building": "c",
+                 "snapshot": {}},
+            ),
+        ],
+    )
+    def test_wrong_shape_payload_is_counted_rpc_error(
+        self, small_building, mary, tmp_path, method, payload
+    ):
+        registry = MetricsRegistry()
+        storage = StorageEngine(str(tmp_path), metrics=registry)
+        tippers = TIPPERS(small_building, "b", owner_name="UCI", storage=storage)
+        tippers.define_policy(catalog.policy_service_sharing("b"))
+        tippers.add_user(mary)
+        bus = MessageBus(metrics=registry)
+        bus.register("tippers", tippers)
+        next_lsn = storage.wal.next_lsn
+        with pytest.raises(RpcError):
+            bus.call("tippers", method, payload)
+        assert registry.total(
+            "bus_rpc_errors_total", {"target": "tippers", "method": method}
+        ) == 1
+        assert storage.wal.next_lsn == next_lsn
+        assert len(tippers.audit) == 0
+        assert tippers.preference_manager.count() == 0
+        assert [p.user_id for p in tippers.directory] == ["mary"]
+        storage.close()

@@ -177,6 +177,16 @@ class TestStorageDocExamples:
         assert match, "the storage doc must list the record types"
         assert tuple(re.findall(r"`(\w+)`", match.group(1))) == RECORD_TYPES
 
+    def test_documented_field_orders_match_the_code(self, storage_text):
+        from repro.storage.records import FIELDS
+
+        rows = re.findall(r"^\| `(\w+)` \| (`.*`) \|$", storage_text, re.M)
+        documented = {
+            record_type: tuple(re.findall(r"`(\w+)`", fields))
+            for record_type, fields in rows
+        }
+        assert documented == FIELDS
+
     def test_documented_metrics_exist(self, storage_text):
         import pathlib
 

@@ -62,7 +62,7 @@ def corrupt_frame(path, index):
 def tear_tail(path):
     """Append half a frame: what a crash mid-write leaves behind."""
     frames = scan_segment(path).frames
-    frame = encode_frame(len(frames) + 1, b'{"d":{},"t":"obs"}')
+    frame = encode_frame(len(frames) + 1, b'["obs",4,"s1","wifi_access_point",4.0,null,{},null,"precise"]')
     with open(path, "ab") as handle:
         handle.write(frame[: len(frame) // 2])
 

@@ -42,10 +42,11 @@ def audit_record(timestamp):
 
 class TestRecordCodec:
     def test_round_trip(self):
-        payload = records.encode_record(records.OBS, {"a": 1, "b": [2, 3]})
-        record_type, data = records.decode_record(payload)
+        data = obs(1.0).to_dict()
+        payload = records.encode_record(records.OBS, data)
+        record_type, decoded = records.decode_record(payload)
         assert record_type == records.OBS
-        assert data == {"a": 1, "b": [2, 3]}
+        assert decoded == data
 
     def test_canonical_encoding_is_stable(self):
         first = records.encode_record(records.PREF, {"b": 1, "a": 2})
@@ -56,9 +57,24 @@ class TestRecordCodec:
         with pytest.raises(StorageError):
             records.decode_record(b"not json")
         with pytest.raises(StorageError):
-            records.decode_record(b'["not", "an", "object"]')
+            records.decode_record(b'{"not": "an array"}')
         with pytest.raises(StorageError):  # no longer a record type
-            records.decode_record(b'{"d":{},"t":"table"}')
+            records.decode_record(b'["table",{}]')
+
+    def test_keyed_envelope_is_not_read(self):
+        with pytest.raises(StorageError):
+            records.decode_record(b'{"d":{"user_id":"mary"},"t":"pref"}')
+
+    def test_positional_record_with_wrong_keys_is_storage_error(self):
+        data = audit_record_to_dict(audit_record(1.0))
+        extra = dict(data, decision_id=7)
+        missing = dict(data)
+        del missing["reasons"]
+        for wrong in (extra, missing, {}):
+            with pytest.raises(StorageError):
+                records.encode_record(records.AUDIT, wrong)
+        with pytest.raises(StorageError):
+            records.encode_record(records.OBS, {"a": 1, "b": [2, 3]})
 
     @pytest.mark.parametrize(
         "data",

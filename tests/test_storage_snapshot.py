@@ -93,7 +93,7 @@ class TestPreferenceSnapshots:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = self.snapshot(tmp_path, [{"user_id": "mary", "preference_id": "p1"}])
         with open(path, "ab") as handle:
-            handle.write(encode_frame(2, b'{"d":{"user_id":"bo"},"t":"pref"}')[:20])
+            handle.write(encode_frame(2, b'["pref",{"user_id":"bo"}]')[:20])
         state = replay_directory(str(tmp_path))
         assert len(state.preferences) == 1
         assert state.report.snapshot_torn_tails == 1

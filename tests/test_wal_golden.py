@@ -29,14 +29,10 @@ TICKS = 4
 
 #: segment file name -> sha256 of its bytes.
 DIGESTS = {
-    "wal-00000001.seg": "a1c14a3a2efb9c7d3616f55f5be50813558ce3e8af6f69157d092720662299c9",
-    "wal-00000002.seg": "1522d82b9ce19fc4c7ac9791be6545602900e048f9b4ece6a5430f0da4822412",
-    "wal-00000003.seg": "6c6a62b82998a9a4dccff751deed9a139b827777627f714441d5600ad814d28c",
-    "wal-00000004.seg": "8a36f8e20c5503063ac5a64121b7ede0f7ff8440745bfae2d291225ff7620da9",
-    "wal-00000005.seg": "a0378408ed2b8f1097123af537f4aaf4aa73e3630b46cd7789a09c856ac292ff",
-    "wal-00000006.seg": "0c98881377f71a4e3c15fab8b51b9508d4847b80f6871ac04fc7fef31a4d98d3",
-    "wal-00000007.seg": "2e0f6d8c068bc18170423c992b445969e775d609434701bdd837264891b536a4",
-    "wal-00000008.seg": "e72cabbbae25a0d4d6fd333a58d14fc38c7eb7e65ca04b87dbc9bd88c2f63d8e",
+    "wal-00000001.seg": "9c5bc96434cb19115a6324b7d5a157eae7ca4d8837ad95ba44d4f1c31373603f",
+    "wal-00000002.seg": "5b87c73039cd14d0c8b5ec41402b824648ffc973666134ab7342a14b499d606b",
+    "wal-00000003.seg": "ea1a8cd8706a34613f0baf10212d4f61162f5c036dbb252e320bcc52fb00be8b",
+    "wal-00000004.seg": "9a321cfdf1a086dd934c451403b76a080ac623b8c119a49d2ae8389c378f72c9",
 }
 
 
