@@ -16,7 +16,8 @@ test-fast:
 	$(PYTEST) -x -q -m "not slow"
 
 # Differential proofs against reference implementations: compiled
-# enforcement tables and their capture-path observation lane, compiled
+# enforcement tables, their capture-path observation lane and their
+# query-path request lane, compiled
 # schema validators, lazy admission steps, the WAL record field
 # templates and WAL frames, a compacted store against one that never
 # compacts, the P005 shadowed-rule lint against the enforcement

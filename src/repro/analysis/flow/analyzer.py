@@ -276,7 +276,7 @@ class FlowAnalyzer:
             for site in graph.sites_of(qualname):
                 if not (set(site.candidates) & sanitizers):
                     continue
-                if site.attr not in ("decide", "enforce_observation"):
+                if site.attr not in ("decide", "decide_key", "enforce_observation"):
                     continue
                 if site.usage == "used":
                     continue

@@ -17,7 +17,9 @@ Bus publishes to non-constant targets are handled structurally (F006),
 not by name.
 
 **Sanitizers** are the enforcement crossings: ``engine.decide`` (and
-the caching subclass), capture-phase ``enforce_observation``, audited
+the caching subclass), the request lane ``decide_key`` (a served row
+is audited exactly as a ``decide`` hit), capture-phase
+``enforce_observation``, audited
 fail-closed denials, and brownout coarsening.  A function that
 *directly* calls a sanitizer is a *sanitizing wrapper* and blocks taint
 -- directly, not transitively, so a rogue parallel path inside a
@@ -108,7 +110,7 @@ DEFAULT_MODEL = FlowModel(
         r"^repro\.sensors\.subsystem\.SensorSubsystem\.sample_all$",
         r"^repro\.sensors\.drivers\.[A-Za-z_]+\.sample$",
         # Datastore reads of observation payloads.
-        r"^repro\.tippers\.datastore\.Datastore\.(query|latest)$",
+        r"^repro\.tippers\.datastore\.Datastore\.(query|latest|of_subject)$",
         # WAL segment reads (recovery/compaction replaying payloads).
         r"^repro\.storage\.wal\.scan_segment$",
     ),
@@ -123,7 +125,7 @@ DEFAULT_MODEL = FlowModel(
     ),
     sanitizer_specs=(
         r"^repro\.core\.enforcement\.engine\.EnforcementEngine\."
-        r"(decide|enforce_observation|audit_degraded_denial)$",
+        r"(decide|decide_key|enforce_observation|audit_degraded_denial)$",
         # Audited fail-closed denial (internal, but a legitimate block).
         r"^repro\.core\.enforcement\.engine\.EnforcementEngine\._fail_closed$",
         # Brownout coarsening degrades before release.

@@ -28,13 +28,16 @@ precomputed tail of the :class:`AuditRecord` tuple (everything after
 the timestamp), and the decisions counter for the row's effect -- so
 the hit path allocates only the two NamedTuples it must return.
 
-Capture enforcement has a lane of its own: ``enforce_observation``
-first calls :meth:`CompiledEnforcementEngine._serve_observation`, which
-probes with ``observation_key`` -- the fields ``request_for_observation``
-builds its request from, in ``_flat_key`` order -- so a warm reading
-builds no :class:`DataRequest`.  A miss, or a negative timestamp (which
-``DataRequest`` refuses), takes the request path.  Both lanes share one
-hit helper.
+Two lanes serve warm rows before any :class:`DataRequest` is built,
+both through :meth:`CompiledEnforcementEngine._serve`.  Capture
+enforcement's ``enforce_observation`` probes with ``observation_key``
+-- the fields ``request_for_observation`` builds its request from, in
+``_flat_key`` order.  The request manager's queries go through
+``decide_key`` with ``engine.sharing_key(...)``, from which
+``request_from_key`` builds the same request.  A miss, a negative
+timestamp (which ``DataRequest`` refuses) or, for queries, any decision
+notes take the request path.  Lanes and ``decide`` share one hit
+helper.
 
 Keys are tuples of vocabulary enum members, which hash by identity
 (``__hash__ = object.__hash__`` in ``vocabulary.py`` and
@@ -96,12 +99,11 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple
 from repro.core.enforcement import audit as audit_module
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.enforcement.engine import Decision, EnforcementEngine
-from repro.core.policy.base import DataRequest, DecisionPhase
+from repro.core.policy.base import DataRequest
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.resolution import Resolution, resolve
 from repro.errors import ReproError
-from repro.sensors.base import Observation
 
 #: Rows per shard; a full shard is recompiled from scratch.
 SHARD_CAPACITY = 4096
@@ -124,7 +126,8 @@ _row_key = attrgetter(
 #: The serving key: subject first, then the row key.  The hit path
 #: probes one flat dict with this 9-tuple; the per-subject shards only
 #: do invalidation bookkeeping.  ``EnforcementEngine.observation_key``
-#: builds the same tuple for a capture reading.
+#: builds the same tuple for a capture reading, and ``engine.sharing_key``
+#: for a query.
 _flat_key = attrgetter(
     "subject_id",
     "requester_id",
@@ -317,23 +320,27 @@ class CompiledEnforcementEngine(EnforcementEngine):
         )
         return Decision(request=request, resolution=resolution)
 
-    def _serve_observation(
-        self, observation: Observation, phase: DecisionPhase
-    ) -> Optional[Resolution]:
-        """Serve a warm row for ``observation`` without a DataRequest.
+    def _serve(self, key: tuple, timestamp: float) -> Optional[Resolution]:
+        """Serve the warm row for ``key`` at ``timestamp``: both lanes.
 
-        The probe key is :meth:`observation_key`, which equals
-        ``_flat_key(request_for_observation(...))``.  On a miss, or for a
-        negative timestamp (which ``DataRequest`` refuses), this returns
-        ``None`` and ``enforce_observation`` takes the request path.
+        On a miss, or for a negative timestamp (which ``DataRequest``
+        refuses), this returns ``None`` and the caller takes the request
+        path.  It touches no table state unless it serves: ``decide``'s
+        version check runs only once a row is found, and the table is
+        probed again if that check dropped stale shards.  So a request
+        that fails to build (a negative timestamp, an empty requester
+        id, which no row can have) leaves the table exactly as the
+        request path leaves it.
         """
         start = _perf_counter()
-        if self.store.version != self._store_version:
-            self._reconcile()
-        row = self._rows_get(self.observation_key(observation, phase))
-        timestamp = observation.timestamp
+        row = self._rows_get(key)
         if row is None or timestamp < 0:
             return None
+        if self.store.version != self._store_version:
+            self._reconcile()
+            row = self._rows_get(key)
+            if row is None:
+                return None
         self._note_hit(row, timestamp, start)
         return row[0]
 

@@ -72,6 +72,59 @@ _category_of = DEFAULT_SENSOR_CATEGORY.get
 _purpose_of = DEFAULT_SENSOR_PURPOSE.get
 
 
+def sharing_key(
+    requester_id: str,
+    requester_kind: RequesterKind,
+    category: DataCategory,
+    subject_id: Optional[str],
+    space_id: Optional[str],
+    purpose: Optional[Purpose],
+    granularity: GranularityLevel = GranularityLevel.PRECISE,
+    sensor_type: Optional[str] = None,
+) -> tuple:
+    """The compiled-table key of a sharing request with these fields.
+
+    In ``compiled._flat_key`` order: subject, requester id, requester
+    kind, phase (always SHARING), category, space, purpose,
+    granularity, sensor type.  :func:`request_from_key` builds the
+    request back from it, so the request manager's query shape lives
+    here once.
+    """
+    return (
+        subject_id,
+        requester_id,
+        requester_kind,
+        DecisionPhase.SHARING,
+        category,
+        space_id,
+        purpose,
+        granularity,
+        sensor_type,
+    )
+
+
+def request_from_key(key: tuple, timestamp: float) -> DataRequest:
+    """The :class:`DataRequest` at ``timestamp`` whose table key is ``key``.
+
+    Raises :class:`~repro.errors.PolicyError` where ``DataRequest``
+    does (an empty requester id, a negative timestamp).
+    """
+    (subject_id, requester_id, requester_kind, phase, category,
+     space_id, purpose, granularity, sensor_type) = key
+    return DataRequest(
+        requester_id=requester_id,
+        requester_kind=requester_kind,
+        phase=phase,
+        category=category,
+        subject_id=subject_id,
+        space_id=space_id,
+        timestamp=timestamp,
+        purpose=purpose,
+        granularity=granularity,
+        sensor_type=sensor_type,
+    )
+
+
 class Decision(NamedTuple):
     """A resolution plus the audit record it produced.
 
@@ -170,6 +223,32 @@ class EnforcementEngine:
         )
         return Decision(request=request, resolution=resolution)
 
+    def decide_key(
+        self, key: tuple, timestamp: float, notes: Tuple[str, ...] = ()
+    ) -> Resolution:
+        """``decide(request_from_key(key, timestamp), notes).resolution``.
+
+        The request lane: without notes, a warm compiled row for
+        ``key`` is served (audited and counted exactly as a ``decide``
+        hit) before any :class:`DataRequest` is built.  Noted
+        decisions, misses and negative timestamps go through
+        :meth:`decide`, so their outcomes and errors are unchanged.
+        """
+        if not notes:
+            resolution = self._serve(key, timestamp)
+            if resolution is not None:
+                return resolution
+        return self.decide(request_from_key(key, timestamp), notes).resolution
+
+    def _serve(self, key: tuple, timestamp: float) -> Optional[Resolution]:
+        """The audited resolution of a warm row for ``key``, or ``None``
+        to decide through :meth:`decide`.
+
+        The interpreter keeps no rows; the compiled engine serves its
+        table here, for both the request and the observation lane.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Capture-path enforcement (steps 2-3 of Figure 1)
     # ------------------------------------------------------------------
@@ -200,21 +279,8 @@ class EnforcementEngine:
         self, observation: Observation, phase: DecisionPhase
     ) -> DataRequest:
         """The data request implied by capturing/storing ``observation``."""
-        (subject_id, requester_id, requester_kind, phase, category,
-         space_id, purpose, granularity, sensor_type) = self.observation_key(
-            observation, phase
-        )
-        return DataRequest(
-            requester_id=requester_id,
-            requester_kind=requester_kind,
-            phase=phase,
-            category=category,
-            subject_id=subject_id,
-            space_id=space_id,
-            timestamp=observation.timestamp,
-            purpose=purpose,
-            granularity=granularity,
-            sensor_type=sensor_type,
+        return request_from_key(
+            self.observation_key(observation, phase), observation.timestamp
         )
 
     def enforce_observation(
@@ -229,7 +295,9 @@ class EnforcementEngine:
         policy authorizing their collection -- but no user preference
         can apply to them.
         """
-        resolution = self._serve_observation(observation, phase)
+        resolution = self._serve(
+            self.observation_key(observation, phase), observation.timestamp
+        )
         if resolution is None:
             request = self.request_for_observation(observation, phase)
             resolution = self.decide(request).resolution
@@ -241,17 +309,6 @@ class EnforcementEngine:
             spatial=self.context.spatial,
             ontology=self.ontology,
         )
-
-    def _serve_observation(
-        self, observation: Observation, phase: DecisionPhase
-    ) -> Optional[Resolution]:
-        """The audited resolution for ``observation`` without building
-        its request, or ``None`` to decide it through :meth:`decide`.
-
-        The interpreter has no such shortcut; the compiled engine serves
-        warm table rows here.
-        """
-        return None
 
     def audit_degraded_denial(
         self,

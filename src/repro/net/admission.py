@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionError
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, get_registry
 
 
 class Priority(enum.Enum):
@@ -321,6 +321,10 @@ class AdmissionController:
         self.ledger = AdmissionLedger()
         self.metrics = metrics if metrics is not None else get_registry()
         self.metrics.track(self.ledger, _TRACKED)
+        #: ``(target, class)`` -> its ``admission_admitted_total`` counter
+        #: and the target's ``admission_queue_load`` gauge, bound on the
+        #: pair's first admitted call.
+        self._admitted_handles: Dict[Tuple[str, str], Tuple[Counter, Gauge]] = {}
 
     # ------------------------------------------------------------------
     # Fault planes (the injector's overload_burst hook)
@@ -385,7 +389,8 @@ class AdmissionController:
         a negative burst raises :class:`AdmissionError` before the check
         is counted or the step advances.
         """
-        bursts = [plane(target, method) for plane in self._planes]
+        planes = self._planes
+        bursts = [plane(target, method) for plane in planes] if planes else ()
         for burst in bursts:
             if burst and burst < 0:
                 raise AdmissionError("arrivals cannot be negative")
@@ -450,12 +455,22 @@ class AdmissionController:
         )
 
     def _note(self, target: str, ticket: AdmissionTicket) -> None:
-        labels = {"target": target, "class": ticket.priority.value}
+        priority = ticket.priority.value
         if ticket.admitted:
             self.ledger.admitted += 1
             by_class = self.ledger.admitted_by_class
-            by_class[ticket.priority.value] = by_class.get(ticket.priority.value, 0) + 1
-            self.metrics.counter("admission_admitted_total", labels).inc()
+            by_class[priority] = by_class.get(priority, 0) + 1
+            handles = self._admitted_handles.get((target, priority))
+            if handles is None:
+                handles = self._admitted_handles[(target, priority)] = (
+                    self.metrics.counter(
+                        "admission_admitted_total",
+                        {"target": target, "class": priority},
+                    ),
+                    self.metrics.gauge("admission_queue_load", {"target": target}),
+                )
+            admitted, queue_load = handles
+            admitted.inc()
             if ticket.brownout_level:
                 self.ledger.brownouts += 1
                 self.metrics.counter(
@@ -464,11 +479,12 @@ class AdmissionController:
         else:
             self.ledger.shed += 1
             by_class = self.ledger.shed_by_class
-            by_class[ticket.priority.value] = by_class.get(ticket.priority.value, 0) + 1
-            self.metrics.counter("admission_shed_total", labels).inc()
-        self.metrics.gauge(
-            "admission_queue_load", {"target": target}
-        ).set(round(ticket.load, 6))
+            by_class[priority] = by_class.get(priority, 0) + 1
+            self.metrics.counter(
+                "admission_shed_total", {"target": target, "class": priority}
+            ).inc()
+            queue_load = self.metrics.gauge("admission_queue_load", {"target": target})
+        queue_load.set(round(ticket.load, 6))
 
     # ------------------------------------------------------------------
     # Introspection

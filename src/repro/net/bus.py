@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     AdmissionShedError,
@@ -15,7 +15,7 @@ from repro.errors import (
 from repro.net.admission import AdmissionController
 from repro.net.codec import decode_message, encode_message
 from repro.net.resilience import BreakerBoard, Deadline, RetryPolicy
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry
 from repro.obs.tracing import Tracer, get_tracer
 
 
@@ -151,6 +151,9 @@ class MessageBus:
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.metrics.track(self.stats, _TRACKED)
+        #: ``(target, method)`` -> its ``bus_calls_total`` counter and
+        #: ``bus_call_seconds`` histogram, bound on the pair's first call.
+        self._call_handles: Dict[Tuple[str, str], Tuple[Counter, Histogram]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -267,9 +270,15 @@ class MessageBus:
                 ).inc()
                 raise
         self.stats.logical_calls += 1
-        call_labels = {"target": target, "method": method}
-        self.metrics.counter("bus_calls_total", call_labels).inc()
-        latency = self.metrics.histogram("bus_call_seconds", call_labels)
+        handles = self._call_handles.get((target, method))
+        if handles is None:
+            call_labels = {"target": target, "method": method}
+            handles = self._call_handles[(target, method)] = (
+                self.metrics.counter("bus_calls_total", call_labels),
+                self.metrics.histogram("bus_call_seconds", call_labels),
+            )
+        calls, latency = handles
+        calls.inc()
         start = time.perf_counter()
         schedule = retry_policy.schedule() if retry_policy is not None else ()
         try:

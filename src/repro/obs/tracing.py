@@ -161,15 +161,32 @@ class Tracer:
         self.errored = 0
 
 
+class _NullSpanContext:
+    """The one context manager every :class:`NullTracer` span returns.
+
+    Entering it yields the shared null span; leaving it records nothing
+    and lets any exception propagate.  Reused across calls, so a span
+    on an untraced hot path costs one method call and builds nothing.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        return _NULL_SPAN
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
 class NullTracer(Tracer):
     """A tracer that records nothing (for overhead-sensitive setups)."""
 
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[Span]:  # type: ignore[override]
-        yield _NULL_SPAN
+    def span(self, name: str, **attributes: object) -> _NullSpanContext:  # type: ignore[override]
+        return _NULL_SPAN_CONTEXT
 
 
 _NULL_SPAN = Span("null", 0.0)
+_NULL_SPAN_CONTEXT = _NullSpanContext()
 
 # ----------------------------------------------------------------------
 # Process-wide default tracer

@@ -86,8 +86,16 @@ class Observation:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "Observation":
-        """The inverse of :meth:`to_dict`; raises :class:`StorageError`."""
+        """The inverse of :meth:`to_dict`; raises :class:`StorageError`.
+
+        The id must be an integer and the timestamp a number, since the
+        datastore orders and matches readings by them.
+        """
         try:
+            if not isinstance(data["observation_id"], int):
+                raise TypeError("observation_id is not an integer")
+            if not isinstance(data["timestamp"], (int, float)):
+                raise TypeError("timestamp is not a number")
             return Observation(
                 observation_id=data["observation_id"],
                 sensor_id=data["sensor_id"],

@@ -11,7 +11,7 @@ selections, and (for services) the query methods.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
@@ -26,7 +26,7 @@ from repro.core.policy.settings import SettingsSpace
 from repro.core.reasoner.conflicts import Conflict
 from repro.core.reasoner.index import PolicyIndex, RuleStore
 from repro.core.reasoner.resolution import ResolutionStrategy
-from repro.errors import NetworkError, PolicyError, ServiceError
+from repro.errors import NetworkError, PolicyError, ServiceError, StorageError
 from repro.net.bus import Endpoint
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.sensors.base import Observation, Sensor
@@ -52,6 +52,63 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
 
 #: What a payload's ``now`` may be: a JSON number.
 _NUMBER = (int, float)
+
+
+def _snapshot_list(snapshot: Dict[str, Any], part: str) -> List[Any]:
+    """``snapshot[part]`` (empty when absent); it must be a list."""
+    items = snapshot.get(part, [])
+    if not isinstance(items, list):
+        raise ValueError(
+            "snapshot %s has type %s" % (part, type(items).__name__)
+        )
+    return items
+
+
+def _read_snapshot(
+    snapshot: Dict[str, Any],
+) -> Tuple[Optional[UserProfile], List[Observation], List[UserPreference]]:
+    """The profile, observations and preferences of a migration snapshot.
+
+    Raises :class:`ValueError` naming the first part of the wrong shape.
+    """
+    from repro.users.profile import profile_from_dict
+
+    profile_data = snapshot.get("profile")
+    try:
+        profile = None if profile_data is None else profile_from_dict(profile_data)
+        observations = [
+            Observation.from_dict(data)
+            for data in _snapshot_list(snapshot, "observations")
+        ]
+        preferences = [
+            preference_from_dict(data)
+            for data in _snapshot_list(snapshot, "preferences")
+        ]
+    except (PolicyError, StorageError) as exc:
+        raise ValueError("malformed migration snapshot: %s" % exc) from None
+    return profile, observations, preferences
+
+
+def _enum_reader(enum_cls: Any) -> Callable[[Any], Any]:
+    """A reader of ``enum_cls`` wire values: one dict probe per value.
+
+    A value no member has (or one that cannot be hashed) goes to the
+    enum constructor, which raises its usual :class:`ValueError`.
+    """
+    members = {member.value: member for member in enum_cls}
+
+    def read(value: Any) -> Any:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum_cls(value)
+
+    return read
+
+
+_requester_kind = _enum_reader(RequesterKind)
+_purpose = _enum_reader(Purpose)
+_granularity = _enum_reader(GranularityLevel)
 
 
 def _field(payload: Dict[str, Any], name: str, kind: Any) -> Any:
@@ -307,9 +364,12 @@ class TIPPERS(Endpoint):
         idempotent: observations are matched by id, preferences are
         latest-wins, the profile add is skipped when present -- a
         re-driven import after a crash changes nothing it already did.
-        """
-        from repro.users.profile import profile_from_dict
 
+        The whole snapshot is read before the journal write: a profile,
+        observation or preference of the wrong shape raises
+        :class:`ValueError` with nothing logged or applied.
+        """
+        profile, observations, preferences = _read_snapshot(snapshot)
         self._journal_migration({
             "migration_id": migration_id,
             "user_id": user_id,
@@ -319,25 +379,21 @@ class TIPPERS(Endpoint):
             "role": "dest",
             "snapshot": snapshot,
         })
-        profile_data = snapshot.get("profile")
-        if profile_data is not None and user_id not in self.directory:
-            self.add_user(profile_from_dict(profile_data))
+        if profile is not None and user_id not in self.directory:
+            self.add_user(profile)
         # This shard is the user's home now; drop any stale visitor mark.
         self._roaming.pop(user_id, None)
         existing = {
             o.observation_id for o in self.datastore.query(subject_id=user_id)
         }
         observations_imported = 0
-        for data in snapshot.get("observations", ()):
-            observation = Observation.from_dict(data)
+        for observation in observations:
             if observation.observation_id in existing:
                 continue
             self.datastore.insert(observation)
             observations_imported += 1
-        preferences_imported = 0
-        for data in snapshot.get("preferences", ()):
-            self.preference_manager.submit(preference_from_dict(data))
-            preferences_imported += 1
+        for preference in preferences:
+            self.preference_manager.submit(preference)
         self._journal_migration({
             "migration_id": migration_id,
             "user_id": user_id,
@@ -354,7 +410,7 @@ class TIPPERS(Endpoint):
             "user_id": user_id,
             "imported": True,
             "observations_imported": observations_imported,
-            "preferences_imported": preferences_imported,
+            "preferences_imported": len(preferences),
             "observations_held": len(self.datastore.query(subject_id=user_id)),
         }
 
@@ -490,151 +546,186 @@ class TIPPERS(Endpoint):
     # Bus endpoint: the JSON API
     # ------------------------------------------------------------------
     def handle(self, method: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        route = _ROUTES.get(method)
+        if route is None:
+            raise NetworkError("method %r not handled" % method)
         try:
-            return self._dispatch(method, payload)
+            # Looked up by name on every call, so a wrapper installed on
+            # the class after this instance was built still runs.
+            return getattr(self, route)(payload)
         except (PolicyError, ServiceError, KeyError, ValueError) as exc:
             raise NetworkError(str(exc)) from None
 
-    def _dispatch(self, method: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if method == "get_policy_document":
-            return self.policy_manager.compile_policy_document().to_dict()
-        if method == "get_settings_document":
-            return self.policy_manager.settings_space.to_document().to_dict()
-        if method == "submit_preference":
-            preference = preference_from_dict(payload["preference"])
-            conflicts = self.submit_preference(preference)
-            return {"conflicts": [c.describe() for c in conflicts]}
-        if method == "submit_selection":
-            conflicts = self.apply_selection(
-                _field(payload, "user_id", str), _field(payload, "selection", dict)
-            )
-            return {"conflicts": [c.describe() for c in conflicts]}
-        if method == "preview_effects":
-            from repro.tippers.preview import preview_effects
+    def _rpc_get_policy_document(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self.policy_manager.compile_policy_document().to_dict()
 
-            user_id = _field(payload, "user_id", str)
-            if user_id not in self.directory:
-                raise NetworkError("unknown user %r" % user_id)
-            preview = preview_effects(
-                self.engine,
-                user_id,
-                payload.get("space_id", self.building_id),
-                _field(payload, "now", _NUMBER),
-            )
-            return {
-                "user_id": preview.user_id,
-                "entries": [
-                    {
-                        "category": e.category.value,
-                        "phase": e.phase.value,
-                        "effect": e.effect.value,
-                        "granularity": e.granularity.value,
-                        "overridden": e.overridden,
-                    }
-                    for e in preview.entries
-                ],
-            }
-        if method == "dsar_report":
-            from repro.tippers.dsar import subject_access_report
+    def _rpc_get_settings_document(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self.policy_manager.settings_space.to_document().to_dict()
 
-            report = subject_access_report(
-                self,
-                _field(payload, "user_id", str),
-                _field(payload, "now", _NUMBER),
-            )
-            return {
-                "user_id": report.user_id,
-                "observations_total": report.observations_total,
-                "decisions_total": report.decisions_total,
-                "lines": report.summary_lines(),
-            }
-        if method == "dsar_erase":
-            from repro.tippers.dsar import erase_subject
+    def _rpc_submit_preference(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        preference = preference_from_dict(payload["preference"])
+        conflicts = self.submit_preference(preference)
+        return {"conflicts": [c.describe() for c in conflicts]}
 
-            receipt = erase_subject(
-                self,
-                _field(payload, "user_id", str),
-                _field(payload, "now", _NUMBER),
-                withdraw_preferences=bool(
-                    payload.get("withdraw_preferences", False)
-                ),
-                compact_storage=bool(payload.get("compact_storage", False)),
-            )
-            return {
-                "user_id": receipt.user_id,
-                "erased_observations": receipt.erased_observations,
-                "withdrawn_preferences": receipt.withdrawn_preferences,
-                "storage_compacted": receipt.storage_compacted,
-            }
-        if method == "register_roaming":
-            from repro.users.profile import profile_from_dict
+    def _rpc_submit_selection(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        conflicts = self.apply_selection(
+            _field(payload, "user_id", str), _field(payload, "selection", dict)
+        )
+        return {"conflicts": [c.describe() for c in conflicts]}
 
-            profile = profile_from_dict(_field(payload, "profile", dict))
-            added = self.register_roaming_user(
-                profile, _field(payload, "home_building_id", str)
-            )
-            return {
-                "user_id": profile.user_id,
-                "added": added,
-                "roaming": self.roaming_home_of(profile.user_id) is not None,
-            }
-        if method == "migrate_export":
-            return self.migrate_export(
-                _field(payload, "migration_id", str),
-                _field(payload, "user_id", str),
-                _field(payload, "to_building", str),
-            )
-        if method == "migrate_import":
-            return self.migrate_import(
-                _field(payload, "migration_id", str),
-                _field(payload, "user_id", str),
-                _field(payload, "from_building", str),
-                _field(payload, "snapshot", dict),
-            )
-        if method == "migrate_finalize":
-            return self.migrate_finalize(
-                _field(payload, "migration_id", str),
-                _field(payload, "user_id", str),
-                _field(payload, "to_building", str),
-            )
-        if method == "locate_user":
-            marker = payload.get("migration_marker")
-            response = self.locate_user(
-                _field(payload, "requester_id", str),
-                RequesterKind(payload.get("requester_kind", "building_service")),
-                _field(payload, "subject_id", str),
-                _field(payload, "now", _NUMBER),
-                purpose=Purpose(payload.get("purpose", "providing_service")),
-                granularity=GranularityLevel(payload.get("granularity", "precise")),
-                brownout_level=int(payload.get("brownout_level", 0)),
-                extra_notes=(str(marker),) if marker else (),
-            )
-            value = response.value
-            located: Optional[Dict[str, Any]] = None
-            if response.allowed and value is not None:
-                located = {
-                    "space_id": value.space_id,
-                    "timestamp": value.timestamp,
-                    "granularity": value.granularity,
+    def _rpc_preview_effects(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.tippers.preview import preview_effects
+
+        user_id = _field(payload, "user_id", str)
+        if user_id not in self.directory:
+            raise NetworkError("unknown user %r" % user_id)
+        preview = preview_effects(
+            self.engine,
+            user_id,
+            payload.get("space_id", self.building_id),
+            _field(payload, "now", _NUMBER),
+        )
+        return {
+            "user_id": preview.user_id,
+            "entries": [
+                {
+                    "category": e.category.value,
+                    "phase": e.phase.value,
+                    "effect": e.effect.value,
+                    "granularity": e.granularity.value,
+                    "overridden": e.overridden,
                 }
-            return {
-                "allowed": response.allowed,
-                "location": located,
-                "reasons": list(response.reasons),
+                for e in preview.entries
+            ],
+        }
+
+    def _rpc_dsar_report(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.tippers.dsar import subject_access_report
+
+        report = subject_access_report(
+            self,
+            _field(payload, "user_id", str),
+            _field(payload, "now", _NUMBER),
+        )
+        return {
+            "user_id": report.user_id,
+            "observations_total": report.observations_total,
+            "decisions_total": report.decisions_total,
+            "lines": report.summary_lines(),
+        }
+
+    def _rpc_dsar_erase(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.tippers.dsar import erase_subject
+
+        receipt = erase_subject(
+            self,
+            _field(payload, "user_id", str),
+            _field(payload, "now", _NUMBER),
+            withdraw_preferences=bool(payload.get("withdraw_preferences", False)),
+            compact_storage=bool(payload.get("compact_storage", False)),
+        )
+        return {
+            "user_id": receipt.user_id,
+            "erased_observations": receipt.erased_observations,
+            "withdrawn_preferences": receipt.withdrawn_preferences,
+            "storage_compacted": receipt.storage_compacted,
+        }
+
+    def _rpc_register_roaming(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.users.profile import profile_from_dict
+
+        profile = profile_from_dict(_field(payload, "profile", dict))
+        added = self.register_roaming_user(
+            profile, _field(payload, "home_building_id", str)
+        )
+        return {
+            "user_id": profile.user_id,
+            "added": added,
+            "roaming": self.roaming_home_of(profile.user_id) is not None,
+        }
+
+    def _rpc_migrate_export(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self.migrate_export(
+            _field(payload, "migration_id", str),
+            _field(payload, "user_id", str),
+            _field(payload, "to_building", str),
+        )
+
+    def _rpc_migrate_import(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self.migrate_import(
+            _field(payload, "migration_id", str),
+            _field(payload, "user_id", str),
+            _field(payload, "from_building", str),
+            _field(payload, "snapshot", dict),
+        )
+
+    def _rpc_migrate_finalize(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        return self.migrate_finalize(
+            _field(payload, "migration_id", str),
+            _field(payload, "user_id", str),
+            _field(payload, "to_building", str),
+        )
+
+    def _rpc_locate_user(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        marker = payload.get("migration_marker")
+        response = self.locate_user(
+            _field(payload, "requester_id", str),
+            _requester_kind(payload.get("requester_kind", "building_service")),
+            _field(payload, "subject_id", str),
+            _field(payload, "now", _NUMBER),
+            purpose=_purpose(payload.get("purpose", "providing_service")),
+            granularity=_granularity(payload.get("granularity", "precise")),
+            brownout_level=int(payload.get("brownout_level", 0)),
+            extra_notes=(str(marker),) if marker else (),
+        )
+        value = response.value
+        located: Optional[Dict[str, Any]] = None
+        if response.allowed and value is not None:
+            located = {
+                "space_id": value.space_id,
+                "timestamp": value.timestamp,
+                "granularity": value.granularity,
             }
-        if method == "room_occupancy":
-            marker = payload.get("migration_marker")
-            response = self.room_occupancy(
-                _field(payload, "requester_id", str),
-                RequesterKind(payload.get("requester_kind", "building_service")),
-                _field(payload, "space_id", str),
-                _field(payload, "now", _NUMBER),
-                purpose=Purpose(payload.get("purpose", "providing_service")),
-                extra_notes=(str(marker),) if marker else (),
-            )
-            return {
-                "allowed": response.allowed,
-                "occupied": response.value if response.allowed else None,
-                "reasons": list(response.reasons),
-            }
-        raise NetworkError("method %r not handled" % method)
+        return {
+            "allowed": response.allowed,
+            "location": located,
+            "reasons": list(response.reasons),
+        }
+
+    def _rpc_room_occupancy(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        marker = payload.get("migration_marker")
+        response = self.room_occupancy(
+            _field(payload, "requester_id", str),
+            _requester_kind(payload.get("requester_kind", "building_service")),
+            _field(payload, "space_id", str),
+            _field(payload, "now", _NUMBER),
+            purpose=_purpose(payload.get("purpose", "providing_service")),
+            extra_notes=(str(marker),) if marker else (),
+        )
+        return {
+            "allowed": response.allowed,
+            "occupied": response.value if response.allowed else None,
+            "reasons": list(response.reasons),
+        }
+
+
+#: Every bus method TIPPERS answers, and the name of the method that
+#: answers it.
+_ROUTES: Dict[str, str] = {
+    method: "_rpc_" + method
+    for method in (
+        "get_policy_document",
+        "get_settings_document",
+        "submit_preference",
+        "submit_selection",
+        "preview_effects",
+        "dsar_report",
+        "dsar_erase",
+        "register_roaming",
+        "migrate_export",
+        "migrate_import",
+        "migrate_finalize",
+        "locate_user",
+        "room_occupancy",
+    )
+}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.sensors.base import Observation
@@ -140,6 +140,14 @@ class Datastore:
         if limit is not None and len(matches) > limit:
             matches = matches[-limit:]
         return matches
+
+    def of_subject(self, subject_id: str) -> Sequence[Observation]:
+        """Every observation attributed to ``subject_id``, in insertion order.
+
+        Unsorted and unfiltered, for one-pass readers; the sequence is
+        the store's own, so callers must not mutate it.
+        """
+        return self._by_subject.get(subject_id, ())
 
     def latest(
         self,

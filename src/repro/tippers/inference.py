@@ -119,15 +119,31 @@ class InferenceEngine:
     def locate(
         self, subject_id: str, now: float, window_s: float = 900.0
     ) -> Optional[LocationEstimate]:
-        """The subject's most recent location, if seen in the window."""
+        """The subject's most recent location, if seen in the window.
+
+        One pass over the subject's observations, newest location
+        reading at or after the window start; among equal timestamps
+        the lowest ``observation_id`` wins (the first in the
+        datastore's query order).
+        """
         since = max(0.0, now - window_s)
         best: Optional[Observation] = None
-        for observation in self._datastore.query(subject_id=subject_id, since=since):
-            if observation.sensor_type not in LOCATION_SENSOR_TYPES:
+        for observation in self._datastore.of_subject(subject_id):
+            timestamp = observation.timestamp
+            if (
+                timestamp < since
+                or observation.sensor_type not in LOCATION_SENSOR_TYPES
+                or observation.space_id is None
+            ):
                 continue
-            if observation.space_id is None:
-                continue
-            if best is None or observation.timestamp > best.timestamp:
+            if (
+                best is None
+                or timestamp > best.timestamp
+                or (
+                    timestamp == best.timestamp
+                    and observation.observation_id < best.observation_id
+                )
+            ):
                 best = observation
         if best is None:
             return None

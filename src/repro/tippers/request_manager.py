@@ -6,10 +6,13 @@ settings communicated by Mary's IoTA to TIPPERS (e.g., the request
 might be rejected, if Mary's IoTA requested to opt-out of location
 sharing)."
 
-Every query is turned into one or more
-:class:`~repro.core.policy.base.DataRequest` objects, resolved by the
-enforcement engine, and only then answered from the inference engine --
-with results degraded to the granted granularity.
+Every query is turned into one or more sharing requests
+(``engine.sharing_key``), resolved by the enforcement engine, and only
+then answered from the inference engine -- with results degraded to
+the granted granularity.  A request a compiled row already answers is
+served without building its
+:class:`~repro.core.policy.base.DataRequest` (the engine's request
+lane, ``decide_key``).
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import functools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-from repro.core.enforcement.engine import EnforcementEngine
+from repro.core.enforcement.engine import EnforcementEngine, sharing_key
 from repro.core.enforcement.mechanisms import coarsen_space
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
-from repro.core.policy.base import DataRequest, DecisionPhase, RequesterKind
+from repro.core.policy.base import RequesterKind
 from repro.errors import ServiceError, StorageError
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.spatial.model import SpatialModel
@@ -74,30 +77,29 @@ def _instrumented_query(fn: _Q) -> _Q:
 
     Counts are labelled by method and outcome (allowed/denied/error) so
     service-facing deny rates are readable straight off the registry.
+    Each handle is bound on first use and reused from the manager's
+    ``_query_handles``, so a series appears only once it has a sample.
     """
+    seconds = (fn.__name__, None)
+    allowed = (fn.__name__, "allowed")
+    denied = (fn.__name__, "denied")
+    error = (fn.__name__, "error")
 
     @functools.wraps(fn)
     def wrapper(self: "RequestManager", *args: object, **kwargs: object) -> QueryResponse:
+        handles = self._query_handles
         start = time.perf_counter()
         try:
             response = fn(self, *args, **kwargs)
         except Exception:
-            self.metrics.counter(
-                "tippers_queries_total",
-                {"method": fn.__name__, "outcome": "error"},
-            ).inc()
+            (handles.get(error) or self._bind_query_handle(error)).inc()
             raise
         finally:
-            self.metrics.histogram(
-                "tippers_query_seconds", {"method": fn.__name__}
-            ).observe(time.perf_counter() - start)
-        self.metrics.counter(
-            "tippers_queries_total",
-            {
-                "method": fn.__name__,
-                "outcome": "allowed" if response.allowed else "denied",
-            },
-        ).inc()
+            (handles.get(seconds) or self._bind_query_handle(seconds)).observe(
+                time.perf_counter() - start
+            )
+        outcome = allowed if response.allowed else denied
+        (handles.get(outcome) or self._bind_query_handle(outcome)).inc()
         return response
 
     return wrapper  # type: ignore[return-value]
@@ -127,6 +129,23 @@ class RequestManager:
         #: subject_id -> home building for federation visitors; ``None``
         #: (or a lookup returning None) means the subject is local.
         self._roaming_lookup = roaming_lookup
+        #: ``(method, outcome)`` -> its ``tippers_queries_total`` counter,
+        #: ``(method, None)`` -> its ``tippers_query_seconds`` histogram.
+        self._query_handles: Dict[Tuple[str, Optional[str]], Any] = {}
+
+    def _bind_query_handle(self, key: Tuple[str, Optional[str]]) -> Any:
+        """Resolve and keep the query metric handle for ``key``."""
+        method, outcome = key
+        if outcome is None:
+            handle = self.metrics.histogram(
+                "tippers_query_seconds", {"method": method}
+            )
+        else:
+            handle = self.metrics.counter(
+                "tippers_queries_total", {"method": method, "outcome": outcome}
+            )
+        self._query_handles[key] = handle
+        return handle
 
     def _roaming_notes(self, subject_id: Optional[str]) -> Tuple[str, ...]:
         """An audit marker when the subject is a roaming visitor.
@@ -171,34 +190,6 @@ class RequestManager:
             method, exc, now, subject_id=subject_id
         )
         return QueryResponse.denied(reasons)
-
-    # ------------------------------------------------------------------
-    # Request construction
-    # ------------------------------------------------------------------
-    def _request(
-        self,
-        requester_id: str,
-        requester_kind: RequesterKind,
-        category: DataCategory,
-        subject_id: Optional[str],
-        space_id: Optional[str],
-        now: float,
-        purpose: Purpose,
-        granularity: GranularityLevel = GranularityLevel.PRECISE,
-        sensor_type: Optional[str] = None,
-    ) -> DataRequest:
-        return DataRequest(
-            requester_id=requester_id,
-            requester_kind=requester_kind,
-            phase=DecisionPhase.SHARING,
-            category=category,
-            subject_id=subject_id,
-            space_id=space_id,
-            timestamp=now,
-            purpose=purpose,
-            granularity=granularity,
-            sensor_type=sensor_type,
-        )
 
     # ------------------------------------------------------------------
     # Location queries (the paper's step 9/10 example)
@@ -253,41 +244,43 @@ class RequestManager:
             estimate = self._inference.locate(subject_id, now)
         except StorageError as exc:
             return self._degraded("locate_user", exc, now, subject_id)
-        request = self._request(
-            requester_id,
-            requester_kind,
-            DataCategory.LOCATION,
-            subject_id,
-            estimate.space_id if estimate is not None else None,
+        resolution = self._engine.decide_key(
+            sharing_key(
+                requester_id,
+                requester_kind,
+                DataCategory.LOCATION,
+                subject_id,
+                estimate.space_id if estimate is not None else None,
+                purpose,
+                granularity,
+            ),
             now,
-            purpose,
-            granularity,
+            notes,
         )
-        decision = self._engine.decide(request, notes)
-        if not decision.allowed:
-            return QueryResponse.denied(decision.resolution.reasons)
+        if not resolution.allowed:
+            return QueryResponse.denied(resolution.reasons)
         if estimate is None:
             return QueryResponse(
                 allowed=True,
                 value=None,
-                granularity=decision.granularity,
-                reasons=decision.resolution.reasons,
+                granularity=resolution.granularity,
+                reasons=resolution.reasons,
             )
         released_space = coarsen_space(
-            estimate.space_id, decision.granularity, self._spatial
+            estimate.space_id, resolution.granularity, self._spatial
         )
         value = LocationEstimate(
             subject_id=subject_id,
             space_id=released_space if released_space is not None else "unknown",
             timestamp=estimate.timestamp,
             source_sensor_type=estimate.source_sensor_type,
-            granularity=decision.granularity.value,
+            granularity=resolution.granularity.value,
         )
         return QueryResponse(
             allowed=True,
             value=value,
-            granularity=decision.granularity,
-            reasons=decision.resolution.reasons,
+            granularity=resolution.granularity,
+            reasons=resolution.reasons,
         )
 
     # ------------------------------------------------------------------
@@ -319,20 +312,20 @@ class RequestManager:
         if space_id not in self._spatial:
             raise ServiceError("unknown space %r" % space_id)
         subject_id = self.office_owner(space_id)
-        request = self._request(
-            requester_id,
-            requester_kind,
-            DataCategory.OCCUPANCY,
-            subject_id,
-            space_id,
+        resolution = self._engine.decide_key(
+            sharing_key(
+                requester_id,
+                requester_kind,
+                DataCategory.OCCUPANCY,
+                subject_id,
+                space_id,
+                purpose,
+            ),
             now,
-            purpose,
+            self._roaming_notes(subject_id) + tuple(extra_notes),
         )
-        decision = self._engine.decide(
-            request, self._roaming_notes(subject_id) + tuple(extra_notes)
-        )
-        if not decision.allowed:
-            return QueryResponse.denied(decision.resolution.reasons)
+        if not resolution.allowed:
+            return QueryResponse.denied(resolution.reasons)
         try:
             occupied = self._inference.is_occupied(space_id, now)
         except StorageError as exc:
@@ -340,8 +333,8 @@ class RequestManager:
         return QueryResponse(
             allowed=True,
             value=occupied,
-            granularity=decision.granularity,
-            reasons=decision.resolution.reasons,
+            granularity=resolution.granularity,
+            reasons=resolution.reasons,
         )
 
     @_instrumented_query
@@ -368,22 +361,23 @@ class RequestManager:
         released: List[str] = []
         reasons: Tuple[str, ...] = ()
         for subject_id in present:
-            request = self._request(
-                requester_id,
-                requester_kind,
-                DataCategory.PRESENCE,
-                subject_id,
-                space_id,
+            resolution = self._engine.decide_key(
+                sharing_key(
+                    requester_id,
+                    requester_kind,
+                    DataCategory.PRESENCE,
+                    subject_id,
+                    space_id,
+                    purpose,
+                ),
                 now,
-                purpose,
             )
-            decision = self._engine.decide(request)
-            if decision.allowed and decision.granularity in (
+            if resolution.allowed and resolution.granularity in (
                 GranularityLevel.PRECISE,
                 GranularityLevel.COARSE,
             ):
                 released.append(subject_id)
-                reasons = decision.resolution.reasons
+                reasons = resolution.reasons
         return QueryResponse(
             allowed=True,
             value=released,
@@ -412,19 +406,20 @@ class RequestManager:
         enforcement action of Section V-C); pass a seeded ``rng`` for
         reproducibility.
         """
-        request = self._request(
-            requester_id,
-            requester_kind,
-            DataCategory.OCCUPANCY,
-            None,
-            None,
+        resolution = self._engine.decide_key(
+            sharing_key(
+                requester_id,
+                requester_kind,
+                DataCategory.OCCUPANCY,
+                None,
+                None,
+                purpose,
+                GranularityLevel.AGGREGATE,
+            ),
             now,
-            purpose,
-            granularity=GranularityLevel.AGGREGATE,
         )
-        decision = self._engine.decide(request)
-        if not decision.allowed:
-            return QueryResponse.denied(decision.resolution.reasons)
+        if not resolution.allowed:
+            return QueryResponse.denied(resolution.reasons)
         try:
             counts = self._inference.occupancy_map(now, window_s)
         except StorageError as exc:
@@ -432,7 +427,7 @@ class RequestManager:
         suppressed: Dict[str, object] = {
             space: count for space, count in counts.items() if count >= k
         }
-        reasons = decision.resolution.reasons
+        reasons = resolution.reasons
         if epsilon is not None:
             from repro.core.enforcement.mechanisms import noisy_counts
 
@@ -469,18 +464,19 @@ class RequestManager:
             raise ServiceError("social inference is not enabled")
         if subject_id not in self._directory:
             raise ServiceError("unknown user %r" % subject_id)
-        own_request = self._request(
-            requester_id,
-            requester_kind,
-            DataCategory.SOCIAL_TIES,
-            subject_id,
-            None,
+        own = self._engine.decide_key(
+            sharing_key(
+                requester_id,
+                requester_kind,
+                DataCategory.SOCIAL_TIES,
+                subject_id,
+                None,
+                purpose,
+            ),
             now,
-            purpose,
         )
-        own_decision = self._engine.decide(own_request)
-        if not own_decision.allowed:
-            return QueryResponse.denied(own_decision.resolution.reasons)
+        if not own.allowed:
+            return QueryResponse.denied(own.reasons)
         released = []
         try:
             ties = self._social.ties_of(subject_id)
@@ -488,22 +484,23 @@ class RequestManager:
             return self._degraded("frequent_contacts", exc, now, subject_id)
         for tie in ties:
             other = tie.user_b if tie.user_a == subject_id else tie.user_a
-            other_request = self._request(
-                requester_id,
-                requester_kind,
-                DataCategory.SOCIAL_TIES,
-                other,
-                None,
+            if self._engine.decide_key(
+                sharing_key(
+                    requester_id,
+                    requester_kind,
+                    DataCategory.SOCIAL_TIES,
+                    other,
+                    None,
+                    purpose,
+                ),
                 now,
-                purpose,
-            )
-            if self._engine.decide(other_request).allowed:
+            ).allowed:
                 released.append({"contact": other, "encounters": tie.encounters})
         return QueryResponse(
             allowed=True,
             value=released,
-            granularity=own_decision.granularity,
-            reasons=own_decision.resolution.reasons,
+            granularity=own.granularity,
+            reasons=own.reasons,
         )
 
     # ------------------------------------------------------------------
@@ -541,23 +538,24 @@ class RequestManager:
         )
         if not nearby:
             return QueryResponse.denied(("user not nearby the event space",))
-        request = self._request(
-            requester_id,
-            requester_kind,
-            DataCategory.MEETING_DETAILS,
-            for_user,
-            event_space,
+        resolution = self._engine.decide_key(
+            sharing_key(
+                requester_id,
+                requester_kind,
+                DataCategory.MEETING_DETAILS,
+                for_user,
+                event_space,
+                Purpose.PROVIDING_SERVICE,
+            ),
             now,
-            Purpose.PROVIDING_SERVICE,
         )
-        decision = self._engine.decide(request)
-        if not decision.allowed:
-            return QueryResponse.denied(decision.resolution.reasons)
+        if not resolution.allowed:
+            return QueryResponse.denied(resolution.reasons)
         return QueryResponse(
             allowed=True,
             value=details or {"event_id": event_id, "space_id": event_space},
-            granularity=decision.granularity,
-            reasons=decision.resolution.reasons,
+            granularity=resolution.granularity,
+            reasons=resolution.reasons,
         )
 
     def _same_floor(self, a_id: str, b_id: str) -> bool:

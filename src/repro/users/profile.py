@@ -51,19 +51,26 @@ def profile_to_dict(profile: UserProfile) -> Dict[str, object]:
 
 
 def profile_from_dict(data: Dict[str, object]) -> UserProfile:
-    """Rebuild a profile from its wire form."""
-    return UserProfile(
-        user_id=str(data["user_id"]),
-        name=str(data.get("name", "")),
-        groups=frozenset(str(g) for g in data.get("groups", [])),  # type: ignore[union-attr]
-        department=str(data.get("department", "")),
-        affiliation=str(data.get("affiliation", "")),
-        office_id=(
-            None if data.get("office_id") is None else str(data["office_id"])
-        ),
-        device_macs=tuple(str(m) for m in data.get("device_macs", [])),  # type: ignore[union-attr]
-        has_iota=bool(data.get("has_iota", True)),
-    )
+    """Rebuild a profile from its wire form.
+
+    Raises :class:`ValueError` for a form of the wrong shape: not an
+    object, no ``user_id``, or groups or device MACs not iterable.
+    """
+    try:
+        return UserProfile(
+            user_id=str(data["user_id"]),
+            name=str(data.get("name", "")),
+            groups=frozenset(str(g) for g in data.get("groups", [])),  # type: ignore[union-attr]
+            department=str(data.get("department", "")),
+            affiliation=str(data.get("affiliation", "")),
+            office_id=(
+                None if data.get("office_id") is None else str(data["office_id"])
+            ),
+            device_macs=tuple(str(m) for m in data.get("device_macs", [])),  # type: ignore[union-attr]
+            has_iota=bool(data.get("has_iota", True)),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed profile: %r" % exc) from None
 
 
 class UserDirectory:

@@ -9,11 +9,13 @@ stores; every request is decided by both engines and the outcomes
 compared field by field.
 
 Observations are also enforced by a third engine, a
-:class:`RequestPathEngine`: the compiled engine with its observation
-lane turned off, so every observation builds its ``DataRequest`` and
-goes through ``decide``.  It is the oracle for the lane's table
+:class:`RequestPathEngine`: the compiled engine with its lanes turned
+off, so every observation builds its ``DataRequest`` and goes through
+``decide``.  It is the oracle for the lane's table
 bookkeeping (:class:`~repro.core.enforcement.compiled.TableStats`),
-which the interpreter does not keep.
+which the interpreter does not keep.  Sharing requests asked through
+:meth:`EnginePair.ask` go through the compiled engine's request lane
+(``decide_key``) and through ``decide`` on the other two engines.
 
 Normalization: injected policy-fetch failures embed the fault
 injector's logical step number in the fail-closed reason string, and
@@ -30,7 +32,11 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
-from repro.core.enforcement.engine import Decision, EnforcementEngine
+from repro.core.enforcement.engine import (
+    Decision,
+    EnforcementEngine,
+    request_from_key,
+)
 from repro.core.policy.base import Effect
 from repro.core.policy.conditions import EvaluationContext
 from repro.core.reasoner.index import PolicyIndex, RuleStore
@@ -75,9 +81,10 @@ def audit_key(record: AuditRecord) -> tuple:
 
 
 class RequestPathEngine(CompiledEnforcementEngine):
-    """A compiled engine whose observations all take the request path."""
+    """A compiled engine whose lanes never serve: every observation and
+    ``decide_key`` takes the request path."""
 
-    def _serve_observation(self, observation, phase):
+    def _serve(self, key, timestamp):
         return None
 
 
@@ -188,6 +195,39 @@ class EnginePair:
             )
         return expected
 
+    def ask(self, key: tuple, timestamp: float, notes: Tuple[str, ...] = ()) -> object:
+        """Decide the request ``key`` describes at ``timestamp``, three ways.
+
+        The interpreter and the request-path engine build the request
+        and call ``decide``; the compiled engine answers through its
+        request lane, ``decide_key``.  Each must return the same
+        resolution, or raise the same error; the common outcome is
+        returned.
+        """
+
+        def through_decide(engine: EnforcementEngine) -> Callable[[], object]:
+            return lambda: engine.decide(
+                request_from_key(key, timestamp), notes
+            ).resolution
+
+        def comparable(outcome: object) -> object:
+            if isinstance(outcome, Resolution):
+                return resolution_key(outcome)
+            return outcome
+
+        expected = _outcome(through_decide(self.reference))
+        for name, call in (
+            ("request lane", lambda: self.compiled.decide_key(key, timestamp, notes)),
+            ("request path", through_decide(self.request_path)),
+        ):
+            actual = _outcome(call)
+            assert comparable(actual) == comparable(expected), (
+                "divergence on %r at %r with notes %r in the %s:\n"
+                "actual:    %r\nreference: %r"
+                % (key, timestamp, notes, name, actual, expected)
+            )
+        return expected
+
     def apply(self, step) -> None:
         """Apply one generated ``(op, payload)`` step (see strategies)."""
         op, payload = step
@@ -242,3 +282,31 @@ class EnginePair:
             "enforcement_decide_seconds"
         ).count, "latency histogram sample counts diverged"
         assert self.request_path.stats == self.compiled.stats, "TableStats diverged"
+        assert untimed_snapshot(self.request_path_metrics) == untimed_snapshot(
+            self.compiled_metrics
+        ), "metrics snapshots diverged"
+
+    def assert_request_lane_equal(self) -> None:
+        """The lane engine and the request-path engine agree on the
+        whole audit trail, table stats and metrics snapshot (timing
+        histograms compared by sample count)."""
+        compiled = [audit_key(r) for r in self.compiled.audit]
+        request_path = [audit_key(r) for r in self.request_path.audit]
+        assert request_path == compiled, "request-path audit trail diverged"
+        assert self.request_path.stats == self.compiled.stats, "TableStats diverged"
+        assert untimed_snapshot(self.request_path_metrics) == untimed_snapshot(
+            self.compiled_metrics
+        ), "metrics snapshots diverged"
+
+
+def untimed_snapshot(registry: MetricsRegistry) -> dict:
+    """``registry.snapshot()`` with each ``*_seconds`` histogram cut to
+    its sample count, the only part of a timing that two runs share."""
+    snapshot = registry.snapshot()
+    snapshot["histograms"] = [
+        {"name": h["name"], "labels": h["labels"], "count": h["count"]}
+        if h["name"].endswith("_seconds")
+        else h
+        for h in snapshot["histograms"]
+    ]
+    return snapshot

@@ -181,3 +181,42 @@ observation_runs = st.lists(
     min_size=8,
     max_size=40,
 )
+
+
+#: Sharing-phase requests, the only phase the request manager asks.
+sharing_requests = requests.map(
+    lambda request: dataclasses.replace(request, phase=DecisionPhase.SHARING)
+)
+
+#: The notes the request manager attaches: none (the lane's case), a
+#: brownout degradation, a roaming marker and a migration marker.
+QUERY_NOTES = [
+    (),
+    ("brownout degraded response (level 1): granularity precise -> coarse",),
+    ("roaming:c",),
+    ("roaming:c", "migrating:b:c"),
+]
+
+
+def _mk_ask(index_timestamp_notes):
+    return ("ask", index_timestamp_notes)
+
+
+def _ask():
+    return st.tuples(
+        st.integers(0, 3),
+        observation_timestamps,
+        st.one_of(st.just(()), st.sampled_from(QUERY_NOTES)),
+    ).map(_mk_ask)
+
+
+#: A query-path run: ``("ask", (index, timestamp, notes))`` steps
+#: (``index`` picks a request from the run's pool, modulo its size)
+#: interleaved with store mutations.  Two in three steps ask, and half
+#: the asks carry no notes, so rows warm and then meet noted asks,
+#: negative timestamps and mutations that stale them.
+query_runs = st.lists(
+    st.one_of(*[_ask() for _ in range(8)], *_mutations),
+    min_size=8,
+    max_size=40,
+)

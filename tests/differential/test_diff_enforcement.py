@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.core.enforcement import engine as engine_module
 from repro.core.enforcement.compiled import _flat_key
+from repro.core.enforcement.engine import request_from_key, sharing_key
 
 from repro.core.language.vocabulary import DataCategory, Purpose
 from repro.core.policy import catalog
@@ -21,13 +24,16 @@ from repro.sensors.base import Observation
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from tests.differential.harness import EnginePair
 from tests.differential.strategies import (
+    QUERY_NOTES,
     REQUEST_EDITS,
     observation_runs,
     observations,
     policies,
     preferences,
+    query_runs,
     requests,
     runs,
+    sharing_requests,
     strategies,
     subject_requests,
 )
@@ -149,6 +155,103 @@ def test_observation_key_is_the_request_key(observation, phase, timestamp):
     assert engine.observation_key(observation, phase) == _flat_key(
         engine.request_for_observation(observation, phase)
     )
+
+
+def _sharing_key_of(request: DataRequest) -> tuple:
+    return sharing_key(
+        request.requester_id,
+        request.requester_kind,
+        request.category,
+        request.subject_id,
+        request.space_id,
+        request.purpose,
+        request.granularity,
+        request.sensor_type,
+    )
+
+
+_MARY_LOCATION = DataRequest(
+    requester_id="svc-a",
+    requester_kind=RequesterKind.BUILDING_SERVICE,
+    phase=DecisionPhase.SHARING,
+    category=DataCategory.LOCATION,
+    subject_id="mary",
+    space_id="b-1001",
+    timestamp=0.0,
+    purpose=Purpose.PROVIDING_SERVICE,
+)
+
+
+@given(
+    policy_list=st.lists(policies, max_size=5),
+    preference_list=st.lists(preferences, max_size=5),
+    pool=st.lists(sharing_requests, min_size=1, max_size=4),
+    run=query_runs,
+)
+# A warm row, then the same request with each kind of note and with a
+# negative timestamp: each must take the request path.
+@example(
+    policy_list=[catalog.policy_service_sharing("b")],
+    preference_list=[],
+    pool=[_MARY_LOCATION],
+    run=[("ask", (0, 5.0, ()))]
+    + [("ask", (0, 6.0, notes)) for notes in QUERY_NOTES[1:]]
+    + [("ask", (0, -1.0, ())), ("ask", (0, 7.0, ()))],
+)
+def test_request_lane(policy_list, preference_list, pool, run):
+    """Query-path enforcement: the request lane (``decide_key``) serves
+    warm rows without building a DataRequest, and must give the
+    resolution ``decide`` gives (or raise the same error), write the
+    same audit records and leave the same metrics snapshot and
+    TableStats as a compiled engine that always builds the request.
+    Noted asks and negative timestamps must fall through to ``decide``:
+    a served row would drop the notes from the audit record, and a
+    negative timestamp must raise as the request does."""
+    pair = EnginePair(policies=policy_list, preferences=preference_list)
+    for op, payload in run:
+        if op == "ask":
+            index, timestamp, notes = payload
+            pair.ask(_sharing_key_of(pool[index % len(pool)]), timestamp, notes)
+        else:
+            pair.apply((op, payload))
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()
+    pair.assert_request_lane_equal()
+
+
+@given(request=requests, timestamp=st.floats(0.0, 1e7))
+def test_sharing_key_is_the_request_key(request, timestamp):
+    """The lane probes with ``sharing_key``; it must be the key the
+    request path computes, and ``request_from_key`` must rebuild the
+    request it came from."""
+    request = dataclasses.replace(
+        request, phase=DecisionPhase.SHARING, timestamp=timestamp
+    )
+    key = _sharing_key_of(request)
+    assert key == _flat_key(request)
+    assert request_from_key(key, timestamp) == request
+
+
+def test_warm_query_builds_no_request(monkeypatch):
+    """A warm sharing request is served by the lane: with request
+    construction broken, it is still answered, audited and counted as
+    a hit; with notes it must build its request."""
+    pair = EnginePair(policies=[catalog.policy_service_sharing("b")])
+    key = _sharing_key_of(_MARY_LOCATION)
+    warm = pair.ask(key, 1.0)
+    engine = pair.compiled
+
+    def broken(key, timestamp):
+        raise AssertionError("the request path ran for a warm request")
+
+    monkeypatch.setattr(engine_module, "request_from_key", broken)
+    hits, trail = engine.stats.hits, len(engine.audit)
+    assert engine.decide_key(key, 2.0) == warm
+    assert engine.stats.hits == hits + 1
+    assert len(engine.audit) == trail + 1
+    assert list(engine.audit)[-1].timestamp == 2.0
+    with pytest.raises(AssertionError, match="request path ran"):
+        engine.decide_key(key, 3.0, ("roaming:c",))
 
 
 def _capture_pair(preference_list=()) -> EnginePair:

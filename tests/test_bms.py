@@ -5,11 +5,15 @@ import pytest
 from repro.core.enforcement import CompiledEnforcementEngine, EnforcementEngine
 from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
-from repro.errors import PolicyError
+from repro.core.language.vocabulary import GranularityLevel, Purpose
+from repro.core.policy.base import RequesterKind
+from repro.errors import NetworkError, PolicyError
 from repro.net.bus import MessageBus, RpcError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.durable import StorageEngine
-from repro.tippers.bms import TIPPERS
+from repro.tippers.bms import _ROUTES, TIPPERS
+from repro.tippers.inference import InferenceEngine
+from repro.tippers.request_manager import RequestManager
 from repro.users.profile import UserProfile
 
 
@@ -63,6 +67,138 @@ class TestOperation:
         actuated = tippers.run_comfort_control(60.0)
         assert actuated == 1
         assert tippers.sensor_manager.sensor("hvac-1").settings.get("fan_speed") == "auto"
+
+
+#: A well-formed observation of the migrating user, for the snapshots
+#: below that break a later part.
+_ZED_SIGHTING = {
+    "observation_id": 1,
+    "sensor_id": "ap-1",
+    "sensor_type": "wifi_access_point",
+    "timestamp": 1.0,
+    "space_id": "b-1001",
+    "payload": {},
+    "subject_id": "zed",
+}
+
+#: ``migrate_import`` snapshots with one part of the wrong shape; each
+#: must be refused before the journal write or any insert.
+_BAD_SNAPSHOTS = [
+    {"observations": 5},
+    {"observations": [_ZED_SIGHTING, "not an observation"]},
+    {"observations": [dict(_ZED_SIGHTING, timestamp="x")]},
+    {"observations": [dict(_ZED_SIGHTING, observation_id=[1])]},
+    {"profile": 5},
+    {"profile": {"user_id": "zed", "groups": 5}},
+    {"observations": [_ZED_SIGHTING], "preferences": [{"preference_id": 5}]},
+    {"preferences": "x"},
+]
+
+
+_QUERIES = [
+    ("locate_user", {"requester_id": "svc", "subject_id": "mary", "now": 1.0}),
+    ("room_occupancy", {"requester_id": "svc", "space_id": "b-1001", "now": 1.0}),
+]
+
+#: Enum fields no member spells (or that cannot be hashed at all).
+_BAD_ENUMS = [
+    {"requester_kind": "alien"},
+    {"requester_kind": ["building_service"]},
+    {"purpose": "spying"},
+    {"purpose": None},
+    {"granularity": "atomic"},
+    {"granularity": {"precise": 1}},
+]
+
+#: Every bus method TIPPERS answers.
+_ROUTED = [
+    "get_policy_document",
+    "get_settings_document",
+    "submit_preference",
+    "submit_selection",
+    "preview_effects",
+    "dsar_report",
+    "dsar_erase",
+    "register_roaming",
+    "migrate_export",
+    "migrate_import",
+    "migrate_finalize",
+    "locate_user",
+    "room_occupancy",
+]
+
+
+class TestDispatch:
+    def test_routed_methods_are_pinned(self):
+        assert sorted(_ROUTES) == sorted(_ROUTED)
+        for route in _ROUTES.values():
+            assert callable(getattr(TIPPERS, route))
+
+    def test_unknown_method_is_not_handled(self, tippers):
+        with pytest.raises(NetworkError) as excinfo:
+            tippers.handle("self_destruct", {})
+        assert str(excinfo.value) == "method 'self_destruct' not handled"
+        bus = MessageBus(metrics=MetricsRegistry())
+        bus.register("tippers", tippers)
+        with pytest.raises(RpcError) as excinfo:
+            bus.call("tippers", "self_destruct")
+        assert excinfo.value.remote_message == "method 'self_destruct' not handled"
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"requester_kind": "alien"}, "'alien' is not a valid RequesterKind"),
+            ({"purpose": "spying"}, "'spying' is not a valid Purpose"),
+            ({"granularity": "atomic"}, "'atomic' is not a valid GranularityLevel"),
+        ],
+    )
+    def test_bad_enum_keeps_the_constructor_message(self, tippers, bad, message):
+        payload = dict(_QUERIES[0][1], **bad)
+        with pytest.raises(NetworkError) as excinfo:
+            tippers.handle("locate_user", payload)
+        assert str(excinfo.value) == message
+
+    def test_enum_fields_read_every_member(self, tippers, world):
+        world.put("mary", "aa:bb:cc:00:00:01", "b-1001")
+        tippers.tick(100.0, world)
+        for kind in RequesterKind:
+            for purpose in Purpose:
+                for granularity in GranularityLevel:
+                    payload = dict(
+                        _QUERIES[0][1],
+                        now=160.0,
+                        requester_kind=kind.value,
+                        purpose=purpose.value,
+                        granularity=granularity.value,
+                    )
+                    expected = tippers.locate_user(
+                        "svc", kind, "mary", 160.0,
+                        purpose=purpose, granularity=granularity,
+                    )
+                    answer = tippers.handle("locate_user", payload)
+                    assert answer["allowed"] == expected.allowed
+                    assert answer["reasons"] == list(expected.reasons)
+
+    def test_handlers_are_looked_up_when_called(self, tippers, monkeypatch):
+        """A wrapper installed on a class after TIPPERS was built and
+        used (as a tracer installs its spans) still runs on every bus
+        call."""
+        tippers.handle("locate_user", _QUERIES[0][1])
+        seen = []
+        for owner, name in (
+            (TIPPERS, "_rpc_locate_user"),
+            (RequestManager, "locate_user"),
+            (InferenceEngine, "locate"),
+        ):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        tippers.handle("locate_user", _QUERIES[0][1])
+        assert seen == ["_rpc_locate_user", "locate_user", "locate"]
 
 
 class TestBusEndpoint:
@@ -183,6 +319,22 @@ class TestBusEndpoint:
                 {"migration_id": ["m1"], "user_id": "zed", "from_building": "c",
                  "snapshot": {}},
             ),
+            ("register_roaming", {"profile": {"user_id": "zed", "groups": 5},
+                                  "home_building_id": "c"}),
+        ]
+        + [
+            (method, dict(payload, **bad))
+            for method, payload in _QUERIES
+            for bad in _BAD_ENUMS
+            if method == "locate_user" or "granularity" not in bad
+        ]
+        + [
+            (
+                "migrate_import",
+                {"migration_id": "m1", "user_id": "zed", "from_building": "c",
+                 "snapshot": snapshot},
+            )
+            for snapshot in _BAD_SNAPSHOTS
         ],
     )
     def test_wrong_shape_payload_is_counted_rpc_error(
@@ -205,4 +357,5 @@ class TestBusEndpoint:
         assert len(tippers.audit) == 0
         assert tippers.preference_manager.count() == 0
         assert [p.user_id for p in tippers.directory] == ["mary"]
+        assert tippers.datastore.count() == 0
         storage.close()

@@ -1,11 +1,16 @@
 """Unit tests for the inference engine (processing)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sensors.base import Observation
 from repro.spatial.model import build_simple_building
 from repro.tippers.datastore import Datastore
-from repro.tippers.inference import InferenceEngine
+from repro.tippers.inference import (
+    LOCATION_SENSOR_TYPES,
+    InferenceEngine,
+    LocationEstimate,
+)
 
 
 def sighting(timestamp, subject, space, sensor_type="wifi_access_point"):
@@ -162,3 +167,71 @@ class TestActivityPatterns:
         # Aggregate-granularity observations carry no subject.
         datastore.insert(sighting(9 * 3600.0, None, "b-1001"))
         assert inference.guess_role("mary") is None
+
+
+def _locate_by_query(datastore, subject_id, now, window_s=900.0):
+    """``InferenceEngine.locate`` as it was written over ``Datastore.query``:
+    the sorted window, keeping the first reading with the newest
+    timestamp."""
+    since = max(0.0, now - window_s)
+    best = None
+    for observation in datastore.query(subject_id=subject_id, since=since):
+        if observation.sensor_type not in LOCATION_SENSOR_TYPES:
+            continue
+        if observation.space_id is None:
+            continue
+        if best is None or observation.timestamp > best.timestamp:
+            best = observation
+    if best is None:
+        return None
+    return LocationEstimate(
+        subject_id=subject_id,
+        space_id=best.space_id,
+        timestamp=best.timestamp,
+        source_sensor_type=best.sensor_type,
+        granularity=best.granularity,
+    )
+
+
+#: Few distinct timestamps, so that readings tie; inserted in any order.
+_readings = st.lists(
+    st.builds(
+        Observation,
+        observation_id=st.integers(0, 12),
+        sensor_id=st.sampled_from(["s1", "s2"]),
+        sensor_type=st.sampled_from(LOCATION_SENSOR_TYPES + ("motion_sensor",)),
+        timestamp=st.sampled_from([0.0, 1.0, 50.0, 100.0, 100.5, 1000.0]),
+        space_id=st.one_of(st.none(), st.sampled_from(["b-1001", "b-1002"])),
+        payload=st.just({}),
+        subject_id=st.sampled_from(["mary", "bob"]),
+        granularity=st.sampled_from(["precise", "coarse"]),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    readings=_readings,
+    now=st.sampled_from([0.0, 100.0, 100.5, 950.0, 1000.0, 2000.0]),
+    window_s=st.sampled_from([0.0, 0.5, 900.0]),
+)
+def test_one_pass_locate_matches_sorted_window(readings, now, window_s):
+    datastore = Datastore()
+    for observation in readings:
+        datastore.insert(observation)
+    engine = InferenceEngine(datastore)
+    for subject in ("mary", "bob", "nobody"):
+        assert engine.locate(subject, now, window_s) == _locate_by_query(
+            datastore, subject, now, window_s
+        )
+
+
+def test_equal_timestamps_lowest_observation_id_wins():
+    datastore = Datastore()
+    for observation_id, space in ((7, "b-1002"), (3, "b-1001"), (5, "b-1002")):
+        datastore.insert(
+            Observation(observation_id, "s", "wifi_access_point", 10.0, space,
+                        {}, subject_id="mary")
+        )
+    estimate = InferenceEngine(datastore).locate("mary", 20.0)
+    assert estimate is not None and estimate.space_id == "b-1001"
