@@ -9,7 +9,9 @@ expression matched against fully-qualified function names of the form
 Three taint roles:
 
 **Sources** produce observation-derived data: sensor sampling entry
-points and datastore/WAL reads of observation payloads.
+points, datastore/WAL reads of observation payloads, and the durable
+audit log's reader of past decisions (each records a subject, a space
+and a time).
 
 **Sinks** release data beyond the enforcement boundary: query-response
 construction, storage appends of observations, and IoTA notifications.
@@ -111,8 +113,11 @@ DEFAULT_MODEL = FlowModel(
         r"^repro\.sensors\.drivers\.[A-Za-z_]+\.sample$",
         # Datastore reads of observation payloads.
         r"^repro\.tippers\.datastore\.Datastore\.(query|latest|of_subject)$",
-        # WAL segment reads (recovery/compaction replaying payloads).
-        r"^repro\.storage\.wal\.scan_segment$",
+        # WAL segment reads (the writer's resume scan; the lazy reader
+        # behind recovery, compaction and the audit log).
+        r"^repro\.storage\.wal\.(scan_segment|read_segment)$",
+        # Past decisions, which the durable audit log reads from the WAL.
+        r"^repro\.storage\.durable\.DurableAuditLog\.__iter__$",
     ),
     sink_specs=(
         # Query responses released to services.

@@ -8,17 +8,12 @@ transparency half of the paper's accountability story.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, get_registry
-
-#: How many records an :class:`AuditLog` keeps in memory.  Once full,
-#: the oldest half is discarded.  The durable trail (the WAL and its
-#: snapshots, see ``repro.storage``) keeps every record regardless.
-AUDIT_WINDOW = 100_000
 
 
 class AuditRecord(NamedTuple):
@@ -87,42 +82,37 @@ def audit_record_from_dict(data: Dict[str, Any]) -> AuditRecord:
 
 
 class AuditLog:
-    """In-memory audit log with query helpers.
+    """In-memory audit log with query helpers over ``iter(self)``.
 
-    Memory is bounded by :data:`AUDIT_WINDOW`: once full, the oldest
-    half is discarded (coarse but O(1) amortized), with ``dropped``
-    counting the loss.
+    It keeps every record: it is the only trail of a TIPPERS without
+    storage.  With storage, :class:`~repro.storage.durable.DurableAuditLog`
+    keeps none and iterates the write-ahead log instead.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._records: List[AuditRecord] = []
-        self.dropped = 0
+        self._bind_metrics(metrics)
+
+    def _bind_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         registry = metrics if metrics is not None else get_registry()
         self._m_appends = registry.counter("audit_appends_total")
-        self._m_dropped = registry.counter("audit_dropped_total")
         self._m_records = registry.gauge("audit_records")
 
     def append(self, record: AuditRecord) -> None:
         records = self._records
-        if len(records) >= AUDIT_WINDOW:
-            keep = AUDIT_WINDOW // 2
-            trimmed = len(records) - keep
-            self.dropped += trimmed
-            self._m_dropped.inc(trimmed)
-            # Trim in place: the list's identity is stable for the
-            # log's lifetime, which the compiled engine's hit path
-            # relies on (it binds the list once per log).
-            del records[:trimmed]
         records.append(record)
         # Direct attribute bumps (not .inc()/.set()) keep this on the
         # compiled fast path's budget; semantics are identical.
         self._m_appends.value += 1
         self._m_records.value = len(records)
 
+    #: Take one record replayed from storage (nothing is logged).
+    restore = append
+
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[AuditRecord]:
         return iter(self._records)
 
     def records(
@@ -132,9 +122,9 @@ class AuditLog:
         phase: Optional[DecisionPhase] = None,
         predicate: Optional[Callable[[AuditRecord], bool]] = None,
     ) -> List[AuditRecord]:
-        """Records matching every provided filter."""
+        """Records matching every provided filter, in log order."""
         result = []
-        for record in self._records:
+        for record in self:
             if subject_id is not None and record.subject_id != subject_id:
                 continue
             if requester_id is not None and record.requester_id != requester_id:
@@ -154,12 +144,12 @@ class AuditLog:
     def summary(self) -> Dict[str, int]:
         """Counts by outcome, for dashboards and benchmarks."""
         counts: Counter = Counter()
-        for record in self._records:
+        for record in self:
             counts[record.effect.value] += 1
             if record.allowed and record.granularity is not GranularityLevel.PRECISE:
                 counts["degraded"] += 1
             if record.notify_user:
                 counts["notify"] += 1
-        counts["total"] = len(self._records)
-        counts["dropped"] = self.dropped
+        counts["total"] = len(self)
+        counts["dropped"] = 0  # no record is ever discarded
         return dict(counts)

@@ -96,7 +96,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.core.enforcement import audit as audit_module
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest
@@ -224,7 +223,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
     # their own ``append`` so no logging is bypassed); the property
     # setter keeps the bindings fresh if anyone swaps the log.  The
     # bound objects are stable for the log's lifetime: ``AuditLog``
-    # never replaces its records list (trim is in place) or counters.
+    # never replaces its records list or counters.
     @property
     def audit(self):  # type: ignore[override]
         return self._audit
@@ -234,7 +233,6 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._audit = value
         if type(value) is AuditLog:
             self._audit_records = value._records
-            self._audit_capacity = audit_module.AUDIT_WINDOW
             self._audit_m_appends = value._m_appends
             self._audit_m_records = value._m_records
         else:
@@ -349,10 +347,9 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self.stats.hits += 1
         record = _tuple_new(AuditRecord, (timestamp,) + row[1])
         records = self._audit_records
-        if records is not None and len(records) < self._audit_capacity:
-            # Inlined AuditLog.append below-capacity branch (same
-            # bumps, no trim possible).  Direct .value bumps (not
-            # .inc()): method-call overhead is measurable at this
+        if records is not None:
+            # Inlined AuditLog.append (same bumps).  Direct .value bumps
+            # (not .inc()): method-call overhead is measurable at this
             # path's budget.
             records.append(record)
             self._audit_m_appends.value += 1

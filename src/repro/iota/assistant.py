@@ -231,14 +231,31 @@ class IoTAssistant:
                     ).inc()
                     continue
                 self.metrics.counter("iota_registries_reached_total").inc()
+                # A registry is a third party: an answer of the wrong
+                # shape is skipped and counted, and the sweep goes on.
+                if type(response) is not dict:
+                    self._count_malformed("response")
+                    continue
                 result.registry_ids.append(response.get("registry_id", endpoint))
-                for entry in response.get("advertisements", []):
-                    self._absorb_advertisement(entry, now, result)
+                advertisements = response.get("advertisements", [])
+                if type(advertisements) is not list:
+                    self._count_malformed("advertisements")
+                    continue
+                for entry in advertisements:
+                    if type(entry) is dict:
+                        self._absorb_advertisement(entry, now, result)
+                    else:
+                        self._count_malformed("entry")
         self.metrics.counter("iota_notifications_total").inc(
             len(result.notifications)
         )
         self.last_discovery = result
         return result
+
+    def _count_malformed(self, part: str) -> None:
+        self.metrics.counter(
+            "iota_discovery_malformed_total", {"part": part}
+        ).inc()
 
     def _absorb_advertisement(
         self, entry: Dict[str, Any], now: float, result: DiscoveryResult

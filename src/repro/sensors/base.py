@@ -141,9 +141,6 @@ class SensorSettings:
     def set(self, name: str, value: object) -> None:
         self.update({name: value})
 
-    def as_dict(self) -> Dict[str, object]:
-        return dict(self._values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SensorSettings):
             return NotImplemented

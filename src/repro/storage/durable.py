@@ -19,21 +19,28 @@ write-ahead ordering is what makes the recovery invariants hold:
 
 :class:`DurableDatastore` and :class:`DurableAuditLog` are drop-in
 subclasses of the in-memory structures that route every write through
-the engine.  Recovery replays *around* them (base-class applies), and
+the engine; the audit log keeps no records, only a reader of the WAL.
+Recovery replays *around* them (base-class applies), and
 ``engine.replaying`` turns ``log_*`` into no-ops so replayed state is
 not re-logged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.core.enforcement.audit import AuditLog, AuditRecord, audit_record_to_dict
+from repro.core.enforcement.audit import (
+    AuditLog,
+    AuditRecord,
+    audit_record_from_dict,
+    audit_record_to_dict,
+)
 from repro.core.policy.preference import UserPreference
 from repro.core.policy.serialization import preference_to_dict
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.sensors.base import Observation
 from repro.storage import records
+from repro.storage.recovery import read_store
 from repro.storage.wal import (
     DEFAULT_SEGMENT_BYTES,
     WalPlane,
@@ -203,14 +210,35 @@ class DurableDatastore(Datastore):
 
 
 class DurableAuditLog(AuditLog):
-    """An audit log whose records survive a crash."""
+    """An audit log whose only copy of the trail is the WAL.
+
+    It keeps a count, not records: iterating reads every ``audit``
+    record back through ``read_store`` in log order, so the inherited
+    queries see the whole trail.  ``len()`` counts the records appended
+    or replayed.
+    """
 
     def __init__(
         self, engine: StorageEngine, metrics: Optional[MetricsRegistry] = None
     ) -> None:
-        super().__init__(metrics=metrics)
+        self._bind_metrics(metrics)
         self.engine = engine
+        self._count = 0
 
     def append(self, record: AuditRecord) -> None:
         self.engine.log_audit(record)
-        super().append(record)
+        self.restore(record)
+
+    def restore(self, record: AuditRecord) -> None:
+        """Count one record that is already in the log."""
+        self._count += 1
+        self._m_appends.value += 1
+        self._m_records.value = self._count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[AuditRecord]:
+        for record_type, data, _ in read_store(self.engine.directory):
+            if record_type == records.AUDIT:
+                yield audit_record_from_dict(data)

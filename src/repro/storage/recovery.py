@@ -32,7 +32,7 @@ crash+recover runs render byte-identical reports (the chaos
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, audit_record_from_dict
@@ -69,23 +69,7 @@ class RecoveryReport:
     retention_purged: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "snapshot_lsn": self.snapshot_lsn,
-            "last_lsn": self.last_lsn,
-            "frames_replayed": self.frames_replayed,
-            "records_replayed": dict(self.records_replayed),
-            "segments_scanned": self.segments_scanned,
-            "torn": self.torn,
-            "torn_segment": self.torn_segment,
-            "torn_reason": self.torn_reason,
-            "snapshot_torn_tails": self.snapshot_torn_tails,
-            "erasures_applied": self.erasures_applied,
-            "erased_observations": self.erased_observations,
-            "observations_restored": self.observations_restored,
-            "audit_restored": self.audit_restored,
-            "preferences_restored": self.preferences_restored,
-            "retention_purged": self.retention_purged,
-        }
+        return asdict(self)
 
     def lines(self) -> List[str]:
         """A stable text rendering; byte-identical across same-seed runs."""
@@ -200,8 +184,9 @@ class Replay:
     """The state a replay rebuilds, one applied record at a time.
 
     ``datastore`` / ``audit`` may be durable instances; every apply is
-    a base-class apply, so nothing is re-logged.  ``audit`` is None
-    only for a caller that takes the audit records itself (compaction).
+    a base-class apply or an audit ``restore`` (which a durable log only
+    counts), so nothing is re-logged.  ``audit`` is None only for a
+    caller that takes the audit records itself (compaction).
     """
 
     def __init__(self, datastore: Datastore, audit: Optional[AuditLog]) -> None:
@@ -234,7 +219,7 @@ class Replay:
                     snapshot["observations"] = []
                     entry["snapshot_erased"] = True
         elif record_type == records.AUDIT:
-            AuditLog.append(self.audit, audit_record_from_dict(data))
+            self.audit.restore(audit_record_from_dict(data))
         elif record_type == records.PREF:
             key = (data.get("user_id"), data.get("preference_id"))
             preferences[key] = data
@@ -263,7 +248,7 @@ def replay_directory(
     """Snapshot-then-log replay (no retention sweep; see :func:`recover`).
 
     ``into_datastore`` / ``into_audit`` may be durable instances; the
-    replay uses base-class applies throughout, so nothing is re-logged.
+    replay re-logs nothing (see :class:`Replay`).
     """
     replay = Replay(
         into_datastore if into_datastore is not None else Datastore(),

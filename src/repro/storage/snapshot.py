@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import StorageError
@@ -150,19 +150,7 @@ class CompactionReport:
     folded_segments: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "snapshot_lsn": self.snapshot_lsn,
-            "segments_folded": self.segments_folded,
-            "frames_folded": self.frames_folded,
-            "observations_snapshotted": self.observations_snapshotted,
-            "audit_snapshotted": self.audit_snapshotted,
-            "preferences_snapshotted": self.preferences_snapshotted,
-            "erasures_folded": self.erasures_folded,
-            "erased_observations_dropped": self.erased_observations_dropped,
-            "retention_purged": self.retention_purged,
-            "obsolete_files_removed": self.obsolete_files_removed,
-            "folded_segments": list(self.folded_segments),
-        }
+        return asdict(self)
 
 
 def _collect_garbage(directory: str, keep_lsn: int, report: CompactionReport) -> None:

@@ -475,8 +475,9 @@ class TIPPERS(Endpoint):
 
         Must run on a freshly constructed, storage-backed instance
         (policies and users re-defined, no observations captured yet):
-        the replay loads observations and audit into the live durable
-        structures and re-submits recovered preferences, then sweeps
+        the replay loads observations into the live durable datastore,
+        counts the audit records the log already holds, and re-submits
+        recovered preferences, then sweeps
         retention for anything that expired while the process was down.
         """
         if self.storage is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.enforcement.audit import AuditRecord, audit_record_from_dict
+from repro.core.enforcement.audit import AuditRecord
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import PolicyError
@@ -94,7 +94,7 @@ def subject_access_report(tippers: TIPPERS, user_id: str, now: float) -> Subject
     for observation in observations:
         by_stream[observation.sensor_type] = by_stream.get(observation.sensor_type, 0) + 1
 
-    decisions = _decisions_about(tippers, user_id)
+    decisions = tippers.audit.records(subject_id=user_id)
     denied = sum(1 for r in decisions if r.effect is Effect.DENY)
     overridden = sum(1 for r in decisions if r.notify_user and r.effect is Effect.ALLOW)
 
@@ -122,25 +122,6 @@ def subject_access_report(tippers: TIPPERS, user_id: str, now: float) -> Subject
         conflicts=conflicts,
         covering_policies=covering,
     )
-
-
-def _decisions_about(tippers: TIPPERS, user_id: str) -> List[AuditRecord]:
-    """Every recorded enforcement decision about ``user_id``.
-
-    The in-memory audit log keeps only a window of recent records; a
-    storage-backed TIPPERS counts from its durable trail, which keeps
-    them all.
-    """
-    if tippers.storage is None:
-        return tippers.audit.records(subject_id=user_id)
-    from repro.storage import records
-    from repro.storage.recovery import read_store
-
-    return [
-        audit_record_from_dict(data)
-        for record_type, data, _ in read_store(tippers.storage.directory)
-        if record_type == records.AUDIT and data.get("subject_id") == user_id
-    ]
 
 
 def erase_subject(

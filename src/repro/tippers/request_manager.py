@@ -286,13 +286,6 @@ class RequestManager:
     # ------------------------------------------------------------------
     # Occupancy queries (Preference 1's target)
     # ------------------------------------------------------------------
-    def office_owner(self, space_id: str) -> Optional[str]:
-        """The user whose assigned office is ``space_id``, if any."""
-        for user in self._directory:
-            if user.office_id == space_id:
-                return user.user_id
-        return None
-
     @_instrumented_query
     def room_occupancy(
         self,
@@ -311,7 +304,7 @@ class RequestManager:
         """
         if space_id not in self._spatial:
             raise ServiceError("unknown space %r" % space_id)
-        subject_id = self.office_owner(space_id)
+        subject_id = self._directory.office_owner(space_id)
         resolution = self._engine.decide_key(
             sharing_key(
                 requester_id,

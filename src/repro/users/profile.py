@@ -85,6 +85,9 @@ class UserDirectory:
     def __init__(self) -> None:
         self._users: Dict[str, UserProfile] = {}
         self._mac_owner: Dict[str, str] = {}
+        #: office id -> the ids of the users assigned to it, in
+        #: directory order; the first is the office's owner.
+        self._office_users: Dict[str, List[str]] = {}
 
     def add(self, profile: UserProfile) -> UserProfile:
         if profile.user_id in self._users:
@@ -97,6 +100,10 @@ class UserDirectory:
         self._users[profile.user_id] = profile
         for mac in profile.device_macs:
             self._mac_owner[mac] = profile.user_id
+        if profile.office_id is not None:
+            self._office_users.setdefault(profile.office_id, []).append(
+                profile.user_id
+            )
         return profile
 
     def remove(self, user_id: str) -> Optional[UserProfile]:
@@ -111,6 +118,8 @@ class UserDirectory:
             for mac in profile.device_macs:
                 if self._mac_owner.get(mac) == user_id:
                     del self._mac_owner[mac]
+            if profile.office_id is not None:
+                self._office_users[profile.office_id].remove(user_id)
         return profile
 
     def get(self, user_id: str) -> UserProfile:
@@ -131,6 +140,11 @@ class UserDirectory:
     def owner_of_device(self, mac: str) -> Optional[str]:
         """The user owning device ``mac``, or ``None`` when unknown."""
         return self._mac_owner.get(mac)
+
+    def office_owner(self, space_id: str) -> Optional[str]:
+        """The first user, in directory order, whose office is ``space_id``."""
+        occupants = self._office_users.get(space_id)
+        return occupants[0] if occupants else None
 
     def members_of(self, group: str) -> List[UserProfile]:
         return [u for u in self._users.values() if u.in_group(group)]

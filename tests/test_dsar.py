@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.enforcement import audit
 from repro.core.enforcement.audit import AuditRecord
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy import catalog
@@ -65,7 +64,7 @@ class TestSubjectAccessReport:
 
 
 class TestDurableDecisionCount:
-    """A storage-backed report counts the durable trail, not the window."""
+    """A storage-backed report counts every decision in the durable trail."""
 
     def decision(self, index, subject="mary"):
         return AuditRecord(
@@ -82,9 +81,8 @@ class TestDurableDecisionCount:
         )
 
     def test_counts_every_decision_past_the_window(
-        self, small_building, mary, bob, tmp_path, monkeypatch
+        self, small_building, mary, bob, tmp_path
     ):
-        monkeypatch.setattr(audit, "AUDIT_WINDOW", 10)
         engine = StorageEngine(str(tmp_path))
         bms = TIPPERS(small_building, "b", storage=engine)
         bms.add_user(mary)
@@ -92,7 +90,7 @@ class TestDurableDecisionCount:
         for index in range(25):
             bms.audit.append(self.decision(index))
             bms.audit.append(self.decision(index, subject="bob"))
-        assert len(bms.audit) < 25  # the window alone would undercount
+        assert len(bms.audit) == 50
         report = subject_access_report(bms, "mary", 100.0)
         assert report.decisions_total == 25
         assert report.decisions_denied == 9  # 0, 3, ..., 24

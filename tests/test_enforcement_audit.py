@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.enforcement import audit
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
@@ -37,15 +36,13 @@ class TestAppend:
         log.append(record())
         assert len(log) == 1
 
-    def test_capacity_eviction(self, monkeypatch):
-        monkeypatch.setattr(audit, "AUDIT_WINDOW", 10)
+    def test_keeps_every_record_in_order(self):
         log = AuditLog()
-        for i in range(15):
-            log.append(record(timestamp=float(i)))
-        assert len(log) <= 10
-        assert log.dropped > 0
-        # Newest records survive.
-        assert list(log)[-1].timestamp == 14.0
+        appended = [record(timestamp=float(i)) for i in range(5)]
+        for entry in appended:
+            log.append(entry)
+        assert list(log) == appended
+        assert log.summary()["dropped"] == 0
 
 
 class TestQueries:

@@ -132,6 +132,58 @@ class TestDiscovery:
         assert result.resources, "good advertisements still absorbed"
 
 
+class StubRegistry:
+    """A third-party registry that answers every call with ``response``."""
+
+    def __init__(self, response):
+        self.response = response
+
+    def handle(self, method, payload):
+        return self.response
+
+
+class TestMalformedRegistryResponses:
+    """A registry's answer is untrusted: a response, advertisement list
+    or entry of the wrong shape is skipped and counted, and every valid
+    entry is still absorbed."""
+
+    def discover(self, wired, response, endpoints):
+        bus, _, _ = wired
+        bus.register("irr-bad", StubRegistry(response))
+        metrics = MetricsRegistry()
+        assistant = IoTAssistant(
+            "mary", bus, registry_endpoints=endpoints, metrics=metrics
+        )
+        return assistant.discover("b-1001", now=100.0), metrics
+
+    def malformed(self, metrics, part):
+        return metrics.total("iota_discovery_malformed_total", {"part": part})
+
+    def test_response_not_an_object(self, wired):
+        result, metrics = self.discover(wired, 5, ["irr-bad", "irr-1"])
+        assert result.registry_ids == ["irr-1"]
+        assert result.resources, "the valid registry's entry is absorbed"
+        assert self.malformed(metrics, "response") == 1
+
+    def test_advertisements_not_a_list(self, wired):
+        result, metrics = self.discover(
+            wired, {"advertisements": 5}, ["irr-bad", "irr-1"]
+        )
+        assert result.registry_ids == ["irr-bad", "irr-1"]
+        assert result.resources, "the valid registry's entry is absorbed"
+        assert self.malformed(metrics, "advertisements") == 1
+
+    def test_entries_not_objects(self, wired):
+        _, registry, _ = wired
+        valid = registry.handle("discover", {"space_id": "b-1001"})["advertisements"][0]
+        result, metrics = self.discover(
+            wired, {"advertisements": [5, None, "x", valid]}, ["irr-bad"]
+        )
+        assert result.resources, "the valid entry is absorbed"
+        assert result.settings
+        assert self.malformed(metrics, "entry") == 3
+
+
 class TestSettingsConfiguration:
     def test_fundamentalist_opts_out(self, wired):
         bus, _, tippers = wired

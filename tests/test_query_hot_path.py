@@ -6,13 +6,17 @@ ask the registry for a counter, gauge or histogram, and the
 ``NullTracer`` must hand out one shared context manager.  Binding
 handles up front must not create a series either, so the registry ends
 with exactly the series the round trip created before handles were
-bound (:data:`SERIES`).
+bound (:data:`SERIES`).  Serving calls must not grow the audit
+records held in memory either: the WAL is the only copy of the trail.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.core.enforcement.audit import AuditRecord
 from repro.core.policy import catalog
 from repro.net.admission import AdmissionController
 from repro.net.bus import MessageBus
@@ -30,7 +34,6 @@ SERIES = [
     ("counter", "admission_checked_total", {}),
     ("counter", "admission_injected_arrivals_total", {}),
     ("counter", "audit_appends_total", {}),
-    ("counter", "audit_dropped_total", {}),
     ("counter", "brownout_responses_total", {}),
     ("counter", "bus_attempts_total", {}),
     ("counter", "bus_bytes_received_total", {}),
@@ -78,6 +81,7 @@ SERIES = [
 ]
 
 WARM_CALLS = 200
+MEMORY_CALLS = 5_000
 
 
 def _series(registry: MetricsRegistry):
@@ -174,3 +178,22 @@ def test_round_trip_creates_the_same_series(warm_bus):
     for method, payload in _ops() * 3:
         bus.call("tippers", method, payload)
     assert _series(registry) == SERIES
+
+
+def _live_audit_records() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is AuditRecord)
+
+
+def test_served_queries_keep_no_audit_record(warm_bus):
+    """The WAL is a storage-backed building's only audit trail: serving
+    queries grows the log on disk, not the records held in memory."""
+    bus, tippers, _ = warm_bus
+    ops = _ops()
+    appended = len(tippers.audit)
+    before = _live_audit_records()
+    for index in range(MEMORY_CALLS):
+        method, payload = ops[index % len(ops)]
+        bus.call("tippers", method, payload)
+    assert len(tippers.audit) == appended + MEMORY_CALLS
+    assert _live_audit_records() <= before

@@ -129,8 +129,8 @@ class TestRoomOccupancy:
         assert allowed.allowed
 
     def test_office_owner_resolution(self, tippers):
-        assert tippers.request_manager.office_owner("b-1001") == "mary"
-        assert tippers.request_manager.office_owner("b-2004") is None
+        assert tippers.directory.office_owner("b-1001") == "mary"
+        assert tippers.directory.office_owner("b-2004") is None
 
 
 class TestPeopleInSpace:
