@@ -19,8 +19,10 @@ test-fast:
 # enforcement tables, their capture-path observation lane and their
 # query-path request lane, compiled
 # schema validators, lazy admission steps, the WAL record field
-# templates and WAL frames, a compacted store against one that never
-# compacts, the P005 shadowed-rule lint against the enforcement
+# templates and WAL frames, the capture lane's audit bytes (every
+# compiled row's payload tail, its fallbacks, and a crash on a served
+# row against the interpreter's log), a compacted store against one
+# that never compacts, the P005 shadowed-rule lint against the enforcement
 # engine's decisions, and the scope algebra (covers, overlaps, key and
 # conflict detection) against brute force over which requests each
 # rule admits.  Also fuzzing: the WAL record decoder on arbitrary bytes

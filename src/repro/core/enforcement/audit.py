@@ -98,16 +98,38 @@ class AuditLog:
         self._m_appends = registry.counter("audit_appends_total")
         self._m_records = registry.gauge("audit_records")
 
-    def append(self, record: AuditRecord) -> None:
-        records = self._records
-        records.append(record)
-        # Direct attribute bumps (not .inc()/.set()) keep this on the
-        # compiled fast path's budget; semantics are identical.
+    def payload_tail(self, tail: tuple) -> Optional[bytes]:
+        """What a compiled row whose record tail is ``tail`` hands
+        :meth:`append`: ``None`` here, as nothing is encoded.
+
+        :class:`~repro.storage.durable.DurableAuditLog` returns the
+        row's WAL payload bytes after the timestamp, so a served
+        decision is logged without re-encoding.
+        """
+        return None
+
+    def append(
+        self, record: AuditRecord, payload_tail: Optional[bytes] = None
+    ) -> None:
+        """Keep ``record``; ``payload_tail`` is unused in memory.
+
+        Each log adds its own records to the ``audit_records`` gauge,
+        so logs sharing a registry (a campus's shards) report the sum.
+        """
+        self._records.append(record)
+        # Direct attribute bumps (not .inc()): this runs per decision.
         self._m_appends.value += 1
-        self._m_records.value = len(records)
+        self._m_records.value += 1
 
     #: Take one record replayed from storage (nothing is logged).
     restore = append
+
+    def release_metrics(self) -> None:
+        """Withdraw this log's records from the summed ``audit_records``.
+
+        Call once, when the log is dropped or replaced in-process.
+        """
+        self._m_records.value -= len(self)
 
     def __len__(self) -> int:
         return len(self._records)

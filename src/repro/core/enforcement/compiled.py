@@ -23,10 +23,22 @@ field a rule can consult::
 Shards exist for invalidation bookkeeping; serving goes through one
 flat dict keyed by ``(subject_id,) + row_key`` so a warm decision is a
 single probe.  Every invalidation path keeps the two views in
-lockstep.  A row stores the :class:`Resolution` to serve, the
-precomputed tail of the :class:`AuditRecord` tuple (everything after
-the timestamp), and the decisions counter for the row's effect -- so
-the hit path allocates only the two NamedTuples it must return.
+lockstep.  A row is a 4-tuple::
+
+    (resolution, audit_tail, decisions_counter, payload_tail)
+
+- the :class:`Resolution` to serve;
+- the precomputed tail of the :class:`AuditRecord` tuple (everything
+  after the timestamp);
+- the ``enforcement_decisions_total`` counter of the row's effect;
+- the audit record's WAL payload tail, the encoded bytes after the
+  timestamp, which the audit log installed at compile time makes
+  (:meth:`AuditLog.payload_tail`; ``None`` for an in-memory log, or
+  for a tail the WAL template cannot write).  A hit hands it to the
+  log's ``append``, so a WAL-backed log frames the decision without
+  re-encoding it.
+
+So the hit path allocates only the two NamedTuples it must return.
 
 Two lanes serve warm rows before any :class:`DataRequest` is built,
 both through :meth:`CompiledEnforcementEngine._serve`.  Capture
@@ -96,7 +108,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.core.enforcement.audit import AuditLog, AuditRecord
+from repro.core.enforcement.audit import AuditRecord
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest
 from repro.core.policy.building import BuildingPolicy
@@ -166,7 +178,8 @@ class TableShard:
         #: The subject's preference counter at compile time; a mismatch
         #: against the store means this shard is stale.
         self.pref_version = pref_version
-        #: row key -> (resolution, audit_tail, decisions_counter_inc)
+        #: row key -> (resolution, audit_tail, decisions_counter,
+        #: payload_tail); see the module docstring.
         self.rows: Dict[Hashable, tuple] = {}
 
 
@@ -212,31 +225,13 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._row_count = 0
         self.stats = TableStats()
         self.metrics.track(self.stats, _TRACKED)
+        # Each engine adds its own deltas to the two gauges, so engines
+        # sharing a registry (a campus's shards) report the sum.
         self._m_shards = self.metrics.gauge("enforcement_table_shards")
         self._m_rows = self.metrics.gauge("enforcement_table_rows")
         self._m_invalidations = self.metrics.counter(
             "enforcement_table_invalidations_total"
         )
-
-    # The hit path inlines the append for a plain in-memory AuditLog
-    # (subclasses -- e.g. the WAL-backed DurableAuditLog -- always get
-    # their own ``append`` so no logging is bypassed); the property
-    # setter keeps the bindings fresh if anyone swaps the log.  The
-    # bound objects are stable for the log's lifetime: ``AuditLog``
-    # never replaces its records list or counters.
-    @property
-    def audit(self):  # type: ignore[override]
-        return self._audit
-
-    @audit.setter
-    def audit(self, value) -> None:
-        self._audit = value
-        if type(value) is AuditLog:
-            self._audit_records = value._records
-            self._audit_m_appends = value._m_appends
-            self._audit_m_records = value._m_records
-        else:
-            self._audit_records = None
 
     # ------------------------------------------------------------------
     # Decisions
@@ -287,28 +282,30 @@ class CompiledEnforcementEngine(EnforcementEngine):
                 shard = shards[subject] = TableShard(
                     self._pref_version_of(subject, 0)
                 )
-                self._m_shards.set(len(shards))
+                self._m_shards.value += 1
             if len(shard.rows) >= SHARD_CAPACITY:
                 self._clear_shard_rows(subject, shard)
             key = _row_key(request)
+            audit_tail = (
+                request.requester_id,
+                request.phase,
+                request.category.value,
+                subject,
+                request.space_id,
+                resolution.effect,
+                resolution.granularity,
+                resolution.reasons,
+                resolution.notify_user,
+            )
             row = shard.rows[key] = (
                 resolution,
-                (
-                    request.requester_id,
-                    request.phase,
-                    request.category.value,
-                    subject,
-                    request.space_id,
-                    resolution.effect,
-                    resolution.granularity,
-                    resolution.reasons,
-                    resolution.notify_user,
-                ),
+                audit_tail,
                 self._m_decisions[resolution.effect],
+                self.audit.payload_tail(audit_tail),
             )
             self._rows[(subject,) + key] = row
             self._row_count += 1
-            self._m_rows.set(self._row_count)
+            self._m_rows.value += 1
         else:
             self.stats.uncacheable += 1
         self._note_decision(
@@ -345,17 +342,9 @@ class CompiledEnforcementEngine(EnforcementEngine):
     def _note_hit(self, row: tuple, timestamp: float, start: float) -> None:
         """Audit and count one decision served from ``row``."""
         self.stats.hits += 1
-        record = _tuple_new(AuditRecord, (timestamp,) + row[1])
-        records = self._audit_records
-        if records is not None:
-            # Inlined AuditLog.append (same bumps).  Direct .value bumps
-            # (not .inc()): method-call overhead is measurable at this
-            # path's budget.
-            records.append(record)
-            self._audit_m_appends.value += 1
-            self._audit_m_records.value += 1
-        else:
-            self._audit.append(record)
+        self.audit.append(_tuple_new(AuditRecord, (timestamp,) + row[1]), row[3])
+        # Direct .value bump (not .inc()): method-call overhead is
+        # measurable at this path's budget.
         row[2].value += 1  # enforcement_decisions_total{effect=...}
         # A hit evaluates zero rules and skips the rules histogram;
         # enforcement_rules_evaluated measures interpreter work only
@@ -407,6 +396,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
         for key in shard.rows:
             del rows[(subject,) + key]
         self._row_count -= len(shard.rows)
+        self._m_rows.value -= len(shard.rows)
         shard.rows.clear()
 
     def _drop_shard(self, subject: Optional[str]) -> None:
@@ -414,17 +404,16 @@ class CompiledEnforcementEngine(EnforcementEngine):
         if shard is not None:
             self._clear_shard_rows(subject, shard)
             self._m_invalidations.inc()
-            self._m_shards.set(len(self._shards))
-            self._m_rows.set(self._row_count)
+            self._m_shards.value -= 1
 
     def _drop_all_shards(self) -> None:
         if self._shards:
+            self._m_shards.value -= len(self._shards)
+            self._m_rows.value -= self._row_count
             self._shards.clear()
             self._rows.clear()
             self._row_count = 0
             self._m_invalidations.inc()
-            self._m_shards.set(0)
-            self._m_rows.set(0)
 
     def invalidate_user(self, user_id: str) -> None:
         """Drop the compiled shard for ``user_id`` (no-op if absent).
@@ -440,6 +429,11 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._drop_all_shards()
         self._policy_version = self.store.policy_version
         self._store_version = self.store.version
+
+    def release_metrics(self) -> None:
+        super().release_metrics()
+        self._m_rows.value -= self._row_count
+        self._m_shards.value -= len(self._shards)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -168,11 +168,11 @@ class EnforcementEngine:
         self.context = context if context is not None else EvaluationContext()
         self.strategy = strategy
         self.ontology = ontology if ontology is not None else default_ontology()
-        self.audit = audit if audit is not None else AuditLog()
         self._matcher = PolicyMatcher(self.store, self.context)
         # Metric handles are resolved once here; decide() only touches
         # plain attributes so instrumentation stays off the profile.
         self.metrics = metrics if metrics is not None else get_registry()
+        self.audit = audit if audit is not None else AuditLog(metrics=self.metrics)
         self._m_decisions = {
             effect: self.metrics.counter(
                 "enforcement_decisions_total", {"effect": effect.value}
@@ -303,12 +303,20 @@ class EnforcementEngine:
             resolution = self.decide(request).resolution
         if not resolution.allowed:
             return None
+        if resolution.granularity is GranularityLevel.PRECISE:
+            return observation  # what degrade_observation returns
         return degrade_observation(
             observation,
             resolution.granularity,
             spatial=self.context.spatial,
             ontology=self.ontology,
         )
+
+    def release_metrics(self) -> None:
+        """Withdraw this engine's and its log's shares of the gauges
+        summed over a registry; call once, when the engine is dropped or
+        replaced in-process (a campus shard recovered or retired)."""
+        self.audit.release_metrics()
 
     def audit_degraded_denial(
         self,

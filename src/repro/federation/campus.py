@@ -277,6 +277,7 @@ class Campus:
         self.bus.unregister(shard.registry_endpoint, evict_breaker=True)
         if shard.storage is not None and not shard.down:
             shard.storage.close()
+        shard.tippers.engine.release_metrics()
         del self._shards[building_id]
         self.router.finish_drain(building_id)
         self.decommissioned.append(building_id)
@@ -432,6 +433,9 @@ class Campus:
                     self._profiles[user_id], building_id
                 )
         report = tippers.recover(now)
+        # The crashed instance's rows and records leave the summed
+        # gauges; the recovered one has counted its own.
+        shard.tippers.engine.release_metrics()
         shard.tippers = tippers
         shard.storage = storage
         shard.down = False

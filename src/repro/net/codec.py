@@ -18,19 +18,39 @@ from repro.errors import NetworkError
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError("%s is not JSON" % name)
+
+
+#: Built once, like ``_COMPACT``: ``json.loads(..., parse_constant=...)``
+#: would construct a new decoder on every call.  It refuses ``NaN`` and
+#: ``Infinity``, which ``_COMPACT`` never writes.
+_STRICT = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def encode_message(message: Dict[str, Any]) -> str:
-    """Serialize a message dict to compact JSON text."""
+    """Serialize a message dict to compact JSON text.
+
+    Raises :class:`NetworkError` for anything JSON cannot carry: a
+    non-JSON value, a non-finite float, or nesting deeper than the
+    interpreter's recursion limit.
+    """
     try:
         return _COMPACT.encode(message)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise NetworkError("payload is not JSON-serializable: %s" % exc) from None
 
 
 def decode_message(text: str) -> Dict[str, Any]:
-    """Parse JSON text back into a message dict."""
+    """Parse JSON text back into a message dict.
+
+    Any text yields a dict or raises :class:`NetworkError`: malformed
+    JSON, ``NaN``/``Infinity``, nesting deeper than the recursion limit
+    and a non-object value are all refused.
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = _STRICT.decode(text)
+    except (ValueError, RecursionError) as exc:
         raise NetworkError("malformed message: %s" % exc) from None
     if not isinstance(data, dict):
         raise NetworkError("message must be a JSON object, got %r" % type(data).__name__)

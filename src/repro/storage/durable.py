@@ -101,25 +101,32 @@ class StorageEngine:
 
         ``payload`` is the record's encoding when the caller has already
         made it: ``log_audit``/``log_observation`` write theirs through
-        the field templates in :mod:`repro.storage.records`.  ``data``,
+        the field templates in :mod:`repro.storage.records`, and a
+        compiled row's audit append through its payload tail.  ``data``,
         the record dict, is then needed only by taps, and is None when
-        no tap is installed.  The record is encoded and its size checked
-        before any tap sees it, so one that cannot be encoded or framed
-        (a :class:`StorageError`) is seen by no tap and reaches no WAL.
+        no tap is installed.  The record is encoded and, with taps
+        installed, its size checked before any tap sees it, so one that
+        cannot be encoded or framed (a :class:`StorageError`) is seen by
+        no tap and reaches no WAL (which refuses an oversized payload
+        before it writes).
         """
         if self.replaying:
             return None
         if payload is None:
             payload = records.encode_record(record_type, data)
-        check_payload_size(payload)
-        for tap in self.taps:
-            tap(record_type, data)
-        sealed_before = self.wal.segments_sealed
-        lsn = self.wal.append(payload, record_type=record_type)
-        self._m_appends[record_type].inc()
-        self._m_bytes.inc(len(payload))
-        if self.wal.segments_sealed > sealed_before:
-            self._m_sealed.inc(self.wal.segments_sealed - sealed_before)
+        taps = self.taps
+        if taps:
+            check_payload_size(payload)
+            for tap in taps:
+                tap(record_type, data)
+        wal = self.wal
+        sealed_before = wal.segments_sealed
+        lsn = wal.append(payload, record_type)
+        # Direct .value bumps: this runs once per WAL record.
+        self._m_appends[record_type].value += 1
+        self._m_bytes.value += len(payload)
+        if wal.segments_sealed != sealed_before:
+            self._m_sealed.value += wal.segments_sealed - sealed_before
         return lsn
 
     def log_observation(self, observation: Observation) -> Optional[int]:
@@ -225,15 +232,40 @@ class DurableAuditLog(AuditLog):
         self.engine = engine
         self._count = 0
 
-    def append(self, record: AuditRecord) -> None:
-        self.engine.log_audit(record)
+    def payload_tail(self, tail: tuple) -> Optional[bytes]:
+        """The WAL payload bytes after the timestamp of ``(t,) + tail``."""
+        return records.audit_payload_tail(tail)
+
+    def append(
+        self, record: AuditRecord, payload_tail: Optional[bytes] = None
+    ) -> None:
+        """Log ``record``, then count it.
+
+        With the ``payload_tail`` of the record's compiled row, a finite
+        ``float`` timestamp and no tap installed, the payload is the
+        timestamp's head plus that tail, byte for byte what
+        ``log_audit`` would encode; otherwise ``log_audit`` encodes it.
+        """
+        engine = self.engine
+        timestamp = record[0]
+        if (
+            payload_tail is not None
+            and type(timestamp) is float
+            and timestamp - timestamp == 0.0  # not NaN or infinite
+            and not engine.taps
+        ):
+            engine.log(
+                records.AUDIT, None, records.AUDIT_HEAD % timestamp + payload_tail
+            )
+        else:
+            engine.log_audit(record)
         self.restore(record)
 
     def restore(self, record: AuditRecord) -> None:
         """Count one record that is already in the log."""
         self._count += 1
         self._m_appends.value += 1
-        self._m_records.value = self._count
+        self._m_records.value += 1
 
     def __len__(self) -> int:
         return self._count

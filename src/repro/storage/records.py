@@ -20,7 +20,11 @@ lists the fields in :data:`FIELDS` order, so no dict or list is built.
 The template writes the bytes :func:`encode_record` would write for the
 object's dict; anything it cannot write exactly falls through to that
 generic path, which is also the differential oracle
-(``tests/differential/test_diff_records.py``).  A field added to
+(``tests/differential/test_diff_records.py``).  A decision served from
+a compiled row is written as :data:`AUDIT_HEAD` ``% timestamp`` plus the
+row's :func:`audit_payload_tail`, which is cut from this same template's
+output, so there is one template
+(``tests/differential/test_diff_capture_lane.py``).  A field added to
 :class:`~repro.core.enforcement.audit.AuditRecord` or
 :class:`~repro.sensors.base.Observation` must be added to
 :data:`FIELDS` and to its template; :func:`encode_record` refuses a
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditRecord, audit_record_to_dict
 from repro.core.language.vocabulary import GranularityLevel
@@ -188,6 +192,29 @@ def encode_audit(record: AuditRecord) -> bytes:
         return _audit_payload(record)
     except _UNTEMPLATED:
         return encode_record(AUDIT, audit_record_to_dict(record))
+
+
+#: The bytes up to and including an ``audit`` payload's timestamp:
+#: ``AUDIT_HEAD % timestamp`` (``%r`` of a finite float, as the
+#: template writes it).
+AUDIT_HEAD = _AUDIT_TEMPLATE[:_AUDIT_TEMPLATE.index("%r") + 2].encode("ascii")
+_HEAD_AT_ZERO = AUDIT_HEAD % 0.0
+
+
+def audit_payload_tail(tail: tuple) -> Optional[bytes]:
+    """The payload bytes after the timestamp of a record ``(t,) + tail``.
+
+    ``AUDIT_HEAD % t + audit_payload_tail(tail)`` is
+    :func:`encode_audit`'s payload for any finite ``float`` ``t``: the
+    tail is cut from the one template's output at ``t = 0.0``, so no
+    second template exists.  ``None`` when the template cannot write
+    ``tail`` exactly (such a record takes :func:`encode_audit`).
+    """
+    try:
+        payload = _audit_payload(AuditRecord._make((0.0,) + tail))
+    except _UNTEMPLATED:
+        return None
+    return payload[len(_HEAD_AT_ZERO):]
 
 
 def encode_observation(observation: Observation) -> bytes:

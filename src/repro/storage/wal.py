@@ -46,6 +46,11 @@ FRAME_HEADER = struct.Struct(">QII")
 FRAME_HEADER_FORMAT = ">QII"
 #: The header bytes the CRC covers: LSN and payload length.
 _FRAME_PREFIX = struct.Struct(">QI")
+# Bound once for the append path.
+_pack_header = FRAME_HEADER.pack
+_pack_prefix = _FRAME_PREFIX.pack
+_crc32 = zlib.crc32
+_HEADER_SIZE = FRAME_HEADER.size
 
 #: Frames above this payload size are rejected at append time and
 #: treated as tears at read time (a corrupted length field must not
@@ -232,6 +237,8 @@ class WriteAheadLog:
     ) -> None:
         if segment_bytes < SEGMENT_HEADER.size + FRAME_HEADER.size:
             raise StorageError("segment_bytes of %d is too small" % segment_bytes)
+        if start_lsn < 1:
+            raise StorageError("LSN must be >= 1, got %d" % start_lsn)
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.appends = 0
@@ -305,27 +312,38 @@ class WriteAheadLog:
     def append(self, payload: bytes, record_type: str = "") -> int:
         """Durably append ``payload``; returns its LSN.
 
+        An oversized payload is refused before anything else happens.
         An installed fault plane may turn the append into a simulated
         crash: ``torn_write`` leaves a partial frame on disk,
         ``crash_mid_append`` leaves the complete frame on disk, and both
         raise :class:`~repro.errors.SimulatedCrash` *before* the caller
         can apply the record to in-memory state.
+
+        The frame is :func:`encode_frame`'s, built inline: this runs
+        once per WAL record.
         """
-        verdict = self._consult_planes(record_type)
+        length = len(payload)
+        if length > MAX_PAYLOAD_BYTES:
+            check_payload_size(payload)
+        verdict = self._consult_planes(record_type) if self._planes else None
         lsn = self.next_lsn
-        frame = encode_frame(lsn, payload)
-        if self._active_bytes + len(frame) > self.segment_bytes and \
+        frame = _pack_header(
+            lsn, length, _crc32(payload, _crc32(_pack_prefix(lsn, length)))
+        ) + payload
+        size = length + _HEADER_SIZE
+        if self._active_bytes + size > self.segment_bytes and \
                 self._active_bytes > SEGMENT_HEADER.size:
             self.rotate()
+        handle = self._handle
         if verdict == "torn_write":
             # A crash mid-write: only a prefix of the frame reaches disk.
-            self._handle.write(frame[: max(1, len(frame) // 2)])
-            self._handle.flush()
+            handle.write(frame[: max(1, size // 2)])
+            handle.flush()
             raise SimulatedCrash(
                 "torn write at lsn %d (record type %r)" % (lsn, record_type)
             )
-        self._handle.write(frame)
-        self._handle.flush()
+        handle.write(frame)
+        handle.flush()
         if verdict == "crash_mid_append":
             # The frame is durable but the in-memory apply never happens.
             raise SimulatedCrash(
@@ -333,8 +351,8 @@ class WriteAheadLog:
             )
         self.next_lsn = lsn + 1
         self.appends += 1
-        self.bytes_written += len(frame)
-        self._active_bytes += len(frame)
+        self.bytes_written += size
+        self._active_bytes += size
         return lsn
 
     def rotate(self) -> None:

@@ -93,9 +93,15 @@ def test_wal_trail_matches_in_memory_list(
     reference = AuditLog()
     durable_append = DurableAuditLog.append
 
-    def recording_append(self, record):
-        durable_append(self, record)
+    # Every record reaches the log through ``append``, a compiled row's
+    # ``payload_tail`` included; forwarding it keeps the served lane
+    # under test rather than routing it through ``log_audit``.
+    served = []
+
+    def recording_append(self, record, payload_tail=None):
+        durable_append(self, record, payload_tail)
         AuditLog.append(reference, record)
+        served.append(payload_tail is not None)
 
     monkeypatch.setattr(DurableAuditLog, "append", recording_append)
     rng = random.Random(seed)
@@ -105,6 +111,7 @@ def test_wal_trail_matches_in_memory_list(
 
     now = run(tippers, world, rng, 43200.0, 150)
     assert len(reference) > 100
+    assert any(served) and not all(served)  # both the lane and log_audit
     assert_same_trail(tippers.audit, reference)
 
     storage.compact()

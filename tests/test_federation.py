@@ -12,7 +12,10 @@ import json
 
 import pytest
 
+from repro.core.enforcement.audit import AuditRecord
+from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy import catalog
+from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import FederationError, NetworkError
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
 from repro.federation import (
@@ -307,6 +310,58 @@ class TestSharedRegistryTotals:
             expected = sum(getattr(stats, field) for stats in owners[owner])
             assert registry.total(name, labels) == expected, name
         assert registry.total("admission_checked_total") == len(residents) * 3
+
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "wal"])
+    def test_audit_and_table_gauges_sum_across_shards(self, durable, tmp_path):
+        registry = MetricsRegistry()
+        campus = Campus(
+            BUILDINGS, seed=11, floors=1, rooms_per_floor=2, metrics=registry,
+            storage_root=str(tmp_path) if durable else None,
+        )
+        logs = [shard.tippers.audit for shard in campus.shards()]
+        assert [len(log) for log in logs] == [0, 0]
+        for count, log in zip((5, 1), logs):
+            for index in range(count):
+                log.append(AuditRecord(
+                    NOON + index, "svc", DecisionPhase.SHARING, "location",
+                    "nobody", None, Effect.ALLOW, GranularityLevel.PRECISE,
+                    (), False,
+                ))
+        assert registry.gauge("audit_records").value == 6
+
+        engines = [shard.tippers.engine for shard in campus.shards()]
+
+        def assert_table_gauges_sum():
+            assert registry.gauge("enforcement_table_rows").value == sum(
+                engine.table_rows for engine in engines
+            )
+            assert registry.gauge("enforcement_table_shards").value == sum(
+                engine.table_shards for engine in engines
+            )
+
+        residents = [_resident(campus, building_id) for building_id in BUILDINGS]
+        for tick in range(2):
+            for inhabitant in residents:
+                shard = campus.shard(campus.home_of[inhabitant.user_id])
+                _observe(campus, shard, inhabitant, _rooms(shard)[tick], NOON + tick)
+                _locate(campus, shard.building_id, inhabitant.user_id, NOON + tick)
+        assert all(engine.table_shards for engine in engines)
+        assert_table_gauges_sum()
+        assert registry.gauge("audit_records").value == sum(map(len, logs))
+        engines[0].invalidate_user(residents[0].user_id)
+        assert_table_gauges_sum()
+        engines[1].invalidate_all()
+        assert engines[1].table_rows == 0
+        assert_table_gauges_sum()
+        if durable:
+            # A recovered shard counts its replayed records once.
+            campus.recover_shard(BUILDINGS[0], NOON + 60.0)
+            logs[0] = campus.shard(BUILDINGS[0]).tippers.audit
+            engines[0] = campus.shard(BUILDINGS[0]).tippers.engine
+            assert registry.gauge("audit_records").value == sum(map(len, logs))
+            assert_table_gauges_sum()
+            campus.close()
 
 
 class TestCrashRecovery:

@@ -335,6 +335,14 @@ def test_decommission_evicts_breakers_and_counts_rejections(tmp_path):
     campus.decommission_building(drained)
 
     assert campus.decommissioned == [drained]
+    # The retired shard's records and rows leave the summed gauges.
+    shards = campus.shards()
+    assert campus.metrics.gauge("audit_records").value == sum(
+        len(shard.tippers.audit) for shard in shards
+    )
+    assert campus.metrics.gauge("enforcement_table_rows").value == sum(
+        shard.tippers.engine.table_rows for shard in shards
+    )
     states = campus.bus.breakers.states()
     assert not endpoints & set(states)
     with pytest.raises(FederationError):
