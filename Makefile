@@ -16,8 +16,9 @@ test-fast:
 	$(PYTEST) -x -q -m "not slow"
 
 # Differential proofs against reference implementations: compiled
-# enforcement tables, their capture-path observation lane and their
-# query-path request lane, compiled
+# enforcement tables and their one entry point, ``decide_key``, for
+# capture readings and queries alike (against the interpreter and a
+# compiled engine that builds every request first), compiled
 # schema validators, lazy admission steps, the WAL record field
 # templates and WAL frames, the capture lane's audit bytes (every
 # compiled row's payload tail, its fallbacks, and a crash on a served

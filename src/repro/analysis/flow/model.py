@@ -18,10 +18,10 @@ construction, storage appends of observations, and IoTA notifications.
 Bus publishes to non-constant targets are handled structurally (F006),
 not by name.
 
-**Sanitizers** are the enforcement crossings: ``engine.decide`` (and
-the caching subclass), the request lane ``decide_key`` (a served row
-is audited exactly as a ``decide`` hit), capture-phase
-``enforce_observation``, audited
+**Sanitizers** are the enforcement crossings: ``engine.decide_key``,
+the one decision body (a served row is audited exactly as a decided
+one), and its key builders ``engine.decide`` and capture-phase
+``enforce_observation`` (each in the caching subclass too), audited
 fail-closed denials, and brownout coarsening.  A function that
 *directly* calls a sanitizer is a *sanitizing wrapper* and blocks taint
 -- directly, not transitively, so a rogue parallel path inside a

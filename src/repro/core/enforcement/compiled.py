@@ -14,22 +14,21 @@ The table is sharded per *subject* (the user the data is about, with a
 dedicated shard for subject-less requests), because a user preference
 can only ever apply to requests about its own user
 (``UserPreference.applies_to`` requires ``request.subject_id ==
-user_id``).  Within a shard, rows are keyed by every remaining request
-field a rule can consult::
+user_id``).  Rows live in one flat dict keyed by the request's 9-tuple
+key, subject first (``engine._flat_key``)::
 
-    (requester_id, requester_kind, phase, category,
+    (subject_id, requester_id, requester_kind, phase, category,
      space_id, purpose, granularity, sensor_type)
 
-Shards exist for invalidation bookkeeping; serving goes through one
-flat dict keyed by ``(subject_id,) + row_key`` so a warm decision is a
-single probe.  Every invalidation path keeps the two views in
-lockstep.  A row is a 4-tuple::
+so a warm decision is a single probe.  A shard only keeps the keys of
+its subject's rows, for invalidation.  A row is a 4-tuple::
 
     (resolution, audit_tail, decisions_counter, payload_tail)
 
 - the :class:`Resolution` to serve;
-- the precomputed tail of the :class:`AuditRecord` tuple (everything
-  after the timestamp);
+- the tail of the :class:`AuditRecord` tuple (everything after the
+  timestamp), as ``EnforcementEngine._record`` returned it at compile
+  time;
 - the ``enforcement_decisions_total`` counter of the row's effect;
 - the audit record's WAL payload tail, the encoded bytes after the
   timestamp, which the audit log installed at compile time makes
@@ -38,18 +37,19 @@ lockstep.  A row is a 4-tuple::
   log's ``append``, so a WAL-backed log frames the decision without
   re-encoding it.
 
-So the hit path allocates only the two NamedTuples it must return.
+So a hit builds no request and no resolution, only its audit record.
 
-Two lanes serve warm rows before any :class:`DataRequest` is built,
-both through :meth:`CompiledEnforcementEngine._serve`.  Capture
-enforcement's ``enforce_observation`` probes with ``observation_key``
--- the fields ``request_for_observation`` builds its request from, in
-``_flat_key`` order.  The request manager's queries go through
-``decide_key`` with ``engine.sharing_key(...)``, from which
-``request_from_key`` builds the same request.  A miss, a negative
-timestamp (which ``DataRequest`` refuses) or, for queries, any decision
-notes take the request path.  Lanes and ``decide`` share one hit
-helper.
+Entry point
+-----------
+
+Every decision enters through :meth:`CompiledEnforcementEngine.decide_key`
+with its key: ``decide`` takes it from its request, capture
+enforcement's ``enforce_observation`` from ``observation_key`` and the
+request manager's queries from ``engine.sharing_key``.  A warm row is
+served before any :class:`DataRequest` is built.  Noted decisions go to
+the interpreter's ``decide_key``.  A miss, or a negative timestamp
+(which ``DataRequest`` refuses), builds the request first, so one that
+fails to build touches no table state, then decides and compiles it.
 
 Keys are tuples of vocabulary enum members, which hash by identity
 (``__hash__ = object.__hash__`` in ``vocabulary.py`` and
@@ -63,8 +63,8 @@ carries monotonic counters
 (:attr:`~repro.core.reasoner.index.RuleStore.version`,
 :attr:`~repro.core.reasoner.index.RuleStore.policy_version`, and
 :attr:`~repro.core.reasoner.index.RuleStore.preference_versions`) that
-every mutation bumps.  ``decide`` compares the single global
-``version`` per request, and only when it moved reconciles against the
+every mutation bumps.  ``decide_key`` compares the single global
+``version`` per decision, and only when it moved reconciles against the
 fine-grained counters:
 
 - a policy mutation drops *every* shard (policies affect all users);
@@ -105,11 +105,10 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditRecord
-from repro.core.enforcement.engine import Decision, EnforcementEngine
+from repro.core.enforcement.engine import EnforcementEngine, request_from_key
 from repro.core.policy.base import DataRequest
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
@@ -123,33 +122,6 @@ MAX_SHARDS = 16384
 
 _perf_counter = time.perf_counter
 _tuple_new = tuple.__new__
-#: One C call builds the whole row key (vs eight LOAD_ATTRs).
-_row_key = attrgetter(
-    "requester_id",
-    "requester_kind",
-    "phase",
-    "category",
-    "space_id",
-    "purpose",
-    "granularity",
-    "sensor_type",
-)
-#: The serving key: subject first, then the row key.  The hit path
-#: probes one flat dict with this 9-tuple; the per-subject shards only
-#: do invalidation bookkeeping.  ``EnforcementEngine.observation_key``
-#: builds the same tuple for a capture reading, and ``engine.sharing_key``
-#: for a query.
-_flat_key = attrgetter(
-    "subject_id",
-    "requester_id",
-    "requester_kind",
-    "phase",
-    "category",
-    "space_id",
-    "purpose",
-    "granularity",
-    "sensor_type",
-)
 
 
 def time_stable(
@@ -172,15 +144,14 @@ def time_stable(
 class TableShard:
     """The compiled rows for one subject (or the subject-less shard)."""
 
-    __slots__ = ("pref_version", "rows")
+    __slots__ = ("pref_version", "keys")
 
     def __init__(self, pref_version: int) -> None:
         #: The subject's preference counter at compile time; a mismatch
         #: against the store means this shard is stale.
         self.pref_version = pref_version
-        #: row key -> (resolution, audit_tail, decisions_counter,
-        #: payload_tail); see the module docstring.
-        self.rows: Dict[Hashable, tuple] = {}
+        #: The table keys of this subject's rows.
+        self.keys: List[Hashable] = []
 
 
 @dataclass
@@ -210,9 +181,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
         self._shards: Dict[Optional[str], TableShard] = {}
-        #: Flat serving table: ``_flat_key(request)`` -> row.  Always
-        #: the union of every shard's rows (with the subject prefixed);
-        #: every invalidation path keeps the two in lockstep.
+        #: Every row, by table key; a shard's ``keys`` name its share.
         self._rows: Dict[Hashable, tuple] = {}
         # These dicts are mutated in place and never replaced, so their
         # bound ``get``s stay valid for the engine's lifetime; binding
@@ -222,7 +191,6 @@ class CompiledEnforcementEngine(EnforcementEngine):
         self._pref_version_of = self.store.preference_versions.get
         self._policy_version = self.store.policy_version
         self._store_version = self.store.version
-        self._row_count = 0
         self.stats = TableStats()
         self.metrics.track(self.stats, _TRACKED)
         # Each engine adds its own deltas to the two gauges, so engines
@@ -236,31 +204,46 @@ class CompiledEnforcementEngine(EnforcementEngine):
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
-    def decide(
-        self, request: DataRequest, notes: Tuple[str, ...] = ()
-    ) -> Decision:
+    def decide_key(
+        self,
+        key: tuple,
+        timestamp: float,
+        notes: Tuple[str, ...] = (),
+        request: Optional[DataRequest] = None,
+    ) -> Resolution:
         # Noted decisions (brownout-degraded responses) bypass the table
         # in both directions: a row must not shed its degradation
         # marker, and a marked resolution must not be served later to
         # an un-degraded request.
         if notes:
-            return super().decide(request, notes)
+            return super().decide_key(key, timestamp, notes, request)
         start = _perf_counter()
-        store = self.store
-        # One integer compare guards the whole table: ``store.version``
-        # moves on every rule mutation, and ``_reconcile`` re-checks
-        # the fine-grained counters only then.  The invariant between
-        # mutations: every resident shard is valid.
-        if store.version != self._store_version:
-            self._reconcile()
-        row = self._rows_get(_flat_key(request))
-        if row is not None:
-            self._note_hit(row, request.timestamp, start)
-            return _tuple_new(Decision, (request, row[0]))
+        row = self._rows_get(key)
+        # ``not timestamp < 0`` is ``DataRequest``'s own check, so a row
+        # serves exactly the timestamps a request may carry; it runs
+        # only once a row is found, so a miss with a malformed
+        # timestamp still fails in ``DataRequest``.
+        if row is not None and not timestamp < 0:
+            # One integer compare guards the whole table: ``store.version``
+            # moves on every rule mutation, and ``_reconcile`` re-checks
+            # the fine-grained counters only then.  The invariant between
+            # mutations: every resident shard is valid.
+            if self.store.version != self._store_version:
+                self._reconcile()
+                row = self._rows_get(key)
+            if row is not None:
+                self._note_hit(row, timestamp, start)
+                return row[0]
 
-        # Miss: run the reference interpreter, then compile the outcome.
-        # One store fetch serves both the match and the time-stability
-        # proof, so every faulted fetch fails closed.
+        # Miss: build the request first, so one that fails to build
+        # touches no table state; then run the reference interpreter
+        # and compile the outcome.  One store fetch serves both the
+        # match and the time-stability proof, so every faulted fetch
+        # fails closed.
+        if request is None:
+            request = request_from_key(key, timestamp)
+        if self.store.version != self._store_version:
+            self._reconcile()
         matcher = self._matcher
         try:
             candidates = matcher.candidates(request)
@@ -270,10 +253,10 @@ class CompiledEnforcementEngine(EnforcementEngine):
             # are never compiled into the table.
             return self._fail_closed(request, exc, start)
         resolution = resolve(match, self.strategy)
-        self._record(request, resolution)
+        audit_tail = self._record(request, resolution)
         if time_stable(*candidates):
             self.stats.misses += 1
-            subject = request.subject_id
+            subject = key[0]
             shard = self._shards_get(subject)
             if shard is None:
                 shards = self._shards
@@ -283,28 +266,15 @@ class CompiledEnforcementEngine(EnforcementEngine):
                     self._pref_version_of(subject, 0)
                 )
                 self._m_shards.value += 1
-            if len(shard.rows) >= SHARD_CAPACITY:
-                self._clear_shard_rows(subject, shard)
-            key = _row_key(request)
-            audit_tail = (
-                request.requester_id,
-                request.phase,
-                request.category.value,
-                subject,
-                request.space_id,
-                resolution.effect,
-                resolution.granularity,
-                resolution.reasons,
-                resolution.notify_user,
-            )
-            row = shard.rows[key] = (
+            if len(shard.keys) >= SHARD_CAPACITY:
+                self._clear_shard_rows(shard)
+            shard.keys.append(key)
+            self._rows[key] = (
                 resolution,
                 audit_tail,
                 self._m_decisions[resolution.effect],
                 self.audit.payload_tail(audit_tail),
             )
-            self._rows[(subject,) + key] = row
-            self._row_count += 1
             self._m_rows.value += 1
         else:
             self.stats.uncacheable += 1
@@ -313,31 +283,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
             len(match.policies) + len(match.preferences),
             _perf_counter() - start,
         )
-        return Decision(request=request, resolution=resolution)
-
-    def _serve(self, key: tuple, timestamp: float) -> Optional[Resolution]:
-        """Serve the warm row for ``key`` at ``timestamp``: both lanes.
-
-        On a miss, or for a negative timestamp (which ``DataRequest``
-        refuses), this returns ``None`` and the caller takes the request
-        path.  It touches no table state unless it serves: ``decide``'s
-        version check runs only once a row is found, and the table is
-        probed again if that check dropped stale shards.  So a request
-        that fails to build (a negative timestamp, an empty requester
-        id, which no row can have) leaves the table exactly as the
-        request path leaves it.
-        """
-        start = _perf_counter()
-        row = self._rows_get(key)
-        if row is None or timestamp < 0:
-            return None
-        if self.store.version != self._store_version:
-            self._reconcile()
-            row = self._rows_get(key)
-            if row is None:
-                return None
-        self._note_hit(row, timestamp, start)
-        return row[0]
+        return resolution
 
     def _note_hit(self, row: tuple, timestamp: float, start: float) -> None:
         """Audit and count one decision served from ``row``."""
@@ -367,7 +313,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
     def _reconcile(self) -> None:
         """Re-validate every shard against the store's fine counters.
 
-        Called when ``store.version`` moved since the last decide: a
+        Called when ``store.version`` moved since the last decision: a
         policy change drops everything, a preference change drops
         exactly the mutated users' shards.  Between calls, every
         resident shard is valid, so the hit path needs only the single
@@ -388,31 +334,27 @@ class CompiledEnforcementEngine(EnforcementEngine):
                 self._drop_shard(subject)
         self._store_version = store.version
 
-    def _clear_shard_rows(
-        self, subject: Optional[str], shard: TableShard
-    ) -> None:
-        """Empty ``shard`` and its entries in the flat serving table."""
+    def _clear_shard_rows(self, shard: TableShard) -> None:
+        """Drop ``shard``'s rows from the table."""
         rows = self._rows
-        for key in shard.rows:
-            del rows[(subject,) + key]
-        self._row_count -= len(shard.rows)
-        self._m_rows.value -= len(shard.rows)
-        shard.rows.clear()
+        for key in shard.keys:
+            del rows[key]
+        self._m_rows.value -= len(shard.keys)
+        shard.keys.clear()
 
     def _drop_shard(self, subject: Optional[str]) -> None:
         shard = self._shards.pop(subject, None)
         if shard is not None:
-            self._clear_shard_rows(subject, shard)
+            self._clear_shard_rows(shard)
             self._m_invalidations.inc()
             self._m_shards.value -= 1
 
     def _drop_all_shards(self) -> None:
         if self._shards:
             self._m_shards.value -= len(self._shards)
-            self._m_rows.value -= self._row_count
+            self._m_rows.value -= len(self._rows)
             self._shards.clear()
             self._rows.clear()
-            self._row_count = 0
             self._m_invalidations.inc()
 
     def invalidate_user(self, user_id: str) -> None:
@@ -432,7 +374,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
 
     def release_metrics(self) -> None:
         super().release_metrics()
-        self._m_rows.value -= self._row_count
+        self._m_rows.value -= len(self._rows)
         self._m_shards.value -= len(self._shards)
 
     # ------------------------------------------------------------------
@@ -440,7 +382,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
     # ------------------------------------------------------------------
     @property
     def table_rows(self) -> int:
-        return self._row_count
+        return len(self._rows)
 
     @property
     def table_shards(self) -> int:
@@ -455,5 +397,5 @@ class CompiledEnforcementEngine(EnforcementEngine):
             "uncacheable": stats.uncacheable,
             "hit_rate": stats.hits / total if total else 0.0,
             "shards": len(self._shards),
-            "rows": self._row_count,
+            "rows": len(self._rows),
         }

@@ -3,14 +3,16 @@
 One engine instance sits inside TIPPERS.  Sensor managers call
 :meth:`EnforcementEngine.enforce_observation` on every reading before it
 is stored (capture/storage phases); the request manager calls
-:meth:`EnforcementEngine.decide` before answering service queries
-(processing/sharing phases).  Every decision lands in the audit log.
+:meth:`EnforcementEngine.decide_key` with a :func:`sharing_key` before
+answering service queries (processing/sharing phases).  Every decision
+runs through ``decide_key`` and lands in the audit log.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from operator import attrgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
@@ -70,6 +72,23 @@ DEFAULT_SENSOR_PURPOSE: Dict[str, Purpose] = {
 # Bound once: ``observation_key`` runs for every captured reading.
 _category_of = DEFAULT_SENSOR_CATEGORY.get
 _purpose_of = DEFAULT_SENSOR_PURPOSE.get
+_tuple_new = tuple.__new__
+
+#: A request's key in the compiled table: the subject, then every other
+#: field a rule can consult.  :func:`sharing_key` and
+#: :meth:`EnforcementEngine.observation_key` build the same 9-tuple
+#: without a request, and :func:`request_from_key` inverts it.
+_flat_key = attrgetter(
+    "subject_id",
+    "requester_id",
+    "requester_kind",
+    "phase",
+    "category",
+    "space_id",
+    "purpose",
+    "granularity",
+    "sensor_type",
+)
 
 
 def sharing_key(
@@ -84,7 +103,7 @@ def sharing_key(
 ) -> tuple:
     """The compiled-table key of a sharing request with these fields.
 
-    In ``compiled._flat_key`` order: subject, requester id, requester
+    In :data:`_flat_key` order: subject, requester id, requester
     kind, phase (always SHARING), category, space, purpose,
     granularity, sensor type.  :func:`request_from_key` builds the
     request back from it, so the request manager's query shape lives
@@ -186,12 +205,32 @@ class EnforcementEngine:
         self._m_failclosed = self.metrics.counter("enforcement_failclosed_total")
 
     # ------------------------------------------------------------------
-    # Query-path enforcement (steps 9-10 of Figure 1)
+    # Decisions
     # ------------------------------------------------------------------
     def decide(
         self, request: DataRequest, notes: Tuple[str, ...] = ()
     ) -> Decision:
-        """Resolve ``request`` and record the outcome.
+        """Resolve ``request`` and record the outcome (:meth:`decide_key`)."""
+        resolution = self.decide_key(
+            _flat_key(request), request.timestamp, notes, request
+        )
+        return _tuple_new(Decision, (request, resolution))
+
+    def decide_key(
+        self,
+        key: tuple,
+        timestamp: float,
+        notes: Tuple[str, ...] = (),
+        request: Optional[DataRequest] = None,
+    ) -> Resolution:
+        """Resolve the request ``key`` describes at ``timestamp`` and
+        record the outcome.
+
+        Every decision runs through here: :meth:`decide`,
+        :meth:`enforce_observation` and the request manager's queries
+        (``sharing_key``) only build the key.  ``request`` is
+        ``request_from_key(key, timestamp)`` when the caller already
+        has it; it saves rebuilding it and changes no outcome.
 
         When the policy-fetch path itself fails (the rule store is
         unreachable or faulted), the engine *fails closed*: the request
@@ -205,6 +244,8 @@ class EnforcementEngine:
         indistinguishable from a precisely-served one in the audit
         trail.
         """
+        if request is None:
+            request = request_from_key(key, timestamp)
         start = time.perf_counter()
         try:
             match = self._matcher.match(request)
@@ -221,33 +262,7 @@ class EnforcementEngine:
             len(match.policies) + len(match.preferences),
             time.perf_counter() - start,
         )
-        return Decision(request=request, resolution=resolution)
-
-    def decide_key(
-        self, key: tuple, timestamp: float, notes: Tuple[str, ...] = ()
-    ) -> Resolution:
-        """``decide(request_from_key(key, timestamp), notes).resolution``.
-
-        The request lane: without notes, a warm compiled row for
-        ``key`` is served (audited and counted exactly as a ``decide``
-        hit) before any :class:`DataRequest` is built.  Noted
-        decisions, misses and negative timestamps go through
-        :meth:`decide`, so their outcomes and errors are unchanged.
-        """
-        if not notes:
-            resolution = self._serve(key, timestamp)
-            if resolution is not None:
-                return resolution
-        return self.decide(request_from_key(key, timestamp), notes).resolution
-
-    def _serve(self, key: tuple, timestamp: float) -> Optional[Resolution]:
-        """The audited resolution of a warm row for ``key``, or ``None``
-        to decide through :meth:`decide`.
-
-        The interpreter keeps no rows; the compiled engine serves its
-        table here, for both the request and the observation lane.
-        """
-        return None
+        return resolution
 
     # ------------------------------------------------------------------
     # Capture-path enforcement (steps 2-3 of Figure 1)
@@ -255,12 +270,13 @@ class EnforcementEngine:
     def observation_key(
         self, observation: Observation, phase: DecisionPhase
     ) -> tuple:
-        """The fields of :meth:`request_for_observation` but the timestamp.
+        """The table key of the request capturing or storing
+        ``observation`` at ``phase``.
 
-        In the compiled table's key order (``compiled._flat_key``):
-        subject, requester id, requester kind, phase, category, space,
-        purpose, granularity, sensor type.  This is the one place that
-        knows the shape of a capture-time request.
+        In :data:`_flat_key` order: subject, requester id, requester
+        kind, phase, category, space, purpose, granularity, sensor
+        type.  This is the one place that knows the shape of a
+        capture-time request.
         """
         sensor_type = observation.sensor_type
         return (
@@ -275,14 +291,6 @@ class EnforcementEngine:
             sensor_type,
         )
 
-    def request_for_observation(
-        self, observation: Observation, phase: DecisionPhase
-    ) -> DataRequest:
-        """The data request implied by capturing/storing ``observation``."""
-        return request_from_key(
-            self.observation_key(observation, phase), observation.timestamp
-        )
-
     def enforce_observation(
         self,
         observation: Observation,
@@ -295,12 +303,9 @@ class EnforcementEngine:
         policy authorizing their collection -- but no user preference
         can apply to them.
         """
-        resolution = self._serve(
+        resolution = self.decide_key(
             self.observation_key(observation, phase), observation.timestamp
         )
-        if resolution is None:
-            request = self.request_for_observation(observation, phase)
-            resolution = self.decide(request).resolution
         if not resolution.allowed:
             return None
         if resolution.granularity is GranularityLevel.PRECISE:
@@ -359,7 +364,7 @@ class EnforcementEngine:
         exc: ReproError,
         start: float,
         notes: Tuple[str, ...] = (),
-    ) -> Decision:
+    ) -> Resolution:
         """Deny, audit, and count a decision whose policy fetch failed."""
         resolution = Resolution(
             effect=Effect.DENY,
@@ -371,7 +376,7 @@ class EnforcementEngine:
         self._record(request, resolution)
         self._m_failclosed.inc()
         self._note_decision(resolution, 0, time.perf_counter() - start)
-        return Decision(request=request, resolution=resolution)
+        return resolution
 
     def _note_decision(
         self, resolution: Resolution, rules_evaluated: int, elapsed_s: float
@@ -381,18 +386,23 @@ class EnforcementEngine:
         self._m_rules.observe(rules_evaluated)
         self._m_latency.observe(elapsed_s)
 
-    def _record(self, request: DataRequest, resolution: Resolution) -> None:
-        self.audit.append(
-            AuditRecord(
-                timestamp=request.timestamp,
-                requester_id=request.requester_id,
-                phase=request.phase,
-                category=request.category.value,
-                subject_id=request.subject_id,
-                space_id=request.space_id,
-                effect=resolution.effect,
-                granularity=resolution.granularity,
-                reasons=resolution.reasons,
-                notify_user=resolution.notify_user,
-            )
+    def _record(self, request: DataRequest, resolution: Resolution) -> tuple:
+        """Audit ``resolution`` of ``request``; returns the record's tail.
+
+        The tail is every :class:`AuditRecord` field but the timestamp,
+        in field order; a compiled row keeps it, so this is the one
+        place the engine writes that order.
+        """
+        tail = (
+            request.requester_id,
+            request.phase,
+            request.category.value,
+            request.subject_id,
+            request.space_id,
+            resolution.effect,
+            resolution.granularity,
+            resolution.reasons,
+            resolution.notify_user,
         )
+        self.audit.append(_tuple_new(AuditRecord, (request.timestamp,) + tail))
+        return tail

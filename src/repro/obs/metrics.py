@@ -16,9 +16,8 @@ Design constraints:
   count/sum/min/max), never raw samples, so a week-long simulation
   cannot grow them.
 - **Deterministic percentiles.**  ``Histogram.percentile`` is a pure
-  function of the bucket counts and the observed min/max, which makes
-  merged histograms agree exactly with histograms built from the
-  concatenated samples (a property the test suite pins).
+  function of the bucket counts and the observed min/max, so the same
+  samples, in any order, report the same percentiles.
 """
 
 from __future__ import annotations

@@ -24,11 +24,9 @@ text (pinned by golden reports of ``chaos --recover``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.enforcement.audit import audit_record_to_dict
 from repro.core.policy import catalog
 from repro.core.policy.base import RequesterKind
 from repro.errors import NetworkError, PolicyError, ServiceError, SimulatedCrash
@@ -42,6 +40,7 @@ from repro.simulation.harness import (
 )
 from repro.simulation.inhabitants import Inhabitant
 from repro.simulation.mobility import BuildingWorld
+from repro.storage import records
 from repro.storage.durable import StorageEngine
 from repro.storage.recovery import RecoveryReport
 from repro.tippers.bms import TIPPERS
@@ -52,10 +51,6 @@ BUILDING_ID = "durable"
 #: The building sits dark for just over a week before it is recovered,
 #: so the comfort policy's P7D retention bites during recovery.
 DEFAULT_DOWNTIME_S = 8 * 86400.0
-
-
-def _canonical(data: Dict[str, Any]) -> str:
-    return json.dumps(data, separators=(",", ":"), sort_keys=True)
 
 
 @dataclass
@@ -165,11 +160,11 @@ def _run_phases(
     tippers, inhabitants = _build_tippers(report, storage, metrics)
     world = BuildingWorld(tippers.spatial, inhabitants, seed=seed)
 
-    submitted_audit: List[str] = []
+    submitted_audit: List[bytes] = []
 
-    def audit_tap(record_type: str, data: Dict[str, Any]) -> None:
-        if record_type == "audit":
-            submitted_audit.append(_canonical(data))
+    def audit_tap(record_type: str, payload: bytes) -> None:
+        if record_type == records.AUDIT:
+            submitted_audit.append(payload)
 
     storage.taps.append(audit_tap)
 
@@ -239,17 +234,15 @@ def _run_phases(
 
     # Invariant 1: recovered audit is an exact prefix of what was
     # submitted (same records, same order, nothing extra or rewritten).
-    recovered_lines = [
-        _canonical(audit_record_to_dict(record)) for record in recovered.audit
-    ]
+    recovered_audit = [records.encode_audit(record) for record in recovered.audit]
     report.audit_prefix_ok = (
-        len(recovered_lines) <= len(submitted_audit)
-        and recovered_lines == submitted_audit[: len(recovered_lines)]
+        len(recovered_audit) <= len(submitted_audit)
+        and recovered_audit == submitted_audit[: len(recovered_audit)]
     )
     if not report.audit_prefix_ok:
         report.violations.append(
             "recovered audit (%d records) is not a prefix of the submitted "
-            "sequence (%d records)" % (len(recovered_lines), len(submitted_audit))
+            "sequence (%d records)" % (len(recovered_audit), len(submitted_audit))
         )
 
     # Invariant 2: an acknowledged erasure survives the crash -- no

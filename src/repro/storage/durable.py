@@ -33,7 +33,6 @@ from repro.core.enforcement.audit import (
     AuditLog,
     AuditRecord,
     audit_record_from_dict,
-    audit_record_to_dict,
 )
 from repro.core.policy.preference import UserPreference
 from repro.core.policy.serialization import preference_to_dict
@@ -49,12 +48,12 @@ from repro.storage.wal import (
 )
 from repro.tippers.datastore import Datastore
 
-#: Observed by the chaos harness: called with ``(record_type, data)``
-#: for every record submitted for logging, once it is encoded and
-#: *before* the WAL write (so a crashed append is still observed -- the
-#: submitted sequence is the reference the audit-prefix invariant is
-#: checked against).
-LogTap = Callable[[str, Dict[str, Any]], None]
+#: Observed by the chaos harness: called with ``(record_type, payload)``
+#: for every record submitted for logging, with the exact bytes the WAL
+#: frames, *before* the WAL write (so a crashed append is still observed
+#: -- the submitted sequence is the reference the audit-prefix invariant
+#: is checked against).
+LogTap = Callable[[str, bytes], None]
 
 
 class StorageEngine:
@@ -91,34 +90,22 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Logging
     # ------------------------------------------------------------------
-    def log(
-        self,
-        record_type: str,
-        data: Optional[Dict[str, Any]],
-        payload: Optional[bytes] = None,
-    ) -> Optional[int]:
-        """Append one logical record; returns its LSN (None if replaying).
+    def log(self, record_type: str, payload: bytes) -> Optional[int]:
+        """Append one encoded record; returns its LSN (None if replaying).
 
-        ``payload`` is the record's encoding when the caller has already
-        made it: ``log_audit``/``log_observation`` write theirs through
-        the field templates in :mod:`repro.storage.records`, and a
-        compiled row's audit append through its payload tail.  ``data``,
-        the record dict, is then needed only by taps, and is None when
-        no tap is installed.  The record is encoded and, with taps
-        installed, its size checked before any tap sees it, so one that
-        cannot be encoded or framed (a :class:`StorageError`) is seen by
-        no tap and reaches no WAL (which refuses an oversized payload
-        before it writes).
+        ``payload`` is the record's encoding by
+        :mod:`repro.storage.records`.  With taps installed, its size is
+        checked before any tap sees it, so a record the WAL cannot frame
+        (a :class:`StorageError`) is seen by no tap and reaches no WAL
+        (which refuses an oversized payload before it writes).
         """
         if self.replaying:
             return None
-        if payload is None:
-            payload = records.encode_record(record_type, data)
         taps = self.taps
         if taps:
             check_payload_size(payload)
             for tap in taps:
-                tap(record_type, data)
+                tap(record_type, payload)
         wal = self.wal
         sealed_before = wal.segments_sealed
         lsn = wal.append(payload, record_type)
@@ -129,28 +116,30 @@ class StorageEngine:
             self._m_sealed.value += wal.segments_sealed - sealed_before
         return lsn
 
+    def _log_record(self, record_type: str, data: Dict[str, Any]) -> Optional[int]:
+        """Encode a cold-type record's ``data`` and log it."""
+        if self.replaying:
+            return None
+        return self.log(record_type, records.encode_record(record_type, data))
+
     def log_observation(self, observation: Observation) -> Optional[int]:
         if self.replaying:
             return None
-        payload = records.encode_observation(observation)
-        data = observation.to_dict() if self.taps else None
-        return self.log(records.OBS, data, payload)
+        return self.log(records.OBS, records.encode_observation(observation))
 
     def log_forget(self, subject_id: str) -> Optional[int]:
-        return self.log(records.ERASE, {"subject_id": subject_id})
+        return self._log_record(records.ERASE, {"subject_id": subject_id})
 
     def log_audit(self, record: AuditRecord) -> Optional[int]:
         if self.replaying:
             return None
-        payload = records.encode_audit(record)
-        data = audit_record_to_dict(record) if self.taps else None
-        return self.log(records.AUDIT, data, payload)
+        return self.log(records.AUDIT, records.encode_audit(record))
 
     def log_preference(self, preference: UserPreference) -> Optional[int]:
-        return self.log(records.PREF, preference_to_dict(preference))
+        return self._log_record(records.PREF, preference_to_dict(preference))
 
     def log_withdraw_all(self, user_id: str) -> Optional[int]:
-        return self.log(records.PREF_WITHDRAW_ALL, {"user_id": user_id})
+        return self._log_record(records.PREF_WITHDRAW_ALL, {"user_id": user_id})
 
     def log_migration(self, data: Dict[str, Any]) -> Optional[int]:
         """Journal one phase of a cross-shard user migration.
@@ -162,7 +151,7 @@ class StorageEngine:
         erasure replayed after the copy strips the journaled snapshot so
         erased observations can never be resurrected from the journal.
         """
-        return self.log(records.MIGRATION, data)
+        return self._log_record(records.MIGRATION, data)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -241,24 +230,22 @@ class DurableAuditLog(AuditLog):
     ) -> None:
         """Log ``record``, then count it.
 
-        With the ``payload_tail`` of the record's compiled row, a finite
-        ``float`` timestamp and no tap installed, the payload is the
-        timestamp's head plus that tail, byte for byte what
-        ``log_audit`` would encode; otherwise ``log_audit`` encodes it.
+        With the ``payload_tail`` of the record's compiled row and a
+        finite ``float`` timestamp, the payload is the timestamp's head
+        plus that tail, byte for byte what ``log_audit`` would encode;
+        otherwise ``log_audit`` encodes it.
         """
-        engine = self.engine
         timestamp = record[0]
         if (
             payload_tail is not None
             and type(timestamp) is float
             and timestamp - timestamp == 0.0  # not NaN or infinite
-            and not engine.taps
         ):
-            engine.log(
-                records.AUDIT, None, records.AUDIT_HEAD % timestamp + payload_tail
+            self.engine.log(
+                records.AUDIT, records.AUDIT_HEAD % timestamp + payload_tail
             )
         else:
-            engine.log_audit(record)
+            self.engine.log_audit(record)
         self.restore(record)
 
     def restore(self, record: AuditRecord) -> None:

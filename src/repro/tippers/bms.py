@@ -50,7 +50,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.storage.durable import StorageEngine
     from repro.storage.recovery import RecoveryReport
 
-#: What a payload's ``now`` may be: a JSON number.
+#: What a payload's ``now`` may be: a JSON number (``true`` is not one;
+#: :func:`_field` refuses a ``bool`` for every kind).
 _NUMBER = (int, float)
 
 
@@ -115,14 +116,24 @@ def _field(payload: Dict[str, Any], name: str, kind: Any) -> Any:
     """``payload[name]``; a :class:`ValueError` if it is not a ``kind``.
 
     A payload of the wrong shape is then refused like a missing field,
-    as an ``RpcError``, before anything is logged or stored.
+    as an ``RpcError``, before anything is logged or stored.  A ``bool``
+    is refused too, though Python counts it an ``int``: no field is a
+    flag.
     """
     value = payload[name]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or type(value) is bool:
         raise ValueError(
             "payload field %r has type %s" % (name, type(value).__name__)
         )
     return value
+
+
+def _optional_field(
+    payload: Dict[str, Any], name: str, kind: Any, default: Any
+) -> Any:
+    """``payload[name]`` checked like :func:`_field`, or ``default``
+    when the payload has no such field."""
+    return _field(payload, name, kind) if name in payload else default
 
 
 class TIPPERS(Endpoint):
@@ -583,7 +594,7 @@ class TIPPERS(Endpoint):
         preview = preview_effects(
             self.engine,
             user_id,
-            payload.get("space_id", self.building_id),
+            _optional_field(payload, "space_id", str, self.building_id),
             _field(payload, "now", _NUMBER),
         )
         return {
@@ -676,7 +687,7 @@ class TIPPERS(Endpoint):
             _field(payload, "now", _NUMBER),
             purpose=_purpose(payload.get("purpose", "providing_service")),
             granularity=_granularity(payload.get("granularity", "precise")),
-            brownout_level=int(payload.get("brownout_level", 0)),
+            brownout_level=_optional_field(payload, "brownout_level", int, 0),
             extra_notes=(str(marker),) if marker else (),
         )
         value = response.value

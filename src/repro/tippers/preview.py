@@ -21,6 +21,7 @@ from repro.core.enforcement.engine import DEFAULT_SENSOR_CATEGORY, EnforcementEn
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.errors import PolicyError
+from repro.obs.metrics import MetricsRegistry
 
 
 def _sensor_types_for(category: DataCategory) -> Tuple[Optional[str], ...]:
@@ -118,9 +119,9 @@ def preview_effects(
 ) -> EffectPreview:
     """Probe the engine with hypothetical requests about ``user_id``.
 
-    Probes never touch data and are not audited (they run against a
-    scratch audit) -- they answer "what would happen", not "what
-    happened".
+    Probes never touch data and are neither audited nor counted (they
+    run on a scratch engine with its own audit log and metrics
+    registry) -- they answer "what would happen", not "what happened".
     """
     if not user_id:
         raise PolicyError("user_id must be non-empty")
@@ -132,12 +133,13 @@ def preview_effects(
         DataCategory.SOCIAL_TIES,
     )
     # Run probes against a scratch engine sharing the same rules and
-    # context so the real audit log stays clean.
+    # context so the real audit log and every registry stay clean.
     scratch = EnforcementEngine(
         store=engine.store,
         context=engine.context,
         strategy=engine.strategy,
         ontology=engine.ontology,
+        metrics=MetricsRegistry(),
     )
     entries: List[EffectEntry] = []
     for category in probe_categories:

@@ -9,10 +9,9 @@ sharing)."
 Every query is turned into one or more sharing requests
 (``engine.sharing_key``), resolved by the enforcement engine, and only
 then answered from the inference engine -- with results degraded to
-the granted granularity.  A request a compiled row already answers is
-served without building its
-:class:`~repro.core.policy.base.DataRequest` (the engine's request
-lane, ``decide_key``).
+the granted granularity.  Each goes to the engine's ``decide_key`` as
+a key, so a request a compiled row already answers is served without
+building its :class:`~repro.core.policy.base.DataRequest`.
 """
 
 from __future__ import annotations

@@ -9,13 +9,14 @@ stores; every request is decided by both engines and the outcomes
 compared field by field.
 
 Observations are also enforced by a third engine, a
-:class:`RequestPathEngine`: the compiled engine with its lanes turned
-off, so every observation builds its ``DataRequest`` and goes through
-``decide``.  It is the oracle for the lane's table
-bookkeeping (:class:`~repro.core.enforcement.compiled.TableStats`),
-which the interpreter does not keep.  Sharing requests asked through
-:meth:`EnginePair.ask` go through the compiled engine's request lane
-(``decide_key``) and through ``decide`` on the other two engines.
+:class:`RequestPathEngine`: the compiled engine, but with every
+``DataRequest`` built before ``decide_key`` runs.  It is the oracle
+showing that serving a warm row before any request is built changes
+nothing, down to the table bookkeeping
+(:class:`~repro.core.enforcement.compiled.TableStats`), which the
+interpreter does not keep.  Sharing requests asked through
+:meth:`EnginePair.ask` go through the compiled engine's ``decide_key``
+with only the key, and through ``decide`` on the other two engines.
 
 Normalization: injected policy-fetch failures embed the fault
 injector's logical step number in the fail-closed reason string, and
@@ -81,11 +82,14 @@ def audit_key(record: AuditRecord) -> tuple:
 
 
 class RequestPathEngine(CompiledEnforcementEngine):
-    """A compiled engine whose lanes never serve: every observation and
-    ``decide_key`` takes the request path."""
+    """A compiled engine that builds the request of every decision
+    before ``decide_key`` runs, so a request that fails to build fails
+    before the table is probed."""
 
-    def _serve(self, key, timestamp):
-        return None
+    def decide_key(self, key, timestamp, notes=(), request=None):
+        if request is None:
+            request = request_from_key(key, timestamp)
+        return super().decide_key(key, timestamp, notes, request)
 
 
 def _outcome(call: Callable[[], object]) -> object:
@@ -199,8 +203,8 @@ class EnginePair:
         """Decide the request ``key`` describes at ``timestamp``, three ways.
 
         The interpreter and the request-path engine build the request
-        and call ``decide``; the compiled engine answers through its
-        request lane, ``decide_key``.  Each must return the same
+        and call ``decide``; the compiled engine answers through
+        ``decide_key`` with only the key.  Each must return the same
         resolution, or raise the same error; the common outcome is
         returned.
         """
@@ -217,7 +221,7 @@ class EnginePair:
 
         expected = _outcome(through_decide(self.reference))
         for name, call in (
-            ("request lane", lambda: self.compiled.decide_key(key, timestamp, notes)),
+            ("key path", lambda: self.compiled.decide_key(key, timestamp, notes)),
             ("request path", through_decide(self.request_path)),
         ):
             actual = _outcome(call)
@@ -266,28 +270,8 @@ class EnginePair:
             "enforcement_decide_seconds"
         ).count, "latency histogram sample counts diverged"
 
-    def assert_observation_lane_equal(self) -> None:
-        """The request-path engine agrees with the compiled one on
-        everything the lane touches: trail, counters and table stats."""
-        compiled = [audit_key(r) for r in self.compiled.audit]
-        request_path = [audit_key(r) for r in self.request_path.audit]
-        assert request_path == compiled, "request-path audit trail diverged"
-        for name in ("enforcement_decisions_total", "audit_appends_total"):
-            assert self.request_path_metrics.total(
-                name
-            ) == self.compiled_metrics.total(name), "%s diverged" % name
-        assert self.request_path_metrics.histogram(
-            "enforcement_decide_seconds"
-        ).count == self.compiled_metrics.histogram(
-            "enforcement_decide_seconds"
-        ).count, "latency histogram sample counts diverged"
-        assert self.request_path.stats == self.compiled.stats, "TableStats diverged"
-        assert untimed_snapshot(self.request_path_metrics) == untimed_snapshot(
-            self.compiled_metrics
-        ), "metrics snapshots diverged"
-
-    def assert_request_lane_equal(self) -> None:
-        """The lane engine and the request-path engine agree on the
+    def assert_request_path_equal(self) -> None:
+        """The compiled engine and the request-path engine agree on the
         whole audit trail, table stats and metrics snapshot (timing
         histograms compared by sample count)."""
         compiled = [audit_key(r) for r in self.compiled.audit]

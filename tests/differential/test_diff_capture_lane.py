@@ -12,7 +12,9 @@ the path every other record takes.  Checked here:
   reference's bytes, or raises the reference's error;
 - the fallback cases write the same bytes through ``log_audit``: a
   tail the template cannot write, an ``int`` or non-finite timestamp,
-  an installed tap, and an audit log swapped after rows were compiled;
+  and an audit log swapped after rows were compiled;
+- an installed tap sees a served row's exact bytes, and the row still
+  takes the payload-tail lane;
 - a ``torn_write`` or ``crash_mid_append`` on any audit append,
   served rows included, leaves the same files, LSNs and ``len(audit)``
   as the reference interpreter, whose every append is encoded by
@@ -280,18 +282,17 @@ def test_a_tail_the_template_cannot_write_falls_back(tail, tmp_path):
     lane.close()
 
 
-def test_an_installed_tap_sees_the_record_and_the_bytes_match(tmp_path):
+def test_a_tapped_row_keeps_the_lane(tmp_path):
     lane = Lane(str(tmp_path))
     tail = lane.audit.payload_tail(ROW_TAIL)
     seen = []
-    lane.storage.taps.append(lambda record_type, data: seen.append((record_type, data)))
+    lane.storage.taps.append(
+        lambda record_type, payload: seen.append((record_type, payload))
+    )
     record = AuditRecord._make((43200.0,) + ROW_TAIL)
     assert lane.written(record, tail) == reference_bytes(record)
-    assert seen == [(records.AUDIT, audit_record_to_dict(record))]
-    assert lane.encoded == 1
-    lane.storage.taps.clear()
-    assert lane.written(record, tail) == reference_bytes(record)
-    assert lane.encoded == 1  # no tap: the lane
+    assert seen == [(records.AUDIT, reference_bytes(record))]
+    assert lane.encoded == 0  # the tap did not force a re-encode
     lane.assert_frames_are_encode_frames()
     lane.close()
 

@@ -99,9 +99,12 @@ def _apply(op: Tuple[Any, ...], stores: List[Store], appended: List[bytes]) -> N
             store.audit.append(record)
     elif kind == "pref":
         _, user_id, preference_id, effect = op
-        data = {"user_id": user_id, "preference_id": preference_id, "effect": effect}
+        payload = records.encode_record(
+            records.PREF,
+            {"user_id": user_id, "preference_id": preference_id, "effect": effect},
+        )
         for store in stores:
-            store.engine.log(records.PREF, data)
+            store.engine.log(records.PREF, payload)
     elif kind == "withdraw":
         for store in stores:
             store.engine.log_withdraw_all(op[1])

@@ -13,11 +13,16 @@ import dataclasses
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.core.enforcement import compiled as compiled_module
 from repro.core.enforcement import engine as engine_module
-from repro.core.enforcement.compiled import _flat_key
-from repro.core.enforcement.engine import request_from_key, sharing_key
-
-from repro.core.language.vocabulary import DataCategory, Purpose
+from repro.core.enforcement.engine import (
+    DEFAULT_SENSOR_CATEGORY,
+    DEFAULT_SENSOR_PURPOSE,
+    _flat_key,
+    request_from_key,
+    sharing_key,
+)
+from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
 from repro.sensors.base import Observation
@@ -89,7 +94,7 @@ _WIFI = Observation(
     run=observation_runs,
 )
 # Query rows one key field away from a reading's, then the reading: a
-# lane key that drifted in that field would be served the wrong row.
+# table key that drifted in that field would be served the wrong row.
 @example(
     catalog_capture=True,
     policy_list=[],
@@ -102,11 +107,12 @@ _WIFI = Observation(
     + [("observe", (0, DecisionPhase.STORAGE, 6.0))],
 )
 def test_observation_lane(catalog_capture, policy_list, preference_list, pool, run):
-    """Capture-path enforcement: the compiled engine's observation lane
-    serves warm rows without building a DataRequest, and must return
-    the same observation (or raise the same error), audit the same
-    records and count the same decisions as the interpreter -- and keep
-    the same TableStats as the compiled engine without the lane.
+    """Capture-path enforcement: the compiled engine serves warm rows
+    through ``decide_key`` without building a DataRequest, and must
+    return the same observation (or raise the same error), audit the
+    same records and count the same decisions as the interpreter -- and
+    keep the same TableStats as a compiled engine that builds every
+    request first.
 
     A small pool of readings, each enforced at many timestamps, makes
     a warm row meet a negative timestamp or a mutation that stales it.
@@ -128,8 +134,12 @@ def test_observation_lane(catalog_capture, policy_list, preference_list, pool, r
             pair.enforce(observation, phase)
         elif op == "request_like":
             index, phase, timestamp, edit = payload
+            reading = pool[index % len(pool)]
             request = dataclasses.replace(
-                pair.reference.request_for_observation(pool[index % len(pool)], phase),
+                request_from_key(
+                    pair.reference.observation_key(reading, phase),
+                    reading.timestamp,
+                ),
                 timestamp=timestamp,
                 **edit,
             )
@@ -139,7 +149,7 @@ def test_observation_lane(catalog_capture, policy_list, preference_list, pool, r
             pair.apply((op, payload))
     pair.assert_trails_equal()
     pair.assert_counters_equal()
-    pair.assert_observation_lane_equal()
+    pair.assert_request_path_equal()
 
 
 @given(
@@ -148,13 +158,24 @@ def test_observation_lane(catalog_capture, policy_list, preference_list, pool, r
     timestamp=st.floats(0.0, 1e7),
 )
 def test_observation_key_is_the_request_key(observation, phase, timestamp):
-    """The lane probes with ``observation_key``; it must be the key the
-    request path computes for the same reading."""
+    """``enforce_observation`` decides with ``observation_key``; it must
+    be the key of the capture-time request spelled out field by field."""
     engine = EnginePair().compiled
     observation = dataclasses.replace(observation, timestamp=timestamp)
-    assert engine.observation_key(observation, phase) == _flat_key(
-        engine.request_for_observation(observation, phase)
+    sensor_type = observation.sensor_type
+    request = DataRequest(
+        requester_id="building",
+        requester_kind=RequesterKind.BUILDING,
+        phase=phase,
+        category=DEFAULT_SENSOR_CATEGORY.get(sensor_type, DataCategory.ACTIVITY),
+        subject_id=observation.subject_id,
+        space_id=observation.space_id,
+        timestamp=timestamp,
+        purpose=DEFAULT_SENSOR_PURPOSE.get(sensor_type),
+        granularity=GranularityLevel.PRECISE,
+        sensor_type=sensor_type,
     )
+    assert engine.observation_key(observation, phase) == _flat_key(request)
 
 
 def _sharing_key_of(request: DataRequest) -> tuple:
@@ -199,14 +220,14 @@ _MARY_LOCATION = DataRequest(
     + [("ask", (0, -1.0, ())), ("ask", (0, 7.0, ()))],
 )
 def test_request_lane(policy_list, preference_list, pool, run):
-    """Query-path enforcement: the request lane (``decide_key``) serves
-    warm rows without building a DataRequest, and must give the
-    resolution ``decide`` gives (or raise the same error), write the
-    same audit records and leave the same metrics snapshot and
-    TableStats as a compiled engine that always builds the request.
-    Noted asks and negative timestamps must fall through to ``decide``:
-    a served row would drop the notes from the audit record, and a
-    negative timestamp must raise as the request does."""
+    """Query-path enforcement: ``decide_key`` serves warm rows without
+    building a DataRequest, and must give the resolution ``decide``
+    gives (or raise the same error), write the same audit records and
+    leave the same metrics snapshot and TableStats as a compiled engine
+    that always builds the request first.  Noted asks and negative
+    timestamps must not be served: a served row would drop the notes
+    from the audit record, and a negative timestamp must raise as the
+    request does."""
     pair = EnginePair(policies=policy_list, preferences=preference_list)
     for op, payload in run:
         if op == "ask":
@@ -216,14 +237,14 @@ def test_request_lane(policy_list, preference_list, pool, run):
             pair.apply((op, payload))
     pair.assert_trails_equal()
     pair.assert_counters_equal()
-    pair.assert_request_lane_equal()
+    pair.assert_request_path_equal()
 
 
 @given(request=requests, timestamp=st.floats(0.0, 1e7))
 def test_sharing_key_is_the_request_key(request, timestamp):
-    """The lane probes with ``sharing_key``; it must be the key the
-    request path computes, and ``request_from_key`` must rebuild the
-    request it came from."""
+    """Queries decide with ``sharing_key``; it must be the key ``decide``
+    computes, and ``request_from_key`` must rebuild the request it came
+    from."""
     request = dataclasses.replace(
         request, phase=DecisionPhase.SHARING, timestamp=timestamp
     )
@@ -232,19 +253,25 @@ def test_sharing_key_is_the_request_key(request, timestamp):
     assert request_from_key(key, timestamp) == request
 
 
+def _break_request_building(monkeypatch) -> None:
+    """Make every ``request_from_key`` the engines call raise."""
+
+    def broken(key, timestamp):
+        raise AssertionError("the request path ran for a warm request")
+
+    for module in (engine_module, compiled_module):
+        monkeypatch.setattr(module, "request_from_key", broken)
+
+
 def test_warm_query_builds_no_request(monkeypatch):
-    """A warm sharing request is served by the lane: with request
+    """A warm sharing request is served by ``decide_key``: with request
     construction broken, it is still answered, audited and counted as
     a hit; with notes it must build its request."""
     pair = EnginePair(policies=[catalog.policy_service_sharing("b")])
     key = _sharing_key_of(_MARY_LOCATION)
     warm = pair.ask(key, 1.0)
     engine = pair.compiled
-
-    def broken(key, timestamp):
-        raise AssertionError("the request path ran for a warm request")
-
-    monkeypatch.setattr(engine_module, "request_from_key", broken)
+    _break_request_building(monkeypatch)
     hits, trail = engine.stats.hits, len(engine.audit)
     assert engine.decide_key(key, 2.0) == warm
     assert engine.stats.hits == hits + 1
@@ -281,41 +308,40 @@ def test_observation_lane_serves_warm_rows(preference_list, pool):
         pair.enforce(dataclasses.replace(observation, timestamp=1.0), phase)
     engine = pair.compiled
     built = []
-    request_for_observation = engine.request_for_observation
 
-    def spy(observation, phase):
-        built.append(observation)
-        return request_for_observation(observation, phase)
+    def spy(key, timestamp):
+        built.append(key)
+        return request_from_key(key, timestamp)
 
-    engine.request_for_observation = spy
-    for observation, phase in readings:
-        warm = engine.observation_key(observation, phase) in engine._rows
-        before = len(built)
-        pair.enforce(dataclasses.replace(observation, timestamp=2.0), phase)
-        assert (len(built) == before) == warm
+    # Only the compiled engine looks the name up in its own module.
+    compiled_module.request_from_key = spy
+    try:
+        for observation, phase in readings:
+            warm = engine.observation_key(observation, phase) in engine._rows
+            before = len(built)
+            pair.enforce(dataclasses.replace(observation, timestamp=2.0), phase)
+            assert (len(built) == before) == warm
+    finally:
+        compiled_module.request_from_key = request_from_key
     pair.assert_trails_equal()
     pair.assert_counters_equal()
-    pair.assert_observation_lane_equal()
+    pair.assert_request_path_equal()
 
 
-def test_warm_reading_builds_no_request():
-    """A warm wifi reading is served by the lane: with the request path
-    broken, it is still enforced, audited and counted as a hit."""
+def test_warm_reading_builds_no_request(monkeypatch):
+    """A warm wifi reading is served by ``decide_key``: with request
+    construction broken, it is still enforced, audited and counted as a
+    hit."""
     pair = _capture_pair()
     reading = _WIFI
     warm = pair.enforce(reading, DecisionPhase.STORAGE)
     assert isinstance(warm, Observation)
     engine = pair.compiled
-
-    def broken(observation, phase):
-        raise AssertionError("the request path ran for a warm reading")
-
-    engine.request_for_observation = broken
-    hits, trail = engine.stats.hits, len(engine.audit)
     later = dataclasses.replace(reading, timestamp=2.0)
-    assert engine.enforce_observation(later, DecisionPhase.STORAGE) == (
-        pair.reference.enforce_observation(later, DecisionPhase.STORAGE)
-    )
+    expected = pair.reference.enforce_observation(later, DecisionPhase.STORAGE)
+    _break_request_building(monkeypatch)
+    hits, trail = engine.stats.hits, len(engine.audit)
+    assert engine.enforce_observation(later, DecisionPhase.STORAGE) == expected
     assert engine.stats.hits == hits + 1
     assert len(engine.audit) == trail + 1
     assert list(engine.audit)[-1].timestamp == 2.0

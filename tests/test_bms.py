@@ -335,6 +335,22 @@ class TestBusEndpoint:
                  "snapshot": snapshot},
             )
             for snapshot in _BAD_SNAPSHOTS
+        ]
+        + [
+            ("locate_user", dict(_QUERIES[0][1], brownout_level=[1])),
+            ("locate_user", dict(_QUERIES[0][1], brownout_level={"level": 1})),
+            ("preview_effects", {"user_id": "mary", "space_id": ["b-1001"], "now": 1.0}),
+            ("preview_effects", {"user_id": "mary", "space_id": 1001, "now": 1.0}),
+        ]
+        # ``true`` is not a number: every method that reads ``now``.
+        + [
+            (method, dict(payload, now=True))
+            for method, payload in _QUERIES
+            + [
+                ("preview_effects", {"user_id": "mary"}),
+                ("dsar_report", {"user_id": "mary"}),
+                ("dsar_erase", {"user_id": "mary"}),
+            ]
         ],
     )
     def test_wrong_shape_payload_is_counted_rpc_error(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.enforcement.engine import EnforcementEngine
+from repro.core.enforcement.engine import EnforcementEngine, request_from_key
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect, RequesterKind
@@ -90,8 +90,10 @@ class TestDecide:
 
 class TestObservationEnforcement:
     def test_request_for_observation_maps_category(self, engine):
-        request = engine.request_for_observation(
-            wifi_observation(), DecisionPhase.CAPTURE
+        observation = wifi_observation()
+        request = request_from_key(
+            engine.observation_key(observation, DecisionPhase.CAPTURE),
+            observation.timestamp,
         )
         assert request.category is DataCategory.LOCATION
         assert request.purpose is Purpose.EMERGENCY_RESPONSE
@@ -148,5 +150,7 @@ class TestObservationEnforcement:
 
     def test_unknown_sensor_type_conservative_category(self, engine):
         odd = Observation.create("x", "novel_sensor", 0.0, "b-1001", {})
-        request = engine.request_for_observation(odd, DecisionPhase.CAPTURE)
+        request = request_from_key(
+            engine.observation_key(odd, DecisionPhase.CAPTURE), odd.timestamp
+        )
         assert request.category is DataCategory.ACTIVITY

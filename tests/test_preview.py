@@ -6,6 +6,9 @@ from repro.core.language.vocabulary import DataCategory, GranularityLevel
 from repro.core.policy import catalog
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import PolicyError
+from repro.net.bus import MessageBus
+from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.tippers.bms import TIPPERS
 from repro.tippers.preview import preview_effects
 
 
@@ -49,10 +52,23 @@ class TestPreview:
         assert mary.entry(DataCategory.LOCATION, DecisionPhase.SHARING).effect is Effect.DENY
         assert bob.entry(DataCategory.LOCATION, DecisionPhase.SHARING).effect is Effect.ALLOW
 
-    def test_preview_does_not_pollute_audit(self, tippers):
+    def test_preview_does_not_pollute_audit(self, small_building, mary):
+        """A preview audits and counts nothing, in the building's own
+        registry or the process-wide one."""
+        registry = MetricsRegistry()
+        tippers = TIPPERS(small_building, "b", owner_name="UCI", metrics=registry)
+        tippers.define_policy(catalog.policy_service_sharing("b"))
+        tippers.add_user(mary)
+        bus = MessageBus(metrics=MetricsRegistry())
+        bus.register("tippers", tippers)
         before = len(tippers.audit)
+        own, process_wide = registry.snapshot(), get_registry().snapshot()
         preview_effects(tippers.engine, "mary", "b-1001", 43200.0)
+        for _ in range(3):
+            bus.call("tippers", "preview_effects", {"user_id": "mary", "now": 1.0})
         assert len(tippers.audit) == before
+        assert registry.snapshot() == own
+        assert get_registry().snapshot() == process_wide
 
     def test_granularity_cap_visible(self, tippers):
         from repro.core.policy.preference import UserPreference

@@ -8,10 +8,10 @@ from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import SimulatedCrash, StorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.sensors.base import Observation
-from repro.storage import durable, records
+from repro.storage import records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.recovery import replay_directory
-from repro.storage.wal import MAX_PAYLOAD_BYTES
+from repro.storage.wal import MAX_PAYLOAD_BYTES, list_segments, scan_segment
 
 
 def obs(timestamp, subject=None):
@@ -104,45 +104,56 @@ class TestStorageEngine:
     def test_taps_see_records_before_the_write(self, tmp_path):
         engine = StorageEngine(str(tmp_path))
         seen = []
-        engine.taps.append(lambda rt, data: seen.append(rt))
+        engine.taps.append(lambda rt, payload: seen.append(rt))
         engine.install_fault_plane(lambda op, rt: "torn_write")
         with pytest.raises(SimulatedCrash):
             engine.log_observation(obs(1.0))
         assert seen == [records.OBS]  # tapped even though the write tore
         engine.close()
 
-    def test_no_tap_builds_no_record_dict(self, tmp_path, monkeypatch):
+    def test_logging_builds_no_record_dict(self, tmp_path, monkeypatch):
         def forbidden(record):
-            raise AssertionError("record dict built with no tap installed")
+            raise AssertionError("record dict built for a hot record")
 
-        monkeypatch.setattr(durable, "audit_record_to_dict", forbidden)
         monkeypatch.setattr(records, "audit_record_to_dict", forbidden)
         monkeypatch.setattr(Observation, "to_dict", forbidden)
         engine = StorageEngine(str(tmp_path))
         assert engine.log_audit(audit_record(1.0)) == 1
+        engine.taps.append(lambda rt, payload: None)
         assert engine.log_observation(obs(2.0)) == 2
+        assert engine.log_audit(audit_record(3.0)) == 3
         engine.close()
 
-    def test_tap_receives_the_record_dict_before_the_write(self, tmp_path):
+    def test_tap_receives_the_framed_bytes_before_the_write(self, tmp_path):
         engine = StorageEngine(str(tmp_path))
         seen = []
         engine.taps.append(
-            lambda rt, data: seen.append((rt, data, engine.wal.appends))
+            lambda rt, payload: seen.append((rt, payload, engine.wal.appends))
         )
         record = audit_record(1.0)
         observation = obs(2.0, subject="mary")
         engine.log_audit(record)
         engine.log_observation(observation)
-        assert seen == [
-            (records.AUDIT, audit_record_to_dict(record), 0),
-            (records.OBS, observation.to_dict(), 1),
-        ]
+        engine.log_forget("mary")
         engine.close()
+        assert [(rt, appends) for rt, _, appends in seen] == [
+            (records.AUDIT, 0),
+            (records.OBS, 1),
+            (records.ERASE, 2),
+        ]
+        assert seen[0][1] == records.encode_audit(record)
+        assert seen[1][1] == records.encode_observation(observation)
+        framed = [
+            frame.payload
+            for path in list_segments(str(tmp_path))
+            for frame in scan_segment(path).frames
+        ]
+        assert framed == [payload for _, payload, _ in seen]
 
     def test_oversized_record_reaches_no_tap(self, tmp_path):
         engine = StorageEngine(str(tmp_path))
         seen = []
-        engine.taps.append(lambda rt, data: seen.append(rt))
+        engine.taps.append(lambda rt, payload: seen.append(rt))
         engine.log_observation(obs(1.0))
         with pytest.raises(StorageError, match="exceeds frame limit"):
             engine.log_migration(
@@ -205,7 +216,7 @@ class TestDurableDatastore:
         engine = StorageEngine(str(tmp_path))
         datastore = DurableDatastore(engine)
         seen = []
-        engine.taps.append(lambda rt, data: seen.append(rt))
+        engine.taps.append(lambda rt, payload: seen.append(rt))
         datastore.insert(obs(1.0))
         bad = Observation.create(
             sensor_id="s1",

@@ -78,7 +78,7 @@ class TestPreferenceSnapshots:
     def snapshot(self, tmp_path, prefs):
         engine = StorageEngine(str(tmp_path))
         for data in prefs:
-            engine.log(records.PREF, data)
+            engine.log(records.PREF, records.encode_record(records.PREF, data))
         report = engine.compact()
         engine.close()
         assert report.preferences_snapshotted == len(prefs)
