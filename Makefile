@@ -22,7 +22,9 @@ test-fast:
 # schema validators, lazy admission steps, the WAL record field
 # templates and WAL frames, the capture lane's audit bytes (every
 # compiled row's payload tail, its fallbacks, and a crash on a served
-# row against the interpreter's log), a compacted store against one
+# row against the interpreter's log), the batched capture tick (one
+# WAL commit per tick) crashed at every append against a write-through
+# run of the same tick, a compacted store against one
 # that never compacts, the P005 shadowed-rule lint against the enforcement
 # engine's decisions, and the scope algebra (covers, overlaps, key and
 # conflict detection) against brute force over which requests each

@@ -10,21 +10,22 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
+from repro.compact_json import compact_encoder
 from repro.errors import NetworkError
 
 
-#: Built once: ``json.dumps`` with these options would construct a new
-#: encoder on every call.
-_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+#: Built once and reused: ``json.dumps``, and even a prebuilt
+#: ``JSONEncoder``'s ``encode``, make a new C encoder on every call.
+_compact = compact_encoder()
 
 
 def _refuse_constant(name: str) -> Any:
     raise ValueError("%s is not JSON" % name)
 
 
-#: Built once, like ``_COMPACT``: ``json.loads(..., parse_constant=...)``
-#: would construct a new decoder on every call.  It refuses ``NaN`` and
-#: ``Infinity``, which ``_COMPACT`` never writes.
+#: Built once: ``json.loads(..., parse_constant=...)`` would construct
+#: a new decoder on every call.  It refuses ``NaN`` and ``Infinity``,
+#: which ``_compact`` never writes.
 _STRICT = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
@@ -36,7 +37,7 @@ def encode_message(message: Dict[str, Any]) -> str:
     interpreter's recursion limit.
     """
     try:
-        return _COMPACT.encode(message)
+        return _compact(message)
     except (TypeError, ValueError, RecursionError) as exc:
         raise NetworkError("payload is not JSON-serializable: %s" % exc) from None
 

@@ -12,8 +12,12 @@ Everything that must survive a restart goes through ``log_*`` methods,
 which append one record to the WAL *before* the in-memory apply --
 write-ahead ordering is what makes the recovery invariants hold:
 
-- an acknowledged mutation is durable (the frame was flushed first);
-- a crash mid-append loses at most the record being written;
+- an acknowledged mutation is durable: its frame was flushed to the OS
+  first -- at once, or inside a :meth:`StorageEngine.batch` (one
+  capture tick) when the batch commits, before the tick returns;
+- a crash mid-append loses at most the record being written, and a
+  process that dies inside a batch loses only the frames staged since
+  its last commit, none of which was acknowledged;
 - an erasure, once acknowledged, can never be un-done by replay,
   because the erase record itself is in the log after the data.
 
@@ -27,7 +31,7 @@ not re-logged.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro.core.enforcement.audit import (
     AuditLog,
@@ -153,6 +157,14 @@ class StorageEngine:
         """
         return self._log_record(records.MIGRATION, data)
 
+    def batch(self) -> ContextManager[None]:
+        """Group the appends of a block into one WAL commit.
+
+        See :meth:`WriteAheadLog.batch`: batches nest, and the
+        outermost exit commits, also when the block raises.
+        """
+        return self.wal.batch()
+
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
@@ -161,7 +173,10 @@ class StorageEngine:
         retention_by_type: Optional[Dict[str, float]] = None,
         now: Optional[float] = None,
     ) -> "Any":
-        """Fold sealed segments into the snapshot; see snapshot.py."""
+        """Fold sealed segments into the snapshot; see snapshot.py.
+
+        It rotates the WAL first, which commits every staged frame.
+        """
         from repro.storage.snapshot import compact_engine
 
         report = compact_engine(self, retention_by_type=retention_by_type, now=now)
@@ -220,6 +235,11 @@ class DurableAuditLog(AuditLog):
         self._bind_metrics(metrics)
         self.engine = engine
         self._count = 0
+        # The last timestamp a head was formatted for, and that head:
+        # every audit record of a capture tick has the tick's time.
+        # A zero is never served from here, so 0.0 stands for "none".
+        self._head_time = 0.0
+        self._head = b""
 
     def payload_tail(self, tail: tuple) -> Optional[bytes]:
         """The WAL payload bytes after the timestamp of ``(t,) + tail``."""
@@ -241,9 +261,11 @@ class DurableAuditLog(AuditLog):
             and type(timestamp) is float
             and timestamp - timestamp == 0.0  # not NaN or infinite
         ):
-            self.engine.log(
-                records.AUDIT, records.AUDIT_HEAD % timestamp + payload_tail
-            )
+            # 0.0 == -0.0, but their heads differ: zero is never reused.
+            if timestamp != self._head_time or not timestamp:
+                self._head = records.AUDIT_HEAD % timestamp
+                self._head_time = timestamp
+            self.engine.log(records.AUDIT, self._head + payload_tail)
         else:
             self.engine.log_audit(record)
         self.restore(record)
@@ -258,6 +280,7 @@ class DurableAuditLog(AuditLog):
         return self._count
 
     def __iter__(self) -> Iterator[AuditRecord]:
+        self.engine.wal.commit()  # read every staged record too
         for record_type, data, _ in read_store(self.engine.directory):
             if record_type == records.AUDIT:
                 yield audit_record_from_dict(data)

@@ -52,6 +52,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Optional, Tuple
 
+from repro.compact_json import compact_encoder
 from repro.core.enforcement.audit import AuditRecord, audit_record_to_dict
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
@@ -77,9 +78,9 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-#: The canonical encoder, built once: ``json.dumps`` with these options
-#: would construct a new encoder on every call.
-_CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False)
+#: The canonical encoder, built once and reused (see
+#: :mod:`repro.compact_json`): it runs once per stored observation.
+_canonical = compact_encoder(sort_keys=True)
 
 
 def encode_record(record_type: str, data: Dict[str, Any]) -> bytes:
@@ -106,13 +107,13 @@ def encode_record(record_type: str, data: Dict[str, Any]) -> bytes:
             % (record_type, sorted(map(str, data)), list(fields))
         )
     try:
-        return _CANONICAL.encode(body).encode("utf-8")
+        return _canonical(body).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise StorageError("record is not canonical JSON: %s" % exc) from None
 
 
 def _json_values(enum_type: Any) -> Dict[Any, str]:
-    return {member: _CANONICAL.encode(member.value) for member in enum_type}
+    return {member: _canonical(member.value) for member in enum_type}
 
 
 _PHASES = _json_values(DecisionPhase)
@@ -171,7 +172,7 @@ def _observation_payload(observation: Observation) -> bytes:
         _quote(observation.sensor_type),
         timestamp,
         "null" if space_id is None else _quote(space_id),
-        _CANONICAL.encode(payload),
+        _canonical(payload),
         "null" if subject_id is None else _quote(subject_id),
         _quote(observation.granularity),
     )).encode("utf-8")

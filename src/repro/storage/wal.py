@@ -3,9 +3,17 @@
 The WAL is the durability primitive under the storage engine: every
 mutation (observation insert, subject erasure, audit append, preference
 change) becomes one CRC-framed record appended to the active segment
-*before* the in-memory state changes.  A crash at any byte boundary
-loses at most the tail record being written; it can never corrupt what
-was already acknowledged.
+*before* the in-memory state changes.
+
+An append frames its record at the next LSN and stages the frame;
+:meth:`WriteAheadLog.commit` writes every staged frame with one
+``write`` and one ``flush`` (there is no ``fsync``: durable means
+flushed to the OS).  Outside a :meth:`WriteAheadLog.batch` an append
+commits at once.  Inside one, the frames wait for the batch's commit,
+so a process that dies mid-batch loses the frames staged since the
+last commit -- none of them was acknowledged -- and a crash at any
+byte boundary still leaves a valid prefix of the log: it can never
+corrupt what was already committed.
 
 Frame format (all integers big-endian)::
 
@@ -35,6 +43,7 @@ import mmap
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -247,6 +256,10 @@ class WriteAheadLog:
         self.truncated_frames = 0
         self.truncated_segments = 0
         self._planes: List[WalPlane] = []
+        #: Frames appended but not yet written; see :meth:`commit`.
+        self._staged: List[bytes] = []
+        #: How many :meth:`batch` blocks are open.
+        self._batch_depth = 0
         os.makedirs(directory, exist_ok=True)
         self._resume(start_lsn)
 
@@ -310,14 +323,17 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------
     def append(self, payload: bytes, record_type: str = "") -> int:
-        """Durably append ``payload``; returns its LSN.
+        """Append ``payload`` as the next frame; returns its LSN.
 
-        An oversized payload is refused before anything else happens.
-        An installed fault plane may turn the append into a simulated
-        crash: ``torn_write`` leaves a partial frame on disk,
-        ``crash_mid_append`` leaves the complete frame on disk, and both
-        raise :class:`~repro.errors.SimulatedCrash` *before* the caller
-        can apply the record to in-memory state.
+        The frame is staged, and committed at once unless a
+        :meth:`batch` is open.  An oversized payload is refused before
+        anything else happens.  An installed fault plane may turn the
+        append into a simulated crash, which first commits the staged
+        frames: ``torn_write`` then leaves a partial frame on disk,
+        ``crash_mid_append`` the complete frame, and both raise
+        :class:`~repro.errors.SimulatedCrash` *before* the caller can
+        apply the record to in-memory state.  A simulated crash inside
+        a batch therefore leaves the files a crash outside one leaves.
 
         The frame is :func:`encode_frame`'s, built inline: this runs
         once per WAL record.
@@ -334,16 +350,16 @@ class WriteAheadLog:
         if self._active_bytes + size > self.segment_bytes and \
                 self._active_bytes > SEGMENT_HEADER.size:
             self.rotate()
-        handle = self._handle
         if verdict == "torn_write":
             # A crash mid-write: only a prefix of the frame reaches disk.
-            handle.write(frame[: max(1, size // 2)])
-            handle.flush()
+            self.commit(frame[: max(1, size // 2)])
             raise SimulatedCrash(
                 "torn write at lsn %d (record type %r)" % (lsn, record_type)
             )
-        handle.write(frame)
-        handle.flush()
+        if verdict or not self._batch_depth:
+            self.commit(frame)
+        else:
+            self._staged.append(frame)
         if verdict == "crash_mid_append":
             # The frame is durable but the in-memory apply never happens.
             raise SimulatedCrash(
@@ -355,8 +371,36 @@ class WriteAheadLog:
         self._active_bytes += size
         return lsn
 
+    def commit(self, tail: bytes = b"") -> None:
+        """Write every staged frame, then ``tail``, with one ``write``; flush."""
+        staged = self._staged
+        if staged:
+            staged.append(tail)
+            tail = b"".join(staged)
+            staged.clear()
+        if tail:
+            self._handle.write(tail)
+            self._handle.flush()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Stage the appends of a block and commit them when it exits.
+
+        Batches nest; the outermost exit commits, also when the block
+        raises.  Anything that reads the log's files must commit first
+        (:meth:`rotate` and :meth:`close` do).
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth:
+                self.commit()
+
     def rotate(self) -> None:
-        """Seal the active segment and open the next one."""
+        """Commit, seal the active segment and open the next one."""
+        self.commit()
         self._handle.close()
         if self._active_bytes > SEGMENT_HEADER.size:
             self.segments_sealed += 1
@@ -382,5 +426,6 @@ class WriteAheadLog:
 
     def close(self) -> None:
         if not self._handle.closed:
+            self.commit()
             self._handle.flush()
             self._handle.close()

@@ -472,8 +472,15 @@ class TIPPERS(Endpoint):
     # Operation (steps 2-3)
     # ------------------------------------------------------------------
     def tick(self, now: float, environment: EnvironmentView) -> CaptureStats:
-        """One capture cycle over every deployed sensor."""
-        return self.sensor_manager.tick(now, environment)
+        """One capture cycle over every deployed sensor.
+
+        With storage, the tick is one WAL commit: its records are
+        staged and written together before it returns, or raises.
+        """
+        if self.storage is None:
+            return self.sensor_manager.tick(now, environment)
+        with self.storage.batch():
+            return self.sensor_manager.tick(now, environment)
 
     def run_retention(self, now: float) -> int:
         """Purge observations past their policies' retention."""

@@ -372,7 +372,7 @@ def test_decode_arbitrary_bytes_is_a_record_or_storage_error(payload):
 @example({"t": "pref", "d": {"user_id": "mary"}})
 @example({"t": "audit", "d": {}})
 def test_decode_arbitrary_json_is_a_record_or_storage_error(value):
-    payload = records._CANONICAL.encode(value).encode("utf-8")
+    payload = records._canonical(value).encode("utf-8")
     result = decodes_or_refuses(payload)
     if isinstance(value, dict):
         assert result is None  # the keyed form is not read

@@ -255,3 +255,68 @@ class TestDurableAuditLog:
         engine.close()
         state = replay_directory(str(tmp_path))
         assert list(state.audit) == list(audit)
+
+    def test_served_heads_are_formatted_per_timestamp_and_sign(self, tmp_path):
+        # A capture tick appends every record at one timestamp; the head
+        # is reused for it, but never across 0.0 and -0.0.
+        engine = StorageEngine(str(tmp_path))
+        audit = DurableAuditLog(engine)
+        payloads = []
+        engine.taps.append(lambda rt, payload: payloads.append(payload))
+        tail = records.audit_payload_tail(tuple(audit_record(1.0))[1:])
+        stamps = [5.0, 5.0, 0.0, -0.0, -0.0, 0.0, 5.0, 7.5]
+        for timestamp in stamps:
+            audit.append(audit_record(timestamp), tail)
+        assert payloads == [
+            records.encode_audit(audit_record(timestamp)) for timestamp in stamps
+        ]
+        assert b'["audit",-0.0,' in payloads[3]
+        engine.close()
+
+
+class TestBatchReadsItsOwnWrites:
+    """A read of the engine's directory inside a batch commits first."""
+
+    def open(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        audit = DurableAuditLog(engine)
+        datastore = DurableDatastore(engine)
+        return engine, audit, datastore
+
+    def stage(self, engine, audit, datastore):
+        for index in range(3):
+            datastore.insert(obs(float(index), subject="mary"))
+            audit.append(audit_record(float(index)))
+        assert engine.wal._staged  # nothing written yet
+
+    def test_records_and_summary_see_every_staged_record(self, tmp_path):
+        engine, audit, datastore = self.open(tmp_path)
+        with engine.batch():
+            self.stage(engine, audit, datastore)
+            assert audit.records() == [audit_record(float(i)) for i in range(3)]
+            assert audit.summary()["total"] == 3
+            assert not engine.wal._staged
+            audit.append(audit_record(3.0))
+            assert len(audit.records(subject_id="mary")) == 4
+        engine.close()
+
+    def test_compact_folds_every_staged_record(self, tmp_path):
+        engine, audit, datastore = self.open(tmp_path)
+        with engine.batch():
+            self.stage(engine, audit, datastore)
+            report = engine.compact()
+            assert report.audit_snapshotted == 3
+            assert report.observations_snapshotted == 3
+        engine.close()
+        state = replay_directory(str(tmp_path))
+        assert list(state.audit) == list(audit)
+        assert state.datastore.count() == 3
+
+    def test_close_writes_every_staged_record(self, tmp_path):
+        engine, audit, datastore = self.open(tmp_path)
+        with engine.batch():
+            self.stage(engine, audit, datastore)
+            engine.close()
+        state = replay_directory(str(tmp_path))
+        assert len(state.audit) == 3
+        assert state.datastore.count() == 3

@@ -1,5 +1,6 @@
 """Unit tests for the segmented write-ahead log."""
 
+import contextlib
 import os
 import struct
 
@@ -182,3 +183,126 @@ class TestWriteAheadLog:
     def test_too_small_budget_rejected(self, tmp_path):
         with pytest.raises(StorageError):
             WriteAheadLog(str(tmp_path), segment_bytes=8)
+
+
+def _segment_bytes(directory) -> dict:
+    """Segment file name -> its bytes."""
+    files = {}
+    for path in list_segments(str(directory)):
+        with open(path, "rb") as handle:
+            files[os.path.basename(path)] = handle.read()
+    return files
+
+
+class _CountingHandle:
+    """Wraps a segment file handle, counting ``write`` and ``flush``."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return self.handle.write(data)
+
+    def flush(self):
+        self.flushes += 1
+        return self.handle.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+class TestBatch:
+    def test_outside_a_batch_every_append_is_written_and_flushed(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        counting = wal._handle = _CountingHandle(wal._handle)
+        for index in range(3):
+            wal.append(b"record-%d" % index)
+            assert os.path.getsize(wal.active_path) == wal._active_bytes
+        assert (counting.writes, counting.flushes) == (3, 3)
+        wal.close()
+
+    def test_a_batch_stages_its_frames_and_commits_them_in_one_write(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        size = os.path.getsize(wal.active_path)
+        counting = wal._handle = _CountingHandle(wal._handle)
+        with wal.batch():
+            lsns = [wal.append(b"record-%d" % index) for index in range(5)]
+            assert os.path.getsize(wal.active_path) == size
+            assert wal.next_lsn == 6 and wal.appends == 5
+        assert lsns == [1, 2, 3, 4, 5]
+        assert (counting.writes, counting.flushes) == (1, 1)
+        wal.close()
+        frames = scan_segment(list_segments(str(tmp_path))[0]).frames
+        assert [f.payload for f in frames] == [b"record-%d" % i for i in range(5)]
+
+    def test_batches_nest_and_the_outermost_exit_commits(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        size = os.path.getsize(wal.active_path)
+        with wal.batch():
+            wal.append(b"outer")
+            with wal.batch():
+                wal.append(b"inner")
+            assert os.path.getsize(wal.active_path) == size
+        assert os.path.getsize(wal.active_path) == wal._active_bytes
+        wal.close()
+
+    def test_a_raising_batch_still_commits(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        with pytest.raises(RuntimeError):
+            with wal.batch():
+                wal.append(b"kept")
+                raise RuntimeError("the block failed")
+        assert os.path.getsize(wal.active_path) == wal._active_bytes
+        wal.close()
+
+    def test_a_batch_writes_the_bytes_appends_outside_one_write(self, tmp_path):
+        # Rotation inside a batch commits first, so segment boundaries
+        # and LSNs do not move.
+        payloads = [b"payload-%03d" % index for index in range(40)]
+        plain = WriteAheadLog(str(tmp_path / "plain"), segment_bytes=128)
+        for payload in payloads:
+            plain.append(payload)
+        plain.close()
+        batched = WriteAheadLog(str(tmp_path / "batched"), segment_bytes=128)
+        with batched.batch():
+            for payload in payloads:
+                batched.append(payload)
+                assert len(b"".join(batched._staged)) <= 128
+        batched.close()
+        assert batched.segments_sealed == plain.segments_sealed > 1
+        assert _segment_bytes(tmp_path / "batched") == _segment_bytes(tmp_path / "plain")
+
+    def test_close_inside_a_batch_commits(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        with wal.batch():
+            wal.append(b"staged")
+            wal.close()
+        assert scan_segment(wal.active_path).frames[0].payload == b"staged"
+
+    @pytest.mark.parametrize("verdict", ["torn_write", "crash_mid_append"])
+    def test_a_simulated_crash_in_a_batch_leaves_the_unbatched_files(
+        self, tmp_path, verdict
+    ):
+        def run(directory, batched):
+            wal = WriteAheadLog(str(directory), segment_bytes=96)
+            seen = [0]
+
+            def plane(operation, record_type):
+                seen[0] += 1
+                return verdict if seen[0] == 7 else None
+
+            wal.install_fault_plane(plane)
+            with wal.batch() if batched else contextlib.nullcontext():
+                with pytest.raises(SimulatedCrash):
+                    for index in range(10):
+                        wal.append(b"record-%d" % index)
+                # What the crash left, before the batch exits.
+                at_crash = _segment_bytes(directory)
+            wal.close()
+            assert _segment_bytes(directory) == at_crash
+            return at_crash, wal.next_lsn
+
+        assert run(tmp_path / "batched", True) == run(tmp_path / "plain", False)
