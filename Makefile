@@ -25,7 +25,9 @@ test-fast:
 # row against the interpreter's log), the batched capture tick (one
 # WAL commit per tick) crashed at every append against a write-through
 # run of the same tick, a compacted store against one
-# that never compacts, the P005 shadowed-rule lint against the enforcement
+# that never compacts, the indexed datastore's every read shape (and the
+# inference reads cut to retention) against a full scan over inserts out
+# of order and tied, sweeps and erasures, the P005 shadowed-rule lint against the enforcement
 # engine's decisions, and the scope algebra (covers, overlaps, key and
 # conflict detection) against brute force over which requests each
 # rule admits.  Also fuzzing: the WAL record decoder on arbitrary bytes

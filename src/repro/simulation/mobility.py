@@ -40,6 +40,10 @@ class BuildingWorld(EnvironmentView):
             p.user_id: None for p in inhabitants
         }
         self._previous_locations: Dict[str, Optional[str]] = dict(self._locations)
+        #: space -> the sorted ids of who is there; rebuilt on the first
+        #: read after ``_locations`` changes (``step``, ``teleport``,
+        #: ``add_visitor`` and ``remove_visitor`` reset it).
+        self._occupants: Optional[Dict[Optional[str], List[str]]] = None
         self._temperatures: Dict[str, float] = {
             s.space_id: self.OUTSIDE_TEMP_F + 6.0
             for s in spatial.spaces_of_type(SpaceType.ROOM)
@@ -80,6 +84,7 @@ class BuildingWorld(EnvironmentView):
             if inhabitant.user_id in self._visitors:
                 continue  # placed by the campus controller, not the schedule
             self._locations[inhabitant.user_id] = self._place(inhabitant, hour)
+        self._occupants = None
         self._relax_temperatures(dt_s)
 
     def _place(self, inhabitant: Inhabitant, hour: float) -> Optional[str]:
@@ -131,6 +136,7 @@ class BuildingWorld(EnvironmentView):
         if user_id not in self._locations:
             raise ReproError("unknown inhabitant %r" % user_id)
         self._locations[user_id] = space_id
+        self._occupants = None
 
     # ------------------------------------------------------------------
     # Cross-building visitors (federation roaming)
@@ -142,6 +148,7 @@ class BuildingWorld(EnvironmentView):
             return
         self._inhabitants[inhabitant.user_id] = inhabitant
         self._locations[inhabitant.user_id] = None
+        self._occupants = None
         self._visitors.add(inhabitant.user_id)
 
     def remove_visitor(self, user_id: str) -> None:
@@ -151,6 +158,7 @@ class BuildingWorld(EnvironmentView):
         self._visitors.discard(user_id)
         self._inhabitants.pop(user_id, None)
         self._locations.pop(user_id, None)
+        self._occupants = None
         # _previous_locations keeps its entry for one step, so motion
         # sensors see the departure like any other exit.
 
@@ -161,9 +169,17 @@ class BuildingWorld(EnvironmentView):
         return self._locations.get(user_id)
 
     def occupants_of(self, space_id: str) -> List[str]:
-        return sorted(
-            uid for uid, loc in self._locations.items() if loc == space_id
-        )
+        return list(self._occupancy().get(space_id, ()))
+
+    def _occupancy(self) -> Dict[Optional[str], List[str]]:
+        if self._occupants is None:
+            occupants: Dict[Optional[str], List[str]] = {}
+            for user_id, space_id in self._locations.items():
+                occupants.setdefault(space_id, []).append(user_id)
+            for user_ids in occupants.values():
+                user_ids.sort()
+            self._occupants = occupants
+        return self._occupants
 
     @property
     def lunch_room(self) -> str:
@@ -174,7 +190,7 @@ class BuildingWorld(EnvironmentView):
     # ------------------------------------------------------------------
     def devices_in(self, space_id: str) -> List[PresentDevice]:
         devices = []
-        for user_id in self.occupants_of(space_id):
+        for user_id in self._occupancy().get(space_id, ()):
             profile = self._inhabitants[user_id].profile
             for mac in profile.device_macs:
                 devices.append(
@@ -188,17 +204,15 @@ class BuildingWorld(EnvironmentView):
         return self._temperatures.get(space_id, self.OUTSIDE_TEMP_F)
 
     def power_draw_of(self, space_id: str) -> float:
-        occupants = len(self.occupants_of(space_id))
+        occupants = len(self._occupancy().get(space_id, ()))
         return self.BASE_LOAD_W + self.PER_PERSON_LOAD_W * occupants
 
     def motion_in(self, space_id: str) -> bool:
-        if self.occupants_of(space_id):
+        if space_id in self._occupancy():
             return True
-        # Motion also triggers briefly when someone just left.
-        return any(
-            previous == space_id and self._locations.get(uid) != space_id
-            for uid, previous in self._previous_locations.items()
-        )
+        # Motion also triggers briefly when someone just left: with the
+        # space empty now, anyone who was in it has left.
+        return space_id in self._previous_locations.values()
 
     def credential_presented(self, space_id: str) -> Optional[str]:
         return self._pending_credentials.pop(space_id, None)

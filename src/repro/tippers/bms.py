@@ -213,7 +213,9 @@ class TIPPERS(Endpoint):
             on_submit=None if storage is None else storage.log_preference,
             on_withdraw_all=None if storage is None else storage.log_withdraw_all,
         )
-        self.inference = InferenceEngine(self.datastore, spatial)
+        self.inference = InferenceEngine(
+            self.datastore, spatial, self.policy_manager.retention_by_sensor_type
+        )
         self.social = SocialInference(self.datastore)
         #: user_id -> home building, for principals whose home shard is
         #: another building (federation roaming).  Decisions about them

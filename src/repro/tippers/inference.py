@@ -15,7 +15,7 @@ these flows need privacy policies at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.language.duration import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.sensors.base import Observation
@@ -24,6 +24,18 @@ from repro.tippers.datastore import Datastore
 
 #: Sensor types whose observations place a subject at a space.
 LOCATION_SENSOR_TYPES = ("bluetooth_beacon", "wifi_access_point")
+
+#: Sensor type -> retention seconds (see
+#: :meth:`~repro.tippers.policy_manager.PolicyManager.retention_by_sensor_type`).
+RetentionSchedule = Callable[[], Mapping[str, float]]
+
+
+def _no_retention() -> Mapping[str, float]:
+    return {}
+
+
+def _moved(observation: Observation) -> bool:
+    return observation.payload.get("motion") == 1
 
 
 @dataclass(frozen=True)
@@ -52,34 +64,50 @@ class ActivityPattern:
 
 
 class InferenceEngine:
-    """Derives semantic information from the datastore."""
+    """Derives semantic information from the datastore.
+
+    Every read that is given ``now`` sees only readings inside their
+    sensor type's retention at ``now``, as ``retention`` reports it,
+    whether or not a sweep has purged the older ones yet.
+    """
 
     def __init__(
         self,
         datastore: Datastore,
         spatial: Optional[SpatialModel] = None,
+        retention: RetentionSchedule = _no_retention,
     ) -> None:
         self._datastore = datastore
         self._spatial = spatial
+        self._retention = retention
+
+    def _since(self, sensor_type: str, now: float, window_s: float) -> float:
+        """The window start of a read, raised to the type's retention cut."""
+        since = now - window_s
+        retention = self._retention().get(sensor_type)
+        if retention is not None and now - retention > since:
+            since = now - retention
+        return max(0.0, since)
 
     # ------------------------------------------------------------------
     # Occupancy
     # ------------------------------------------------------------------
     def is_occupied(self, space_id: str, now: float, window_s: float = 300.0) -> bool:
         """Whether anything indicates presence in the recent window."""
-        since = max(0.0, now - window_s)
-        motion = self._datastore.query(
+        if self._datastore.query(
             sensor_type="motion_sensor",
             space_id=space_id,
-            since=since,
-            predicate=lambda obs: obs.payload.get("motion") == 1,
+            since=self._since("motion_sensor", now, window_s),
+            predicate=_moved,
             limit=1,
-        )
-        if motion:
+        ):
             return True
         for sensor_type in LOCATION_SENSOR_TYPES:
             if self._datastore.query(
-                sensor_type=sensor_type, space_id=space_id, since=since, limit=1
+                sensor_type=sensor_type,
+                space_id=space_id,
+                since=self._since(sensor_type, now, window_s),
+                limit=1,
             ):
                 return True
         return False
@@ -88,11 +116,12 @@ class InferenceEngine:
         self, space_id: str, now: float, window_s: float = 300.0
     ) -> int:
         """Distinct attributed subjects seen in the space recently."""
-        since = max(0.0, now - window_s)
         subjects: Set[str] = set()
         for sensor_type in LOCATION_SENSOR_TYPES:
             for observation in self._datastore.query(
-                sensor_type=sensor_type, space_id=space_id, since=since
+                sensor_type=sensor_type,
+                space_id=space_id,
+                since=self._since(sensor_type, now, window_s),
             ):
                 if observation.subject_id is not None:
                     subjects.add(observation.subject_id)
@@ -100,11 +129,10 @@ class InferenceEngine:
 
     def occupancy_map(self, now: float, window_s: float = 300.0) -> Dict[str, int]:
         """space_id -> occupant count, over all spaces with sightings."""
-        since = max(0.0, now - window_s)
         subjects_by_space: Dict[str, Set[str]] = {}
         for sensor_type in LOCATION_SENSOR_TYPES:
             for observation in self._datastore.query(
-                sensor_type=sensor_type, since=since
+                sensor_type=sensor_type, since=self._since(sensor_type, now, window_s)
             ):
                 if observation.space_id is None or observation.subject_id is None:
                     continue
@@ -121,29 +149,23 @@ class InferenceEngine:
     ) -> Optional[LocationEstimate]:
         """The subject's most recent location, if seen in the window.
 
-        One pass over the subject's observations, newest location
-        reading at or after the window start; among equal timestamps
-        the lowest ``observation_id`` wins (the first in the
-        datastore's query order).
+        Scans the subject's history newest-first and stops past the
+        newest location reading at or after the window start; among
+        equal timestamps the lowest ``observation_id`` wins (the first
+        in the datastore's query order).
         """
         since = max(0.0, now - window_s)
+        retention = self._retention()
         best: Optional[Observation] = None
-        for observation in self._datastore.of_subject(subject_id):
+        for observation in reversed(self._datastore.of_subject(subject_id)):
             timestamp = observation.timestamp
-            if (
-                timestamp < since
-                or observation.sensor_type not in LOCATION_SENSOR_TYPES
-                or observation.space_id is None
-            ):
+            if timestamp < since or (best is not None and timestamp < best.timestamp):
+                break
+            sensor_type = observation.sensor_type
+            if sensor_type not in LOCATION_SENSOR_TYPES or observation.space_id is None:
                 continue
-            if (
-                best is None
-                or timestamp > best.timestamp
-                or (
-                    timestamp == best.timestamp
-                    and observation.observation_id < best.observation_id
-                )
-            ):
+            kept_s = retention.get(sensor_type)
+            if kept_s is None or timestamp >= now - kept_s:
                 best = observation
         if best is None:
             return None
@@ -160,10 +182,11 @@ class InferenceEngine:
 
     def people_in(self, space_id: str, now: float, window_s: float = 900.0) -> List[str]:
         """Subjects whose latest location estimate is (in) ``space_id``."""
-        since = max(0.0, now - window_s)
         latest: Dict[str, Observation] = {}
         for sensor_type in LOCATION_SENSOR_TYPES:
-            for observation in self._datastore.query(sensor_type=sensor_type, since=since):
+            for observation in self._datastore.query(
+                sensor_type=sensor_type, since=self._since(sensor_type, now, window_s)
+            ):
                 subject = observation.subject_id
                 if subject is None or observation.space_id is None:
                     continue

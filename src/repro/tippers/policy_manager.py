@@ -49,6 +49,9 @@ class PolicyManager:
         self.owner_name = owner_name
         self.owner_more_info = owner_more_info
         self._policies: Dict[str, BuildingPolicy] = {}
+        #: The retention schedule of the current policy set, computed on
+        #: first use after a policy is defined or retired.
+        self._retention: Optional[Dict[str, float]] = None
         self._events: Dict[str, Set[str]] = {}
         self._event_spaces: Dict[str, str] = {}
         self.settings_space = (
@@ -75,6 +78,7 @@ class PolicyManager:
                     % (policy.policy_id, sensor_type)
                 )
         self._policies[policy.policy_id] = policy
+        self._retention = None
         self._store.add_policy(policy)
         return policy
 
@@ -82,6 +86,7 @@ class PolicyManager:
         if policy_id not in self._policies:
             raise PolicyError("unknown policy %r" % policy_id)
         del self._policies[policy_id]
+        self._retention = None
         self._store.remove_policy(policy_id)
 
     def get(self, policy_id: str) -> BuildingPolicy:
@@ -100,7 +105,13 @@ class PolicyManager:
     # Retention schedule
     # ------------------------------------------------------------------
     def retention_by_sensor_type(self) -> Dict[str, float]:
-        """Sensor type -> retention seconds (strictest across policies)."""
+        """Sensor type -> retention seconds (strictest across policies).
+
+        The schedule is shared until the policy set changes: callers
+        must not mutate it.
+        """
+        if self._retention is not None:
+            return self._retention
         schedule: Dict[str, float] = {}
         for policy in self._policies.values():
             seconds = policy.retention_seconds()
@@ -110,6 +121,7 @@ class PolicyManager:
                 current = schedule.get(sensor_type)
                 if current is None or seconds < current:
                     schedule[sensor_type] = float(seconds)
+        self._retention = schedule
         return schedule
 
     # ------------------------------------------------------------------

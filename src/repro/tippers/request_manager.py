@@ -207,9 +207,11 @@ class RequestManager:
     ) -> QueryResponse:
         """Where is ``subject_id`` right now?
 
-        The decision happens *before* data access; a denied request
-        never touches the datastore.  When allowed at a coarser
-        granularity, the location is coarsened before release.
+        The location is read first, because the decision key carries
+        the estimated space; nothing is released before the decision,
+        and a denied request gets no part of the estimate.  When
+        allowed at a coarser granularity, the location is coarsened
+        before release.
 
         ``brownout_level`` > 0 marks an admission-control brownout: the
         requested granularity is degraded that many lattice ranks
@@ -268,13 +270,18 @@ class RequestManager:
         released_space = coarsen_space(
             estimate.space_id, resolution.granularity, self._spatial
         )
-        value = LocationEstimate(
-            subject_id=subject_id,
-            space_id=released_space if released_space is not None else "unknown",
-            timestamp=estimate.timestamp,
-            source_sensor_type=estimate.source_sensor_type,
-            granularity=resolution.granularity.value,
-        )
+        value = estimate  # released as read: no second frozen dataclass
+        if (
+            released_space != estimate.space_id
+            or resolution.granularity.value != estimate.granularity
+        ):
+            value = LocationEstimate(
+                subject_id=subject_id,
+                space_id=released_space if released_space is not None else "unknown",
+                timestamp=estimate.timestamp,
+                source_sensor_type=estimate.source_sensor_type,
+                granularity=resolution.granularity.value,
+            )
         return QueryResponse(
             allowed=True,
             value=value,

@@ -560,7 +560,11 @@ def test_capture_path_equivalence():
     assert pair.compiled.stats.hits > 0, "repeated capture must hit the table"
     assert managers[0].stats == managers[1].stats
     stored = [
-        [dataclasses.replace(o, observation_id=0) for o in datastore.query()]
+        [
+            dataclasses.replace(o, observation_id=0)
+            for name in datastore.stream_names()
+            for o in datastore.query(sensor_type=name)
+        ]
         for datastore in datastores
     ]
     assert stored[0] and stored[0] == stored[1]

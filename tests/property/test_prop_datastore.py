@@ -38,15 +38,20 @@ audit_records = st.builds(
 )
 
 
+def everything(store):
+    """Every stored observation, stream by stream."""
+    return [o for name in store.stream_names() for o in store.query(sensor_type=name)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(batch=st.lists(observations, max_size=30))
 def test_query_is_sorted_and_complete(batch):
     store = Datastore()
     store.insert_many(batch)
-    everything = store.query()
-    assert len(everything) == len(batch)
-    times = [o.timestamp for o in everything]
-    assert times == sorted(times)
+    assert len(everything(store)) == len(batch)
+    for name in store.stream_names():
+        keys = [(o.timestamp, o.observation_id) for o in store.query(sensor_type=name)]
+        assert keys == sorted(keys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -71,7 +76,7 @@ def test_subject_index_matches_scan(batch):
     for subject in ("mary", "bob"):
         indexed = {o.observation_id for o in store.query(subject_id=subject)}
         scanned = {
-            o.observation_id for o in store.query() if o.subject_id == subject
+            o.observation_id for o in everything(store) if o.subject_id == subject
         }
         assert indexed == scanned
 
@@ -84,7 +89,7 @@ def test_sweep_removes_exactly_the_expired(batch, retention, now):
     schedule = {"wifi_access_point": retention}
     store.sweep(now, schedule)
     cutoff = now - retention
-    for observation in store.query():
+    for observation in everything(store):
         if observation.sensor_type == "wifi_access_point":
             assert observation.timestamp >= cutoff
     expected_kept = [

@@ -6,7 +6,9 @@ rule is exercised in isolation: firing, suppression, and the baseline
 subtraction that makes the gate adoptable.
 """
 
+import inspect
 import json
+import re
 import textwrap
 
 import pytest
@@ -26,7 +28,7 @@ from repro.analysis.flow.callgraph import (
     build_call_graph_from_sources,
     collect_files,
 )
-from repro.analysis.flow.model import FlowModel
+from repro.analysis.flow.model import DEFAULT_MODEL, FlowModel
 from repro.errors import AnalysisError
 
 #: A self-contained pipeline: sensor source, response sink, engine
@@ -648,3 +650,23 @@ class TestCli:
         assert baseline.entries, "the committed baseline pins the WAL replay"
         for entry in baseline.entries:
             assert len(entry.justification) > 40
+
+
+def test_every_datastore_read_is_a_flow_source():
+    """A public datastore method that returns observations is a taint
+    source, so a new or renamed read cannot escape F001."""
+    from repro.storage.durable import DurableDatastore
+    from repro.tippers.datastore import Datastore
+
+    reads = []
+    for cls in (Datastore, DurableDatastore):
+        for name, member in vars(cls).items():
+            if name.startswith("_") or not inspect.isfunction(member):
+                continue
+            if "Observation" in str(inspect.signature(member).return_annotation):
+                reads.append("%s.%s.%s" % (cls.__module__, cls.__qualname__, name))
+    assert {"query", "latest", "of_subject"} <= {r.rsplit(".", 1)[1] for r in reads}
+    for qualname in reads:
+        assert any(
+            re.search(spec, qualname) for spec in DEFAULT_MODEL.source_specs
+        ), qualname

@@ -56,25 +56,41 @@ class TestQuery:
         assert len(store.query(sensor_type="motion_sensor")) == 1
 
     def test_by_space(self, store):
-        assert len(store.query(space_id="r2")) == 2
+        assert len(store.query(sensor_type="wifi_access_point", space_id="r2")) == 1
+        assert len(store.query(sensor_type="motion_sensor", space_id="r2")) == 1
+        assert store.query(sensor_type="motion_sensor", space_id="r1") == []
 
     def test_by_subject(self, store):
         assert len(store.query(subject_id="mary")) == 2
 
     def test_window_since_inclusive_until_exclusive(self, store):
-        window = store.query(since=2.0, until=4.0)
-        assert [o.timestamp for o in window] == [2.0, 3.0]
+        window = store.query(sensor_type="wifi_access_point", since=2.0, until=4.0)
+        assert [o.timestamp for o in window] == [2.0]
+        window = store.query(subject_id="mary", since=1.0, until=4.0)
+        assert [o.timestamp for o in window] == [1.0]
 
     def test_empty_window_rejected(self, store):
         with pytest.raises(StorageError):
             store.query(since=5.0, until=5.0)
 
     def test_limit_keeps_newest(self, store):
-        newest = store.query(limit=2)
-        assert [o.timestamp for o in newest] == [3.0, 4.0]
+        newest = store.query(sensor_type="wifi_access_point", limit=2)
+        assert [o.timestamp for o in newest] == [2.0, 4.0]
+
+    def test_limit_below_one_rejected(self, store):
+        with pytest.raises(StorageError):
+            store.query(sensor_type="wifi_access_point", limit=0)
+
+    def test_query_names_an_index(self, store):
+        with pytest.raises(ValueError):
+            store.query()
+        with pytest.raises(ValueError):
+            store.query(space_id="r2")
 
     def test_predicate(self, store):
-        found = store.query(predicate=lambda o: o.subject_id == "bob")
+        found = store.query(
+            sensor_type="wifi_access_point", predicate=lambda o: o.subject_id == "bob"
+        )
         assert len(found) == 1
 
     def test_combined_filters(self, store):
@@ -82,7 +98,8 @@ class TestQuery:
         assert [o.timestamp for o in found] == [4.0]
 
     def test_latest(self, store):
-        assert store.latest().timestamp == 4.0
+        assert store.latest(sensor_type="wifi_access_point").timestamp == 4.0
+        assert store.latest(subject_id="bob").timestamp == 2.0
         assert store.latest(sensor_type="motion_sensor").timestamp == 3.0
         assert store.latest(sensor_type="camera") is None
 
@@ -106,6 +123,17 @@ class TestRetention:
     def test_negative_retention_rejected(self, store):
         with pytest.raises(StorageError):
             store.sweep(now=1.0, retention_by_type={"wifi_access_point": -1.0})
+
+    def test_refused_sweep_purges_nothing(self, store):
+        """Every retention is checked before any stream is purged."""
+        with pytest.raises(StorageError):
+            store.sweep(
+                now=100.0,
+                retention_by_type={"wifi_access_point": 10.0, "motion_sensor": -1.0},
+            )
+        assert store.count() == 4
+        assert store.total_purged == 0
+        assert len(store.query(subject_id="mary")) == 2
 
     def test_sweep_nothing_due(self, store):
         assert store.sweep(now=4.0, retention_by_type={"wifi_access_point": 100.0}) == 0

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.language.duration import Duration
+from repro.core.policy.building import BuildingPolicy
 from repro.sensors.base import Observation
 from repro.spatial.model import build_simple_building
+from repro.tippers.bms import TIPPERS
 from repro.tippers.datastore import Datastore
 from repro.tippers.inference import (
     LOCATION_SENSOR_TYPES,
@@ -167,6 +170,50 @@ class TestActivityPatterns:
         # Aggregate-granularity observations carry no subject.
         datastore.insert(sighting(9 * 3600.0, None, "b-1001"))
         assert inference.guess_role("mary") is None
+
+
+class TestRetentionAtReadTime:
+    """Reads that carry ``now`` skip readings past their stream's
+    retention, whether or not a sweep has purged them yet."""
+
+    @pytest.fixture
+    def tippers(self, small_building, mary):
+        bms = TIPPERS(small_building, "b")
+        bms.define_policy(
+            BuildingPolicy(
+                policy_id="brief",
+                name="brief",
+                description="keeps sightings and motion for one minute",
+                sensor_types=("wifi_access_point", "motion_sensor"),
+                retention=Duration.parse("PT1M"),
+            )
+        )
+        bms.add_user(mary)
+        bms.datastore.insert(sighting(100.0, "mary", "b-1001"))
+        bms.datastore.insert(motion(100.0, "b-1001"))
+        return bms
+
+    def test_unexpired_readings_are_returned(self, tippers):
+        inference = tippers.inference
+        assert inference.locate("mary", 150.0).space_id == "b-1001"
+        assert inference.is_occupied("b-1001", 150.0)
+        assert inference.occupant_count("b-1001", 150.0) == 1
+        assert inference.occupancy_map(150.0) == {"b-1001": 1}
+        assert inference.people_in("b-1001", 150.0) == ["mary"]
+
+    def test_expired_readings_are_not_returned_before_a_sweep(self, tippers):
+        inference = tippers.inference
+        now = 200.0  # inside every read window, 40 s past retention
+        assert inference.locate("mary", now) is None
+        assert not inference.is_occupied("b-1001", now)
+        assert inference.occupant_count("b-1001", now) == 0
+        assert inference.occupancy_map(now) == {}
+        assert inference.people_in("b-1001", now) == []
+        assert tippers.datastore.count() == 2, "no sweep has run"
+
+    def test_a_retired_policy_no_longer_cuts(self, tippers):
+        tippers.policy_manager.retire("brief")
+        assert tippers.inference.locate("mary", 200.0).space_id == "b-1001"
 
 
 def _locate_by_query(datastore, subject_id, now, window_s=900.0):

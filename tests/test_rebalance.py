@@ -71,9 +71,11 @@ def _join_wave(campus):
 
 
 def _stored_subjects(shard):
+    datastore = shard.tippers.datastore
     return {
         obs.subject_id
-        for obs in shard.tippers.datastore.query()
+        for name in datastore.stream_names()
+        for obs in datastore.query(sensor_type=name)
         if obs.subject_id is not None
     }
 

@@ -1,5 +1,7 @@
 """Unit tests for the DBH simulation substrate."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ReproError
@@ -171,6 +173,46 @@ class TestBuildingWorld:
         assert sim.credential_presented("dbh-1001") is None, "consumed"
         with pytest.raises(ReproError):
             sim.teleport("ghost", "dbh-1001")
+
+    def test_occupants_map_matches_a_scan_after_every_move(self, world):
+        """The space -> occupants map equals a scan of every location
+        after each of the four ways a location changes."""
+        sim, people = world
+        spaces = sorted(s.space_id for s in build_dbh_spatial())
+
+        def assert_matches_scan():
+            assert sim.occupants_of(None) == sorted(
+                uid for uid, loc in sim._locations.items() if loc is None
+            )
+            for space in spaces:
+                scanned = sorted(
+                    uid for uid, loc in sim._locations.items() if loc == space
+                )
+                assert sim.occupants_of(space) == scanned, space
+                assert sim.motion_in(space) == (
+                    bool(scanned)
+                    or any(
+                        previous == space and sim._locations.get(uid) != space
+                        for uid, previous in sim._previous_locations.items()
+                    )
+                ), space
+
+        assert_matches_scan()
+        sim.step(10.5 * 3600.0)
+        assert_matches_scan()
+        sim.teleport(people[0].user_id, "dbh-1001")
+        assert_matches_scan()
+        guest = dataclasses.replace(
+            people[1], profile=dataclasses.replace(people[1].profile, user_id="guest")
+        )
+        sim.add_visitor(guest)
+        assert_matches_scan()
+        sim.teleport("guest", "dbh-1001")
+        assert_matches_scan()
+        sim.step(10.6 * 3600.0)
+        assert_matches_scan()
+        sim.remove_visitor("guest")
+        assert_matches_scan()
 
     def test_motion_after_departure(self, world):
         sim, people = world
